@@ -14,7 +14,18 @@ behind `include_implied` for cross-checking only.
 Template id conventions: "dend.1"-"dend.3", "assoc.1", "dias.4"-"dias.8"
 (numbered as in the source equations), "quadri.Hq1.a" etc., "tri.assoc" and
 "tri.mixed.1"-"tri.mixed.5", "six.dend.*" / "six.sq1"-"six.sq17",
-"rep.I.1"-"rep.III.3", "act.13"-"act.21", "mult.<op>", "hom.<op>"/"hom.twist".
+"rep.I.1"-"rep.III.3", "act.13"-"act.21", "mult.<op>".
+
+Operators, morphisms and graphs are named maps in the same templates ("H",
+"T", "G"): "avg.mu.a"/"avg.mu.b", "rb.<op>", "ravg.<op>.l"/"ravg.<op>.r",
+"qavg.<op>.a"/"qavg.<op>.b", "hom.<op>" and "graph.<op>"/"graph.twist".
+Twist commutation X o alpha = alpha' o X ("avg.twist", "rb.twist",
+"ravg.twist", "qavg.twist", "hom.twist") is the matrix identity
+`twist_commutation`, witnessed by (row, col).
+
+The evaluator tabulates each distinct subterm once per basis tuple of its own
+placeholders and shares the tables across the templates of one call that bind
+their placeholders to the same spaces.
 
 The sq15 identity mixes two operations across its sides in the source; both
 the literal reading and the symmetrized one are implemented, selectable via
@@ -25,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 from .model import (
     ActionBundle,
@@ -32,7 +44,6 @@ from .model import (
     KIND_OPS,
     LinearMap,
     RepresentationBundle,
-    Vector,
     basis_vector,
     vec_add,
 )
@@ -45,15 +56,24 @@ SQ15_READINGS = ("literal", "symmetric")
 # expression trees
 
 
+def _hash_once(node) -> int:
+    """Subterms key the evaluator's tables, so each node hashes its fields once."""
+    if "_hash" not in node.__dict__:
+        node.__dict__["_hash"] = hash(tuple(node.__dict__.values()))
+    return node.__dict__["_hash"]
+
+
 @dataclass(frozen=True)
 class Var:
     name: str
+    __hash__ = _hash_once
 
 
 @dataclass(frozen=True)
 class App:
     map_name: str
     arg: object
+    __hash__ = _hash_once
 
 
 @dataclass(frozen=True)
@@ -61,11 +81,13 @@ class Op:
     op_name: str
     left: object
     right: object
+    __hash__ = _hash_once
 
 
 @dataclass(frozen=True)
 class Sum:
     terms: tuple
+    __hash__ = _hash_once
 
 
 def S(*terms) -> Sum:
@@ -80,43 +102,110 @@ class Template:
     rhs: object
 
 
-def _eval(expr, env: dict, ops: dict, maps: dict) -> Vector:
+def _children(expr) -> tuple:
     if isinstance(expr, Var):
-        return env[expr.name]
+        return ()
     if isinstance(expr, App):
-        return maps[expr.map_name].apply(_eval(expr.arg, env, ops, maps))
+        return (expr.arg,)
     if isinstance(expr, Op):
-        return ops[expr.op_name].apply(
-            _eval(expr.left, env, ops, maps), _eval(expr.right, env, ops, maps)
-        )
+        return (expr.left, expr.right)
     if isinstance(expr, Sum):
-        parts = [_eval(t, env, ops, maps) for t in expr.terms]
-        acc = parts[0]
-        for p in parts[1:]:
-            acc = vec_add(acc, p)
-        return acc
+        return expr.terms
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+def _subterms(expr):
+    yield expr
+    for child in _children(expr):
+        yield from _subterms(child)
+
+
+def _projector(names, sub):
+    """Map an index tuple over `names` to the one over the subsequence `sub`."""
+    if tuple(sub) == tuple(names):
+        return lambda combo: combo
+    positions = [names.index(name) for name in sub]
+    return lambda combo: tuple(map(combo.__getitem__, positions))
+
+
+def _tabulate(expr, scope: tuple, dims: dict, ops: dict, maps: dict, tables: dict):
+    """(sorted placeholder names of `expr`, {their basis indices: vector}).
+
+    `scope` binds each placeholder to its space; a subterm is computed once
+    per scope and basis tuple of its own placeholders, so H(e_i) is applied
+    once per i and a product shared by several templates is formed once.
+    """
+    key = expr, scope
+    if key in tables:
+        return tables[key]
+    spaces = dict(scope)
+    if isinstance(expr, Var):
+        dim = dims[spaces[expr.name]]
+        tables[key] = (expr.name,), {(i,): basis_vector(dim, i) for i in range(1, dim + 1)}
+        return tables[key]
+    if isinstance(expr, App):
+        apply = maps[expr.map_name].apply
+    elif isinstance(expr, Op):
+        apply = ops[expr.op_name].apply
+    else:
+        apply = lambda *vectors: reduce(vec_add, vectors)
+    children = [_tabulate(child, scope, dims, ops, maps, tables) for child in _children(expr)]
+    free = tuple(sorted(set().union(*(sub for sub, _ in children))))
+    parts = [(_projector(free, sub), table) for sub, table in children]
+    ranges = [range(1, dims[spaces[name]] + 1) for name in free]
+    tables[key] = free, {
+        combo: apply(*[table[project(combo)] for project, table in parts])
+        for combo in itertools.product(*ranges)
+    }
+    return tables[key]
+
+
 def evaluate_templates(templates, dims: dict, ops: dict, maps: dict) -> Report:
-    """Evaluate templates over all basis tuples; exact zero residual to pass."""
+    """Evaluate templates over all basis tuples; exact zero residual to pass.
+
+    Subterm tables are shared across the templates of one call and dropped
+    after the last template that contains them.
+    """
+    templates = list(templates)
+    scopes = [tuple(sorted(template.variables)) for template in templates]
+    last_use = {}
+    for t, (template, scope) in enumerate(zip(templates, scopes)):
+        for side in (template.lhs, template.rhs):
+            for sub in _subterms(side):
+                last_use[sub, scope] = t
+    expiring = [[] for _ in templates]
+    for key, t in last_use.items():
+        expiring[t].append(key)
+    tables: dict = {}
     entries = []
-    for template in templates:
+    for template, scope, expired in zip(templates, scopes, expiring):
+        names = [name for name, _ in template.variables]
+        (lhs_free, lhs), (rhs_free, rhs) = (
+            _tabulate(side, scope, dims, ops, maps, tables)
+            for side in (template.lhs, template.rhs)
+        )
+        lhs_at, rhs_at = _projector(names, lhs_free), _projector(names, rhs_free)
         ranges = [range(1, dims[space] + 1) for _, space in template.variables]
         for combo in itertools.product(*ranges):
-            env = {
-                name: basis_vector(dims[space], index)
-                for (name, space), index in zip(template.variables, combo)
-            }
-            lhs = _eval(template.lhs, env, ops, maps)
-            rhs = _eval(template.rhs, env, ops, maps)
-            for coord, (a, b) in enumerate(zip(lhs, rhs), start=1):
+            pairs = zip(lhs[lhs_at(combo)], rhs[rhs_at(combo)])
+            for coord, (a, b) in enumerate(pairs, start=1):
                 residual = a - b
                 if residual:
-                    entries.append(
-                        Violation(template.id, combo + (coord,), residual)
-                    )
+                    entries.append(Violation(template.id, combo + (coord,), residual))
+        for key in expired:
+            del tables[key]
     return Report(entries)
+
+
+def twist_commutation(template: str, linear: LinearMap, inner: LinearMap, outer: LinearMap) -> Report:
+    """The matrix identity X o inner = outer o X, with (row, col) witnesses."""
+    rows = zip(linear.compose(inner).entries, outer.compose(linear).entries)
+    return Report([
+        Violation(template, (r, c), residual)
+        for r, (left, right) in enumerate(rows, start=1)
+        for c, (a, b) in enumerate(zip(left, right), start=1)
+        if (residual := a - b)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +575,74 @@ def action_templates() -> list:
     ]
 
 
+_XY = (("x", "D"), ("y", "D"))
+
+
+def averaging_templates(prefix: str, names, swap: bool = False) -> list:
+    """Hx op Hy = H(Hx op y) (".a") = H(x op Hy) (".b"), per operation, for
+    the operator map "H"; `swap` exchanges the two suffixes."""
+    hx, hy = App("H", _X), App("H", _Y)
+    ts = []
+    for name in names:
+        left, right = App("H", Op(name, hx, _Y)), App("H", Op(name, _X, hy))
+        a, b = (right, left) if swap else (left, right)
+        lhs = Op(name, hx, hy)
+        ts += [_t(f"{prefix}.{name}.a", lhs, a, _XY), _t(f"{prefix}.{name}.b", lhs, b, _XY)]
+    return ts
+
+
+def rota_baxter_templates(names) -> list:
+    """Rx op Ry = R(Rx op y + x op Ry), per operation, for R the map "H"."""
+    rx, ry = App("H", _X), App("H", _Y)
+    rhs = lambda name: App("H", S(Op(name, rx, _Y), Op(name, _X, ry)))
+    return [_t(f"rb.{name}", Op(name, rx, ry), rhs(name), _XY) for name in names]
+
+
+def relative_averaging_templates() -> list:
+    """Tu op Tv = T(Tu op_l v) (".l") = T(u op_r Tv) (".r") for op = prec, succ,
+    for T the map "H" from the module M (where u, v range) into the base."""
+    u, v = Var("u"), Var("v")
+    tu, tv = App("H", u), App("H", v)
+    uv = (("u", "M"), ("v", "M"))
+    ts = []
+    for name in ("prec", "succ"):
+        lhs = Op(name, tu, tv)
+        ts += [
+            _t(f"ravg.{name}.l", lhs, App("H", Op(f"{name}_l", tu, v)), uv),
+            _t(f"ravg.{name}.r", lhs, App("H", Op(f"{name}_r", u, tv)), uv),
+        ]
+    return ts
+
+
+def homomorphism_templates(names) -> list:
+    """T(x op y) = Tx op' Ty, per operation; op' is the target's op."""
+    tx, ty = App("T", _X), App("T", _Y)
+    return [
+        _t(f"hom.{name}", App("T", Op(name, _X, _Y)), Op(name + "'", tx, ty), _XY)
+        for name in names
+    ]
+
+
+def graph_templates(names) -> list:
+    """Closure of the graph of X: P -> Q, embedded by G into a container,
+    under each operation and the twist: the "image" part of a product of
+    graph vectors is X applied to its "domain" part."""
+    u, v = App("G", Var("u")), App("G", Var("v"))
+    residual = lambda w: (App("image", w), App("X", App("domain", w)))
+    ts = [_t(f"graph.{name}", *residual(Op(name, u, v)), (("u", "P"), ("v", "P"))) for name in names]
+    ts.append(_t("graph.twist", *residual(App("alpha", u)), (("u", "P"),)))
+    return ts
+
+
 # ---------------------------------------------------------------------------
 # checkers
 
 
 def _require_kind(bundle: AlgebraBundle, kind: str) -> None:
-    if bundle.kind != kind:
-        raise ValueError(f"expected a {kind} bundle, got {bundle.kind!r}")
+    got = getattr(bundle, "kind", type(bundle).__name__)
+    if not isinstance(bundle, AlgebraBundle) or got != kind:
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise ValueError(f"expected {article} {kind} bundle, got {got!r}")
 
 
 def _run(bundle: AlgebraBundle, templates) -> Report:
@@ -565,7 +715,7 @@ def check_multiplicative(bundle: AlgebraBundle) -> Report:
             f"mult.{name}",
             App("alpha", Op(name, x, y)),
             Op(name, App("alpha", x), App("alpha", y)),
-            (("x", "D"), ("y", "D")),
+            _XY,
         )
         for name in sorted(bundle.ops)
     ]
@@ -582,28 +732,15 @@ def check_homomorphism(
         raise ValueError(f"both bundles must have kind {kind!r}")
     if (linear.dim_in, linear.dim_out) != (source.dim, target.dim):
         raise ValueError("morphism matrix shape does not match the bundles")
-    entries = []
-    for name in sorted(KIND_OPS[kind]):
-        op_a, op_b = source.op(name), target.op(name)
-        for i in range(1, source.dim + 1):
-            ei = basis_vector(source.dim, i)
-            ti = linear.apply(ei)
-            for j in range(1, source.dim + 1):
-                ej = basis_vector(source.dim, j)
-                lhs = linear.apply(op_a.apply(ei, ej))
-                rhs = op_b.apply(ti, linear.apply(ej))
-                for coord, (a, b) in enumerate(zip(lhs, rhs), start=1):
-                    residual = a - b
-                    if residual:
-                        entries.append(Violation(f"hom.{name}", (i, j, coord), residual))
-    lhs_m = linear.compose(source.twist)
-    rhs_m = target.twist.compose(linear)
-    for r in range(lhs_m.dim_out):
-        for c in range(lhs_m.dim_in):
-            residual = lhs_m.entries[r][c] - rhs_m.entries[r][c]
-            if residual:
-                entries.append(Violation("hom.twist", (r + 1, c + 1), residual))
-    return Report(entries)
+    names = sorted(KIND_OPS[kind])
+    ops = {name: source.op(name) for name in names}
+    ops.update({name + "'": target.op(name) for name in names})
+    report = evaluate_templates(
+        homomorphism_templates(names), {"D": source.dim}, ops, {"T": linear}
+    )
+    return report.merged(
+        twist_commutation("hom.twist", linear, source.twist, target.twist)
+    )
 
 
 _KIND_CHECKERS = {

@@ -236,9 +236,6 @@ class Subspace:
     def reduce(self, vec) -> tuple:
         return tuple(reduce_against([list(r) for r in self.basis], list(self.pivots), vec))
 
-    def contains(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
-
     def complement_positions(self) -> tuple:
         """1-based standard basis positions not used as pivots."""
         return tuple(

@@ -81,7 +81,7 @@ def _tensor_from_json(data, dims: tuple, where: str) -> BilinearOp:
         if not isinstance(item, dict) or set(item) != {"i", "j", "k", "c"}:
             raise ModelError(f"{where}[{pos}]: entry must have exactly keys i, j, k, c")
         i, j, k = item["i"], item["j"], item["k"]
-        if not all(isinstance(v, int) for v in (i, j, k)):
+        if not all(type(v) is int for v in (i, j, k)):  # JSON true/false load as bool
             raise ModelError(f"{where}[{pos}]: indices must be integers")
         key = (i, j, k)
         if key in seen:
@@ -111,7 +111,7 @@ def _check_keys(data: dict, allowed: set, required: set, what: str) -> None:
 def algebra_from_dict(data: dict) -> AlgebraBundle:
     _check_keys(data, ALGEBRA_KEYS, ALGEBRA_KEYS, "algebra file")
     dim = data["dimension"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ModelError("algebra file: dimension must be a positive integer")
     params = data["parameters"]
     if not isinstance(params, list) or not all(isinstance(p, str) for p in params):
@@ -150,7 +150,7 @@ def representation_from_dict(data: dict) -> RepresentationBundle:
 
 def _representation_parts(data: dict, base: AlgebraBundle) -> RepresentationBundle:
     mdim = data["module_dimension"]
-    if not isinstance(mdim, int) or mdim < 1:
+    if type(mdim) is not int or mdim < 1:
         raise ModelError("representation file: module_dimension must be positive")
     shapes = {
         "prec_l": (base.dim, mdim, mdim),

@@ -47,10 +47,6 @@ class ModelError(ValueError):
 # vectors
 
 
-def zero_vector(dim: int) -> Vector:
-    return (Polynomial.zero(),) * dim
-
-
 def basis_vector(dim: int, index: int) -> Vector:
     if not 1 <= index <= dim:
         raise ValueError(f"basis index {index} out of range 1..{dim}")
@@ -65,32 +61,14 @@ def vec_add(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    if len(a) != len(b):
-        raise ValueError("vector dimension mismatch")
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vec_scale(scalar, v: Vector) -> Vector:
     if isinstance(scalar, (int, Fraction)):
         scalar = Polynomial.constant(scalar)
     return tuple(scalar * x for x in v)
 
 
-def vec_is_zero(v: Vector) -> bool:
-    return all(x.is_zero() for x in v)
-
-
-def vec_specialize(v: Vector, bindings: Mapping) -> Vector:
-    return tuple(x.specialize(bindings) for x in v)
-
-
 def vec_to_fractions(v: Vector) -> tuple:
     return tuple(x.as_fraction() for x in v)
-
-
-def vec_from_fractions(values) -> Vector:
-    return tuple(Polynomial.constant(x) for x in values)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +169,6 @@ class LinearMap:
             for cell in row:
                 names |= cell.parameters()
         return frozenset(names)
-
-    def is_parameter_free(self) -> bool:
-        return not self.parameters()
 
     def to_fraction_rows(self):
         return [[cell.as_fraction() for cell in row] for row in self.entries]
@@ -356,9 +331,6 @@ class AlgebraBundle:
         for op in self.ops.values():
             names |= op.parameters()
         return frozenset(names)
-
-    def is_parameter_free(self) -> bool:
-        return not self.used_parameters()
 
     def specialize(self, bindings: Mapping) -> "AlgebraBundle":
         for name in bindings:

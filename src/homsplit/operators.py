@@ -15,6 +15,11 @@ exact symbolic residuals):
                                   twist commutation (the source leaves this
                                   notion undefined; this is the documented
                                   interpretation)
+
+Each identity is an `axioms` template in which the operator is the named map
+"H", evaluated by `axioms.evaluate_templates`; twist commutation is the
+matrix identity `axioms.twist_commutation`.  Graph closure is checked the
+same way (templates "graph.*").
 """
 
 from __future__ import annotations
@@ -24,25 +29,83 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .axioms import check_homomorphism
-from .model import (
-    ActionBundle,
-    AlgebraBundle,
-    LinearMap,
-    RepresentationBundle,
-    basis_vector,
-    vec_add,
-    vec_sub,
+from .axioms import (
+    _require_kind,
+    averaging_templates,
+    check_homomorphism,
+    evaluate_templates,
+    graph_templates,
+    relative_averaging_templates,
+    rota_baxter_templates,
+    twist_commutation,
 )
+from .model import ActionBundle, AlgebraBundle, LinearMap, RepresentationBundle
 from .poly import Polynomial
-from .report import Report, Violation
+from .report import Report
 
-TWIST_BOUND_KINDS = {
-    "rota_baxter",
-    "relative_averaging",
-    "homomorphic_relative_averaging",
-    "averaging_quadri",
+# operator kind acting on one algebra -> (template prefix, algebra kind, templates)
+_ALGEBRA_OPERATORS = {
+    "averaging_assoc": (
+        "avg", "associative", lambda names: averaging_templates("avg", names, swap=True)
+    ),
+    "rota_baxter": ("rb", "diassociative", rota_baxter_templates),
+    "averaging_quadri": (
+        "qavg", "quadri_dendriform", lambda names: averaging_templates("qavg", names)
+    ),
 }
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """What an operator kind acts on: the templates with their spaces, ops
+    and twists, and the matrix shape (rows, cols) the operator must have."""
+
+    prefix: str
+    templates: list
+    dims: dict
+    ops: dict
+    inner: LinearMap  # twist on the operator's domain
+    outer: LinearMap  # twist on its codomain
+    twist_bound: bool  # twist commutation belongs to the definition
+    shape: tuple
+    shape_error: str
+    homomorphism: tuple = ()  # (source, target) the operator must intertwine
+
+
+def _resolve(kind: str, context) -> _Frame:
+    """The single per-kind resolver used by verification and solving."""
+    if kind in _ALGEBRA_OPERATORS:
+        prefix, required, templates = _ALGEBRA_OPERATORS[kind]
+        _require_kind(context, required)
+        dim = context.dim
+        return _Frame(
+            prefix, templates(sorted(context.ops)), {"D": dim}, dict(context.ops),
+            context.twist, context.twist,
+            kind != "averaging_assoc", (dim, dim),
+            "operator matrix shape does not match the algebra",
+        )
+    homomorphism = ()
+    if kind == "homomorphic_relative_averaging":
+        if isinstance(context, AlgebraBundle):
+            context = ActionBundle.adjoint(context)
+        if not isinstance(context, ActionBundle):
+            raise ValueError(f"{kind} needs an algebra or action context")
+        homomorphism = (context.acted, context.acting)
+    elif kind != "relative_averaging":
+        raise ValueError(f"unknown operator kind {kind!r}")
+    if isinstance(context, ActionBundle):
+        context = context.representation()
+    if isinstance(context, AlgebraBundle):
+        context = RepresentationBundle.adjoint(context)
+    if not isinstance(context, RepresentationBundle):
+        raise ValueError(f"{kind} needs an algebra, representation or action context")
+    base = context.base
+    ops = {"prec": base.op("prec"), "succ": base.op("succ"), **context.actions}
+    return _Frame(
+        "ravg", relative_averaging_templates(), {"D": base.dim, "M": context.module_dim},
+        ops, context.module_twist, base.twist, True, (base.dim, context.module_dim),
+        "operator must map the module into the base algebra", homomorphism,
+    )
 
 
 @dataclass(frozen=True)
@@ -56,7 +119,7 @@ class OperatorSpec:
 
     def __post_init__(self):
         if self.context is not None:
-            rows, cols = _operator_shape(self.context, self.kind)
+            rows, cols = _resolve(self.kind, self.context).shape
             if (self.matrix.dim_out, self.matrix.dim_in) != (rows, cols):
                 raise ValueError(
                     f"{self.kind} operator must be {rows} x {cols}, "
@@ -71,164 +134,43 @@ class OperatorSpec:
         )
 
 
-def _residuals(template: str, witness, lhs, rhs, entries) -> None:
-    for coord, (a, b) in enumerate(zip(lhs, rhs), start=1):
-        residual = a - b
-        if residual:
-            entries.append(Violation(template, witness + (coord,), residual))
-
-
-def _twist_commutation(
-    template: str, left: LinearMap, right: LinearMap, entries
-) -> None:
-    for r in range(left.dim_out):
-        for c in range(left.dim_in):
-            residual = left.entries[r][c] - right.entries[r][c]
-            if residual:
-                entries.append(Violation(template, (r + 1, c + 1), residual))
+def verify_operator(kind: str, context, matrix: LinearMap, strict_twist: bool = False) -> Report:
+    """Dispatch on the operator kind; `context` is the matching bundle type."""
+    frame = _resolve(kind, context)
+    if (matrix.dim_out, matrix.dim_in) != frame.shape:
+        raise ValueError(frame.shape_error)
+    report = evaluate_templates(frame.templates, frame.dims, frame.ops, {"H": matrix})
+    if frame.twist_bound or strict_twist:
+        report = report.merged(
+            twist_commutation(f"{frame.prefix}.twist", matrix, frame.inner, frame.outer)
+        )
+    if frame.homomorphism:
+        report = report.merged(check_homomorphism("dendriform", matrix, *frame.homomorphism))
+    return report
 
 
 def verify_averaging_assoc(
     algebra: AlgebraBundle, avg: LinearMap, strict_twist: bool = False
 ) -> Report:
-    if algebra.kind != "associative":
-        raise ValueError(f"expected an associative bundle, got {algebra.kind!r}")
-    if (avg.dim_out, avg.dim_in) != (algebra.dim, algebra.dim):
-        raise ValueError("operator matrix shape does not match the algebra")
-    mu = algebra.op("mu")
-    dim = algebra.dim
-    entries: list = []
-    for i in range(1, dim + 1):
-        ei = basis_vector(dim, i)
-        hi = avg.apply(ei)
-        for j in range(1, dim + 1):
-            ej = basis_vector(dim, j)
-            hj = avg.apply(ej)
-            lhs = mu.apply(hi, hj)
-            _residuals("avg.mu.a", (i, j), lhs, avg.apply(mu.apply(ei, hj)), entries)
-            _residuals("avg.mu.b", (i, j), lhs, avg.apply(mu.apply(hi, ej)), entries)
-    if strict_twist:
-        _twist_commutation(
-            "avg.twist", avg.compose(algebra.twist), algebra.twist.compose(avg), entries
-        )
-    return Report(entries)
+    return verify_operator("averaging_assoc", algebra, avg, strict_twist=strict_twist)
 
 
 def verify_rota_baxter(algebra: AlgebraBundle, rb: LinearMap) -> Report:
-    if algebra.kind != "diassociative":
-        raise ValueError(f"expected a diassociative bundle, got {algebra.kind!r}")
-    if (rb.dim_out, rb.dim_in) != (algebra.dim, algebra.dim):
-        raise ValueError("operator matrix shape does not match the algebra")
-    dim = algebra.dim
-    entries: list = []
-    _twist_commutation(
-        "rb.twist", rb.compose(algebra.twist), algebra.twist.compose(rb), entries
-    )
-    for name in ("dashv", "vdash"):
-        op = algebra.op(name)
-        for i in range(1, dim + 1):
-            ei = basis_vector(dim, i)
-            ri = rb.apply(ei)
-            for j in range(1, dim + 1):
-                ej = basis_vector(dim, j)
-                rj = rb.apply(ej)
-                lhs = op.apply(ri, rj)
-                rhs = rb.apply(vec_add(op.apply(ri, ej), op.apply(ei, rj)))
-                _residuals(f"rb.{name}", (i, j), lhs, rhs, entries)
-    return Report(entries)
+    return verify_operator("rota_baxter", algebra, rb)
 
 
 def verify_relative_averaging(rep: RepresentationBundle, avg: LinearMap) -> Report:
-    if (avg.dim_out, avg.dim_in) != (rep.base.dim, rep.module_dim):
-        raise ValueError("operator must map the module into the base algebra")
-    entries: list = []
-    m = rep.module_dim
-    prec, succ = rep.base.op("prec"), rep.base.op("succ")
-    for u in range(1, m + 1):
-        fu = basis_vector(m, u)
-        tu = avg.apply(fu)
-        for v in range(1, m + 1):
-            fv = basis_vector(m, v)
-            tv = avg.apply(fv)
-            lhs = prec.apply(tu, tv)
-            _residuals(
-                "ravg.prec.l", (u, v), lhs,
-                avg.apply(rep.action("prec_l").apply(tu, fv)), entries,
-            )
-            _residuals(
-                "ravg.prec.r", (u, v), lhs,
-                avg.apply(rep.action("prec_r").apply(fu, tv)), entries,
-            )
-            lhs = succ.apply(tu, tv)
-            _residuals(
-                "ravg.succ.l", (u, v), lhs,
-                avg.apply(rep.action("succ_l").apply(tu, fv)), entries,
-            )
-            _residuals(
-                "ravg.succ.r", (u, v), lhs,
-                avg.apply(rep.action("succ_r").apply(fu, tv)), entries,
-            )
-    _twist_commutation(
-        "ravg.twist", avg.compose(rep.module_twist), rep.base.twist.compose(avg), entries
-    )
-    return Report(entries)
+    return verify_operator("relative_averaging", rep, avg)
 
 
 def verify_homomorphic_relative_averaging(
     action: ActionBundle, avg: LinearMap
 ) -> Report:
-    relative = verify_relative_averaging(action.representation(), avg)
-    homomorphism = check_homomorphism("dendriform", avg, action.acted, action.acting)
-    return relative.merged(homomorphism)
+    return verify_operator("homomorphic_relative_averaging", action, avg)
 
 
 def verify_averaging_quadri(algebra: AlgebraBundle, avg: LinearMap) -> Report:
-    if algebra.kind != "quadri_dendriform":
-        raise ValueError(f"expected a quadri_dendriform bundle, got {algebra.kind!r}")
-    if (avg.dim_out, avg.dim_in) != (algebra.dim, algebra.dim):
-        raise ValueError("operator matrix shape does not match the algebra")
-    dim = algebra.dim
-    entries: list = []
-    _twist_commutation(
-        "qavg.twist", avg.compose(algebra.twist), algebra.twist.compose(avg), entries
-    )
-    for name in sorted(algebra.ops):
-        op = algebra.op(name)
-        for i in range(1, dim + 1):
-            ei = basis_vector(dim, i)
-            hi = avg.apply(ei)
-            for j in range(1, dim + 1):
-                ej = basis_vector(dim, j)
-                hj = avg.apply(ej)
-                lhs = op.apply(hi, hj)
-                _residuals(
-                    f"qavg.{name}.a", (i, j), lhs, avg.apply(op.apply(hi, ej)), entries
-                )
-                _residuals(
-                    f"qavg.{name}.b", (i, j), lhs, avg.apply(op.apply(ei, hj)), entries
-                )
-    return Report(entries)
-
-
-def verify_operator(kind: str, context, matrix: LinearMap, strict_twist: bool = False) -> Report:
-    """Dispatch on the operator kind; `context` is the matching bundle type."""
-    if kind == "averaging_assoc":
-        return verify_averaging_assoc(context, matrix, strict_twist=strict_twist)
-    if kind == "rota_baxter":
-        return verify_rota_baxter(context, matrix)
-    if kind == "relative_averaging":
-        if isinstance(context, ActionBundle):
-            context = context.representation()
-        if isinstance(context, AlgebraBundle):
-            context = RepresentationBundle.adjoint(context)
-        return verify_relative_averaging(context, matrix)
-    if kind == "homomorphic_relative_averaging":
-        if isinstance(context, AlgebraBundle):
-            context = ActionBundle.adjoint(context)
-        return verify_homomorphic_relative_averaging(context, matrix)
-    if kind == "averaging_quadri":
-        return verify_averaging_quadri(context, matrix)
-    raise ValueError(f"unknown operator kind {kind!r}")
+    return verify_operator("averaging_quadri", algebra, avg)
 
 
 # ---------------------------------------------------------------------------
@@ -246,52 +188,29 @@ def graph_is_subalgebra(
     in A + B, xi: A -> B (direct-sum containers).
     Returns (bool, Report) with witnesses indexed by graph parameters.
     """
-    if direction == "module_to_base":
-        d, m = matrix.dim_out, matrix.dim_in
-        par_dim = m
-
-        def graph_vector(u: int):
-            top = matrix.apply(basis_vector(m, u))
-            return tuple(top) + tuple(basis_vector(m, u))
-
-        def membership_residual(w):
-            top, bottom = w[:d], w[d:]
-            return vec_sub(top, matrix.apply(bottom))
-
-    elif direction == "base_to_module":
-        da, db = matrix.dim_in, matrix.dim_out
-        d, m = da, db
-        par_dim = da
-
-        def graph_vector(u: int):
-            base = basis_vector(da, u)
-            return tuple(base) + tuple(matrix.apply(base))
-
-        def membership_residual(w):
-            top, bottom = w[:d], w[d:]
-            return vec_sub(bottom, matrix.apply(top))
-
-    else:
+    image_dim, domain_dim = matrix.dim_out, matrix.dim_in
+    if direction not in ("module_to_base", "base_to_module"):
         raise ValueError(f"unknown direction {direction!r}")
-
-    if container.dim != d + m:
+    if container.dim != image_dim + domain_dim:
         raise ValueError("container dimension does not match the map")
-    entries: list = []
-    vectors = [graph_vector(u) for u in range(1, par_dim + 1)]
-    for name in sorted(container.ops):
-        op = container.op(name)
-        for u, gu in enumerate(vectors, start=1):
-            for v, gv in enumerate(vectors, start=1):
-                residual = membership_residual(op.apply(gu, gv))
-                for coord, value in enumerate(residual, start=1):
-                    if value:
-                        entries.append(Violation(f"graph.{name}", (u, v, coord), value))
-    for u, gu in enumerate(vectors, start=1):
-        residual = membership_residual(container.twist.apply(gu))
-        for coord, value in enumerate(residual, start=1):
-            if value:
-                entries.append(Violation("graph.twist", (u, coord), value))
-    report = Report(entries)
+    rows = LinearMap.identity(container.dim).entries
+    identity = LinearMap.identity(domain_dim)
+    if direction == "module_to_base":
+        embed = LinearMap.from_rows(matrix.entries + identity.entries)
+        image, domain = rows[:image_dim], rows[image_dim:]
+    else:
+        embed = LinearMap.from_rows(identity.entries + matrix.entries)
+        domain, image = rows[:domain_dim], rows[domain_dim:]
+    maps = {
+        "G": embed,
+        "X": matrix,
+        "alpha": container.twist,
+        "image": LinearMap.from_rows(image),
+        "domain": LinearMap.from_rows(domain),
+    }
+    report = evaluate_templates(
+        graph_templates(sorted(container.ops)), {"P": domain_dim}, dict(container.ops), maps
+    )
     return report.ok, report
 
 
@@ -305,28 +224,12 @@ def _context_parameters(context) -> frozenset:
     return context.used_parameters()
 
 
-def _operator_shape(context, kind: str) -> tuple:
-    if kind in ("averaging_assoc", "rota_baxter", "averaging_quadri"):
-        return context.dim, context.dim
-    if kind == "relative_averaging":
-        if isinstance(context, ActionBundle):
-            context = context.representation()
-        if isinstance(context, AlgebraBundle):
-            return context.dim, context.dim
-        return context.base.dim, context.module_dim
-    if kind == "homomorphic_relative_averaging":
-        if isinstance(context, AlgebraBundle):
-            return context.dim, context.dim
-        return context.acting.dim, context.acted.dim
-    raise ValueError(f"unknown operator kind {kind!r}")
-
-
 def emit_operator_system(
     context, kind: str, unknown_prefix: str = "t", strict_twist: bool = False
 ) -> list:
     """The polynomial system in the unknown matrix entries t{i}{j} whose
     common zero set is exactly the operator variety; deterministic order."""
-    rows, cols = _operator_shape(context, kind)
+    rows, cols = _resolve(kind, context).shape
     names = [[f"{unknown_prefix}{i}{j}" for j in range(1, cols + 1)] for i in range(1, rows + 1)]
     taken = _context_parameters(context)
     clash = sorted(set(n for row in names for n in row) & taken)
@@ -336,24 +239,7 @@ def emit_operator_system(
         [[Polynomial.variable(n) for n in row] for row in names]
     )
     report = verify_operator(kind, context, symbolic, strict_twist=strict_twist)
-    system: list = []
-    seen = set()
-    for violation in report.entries:
-        if violation.residual not in seen:
-            seen.add(violation.residual)
-            system.append(violation.residual)
-    return system
-
-
-def _twist_pair(context, kind: str) -> tuple:
-    """(inner twist on the domain, outer twist on the codomain) of the map."""
-    if kind in ("averaging_assoc", "rota_baxter", "averaging_quadri"):
-        return context.twist, context.twist
-    if isinstance(context, ActionBundle):
-        return context.acted.twist, context.acting.twist
-    if isinstance(context, RepresentationBundle):
-        return context.module_twist, context.base.twist
-    return context.twist, context.twist
+    return list(dict.fromkeys(violation.residual for violation in report.entries))
 
 
 def solve_operators_grid(
@@ -366,18 +252,17 @@ def solve_operators_grid(
     over the grid and filtered by the quadratic identities.  Completeness is
     claimed only relative to the grid.
     """
-    rows, cols = _operator_shape(context, kind)
+    frame = _resolve(kind, context)
+    rows, cols = frame.shape
     if max(rows, cols) > 3:
         raise ValueError("grid solving is limited to dimensions <= 3")
     if _context_parameters(context):
         raise ValueError("grid solving needs a parameter-free context; specialize first")
     grid_values = sorted(Fraction(g) for g in set(grid))
     n_unknowns = rows * cols
-    use_twist = kind in TWIST_BOUND_KINDS or (kind == "averaging_assoc" and strict_twist)
-    if use_twist:
-        inner, outer = _twist_pair(context, kind)
-        beta = inner.to_fraction_rows()
-        alpha = outer.to_fraction_rows()
+    if frame.twist_bound or strict_twist:
+        beta = frame.inner.to_fraction_rows()
+        alpha = frame.outer.to_fraction_rows()
         equations = []
         for i in range(rows):
             for j in range(cols):

@@ -54,6 +54,14 @@ class ParseError(ValueError):
         self.offset = offset
 
 
+def _exact(value: ScalarLike) -> Fraction:
+    """An int or Fraction as a Fraction; a float is refused, since it would
+    carry its binary rounding (0.1 is 3602879701896397/36028797018963968)."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an int or Fraction, got {type(value).__name__} {value!r}")
+    return Fraction(value)
+
+
 def _mono_key(mono: Monomial):
     names = tuple(n for n, _ in mono)
     exps = tuple(e for _, e in mono)
@@ -108,7 +116,7 @@ class Polynomial:
 
     @staticmethod
     def constant(value: ScalarLike) -> "Polynomial":
-        return Polynomial((((), Fraction(value)),))
+        return Polynomial((((), _exact(value)),))
 
     @staticmethod
     def variable(name: str) -> "Polynomial":
@@ -190,7 +198,7 @@ class Polynomial:
         """Substitute rational values for a subset of parameters."""
         if not bindings:
             return self
-        values = {name: Fraction(v) for name, v in bindings.items()}
+        values = {name: _exact(v) for name, v in bindings.items()}
         out = []
         for mono, coeff in self.terms:
             kept = []

@@ -8,7 +8,6 @@ residual polynomial (lhs - rhs at that coordinate).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .poly import Polynomial
@@ -54,9 +53,6 @@ class Report:
             "status": self.status,
             "entries": [v.to_dict() for v in self.entries],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def __str__(self) -> str:
         if self.ok:

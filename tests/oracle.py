@@ -1,7 +1,9 @@
-"""Independent brute-force oracle for the axiom checkers.
+"""Independent brute-force oracle for the axiom checkers and the operator
+and homomorphism verifiers.
 
 Transcribes the defining identities directly as coordinate computations with
-its own tiny evaluator; shares no evaluation code with homsplit.axioms.
+its own tiny evaluator; shares no evaluation code with homsplit.axioms or
+homsplit.operators.
 Runs over exact Fractions for parameter-free bundles and over sympy
 expressions for symbolic ones (sympy is a fully independent arithmetic
 engine, so engine/oracle agreement checks two disjoint code paths).
@@ -33,11 +35,19 @@ def _sympy_is_zero(s) -> bool:
     return sp.expand(s) == 0
 
 
-def scalar_tools(bundle, mode: str):
+def _names(*sources) -> list:
+    """Parameter names used by bundles and by matrices."""
+    return sorted(set().union(*(
+        s.used_parameters() if hasattr(s, "used_parameters") else s.parameters()
+        for s in sources
+    )))
+
+
+def scalar_tools(mode: str, *sources):
+    """(scalar conversion, zero test) for the bundles and matrices given."""
     if mode == "fraction":
         return _fraction_scalar, _fraction_is_zero
-    names = sorted(set(bundle.parameters) | bundle.used_parameters())
-    return make_sympy_scalar(names), _sympy_is_zero
+    return make_sympy_scalar(_names(*sources)), _sympy_is_zero
 
 
 def _table(op, conv) -> dict:
@@ -87,7 +97,7 @@ def _violations(chains, n: int, is_zero) -> set:
 
 
 def dendriform_violations(bundle, mode: str = "fraction", prefix: str = "dend") -> set:
-    conv, is_zero = scalar_tools(bundle, mode)
+    conv, is_zero = scalar_tools(mode, bundle)
     n = bundle.dim
     p = _table(bundle.op("prec"), conv)
     s = _table(bundle.op("succ"), conv)
@@ -104,7 +114,7 @@ def dendriform_violations(bundle, mode: str = "fraction", prefix: str = "dend") 
 
 
 def diassociative_violations(bundle, mode: str = "fraction") -> set:
-    conv, is_zero = scalar_tools(bundle, mode)
+    conv, is_zero = scalar_tools(mode, bundle)
     n = bundle.dim
     d = _table(bundle.op("dashv"), conv)
     v = _table(bundle.op("vdash"), conv)
@@ -123,7 +133,7 @@ def diassociative_violations(bundle, mode: str = "fraction") -> set:
 
 
 def quadri_violations(bundle, mode: str = "fraction") -> set:
-    conv, is_zero = scalar_tools(bundle, mode)
+    conv, is_zero = scalar_tools(mode, bundle)
     n = bundle.dim
     pv = _table(bundle.op("prec_vdash"), conv)
     pd = _table(bundle.op("prec_dashv"), conv)
@@ -173,7 +183,7 @@ def quadri_violations(bundle, mode: str = "fraction") -> set:
 
 
 def multiplicative_violations(bundle, mode: str = "fraction") -> set:
-    conv, is_zero = scalar_tools(bundle, mode)
+    conv, is_zero = scalar_tools(mode, bundle)
     n = bundle.dim
     al = _matrix(bundle.twist, conv)
     found = set()
@@ -188,6 +198,143 @@ def multiplicative_violations(bundle, mode: str = "fraction") -> set:
                     if not is_zero(lhs[coord] - rhs[coord]):
                         found.add((f"mult.{name}", (i, j, coord + 1)))
     return found
+
+
+# -- operators and homomorphisms: pair identities plus matrix commutation ----
+
+
+def _pair_violations(n: int, identities, is_zero) -> set:
+    """identities: (label, fn) with fn(x, y) -> (lhs, rhs) on basis pairs of
+    an n-dimensional space; witnesses (i, j, coordinate)."""
+    found = set()
+    basis = _basis(n)
+    for label, fn in identities:
+        for i, x in enumerate(basis, start=1):
+            for j, y in enumerate(basis, start=1):
+                lhs, rhs = fn(x, y)
+                for coord in range(len(lhs)):
+                    if not is_zero(lhs[coord] - rhs[coord]):
+                        found.add((label, (i, j, coord + 1)))
+    return found
+
+
+def _commutation(label: str, X: list, inner: list, outer: list, is_zero) -> set:
+    """Entries of X inner - outer X, witnessed by (row, column)."""
+    found = set()
+    for r in range(len(X)):
+        for c in range(len(inner[0])):
+            left = sum(X[r][k] * inner[k][c] for k in range(len(inner)))
+            right = sum(outer[r][k] * X[k][c] for k in range(len(outer)))
+            if not is_zero(left - right):
+                found.add((label, (r + 1, c + 1)))
+    return found
+
+
+def averaging_assoc_violations(algebra, H, mode: str = "fraction", strict_twist=False) -> set:
+    conv, is_zero = scalar_tools(mode, algebra, H)
+    n = algebra.dim
+    mu = _table(algebra.op("mu"), conv)
+    h, al = _matrix(H, conv), _matrix(algebra.twist, conv)
+    M = lambda x, y: _apply(mu, x, y, n)
+    Hm = lambda x: _map(h, x)
+    found = _pair_violations(n, [
+        ("avg.mu.a", lambda x, y: (M(Hm(x), Hm(y)), Hm(M(x, Hm(y))))),
+        ("avg.mu.b", lambda x, y: (M(Hm(x), Hm(y)), Hm(M(Hm(x), y)))),
+    ], is_zero)
+    if strict_twist:
+        found |= _commutation("avg.twist", h, al, al, is_zero)
+    return found
+
+
+def rota_baxter_violations(algebra, R, mode: str = "fraction") -> set:
+    conv, is_zero = scalar_tools(mode, algebra, R)
+    n = algebra.dim
+    r, al = _matrix(R, conv), _matrix(algebra.twist, conv)
+    Rm = lambda x: _map(r, x)
+    identities = []
+    for name in ("dashv", "vdash"):
+        O = lambda x, y, t=_table(algebra.op(name), conv): _apply(t, x, y, n)
+        identities.append((
+            f"rb.{name}",
+            lambda x, y, O=O: (O(Rm(x), Rm(y)), Rm(_add(O(Rm(x), y), O(x, Rm(y))))),
+        ))
+    return _pair_violations(n, identities, is_zero) | _commutation(
+        "rb.twist", r, al, al, is_zero
+    )
+
+
+def averaging_quadri_violations(algebra, H, mode: str = "fraction") -> set:
+    conv, is_zero = scalar_tools(mode, algebra, H)
+    n = algebra.dim
+    h, al = _matrix(H, conv), _matrix(algebra.twist, conv)
+    Hm = lambda x: _map(h, x)
+    identities = []
+    for name in sorted(algebra.ops):
+        O = lambda x, y, t=_table(algebra.op(name), conv): _apply(t, x, y, n)
+        identities += [
+            (f"qavg.{name}.a", lambda x, y, O=O: (O(Hm(x), Hm(y)), Hm(O(Hm(x), y)))),
+            (f"qavg.{name}.b", lambda x, y, O=O: (O(Hm(x), Hm(y)), Hm(O(x, Hm(y))))),
+        ]
+    return _pair_violations(n, identities, is_zero) | _commutation(
+        "qavg.twist", h, al, al, is_zero
+    )
+
+
+def relative_averaging_violations(rep, T, mode: str = "fraction") -> set:
+    """T: M -> D with Tu op Tv = T(Tu op_l v) = T(u op_r Tv), T beta = alpha T."""
+    conv, is_zero = scalar_tools(mode, rep, T)
+    d, m = rep.base.dim, rep.module_dim
+    t = _matrix(T, conv)
+    Tm = lambda x: _map(t, x)
+    identities = []
+    for name in ("prec", "succ"):
+        B = lambda x, y, tb=_table(rep.base.op(name), conv): _apply(tb, x, y, d)
+        L = lambda x, y, tl=_table(rep.action(f"{name}_l"), conv): _apply(tl, x, y, m)
+        R = lambda x, y, tr=_table(rep.action(f"{name}_r"), conv): _apply(tr, x, y, m)
+        identities += [
+            (f"ravg.{name}.l", lambda u, v, B=B, L=L: (B(Tm(u), Tm(v)), Tm(L(Tm(u), v)))),
+            (f"ravg.{name}.r", lambda u, v, B=B, R=R: (B(Tm(u), Tm(v)), Tm(R(u, Tm(v))))),
+        ]
+    beta, alpha = _matrix(rep.module_twist, conv), _matrix(rep.base.twist, conv)
+    return _pair_violations(m, identities, is_zero) | _commutation(
+        "ravg.twist", t, beta, alpha, is_zero
+    )
+
+
+def homomorphism_violations(T, source, target, mode: str = "fraction") -> set:
+    """T(x op y) = Tx op Ty on source basis pairs, plus T alpha = alpha' T."""
+    conv, is_zero = scalar_tools(mode, source, target, T)
+    t = _matrix(T, conv)
+    Tm = lambda x: _map(t, x)
+    identities = []
+    for name in sorted(source.ops):
+        A = lambda x, y, ta=_table(source.op(name), conv): _apply(ta, x, y, source.dim)
+        B = lambda x, y, tb=_table(target.op(name), conv): _apply(tb, x, y, target.dim)
+        identities.append(
+            (f"hom.{name}", lambda x, y, A=A, B=B: (Tm(A(x, y)), B(Tm(x), Tm(y))))
+        )
+    alpha_s, alpha_t = _matrix(source.twist, conv), _matrix(target.twist, conv)
+    return _pair_violations(source.dim, identities, is_zero) | _commutation(
+        "hom.twist", t, alpha_s, alpha_t, is_zero
+    )
+
+
+def operator_violations(kind: str, context, H, mode: str = "fraction", strict_twist=False) -> set:
+    """Oracle counterpart of homsplit.operators.verify_operator for algebra,
+    representation and action contexts (adjoint ones built by the caller)."""
+    if kind == "averaging_assoc":
+        return averaging_assoc_violations(context, H, mode, strict_twist)
+    if kind == "rota_baxter":
+        return rota_baxter_violations(context, H, mode)
+    if kind == "averaging_quadri":
+        return averaging_quadri_violations(context, H, mode)
+    if kind == "relative_averaging":
+        return relative_averaging_violations(context, H, mode)
+    if kind == "homomorphic_relative_averaging":
+        return relative_averaging_violations(context.representation(), H, mode) | (
+            homomorphism_violations(H, context.acted, context.acting, mode)
+        )
+    raise ValueError(kind)
 
 
 def engine_violation_set(report) -> set:

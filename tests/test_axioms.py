@@ -19,6 +19,9 @@ from oracle import (
     quadri_violations,
 )
 from homsplit.axioms import (
+    App,
+    Template,
+    Var,
     check_action,
     check_associative,
     check_dendriform,
@@ -192,6 +195,28 @@ def test_chain_splitting_consistency_on_random_instances():
                 assert f"{tid}.c" not in split
                 checked += 1
     assert checked > 0
+
+
+def test_placeholder_reused_in_two_spaces_gets_its_own_tables():
+    # "x" ranges over a 2-dim space in one template and a 3-dim one in the
+    # next; sharing the tabulated x or alpha(x) across them would be wrong
+    x = Var("x")
+    alpha = LinearMap.from_strings([["0", "1"], ["1", "0"]])
+    beta = LinearMap.from_strings([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "2"]])
+    templates = [
+        Template("swap", (("x", "D"),), App("alpha", x), x),
+        Template("scale", (("x", "M"),), App("beta", x), x),
+        Template("swap.again", (("x", "D"),), App("alpha", x), x),
+    ]
+    report = evaluate_templates(templates, {"D": 2, "M": 3}, {}, {"alpha": alpha, "beta": beta})
+    found = {(v.template, v.witness, str(v.residual)) for v in report.entries}
+    assert found == {
+        ("swap", (1, 1), "-1"), ("swap", (1, 2), "1"),
+        ("swap", (2, 1), "1"), ("swap", (2, 2), "-1"),
+        ("swap.again", (1, 1), "-1"), ("swap.again", (1, 2), "1"),
+        ("swap.again", (2, 1), "1"), ("swap.again", (2, 2), "-1"),
+        ("scale", (3, 3), "1"),
+    }
 
 
 # -- triassociative / six ------------------------------------------------------------

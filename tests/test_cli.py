@@ -188,3 +188,14 @@ def test_help_documents_spec_flags():
     for sub in ("check", "construct", "verify-op", "solve-op", "emit-system",
                 "fingerprint", "iso", "corpus"):
         assert sub in helps[0]
+
+
+def test_boolean_dimension_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bool.json"
+    bad.write_text(
+        json.dumps({"kind": "dendriform", "dimension": True, "parameters": [],
+                    "alpha": [["1"]], "ops": {"prec": [], "succ": []}}),
+        encoding="utf-8",
+    )
+    assert main(["check", str(bad)]) == 2
+    assert "dimension" in capsys.readouterr().err

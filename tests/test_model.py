@@ -229,3 +229,29 @@ def test_operator_roundtrip_and_kind_check():
     assert kind == "averaging_quadri" and loaded == matrix
     with pytest.raises(ModelError, match="unknown kind"):
         operator_from_dict({"kind": "nope", "matrix": [["0"]]})
+
+
+# -- hostile input: JSON booleans are not integers ------------------------------
+
+def test_algebra_file_rejects_boolean_dimension():
+    data = algebra_to_dict(zero_bundle("dendriform", 1, ["prec", "succ"]))
+    data["dimension"] = True
+    with pytest.raises(ModelError, match="dimension"):
+        algebra_from_dict(data)
+
+
+def test_algebra_file_rejects_boolean_tensor_indices():
+    for key in ("i", "j", "k"):
+        data = algebra_to_dict(zero_bundle("dendriform", 1, ["prec", "succ"]))
+        entry = {"i": 1, "j": 1, "k": 1, "c": "1"}
+        entry[key] = True
+        data["ops"]["prec"].append(entry)
+        with pytest.raises(ModelError, match="indices"):
+            algebra_from_dict(data)
+
+
+def test_representation_file_rejects_boolean_module_dimension():
+    data = representation_to_dict(RepresentationBundle.adjoint(deta()))
+    data["module_dimension"] = True
+    with pytest.raises(ModelError, match="module_dimension"):
+        representation_from_dict(data)

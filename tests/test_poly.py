@@ -160,3 +160,12 @@ def test_printer_emits_parseable_grammar():
     for p in samples:
         assert P(str(p)) == p
         assert "**" not in str(p)
+
+
+def test_float_scalars_are_rejected():
+    # Fraction(0.1) would store the binary float 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="float"):
+        Polynomial.constant(0.1)
+    with pytest.raises(TypeError, match="float"):
+        P("a + 1").specialize({"a": 0.5})
+    assert Polynomial.constant(Fraction(1, 10)) == P("1/10")
