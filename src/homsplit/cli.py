@@ -357,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_report(p)
     p.set_defaults(func=_cmd_fingerprint)
 
-    p = sub.add_parser("iso", help="bounded brute-force isomorphism search")
+    p = sub.add_parser(
+        "iso", help="bounded isomorphism search over the grid matrices commuting with the twists"
+    )
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--grid", default="-2..2")

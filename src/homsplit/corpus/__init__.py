@@ -32,7 +32,7 @@ from ..files import (
     read_json,
     representation_from_dict,
 )
-from ..model import ModelError
+from ..model import ActionBundle, AlgebraBundle, ModelError, RepresentationBundle
 from ..operators import verify_operator
 from ..report import Report, Violation
 

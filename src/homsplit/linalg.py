@@ -1,13 +1,17 @@
 """Exact linear algebra over the rationals (fractions.Fraction throughout).
 
 Small and deliberate: reduced row echelon form, rank, nullspace, linear
-solve, determinant, inverse, and the characteristic polynomial via
-Faddeev-LeVerrier.  No pivots are chosen for numerical reasons (there is
-no rounding), only for determinism: first nonzero entry in column order.
+solve, determinant, inverse, the characteristic polynomial via
+Faddeev-LeVerrier, and the linear part of the grid searches: the equations
+of the matrices intertwining two twists, the grid combinations of a basis and
+the grid points of a kernel.  No pivots are
+chosen for numerical reasons (there is no rounding), only for determinism:
+first nonzero entry in column order.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 Row = list
@@ -86,6 +90,81 @@ def nullspace(rows, ncols: int | None = None) -> list[Row]:
             v[pc] = -row[fc]
         basis.append(v)
     return basis
+
+
+def intertwiner_equations(inner, outer) -> Matrix:
+    """The linear system X inner = outer X in the entries of X, flattened
+    row-major (len(outer) rows, len(inner) columns); one equation per entry."""
+    rows, cols = len(outer), len(inner)
+    equations = []
+    for i in range(rows):
+        for j in range(cols):
+            coeff = [Fraction(0)] * (rows * cols)
+            # (X inner - outer X)[i][j] = sum_k X[i][k] inner[k][j] - outer[i][k] X[k][j]
+            for k in range(cols):
+                coeff[i * cols + k] += inner[k][j]
+            for k in range(rows):
+                coeff[k * cols + j] -= outer[i][k]
+            equations.append(coeff)
+    return equations
+
+
+def _narrow(value):
+    """An integral Fraction as an int, so products of integral values stay
+    in int arithmetic; the value (and its hash) is unchanged."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def grid_combinations(basis, values, ncols: int):
+    """Yield sum_k c_k basis[k] as a tuple for every coefficient tuple
+    (c_1, ..., c_f) in itertools.product(values, repeat=f), in that order.
+    Entries are exact: ints where integral, Fractions otherwise."""
+    values = [_narrow(Fraction(v)) for v in values]
+    sparse = [
+        [(col, _narrow(Fraction(b))) for col, b in enumerate(vec) if b] for vec in basis
+    ]
+    for coefficients in itertools.product(values, repeat=len(sparse)):
+        point = [0] * ncols
+        for c, vec in zip(coefficients, sparse):
+            if c:
+                for col, b in vec:
+                    point[col] += c * b
+        yield tuple(point)
+
+
+def grid_kernel_points(rows, ncols: int, values):
+    """Yield every x with A x = 0 whose entries all lie in `values`, in
+    lexicographic order (row-major order for a flattened matrix).
+
+    The echelon form is taken with the columns reversed, so each pivot
+    coordinate is a combination of free coordinates that come before it.  A
+    depth-first walk over the coordinates in order runs each free one over
+    the sorted values and computes each pivot one when it is reached,
+    dropping the branch when that value is not in `values`."""
+    values = sorted({_narrow(Fraction(v)) for v in values})
+    allowed = set(values)
+    echelon, pivots = rref([list(reversed(row)) for row in rows]) if rows else ([], [])
+    dependent = {
+        ncols - 1 - p: [(ncols - 1 - j, _narrow(-row[j])) for j in range(p + 1, ncols) if row[j]]
+        for row, p in zip(echelon, pivots)
+    }
+    point = [0] * ncols
+
+    def walk(position):
+        if position == ncols:
+            yield tuple(point)
+            return
+        terms = dependent.get(position)
+        if terms is None:
+            choices = values
+        else:
+            value = sum(c * point[k] for k, c in terms)
+            choices = (value,) if value in allowed else ()
+        for value in choices:
+            point[position] = value
+            yield from walk(position + 1)
+
+    yield from walk(0)
 
 
 def solve(rows, rhs) -> Row | None:

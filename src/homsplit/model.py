@@ -205,6 +205,16 @@ def _poly_det(rows) -> Polynomial:
     return acc
 
 
+def unknown_matrix(rows: int, cols: int, prefix: str = "t") -> tuple:
+    """(names, matrix): the row-major unknown names {prefix}{i}{j} (1-based)
+    and the matrix whose entries are those variables."""
+    names = [f"{prefix}{i}{j}" for i in range(1, rows + 1) for j in range(1, cols + 1)]
+    matrix = LinearMap.from_rows(
+        [[Polynomial.variable(n) for n in names[r * cols : (r + 1) * cols]] for r in range(rows)]
+    )
+    return names, matrix
+
+
 # ---------------------------------------------------------------------------
 # bilinear operations
 

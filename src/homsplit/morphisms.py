@@ -1,22 +1,25 @@
 """Isomorphism-invariant fingerprints, morphism verification, and a bounded
-brute-force isomorphism oracle.
+isomorphism search over a rational grid.
 
 Fingerprints are necessary conditions computed exactly over the rationals:
 unequal fingerprints certify non-isomorphism; equal ones decide nothing.
-The grid search is a desk-scale oracle only -- "no isomorphism within the
-grid" is conclusive relative to the grid, never absolutely.
+The grid search walks only the grid matrices T that commute with the twists
+(T alpha = alpha' T, solved exactly once), in row-major order, and tests each
+against the homomorphism equations of a symbolic T, compiled once to exact
+arithmetic, and against det T != 0; the first survivor is confirmed by
+`verify_isomorphism`.  It is a desk-scale oracle only -- "no isomorphism
+within the grid" is conclusive relative to the grid, never absolutely.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .axioms import check_homomorphism
-from .model import AlgebraBundle, BilinearOp, LinearMap, basis_vector, vec_to_fractions
-from .poly import Polynomial
+from .model import AlgebraBundle, BilinearOp, LinearMap, basis_vector, unknown_matrix
+from .poly import CompiledSystem, Polynomial
 from .report import Report, Violation
 
 
@@ -51,40 +54,30 @@ class Fingerprint:
         return out
 
 
-def _product_rows(bundle: AlgebraBundle, op: BilinearOp) -> list:
-    rows = []
-    for i in range(1, bundle.dim + 1):
-        for j in range(1, bundle.dim + 1):
-            rows.append(
-                list(
-                    vec_to_fractions(
-                        op.apply(basis_vector(bundle.dim, i), basis_vector(bundle.dim, j))
-                    )
-                )
-            )
-    return rows
-
-
 def fingerprint(bundle: AlgebraBundle) -> Fingerprint:
     if bundle.used_parameters():
         raise ValueError("fingerprints are defined for parameter-free bundles only")
+    n = bundle.dim
+    zero = Fraction(0)
     op_dims = []
     all_rows = []
-    for name in sorted(bundle.ops):
-        rows = _product_rows(bundle, bundle.op(name))
-        op_dims.append((name, linalg.rank(rows)))
-        all_rows.extend(rows)
-    twist_rows = bundle.twist.to_fraction_rows()
     # annihilator: x with x op y = y op x = 0 for every op and basis y
     equations = []
-    n = bundle.dim
     for name in sorted(bundle.ops):
-        op = bundle.op(name)
-        table = {key: c.as_fraction() for key, c in op.constants}
+        table = {key: c.as_fraction() for key, c in bundle.op(name).constants}
+        # row (i, j) holds the coordinates of e_i op e_j
+        rows = [
+            [table.get((i, j, k), zero) for k in range(1, n + 1)]
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+        ]
+        op_dims.append((name, linalg.rank(rows)))
+        all_rows.extend(rows)
         for j in range(1, n + 1):
             for k in range(1, n + 1):
-                equations.append([table.get((i, j, k), Fraction(0)) for i in range(1, n + 1)])
-                equations.append([table.get((j, i, k), Fraction(0)) for i in range(1, n + 1)])
+                equations.append([table.get((i, j, k), zero) for i in range(1, n + 1)])
+                equations.append([table.get((j, i, k), zero) for i in range(1, n + 1)])
+    twist_rows = bundle.twist.to_fraction_rows()
     annihilator = len(linalg.nullspace(equations, ncols=n)) if equations else n
     return Fingerprint(
         op_span_dims=tuple(op_dims),
@@ -160,14 +153,18 @@ def brute_force_iso_search(
     if fingerprint(source) != fingerprint(target):
         return None
     n = source.dim
-    grid_values = sorted(Fraction(g) for g in set(grid))
-    alpha_a = source.twist.to_fraction_rows()
-    alpha_b = target.twist.to_fraction_rows()
-    for flat in itertools.product(grid_values, repeat=n * n):
-        rows = [list(flat[r * n : (r + 1) * n]) for r in range(n)]
-        if linalg.determinant(rows) == 0:
+    names, symbolic = unknown_matrix(n, n)
+    report = check_homomorphism(source.kind, symbolic, source, target)
+    system = CompiledSystem(dict.fromkeys(v.residual for v in report.entries), names)
+    equations = linalg.intertwiner_equations(
+        source.twist.to_fraction_rows(), target.twist.to_fraction_rows()
+    )
+    for point in linalg.grid_kernel_points(equations, n * n, grid):
+        if not system.vanishes_at(point):
             continue
-        if linalg.matmul(rows, alpha_a) != linalg.matmul(alpha_b, rows):
+        # the zero matrix and other singular ones satisfy every equation
+        rows = [list(point[r * n : (r + 1) * n]) for r in range(n)]
+        if linalg.determinant(rows) == 0:
             continue
         candidate = LinearMap.from_fractions(rows)
         if verify_isomorphism(source.kind, candidate, source, target).ok:

@@ -24,7 +24,6 @@ same way (templates "graph.*").
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,8 +38,8 @@ from .axioms import (
     rota_baxter_templates,
     twist_commutation,
 )
-from .model import ActionBundle, AlgebraBundle, LinearMap, RepresentationBundle
-from .poly import Polynomial
+from .model import ActionBundle, AlgebraBundle, LinearMap, RepresentationBundle, unknown_matrix
+from .poly import CompiledSystem
 from .report import Report
 
 # operator kind acting on one algebra -> (template prefix, algebra kind, templates)
@@ -230,14 +229,10 @@ def emit_operator_system(
     """The polynomial system in the unknown matrix entries t{i}{j} whose
     common zero set is exactly the operator variety; deterministic order."""
     rows, cols = _resolve(kind, context).shape
-    names = [[f"{unknown_prefix}{i}{j}" for j in range(1, cols + 1)] for i in range(1, rows + 1)]
-    taken = _context_parameters(context)
-    clash = sorted(set(n for row in names for n in row) & taken)
+    names, symbolic = unknown_matrix(rows, cols, unknown_prefix)
+    clash = sorted(set(names) & _context_parameters(context))
     if clash:
         raise ValueError(f"unknown names collide with context parameters: {clash}")
-    symbolic = LinearMap.from_rows(
-        [[Polynomial.variable(n) for n in row] for row in names]
-    )
     report = verify_operator(kind, context, symbolic, strict_twist=strict_twist)
     return list(dict.fromkeys(violation.residual for violation in report.entries))
 
@@ -249,8 +244,11 @@ def solve_operators_grid(
 
     The linear twist-commutation constraints are solved exactly first (row
     echelon); the free coordinates of that solution space are then enumerated
-    over the grid and filtered by the quadratic identities.  Completeness is
-    claimed only relative to the grid.
+    over the grid.  Each candidate is tested against the emitted system
+    (`emit_operator_system`), compiled once to exact arithmetic, and each
+    candidate that solves it is confirmed by `verify_operator`.  Solutions
+    come back in row-major order of their entries.  Completeness is claimed
+    only relative to the grid.
     """
     frame = _resolve(kind, context)
     rows, cols = frame.shape
@@ -261,37 +259,28 @@ def solve_operators_grid(
     grid_values = sorted(Fraction(g) for g in set(grid))
     n_unknowns = rows * cols
     if frame.twist_bound or strict_twist:
-        beta = frame.inner.to_fraction_rows()
-        alpha = frame.outer.to_fraction_rows()
-        equations = []
-        for i in range(rows):
-            for j in range(cols):
-                coeff = [Fraction(0)] * n_unknowns
-                # (T beta - alpha T)[i][j] = sum_k T[i][k] beta[k][j] - alpha[i][k] T[k][j]
-                for k in range(cols):
-                    coeff[i * cols + k] += beta[k][j]
-                for k in range(rows):
-                    coeff[k * cols + j] -= alpha[i][k]
-                equations.append(coeff)
+        equations = linalg.intertwiner_equations(
+            frame.inner.to_fraction_rows(), frame.outer.to_fraction_rows()
+        )
         basis = linalg.nullspace(equations, ncols=n_unknowns)
     else:
-        basis = [
-            [Fraction(int(p == q)) for q in range(n_unknowns)]
-            for p in range(n_unknowns)
-        ]
-    solutions = []
-    for coefficients in itertools.product(grid_values, repeat=len(basis)):
-        flat = [Fraction(0)] * n_unknowns
-        for c, vec in zip(coefficients, basis):
-            if c:
-                flat = [a + c * b for a, b in zip(flat, vec)]
-        candidate = LinearMap.from_fractions(
-            [flat[r * cols : (r + 1) * cols] for r in range(rows)]
-        )
-        if verify_operator(kind, context, candidate, strict_twist=strict_twist).ok:
-            solutions.append(candidate)
-    solutions.sort(key=lambda m: tuple(cell.as_fraction() for row in m.entries for cell in row))
-    return solutions
+        basis = [[int(p == q) for q in range(n_unknowns)] for p in range(n_unknowns)]
+    names, _ = unknown_matrix(rows, cols)
+    system = CompiledSystem(emit_operator_system(context, kind, strict_twist=strict_twist), names)
+    points = sorted(
+        point
+        for point in linalg.grid_combinations(basis, grid_values, n_unknowns)
+        if system.vanishes_at(point)
+    )
+    candidates = (
+        LinearMap.from_fractions([point[r * cols : (r + 1) * cols] for r in range(rows)])
+        for point in points
+    )
+    return [
+        candidate
+        for candidate in candidates
+        if verify_operator(kind, context, candidate, strict_twist=strict_twist).ok
+    ]
 
 
 def family_membership(family: LinearMap, candidate: LinearMap):

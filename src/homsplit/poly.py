@@ -21,23 +21,29 @@ Text grammar (parse/str are mutually inverse on canonical forms):
 
   expr    := term (('+' | '-') term)*
   term    := factor ('*' factor)*
-  factor  := '-' factor | primary ('^' INT)?      -- INT must be positive
+  factor  := '-' factor | primary ('^' INT)?      -- 1 <= INT <= MAX_EXPONENT
   primary := INT ('/' INT)? | NAME | '(' expr ')'
   NAME    := [A-Za-z][A-Za-z0-9_]*
 
 Implicit multiplication ("2a") is deliberately a syntax error: table
-transcriptions must spell out every '*'.
+transcriptions must spell out every '*'.  Parentheses and unary minus signs
+nest at most MAX_NESTING levels deep, so hostile text is a ParseError rather
+than a stack overflow.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Monomial = tuple
 
 ScalarLike = Union[int, Fraction]
+
+MAX_EXPONENT = 64
+MAX_NESTING = 100
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -164,8 +170,13 @@ class Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
         result = _ONE
-        for _ in range(exponent):
-            result = result * self
+        square = self
+        while exponent:
+            if exponent & 1:
+                result = result * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
         return result
 
     # -- queries -----------------------------------------------------------
@@ -279,6 +290,43 @@ _ZERO = Polynomial()
 _ONE = Polynomial.constant(1)
 
 
+class CompiledSystem:
+    """Polynomials compiled once for exact evaluation at many points.
+
+    Each polynomial becomes a list of (coefficient, exponents) terms over the
+    fixed order of `unknowns`.  The exponents are stored sparsely, as the
+    positions of the unknowns repeated by multiplicity (t11*t23^2 over
+    t11..t33 is (0, 5, 5)).  Each polynomial is scaled by the least common
+    multiple of its coefficient denominators.  Scaling by a nonzero integer
+    does not move the zero set, and the coefficients become ints, so the
+    evaluation at a point with int coordinates is plain int arithmetic.
+    """
+
+    def __init__(self, polynomials: Iterable[Polynomial], unknowns: Sequence[str]):
+        position = {name: index for index, name in enumerate(unknowns)}
+        self.equations = []
+        for poly in polynomials:
+            scale = math.lcm(*(coeff.denominator for _, coeff in poly.terms))
+            terms = []
+            for mono, coeff in poly.terms:
+                factors = tuple(position[name] for name, exp in mono for _ in range(exp))
+                terms.append((int(coeff * scale), factors))
+            self.equations.append(terms)
+
+    def vanishes_at(self, point: Sequence) -> bool:
+        """Is every polynomial zero at `point` (values in unknown order)?
+        Stops at the first polynomial that does not vanish."""
+        for terms in self.equations:
+            total = 0
+            for value, factors in terms:
+                for index in factors:
+                    value *= point[index]
+                total += value
+            if total:
+                return False
+        return True
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -293,6 +341,13 @@ class _Parser:
             pos = match.end()
         self.tokens.append(("end", "", len(text)))
         self.index = 0
+        self.depth = 0
+
+    def nested(self, offset: int) -> None:
+        """Enter one more '(' or unary '-' level."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", offset)
 
     def peek(self):
         return self.tokens[self.index]
@@ -331,10 +386,13 @@ class _Parser:
                 return node
 
     def factor(self) -> Polynomial:
-        kind, value, _ = self.peek()
+        kind, value, offset = self.peek()
         if kind == "sym" and value == "-":
             self.advance()
-            return -self.factor()
+            self.nested(offset)
+            node = -self.factor()
+            self.depth -= 1
+            return node
         base = self.primary()
         kind, value, _ = self.peek()
         if kind == "sym" and value == "^":
@@ -345,6 +403,10 @@ class _Parser:
             exponent = int(value)
             if exponent <= 0:
                 raise ParseError("exponent must be a positive integer", offset)
+            if exponent > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent {value} exceeds the cap of {MAX_EXPONENT}", offset
+                )
             return base ** exponent
         return base
 
@@ -366,10 +428,12 @@ class _Parser:
         if kind == "name":
             return Polynomial.variable(value)
         if kind == "sym" and value == "(":
+            self.nested(offset)
             inner = self.expr()
             kind2, value2, offset2 = self.advance()
             if not (kind2 == "sym" and value2 == ")"):
                 raise ParseError("expected ')'", offset2)
+            self.depth -= 1
             return inner
         raise ParseError(
             f"expected a number, parameter, or '(' (got {value!r})"

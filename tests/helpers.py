@@ -6,7 +6,14 @@ import random
 from fractions import Fraction
 
 from homsplit.axioms import check_associative, check_dendriform
-from homsplit.model import AlgebraBundle, BilinearOp, LinearMap, RepresentationBundle
+from homsplit.model import (
+    KIND_OPS,
+    ActionBundle,
+    AlgebraBundle,
+    BilinearOp,
+    LinearMap,
+    RepresentationBundle,
+)
 from homsplit.poly import Polynomial
 
 P = Polynomial.parse
@@ -15,6 +22,8 @@ COEFFS = [
     Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
     Fraction(1, 2), Fraction(-1, 2),
 ]
+
+VALUES = [Fraction(-1), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)]
 
 
 def bundle(kind, dim, params, alpha_rows, **ops) -> AlgebraBundle:
@@ -169,3 +178,28 @@ def flip_one_constant(rng: random.Random, algebra: AlgebraBundle) -> AlgebraBund
 
 def adjoint(algebra: AlgebraBundle) -> RepresentationBundle:
     return RepresentationBundle.adjoint(algebra)
+
+
+def random_op(rng, dim_left, dim_right, dim_out, count) -> BilinearOp:
+    return BilinearOp.from_entries(dim_left, dim_right, dim_out, [
+        (rng.randrange(1, dim_left + 1), rng.randrange(1, dim_right + 1),
+         rng.randrange(1, dim_out + 1), Polynomial.constant(rng.choice(VALUES)))
+        for _ in range(count)
+    ])
+
+
+def random_bundle(rng, kind, dim, count=3) -> AlgebraBundle:
+    ops = {name: random_op(rng, dim, dim, dim, count) for name in sorted(KIND_OPS[kind])}
+    return AlgebraBundle(kind, dim, ops, rand_matrix(rng, dim, dim), ())
+
+
+def random_action(rng, base_dim, module_dim) -> ActionBundle:
+    """Arbitrary tensors of the action shapes; the identities need not hold."""
+    b, m = base_dim, module_dim
+    actions = {
+        "prec_l": random_op(rng, b, m, m, 3), "succ_l": random_op(rng, b, m, m, 3),
+        "prec_r": random_op(rng, m, b, m, 3), "succ_r": random_op(rng, m, b, m, 3),
+    }
+    return ActionBundle(
+        random_bundle(rng, "dendriform", b), random_bundle(rng, "dendriform", m), actions
+    )

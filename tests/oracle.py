@@ -1,5 +1,5 @@
-"""Independent brute-force oracle for the axiom checkers and the operator
-and homomorphism verifiers.
+"""Independent brute-force oracle for the axiom checkers, the operator
+and homomorphism verifiers, and the two grid searches.
 
 Transcribes the defining identities directly as coordinate computations with
 its own tiny evaluator; shares no evaluation code with homsplit.axioms or
@@ -10,6 +10,9 @@ engine, so engine/oracle agreement checks two disjoint code paths).
 """
 
 from __future__ import annotations
+
+import itertools
+from fractions import Fraction
 
 import sympy as sp
 
@@ -203,9 +206,10 @@ def multiplicative_violations(bundle, mode: str = "fraction") -> set:
 # -- operators and homomorphisms: pair identities plus matrix commutation ----
 
 
-def _pair_violations(n: int, identities, is_zero) -> set:
+def _pair_violations(n: int, identities, is_zero, first: bool = False) -> set:
     """identities: (label, fn) with fn(x, y) -> (lhs, rhs) on basis pairs of
-    an n-dimensional space; witnesses (i, j, coordinate)."""
+    an n-dimensional space; witnesses (i, j, coordinate).  With `first`, stop
+    after the first basis pair that violates an identity."""
     found = set()
     basis = _basis(n)
     for label, fn in identities:
@@ -215,6 +219,8 @@ def _pair_violations(n: int, identities, is_zero) -> set:
                 for coord in range(len(lhs)):
                     if not is_zero(lhs[coord] - rhs[coord]):
                         found.add((label, (i, j, coord + 1)))
+                if first and found:
+                    return found
     return found
 
 
@@ -230,7 +236,9 @@ def _commutation(label: str, X: list, inner: list, outer: list, is_zero) -> set:
     return found
 
 
-def averaging_assoc_violations(algebra, H, mode: str = "fraction", strict_twist=False) -> set:
+def averaging_assoc_violations(
+    algebra, H, mode: str = "fraction", strict_twist=False, first=False
+) -> set:
     conv, is_zero = scalar_tools(mode, algebra, H)
     n = algebra.dim
     mu = _table(algebra.op("mu"), conv)
@@ -240,13 +248,13 @@ def averaging_assoc_violations(algebra, H, mode: str = "fraction", strict_twist=
     found = _pair_violations(n, [
         ("avg.mu.a", lambda x, y: (M(Hm(x), Hm(y)), Hm(M(x, Hm(y))))),
         ("avg.mu.b", lambda x, y: (M(Hm(x), Hm(y)), Hm(M(Hm(x), y)))),
-    ], is_zero)
+    ], is_zero, first)
     if strict_twist:
         found |= _commutation("avg.twist", h, al, al, is_zero)
     return found
 
 
-def rota_baxter_violations(algebra, R, mode: str = "fraction") -> set:
+def rota_baxter_violations(algebra, R, mode: str = "fraction", first=False) -> set:
     conv, is_zero = scalar_tools(mode, algebra, R)
     n = algebra.dim
     r, al = _matrix(R, conv), _matrix(algebra.twist, conv)
@@ -258,12 +266,12 @@ def rota_baxter_violations(algebra, R, mode: str = "fraction") -> set:
             f"rb.{name}",
             lambda x, y, O=O: (O(Rm(x), Rm(y)), Rm(_add(O(Rm(x), y), O(x, Rm(y))))),
         ))
-    return _pair_violations(n, identities, is_zero) | _commutation(
+    return _pair_violations(n, identities, is_zero, first) | _commutation(
         "rb.twist", r, al, al, is_zero
     )
 
 
-def averaging_quadri_violations(algebra, H, mode: str = "fraction") -> set:
+def averaging_quadri_violations(algebra, H, mode: str = "fraction", first=False) -> set:
     conv, is_zero = scalar_tools(mode, algebra, H)
     n = algebra.dim
     h, al = _matrix(H, conv), _matrix(algebra.twist, conv)
@@ -275,12 +283,12 @@ def averaging_quadri_violations(algebra, H, mode: str = "fraction") -> set:
             (f"qavg.{name}.a", lambda x, y, O=O: (O(Hm(x), Hm(y)), Hm(O(Hm(x), y)))),
             (f"qavg.{name}.b", lambda x, y, O=O: (O(Hm(x), Hm(y)), Hm(O(x, Hm(y))))),
         ]
-    return _pair_violations(n, identities, is_zero) | _commutation(
+    return _pair_violations(n, identities, is_zero, first) | _commutation(
         "qavg.twist", h, al, al, is_zero
     )
 
 
-def relative_averaging_violations(rep, T, mode: str = "fraction") -> set:
+def relative_averaging_violations(rep, T, mode: str = "fraction", first=False) -> set:
     """T: M -> D with Tu op Tv = T(Tu op_l v) = T(u op_r Tv), T beta = alpha T."""
     conv, is_zero = scalar_tools(mode, rep, T)
     d, m = rep.base.dim, rep.module_dim
@@ -296,12 +304,12 @@ def relative_averaging_violations(rep, T, mode: str = "fraction") -> set:
             (f"ravg.{name}.r", lambda u, v, B=B, R=R: (B(Tm(u), Tm(v)), Tm(R(u, Tm(v))))),
         ]
     beta, alpha = _matrix(rep.module_twist, conv), _matrix(rep.base.twist, conv)
-    return _pair_violations(m, identities, is_zero) | _commutation(
+    return _pair_violations(m, identities, is_zero, first) | _commutation(
         "ravg.twist", t, beta, alpha, is_zero
     )
 
 
-def homomorphism_violations(T, source, target, mode: str = "fraction") -> set:
+def homomorphism_violations(T, source, target, mode: str = "fraction", first=False) -> set:
     """T(x op y) = Tx op Ty on source basis pairs, plus T alpha = alpha' T."""
     conv, is_zero = scalar_tools(mode, source, target, T)
     t = _matrix(T, conv)
@@ -314,28 +322,159 @@ def homomorphism_violations(T, source, target, mode: str = "fraction") -> set:
             (f"hom.{name}", lambda x, y, A=A, B=B: (Tm(A(x, y)), B(Tm(x), Tm(y))))
         )
     alpha_s, alpha_t = _matrix(source.twist, conv), _matrix(target.twist, conv)
-    return _pair_violations(source.dim, identities, is_zero) | _commutation(
+    return _pair_violations(source.dim, identities, is_zero, first) | _commutation(
         "hom.twist", t, alpha_s, alpha_t, is_zero
     )
 
 
-def operator_violations(kind: str, context, H, mode: str = "fraction", strict_twist=False) -> set:
+def operator_violations(
+    kind: str, context, H, mode: str = "fraction", strict_twist=False, first=False
+) -> set:
     """Oracle counterpart of homsplit.operators.verify_operator for algebra,
     representation and action contexts (adjoint ones built by the caller)."""
     if kind == "averaging_assoc":
-        return averaging_assoc_violations(context, H, mode, strict_twist)
+        return averaging_assoc_violations(context, H, mode, strict_twist, first)
     if kind == "rota_baxter":
-        return rota_baxter_violations(context, H, mode)
+        return rota_baxter_violations(context, H, mode, first)
     if kind == "averaging_quadri":
-        return averaging_quadri_violations(context, H, mode)
+        return averaging_quadri_violations(context, H, mode, first)
     if kind == "relative_averaging":
-        return relative_averaging_violations(context, H, mode)
+        return relative_averaging_violations(context, H, mode, first)
     if kind == "homomorphic_relative_averaging":
-        return relative_averaging_violations(context.representation(), H, mode) | (
-            homomorphism_violations(H, context.acted, context.acting, mode)
+        return relative_averaging_violations(context.representation(), H, mode, first) | (
+            homomorphism_violations(H, context.acted, context.acting, mode, first)
         )
     raise ValueError(kind)
 
 
 def engine_violation_set(report) -> set:
     return {(v.template, v.witness) for v in report.entries}
+
+
+# -- grid searches: the candidate-by-candidate enumerators, in plain Fractions --
+
+
+def _nullspace(equations: list, ncols: int) -> list:
+    """Basis of {x : A x = 0} read off the reduced row echelon form: one
+    vector per free column, 1 there and 0 at the other free columns."""
+    m = [list(row) for row in equations]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for row, pc in zip(m, pivots):
+            v[pc] = -row[free]
+        basis.append(v)
+    return basis
+
+
+def _commuting_basis(inner: list, outer: list) -> list:
+    """Nullspace basis of X inner = outer X in the row-major entries of X."""
+    rows, cols = len(outer), len(inner)
+    equations = []
+    for i in range(rows):
+        for j in range(cols):
+            coeff = [Fraction(0)] * (rows * cols)
+            for k in range(cols):
+                coeff[i * cols + k] += inner[k][j]
+            for k in range(rows):
+                coeff[k * cols + j] -= outer[i][k]
+            equations.append(coeff)
+    return _nullspace(equations, rows * cols)
+
+
+def grid_operator_solutions(kind: str, context, grid, strict_twist=False) -> list:
+    """Solutions of `operator_violations` (same context conventions) whose
+    coordinates over the twist-commutation nullspace lie in the grid; a
+    kind whose definition omits twist commutation runs over every matrix
+    entry.  Row lists, in row-major order."""
+    from homsplit.model import LinearMap
+
+    if kind in ("averaging_assoc", "rota_baxter", "averaging_quadri"):
+        rows = cols = context.dim
+        inner = outer = context.twist.to_fraction_rows()
+        bound = kind != "averaging_assoc" or strict_twist
+    else:
+        rep = context.representation() if kind == "homomorphic_relative_averaging" else context
+        rows, cols = rep.base.dim, rep.module_dim
+        inner, outer = rep.module_twist.to_fraction_rows(), rep.base.twist.to_fraction_rows()
+        bound = True
+    n = rows * cols
+    if bound:
+        basis = _commuting_basis(inner, outer)
+    else:
+        basis = [[Fraction(int(p == q)) for q in range(n)] for p in range(n)]
+    solutions = []
+    for coefficients in itertools.product(sorted(set(grid)), repeat=len(basis)):
+        flat = [
+            sum((c * vec[p] for c, vec in zip(coefficients, basis)), Fraction(0))
+            for p in range(n)
+        ]
+        matrix = [flat[r * cols : (r + 1) * cols] for r in range(rows)]
+        H = LinearMap.from_fractions(matrix)
+        if not operator_violations(kind, context, H, "fraction", strict_twist, first=True):
+            solutions.append(matrix)
+    return sorted(solutions)
+
+
+def _determinant(rows: list) -> Fraction:
+    """Cofactor expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    total = Fraction(0)
+    for j, cell in enumerate(rows[0]):
+        if cell:
+            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+            total += (-1) ** j * cell * _determinant(minor)
+    return total
+
+
+def _is_homomorphism(t: list, source, target) -> bool:
+    """T(x op y) = Tx op' Ty on every basis pair, stopping at the first miss."""
+    n = source.dim
+    basis = _basis(n)
+    for name in sorted(source.ops):
+        a = _table(source.op(name), _fraction_scalar)
+        b = _table(target.op(name), _fraction_scalar)
+        for x in basis:
+            for y in basis:
+                if _map(t, _apply(a, x, y, n)) != _apply(b, _map(t, x), _map(t, y), n):
+                    return False
+    return True
+
+
+def first_grid_isomorphism(source, target, grid):
+    """Rows of the first grid matrix T, entries enumerated row-major over the
+    sorted grid, with T alpha = alpha' T, det T != 0 and T a homomorphism;
+    None when there is none."""
+    n = source.dim
+    # integral values as ints: the same numbers, compared much faster
+    narrow = lambda v: v.numerator if v.denominator == 1 else v
+    alpha_s = [[narrow(v) for v in row] for row in source.twist.to_fraction_rows()]
+    alpha_t = [[narrow(v) for v in row] for row in target.twist.to_fraction_rows()]
+    values = sorted({narrow(Fraction(v)) for v in grid})
+    for flat in itertools.product(values, repeat=n * n):
+        t = [list(flat[r * n : (r + 1) * n]) for r in range(n)]
+        if any(
+            sum(t[i][k] * alpha_s[k][j] for k in range(n))
+            != sum(alpha_t[i][k] * t[k][j] for k in range(n))
+            for i in range(n)
+            for j in range(n)
+        ):
+            continue
+        if _determinant(t) != 0 and _is_homomorphism(t, source, target):
+            return t
+    return None

@@ -199,3 +199,15 @@ def test_boolean_dimension_exits_two(tmp_path, capsys):
     )
     assert main(["check", str(bad)]) == 2
     assert "dimension" in capsys.readouterr().err
+
+
+def test_deeply_nested_cell_exits_two(tmp_path, capsys):
+    deep = "(" * 3000 + "1" + ")" * 3000
+    bad = tmp_path / "deep.json"
+    bad.write_text(
+        json.dumps({"kind": "dendriform", "dimension": 1, "parameters": [],
+                    "alpha": [[deep]], "ops": {"prec": [], "succ": []}}),
+        encoding="utf-8",
+    )
+    assert main(["check", str(bad)]) == 2
+    assert "nest" in capsys.readouterr().err

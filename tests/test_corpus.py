@@ -151,3 +151,18 @@ def test_verify_entry_single():
     record = verify_entry(entry)
     assert record["verdict"] == "pass"
     assert record["kind"] == "quadri_dendriform"
+
+
+def test_loader_annotations_resolve():
+    import typing
+
+    from homsplit import corpus
+    from homsplit.model import ActionBundle, AlgebraBundle, RepresentationBundle
+
+    expected = {
+        corpus.load_algebra: AlgebraBundle,
+        corpus.load_representation: RepresentationBundle,
+        corpus.load_action: ActionBundle,
+    }
+    for loader, bundle_class in expected.items():
+        assert typing.get_type_hints(loader)["return"] is bundle_class

@@ -1,0 +1,166 @@
+"""The grid searches against the candidate-by-candidate enumerators of the
+oracle.
+
+`solve_operators_grid` and `brute_force_iso_search` visit only the points of
+the exact twist-commutation subspace and test them against a compiled
+equation system.  `oracle.grid_operator_solutions` and
+`oracle.first_grid_isomorphism` visit every candidate in plain Fractions and
+check it in full.  Solution lists must agree in content and order, and the
+first isomorphism must be the same matrix.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from helpers import associative_pool, random_action, sec2_diassociative, zero_bundle
+from oracle import first_grid_isomorphism, grid_operator_solutions
+from homsplit.corpus import CORPUS_ROOT, load_algebra
+from homsplit.model import AlgebraBundle, LinearMap, RepresentationBundle
+from homsplit.morphisms import brute_force_iso_search, push_forward
+from homsplit.operators import solve_operators_grid
+
+GRID = [Fraction(-1), Fraction(0), Fraction(1)]
+# --grid=-1..1 --denominators 1,2
+HALVES = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
+QUADRI_OPS = ("prec_dashv", "prec_vdash", "succ_dashv", "succ_vdash")
+
+DIM2 = ["D1", "D2", "D3_emended", "D3_literal", "D4", "D5"]
+DIM3 = [f"D{k}" for k in range(1, 14)]
+
+
+# small values for the sorted parameters of a symbolic entry, in turn
+SPECIALIZATIONS = ((1, -1, 2), (0, 1, -1))
+
+
+def corpus_contexts():
+    """Every dim-2 and dim-3 table entry: the parameter-free ones as they
+    are, the symbolic ones at small parameter values (dim 2 at both
+    SPECIALIZATIONS, dim 3 at the first)."""
+    out = []
+    for folder, names, count in (("dim2", DIM2, 2), ("dim3", DIM3, 1)):
+        for name in names:
+            algebra = load_algebra(CORPUS_ROOT / folder / f"{name}.json")
+            used = sorted(algebra.used_parameters())
+            if not used:
+                out.append((f"{folder}.{name}", algebra))
+            for values in SPECIALIZATIONS[:count] if used else ():
+                bindings = dict(zip(used, values))
+                out.append((f"{folder}.{name}@{bindings}", algebra.specialize(bindings)))
+    return out
+
+
+def rows_of(matrices) -> list:
+    return [m.to_fraction_rows() for m in matrices]
+
+
+def found_rows(found):
+    return None if found is None else found.to_fraction_rows()
+
+
+def test_solve_matches_oracle_on_corpus_contexts():
+    for label, context in corpus_contexts():
+        grids = (GRID, HALVES) if context.dim == 2 else (GRID,)
+        for grid in grids:
+            expected = grid_operator_solutions("averaging_quadri", context, grid)
+            got = rows_of(solve_operators_grid(context, "averaging_quadri", grid))
+            assert got == expected, label
+
+
+def test_iso_matches_oracle_on_corpus_contexts():
+    rng = random.Random(11)
+    found = 0
+    for label, context in corpus_contexts():
+        n = context.dim
+        inside = LinearMap.from_fractions(
+            [[rng.choice(GRID) for _ in range(n)] for _ in range(n)]
+        )
+        partners = [context]
+        if inside.determinant():
+            partners.append(push_forward(context, inside))
+        if not context.parameters:
+            # an entry of 2 keeps the inverse basis change off the grid
+            partners.append(push_forward(context, LinearMap.from_fractions(
+                [[1 if i == j else 0 for j in range(n)] for i in range(n - 1)]
+                + [[2] + [0] * (n - 2) + [1]]
+            )))
+        for partner in partners:
+            expected = first_grid_isomorphism(partner, context, GRID)
+            assert found_rows(brute_force_iso_search(partner, context, GRID)) == expected, label
+            found += expected is not None
+    assert found >= len(corpus_contexts())  # every self pair at least
+
+
+def test_iso_answer_is_row_major_first_not_enumeration_first():
+    # on this pair the first isomorphism in row-major order is not the first
+    # in the order of the nullspace coefficients, whose pivot entries come
+    # before free ones
+    d2 = load_algebra(CORPUS_ROOT / "dim3" / "D2.json").specialize({"a": 1})
+    moved = push_forward(d2, LinearMap.from_fractions([[0, 0, 1], [-1, 0, 1], [0, -1, -1]]))
+    expected = first_grid_isomorphism(moved, d2, GRID)
+    assert expected == [[0, 0, -1], [1, 0, -1], [-1, -1, 0]]
+    assert found_rows(brute_force_iso_search(moved, d2, GRID)) == expected
+
+
+def test_identity_twist_searches_every_coordinate():
+    # all nine entries are free: the largest subspace the search can meet
+    d4 = load_algebra(CORPUS_ROOT / "dim3" / "D4.json")
+    plain = AlgebraBundle(d4.kind, 3, dict(d4.ops), LinearMap.identity(3), ())
+    moved = push_forward(plain, LinearMap.from_fractions([[0, 1, 0], [1, 0, 1], [0, 0, -1]]))
+    expected = first_grid_isomorphism(moved, plain, GRID)
+    assert expected is not None
+    assert found_rows(brute_force_iso_search(moved, plain, GRID)) == expected
+    zero2 = zero_bundle("quadri_dendriform", 2, QUADRI_OPS)
+    assert rows_of(solve_operators_grid(zero2, "averaging_quadri", HALVES)) == (
+        grid_operator_solutions("averaging_quadri", zero2, HALVES)
+    )
+
+
+@pytest.mark.parametrize("grid", [[Fraction(0), Fraction(1)], GRID])
+def test_zero_algebra_skips_singular_solutions(grid):
+    # every matrix, the zero matrix first among them on [0, 1], satisfies
+    # every homomorphism equation of the zero algebra; only det != 0 decides
+    zero = zero_bundle("quadri_dendriform", 3, QUADRI_OPS)
+    expected = first_grid_isomorphism(zero, zero, grid)
+    assert found_rows(brute_force_iso_search(zero, zero, grid)) == expected
+
+
+@pytest.mark.parametrize("strict_twist", [False, True])
+def test_averaging_assoc_matches_oracle(strict_twist):
+    # without strict_twist the grid runs over all four matrix entries
+    for algebra in associative_pool(random.Random(12), 3):
+        for grid in (GRID, HALVES):
+            expected = grid_operator_solutions("averaging_assoc", algebra, grid, strict_twist)
+            got = solve_operators_grid(algebra, "averaging_assoc", grid, strict_twist=strict_twist)
+            assert rows_of(got) == expected
+
+
+def test_rota_baxter_matches_oracle():
+    for value in (0, 1, -1):
+        algebra = sec2_diassociative().specialize({"a": value})
+        assert rows_of(solve_operators_grid(algebra, "rota_baxter", GRID)) == (
+            grid_operator_solutions("rota_baxter", algebra, GRID)
+        )
+
+
+@pytest.mark.parametrize("base_dim, module_dim", [(2, 1), (1, 2), (2, 3)])
+def test_rectangular_relative_averaging_matches_oracle(base_dim, module_dim):
+    rng = random.Random(13 + base_dim * 10 + module_dim)
+    for _ in range(3):
+        action = random_action(rng, base_dim, module_dim)
+        rep = action.representation()
+        assert rows_of(solve_operators_grid(rep, "relative_averaging", GRID)) == (
+            grid_operator_solutions("relative_averaging", rep, GRID)
+        )
+        assert rows_of(
+            solve_operators_grid(action, "homomorphic_relative_averaging", GRID)
+        ) == grid_operator_solutions("homomorphic_relative_averaging", action, GRID)
+
+
+def test_relative_averaging_on_an_algebra_uses_its_adjoint():
+    algebra = load_algebra(CORPUS_ROOT / "sec2" / "dendriform_Deta.json")
+    algebra = algebra.specialize({"eta": 1, "b": 0})
+    assert rows_of(solve_operators_grid(algebra, "relative_averaging", GRID)) == (
+        grid_operator_solutions("relative_averaging", RepresentationBundle.adjoint(algebra), GRID)
+    )

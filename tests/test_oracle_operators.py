@@ -8,26 +8,25 @@ sympy mode on symbolic ones.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from helpers import associative_pool, deta, rand_matrix, rich_dendriform, sec2_diassociative
+from helpers import (
+    VALUES,
+    associative_pool,
+    deta,
+    rand_matrix,
+    random_action,
+    random_bundle,
+    rich_dendriform,
+    sec2_diassociative,
+)
 from oracle import engine_violation_set, homomorphism_violations, operator_violations
 from homsplit.axioms import check_homomorphism
 from homsplit.corpus import CORPUS_ROOT, list_entries, load_algebra, load_operator
-from homsplit.model import (
-    KIND_OPS,
-    ActionBundle,
-    AlgebraBundle,
-    BilinearOp,
-    LinearMap,
-    RepresentationBundle,
-)
+from homsplit.model import KIND_OPS, ActionBundle, LinearMap, RepresentationBundle
 from homsplit.operators import verify_operator
 from homsplit.poly import Polynomial
-
-VALUES = [Fraction(-1), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)]
 
 
 def corpus_operators():
@@ -58,31 +57,6 @@ def perturbed(rng, matrix: LinearMap) -> LinearMap:
 def symbolic_matrix(rows: int, cols: int) -> LinearMap:
     return LinearMap.from_rows(
         [[Polynomial.variable(f"h{i}{j}") for j in range(1, cols + 1)] for i in range(1, rows + 1)]
-    )
-
-
-def random_op(rng, dim_left, dim_right, dim_out, count) -> BilinearOp:
-    return BilinearOp.from_entries(dim_left, dim_right, dim_out, [
-        (rng.randrange(1, dim_left + 1), rng.randrange(1, dim_right + 1),
-         rng.randrange(1, dim_out + 1), Polynomial.constant(rng.choice(VALUES)))
-        for _ in range(count)
-    ])
-
-
-def random_bundle(rng, kind, dim, count=3) -> AlgebraBundle:
-    ops = {name: random_op(rng, dim, dim, dim, count) for name in sorted(KIND_OPS[kind])}
-    return AlgebraBundle(kind, dim, ops, rand_matrix(rng, dim, dim), ())
-
-
-def random_action(rng, base_dim, module_dim) -> ActionBundle:
-    """Arbitrary tensors of the action shapes; the identities need not hold."""
-    b, m = base_dim, module_dim
-    actions = {
-        "prec_l": random_op(rng, b, m, m, 3), "succ_l": random_op(rng, b, m, m, 3),
-        "prec_r": random_op(rng, m, b, m, 3), "succ_r": random_op(rng, m, b, m, 3),
-    }
-    return ActionBundle(
-        random_bundle(rng, "dendriform", b), random_bundle(rng, "dendriform", m), actions
     )
 
 

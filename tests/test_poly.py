@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from homsplit.poly import ParseError, Polynomial
+from homsplit.poly import CompiledSystem, ParseError, Polynomial
 
 P = Polynomial.parse
 
@@ -169,3 +169,40 @@ def test_float_scalars_are_rejected():
     with pytest.raises(TypeError, match="float"):
         P("a + 1").specialize({"a": 0.5})
     assert Polynomial.constant(Fraction(1, 10)) == P("1/10")
+
+
+def test_deep_nesting_is_a_parse_error():
+    # about 3,000 levels would overflow the recursive-descent parser's stack
+    with pytest.raises(ParseError, match="nest"):
+        P("(" * 3000 + "a" + ")" * 3000)
+    with pytest.raises(ParseError, match="nest"):
+        P("-" * 3000 + "a")
+    shallow = 50
+    assert P("(" * shallow + "a" + ")" * shallow) == P("a")
+    assert P("-" * shallow + "a") == P("a")
+
+
+def test_huge_exponent_is_a_parse_error_naming_the_cap():
+    with pytest.raises(ParseError, match="cap of 64"):
+        P("a^100000000")
+    with pytest.raises(ParseError, match="cap of 64"):
+        P("(a + 1)^65")
+    assert P("a^64") == Polynomial((((("a", 64),), 1),))
+
+
+def test_power_by_squaring_matches_repeated_multiplication():
+    base = P("a - 2*b + 1/3")
+    expected = Polynomial.one()
+    for exponent in range(0, 12):
+        assert base ** exponent == expected
+        expected = expected * base
+
+
+def test_compiled_system_vanishes_exactly_where_the_polynomials_do():
+    system = [P("1/2*t1 - 1/3*t2"), P("t1^2*t2 - 12"), P("t1*t2 - 6")]
+    compiled = CompiledSystem(system, ["t1", "t2"])
+    for point in [(2, 3), (Fraction(2), Fraction(3)), (1, 1), (Fraction(1, 2), 3), (0, 0), (-2, -3)]:
+        expected = all(p.specialize({"t1": point[0], "t2": point[1]}).is_zero() for p in system)
+        assert compiled.vanishes_at(point) == expected
+    assert compiled.vanishes_at((2, 3)) and not compiled.vanishes_at((-2, -3))
+    assert CompiledSystem([], ["t1"]).vanishes_at((5,))
