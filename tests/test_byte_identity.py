@@ -1,18 +1,31 @@
 """Byte-identity guards for the deterministic outputs.
 
 `DISCREPANCIES.md` at the repository root must be what `corpus verify-all`
-writes, and the corpus report JSON and the emitted averaging_quadri systems of
-the dim-2 and dim-3 corpus contexts must keep their recorded SHA-256 digests.
-A change that alters any of them on purpose states why and re-records them.
+writes, and the corpus report JSON, the emitted averaging_quadri systems of
+the dim-2 and dim-3 corpus contexts, the `construct` outputs and refusal
+reports, and the quotient and embedding results must keep their recorded
+SHA-256 digests.  A change that alters any of them on purpose states why and
+re-records them.
 """
 
 import hashlib
+import itertools
+import json
 from pathlib import Path
 
 import pytest
 
 from homsplit.cli import main
+from homsplit.constructions import quadri_embedding, quotient_dendriform, six_embedding
 from homsplit.corpus import CORPUS_ROOT, list_entries, load_algebra
+from homsplit.files import (
+    action_to_dict,
+    algebra_to_dict,
+    operator_to_dict,
+    representation_to_dict,
+    write_json,
+)
+from homsplit.model import ActionBundle, AlgebraBundle, BilinearOp, LinearMap, RepresentationBundle
 from homsplit.operators import emit_operator_system
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,3 +83,226 @@ def test_emitted_operator_system_is_byte_identical(eid, path):
     system = emit_operator_system(load_algebra(CORPUS_ROOT / path), "averaging_quadri")
     text = "\n".join(str(p) for p in system) + "\n"
     assert sha256(text.encode("utf-8")) == EMITTED_SYSTEM_SHA256[eid]
+
+
+# -- constructions ------------------------------------------------------------
+#
+# Every `construct NAME` output and refusal report, and the quotient and
+# embedding results, keep the SHA-256 digests recorded before constructions
+# were rebuilt on the template engine.  The inputs are corpus entries, their
+# specializations, and representation, action and associative files derived
+# from the dendriform corpus entry Deta (its adjoints, and copies whose twist
+# is replaced by the identity so that the precondition fails).
+
+SPECIALIZATION_VALUES = (-1, 0, 1)
+
+CONSTRUCT_SHA256 = {
+    "sum-dias": "4893e04a030af0a23a3828cf1d39ac4de65b5beb3f48add3572156d8d0d20b96",
+    "quotient": "35fcf5bca78d6b8ec6ed259aa45557cfdb266f1b976d7741809c37e1da4639b9",
+    "dsum": "072c3e5a4b55c6575f2ce2c99aae7c8006ae0c2df0d9dd88aeaea0f4b16ca44c",
+    "hemi": "60995330e509663fbd3185331f9100e43eef0f9392ec7e2c21fd8d0246989302",
+    "semidirect": "59d16f1843ba1bb0f3fa622c783d75ac4a33f1aaa5dfa9ce626728f0eb105707",
+    "avg-dias": "64c76f1779270ce8760a00531f5ade192b815d3b179444ee06dd5cc7bcca1fc8",
+    "rb-dias": "9e15b00f6d59a00ff946f92572e32ea506c5fc7566470bcff021af8e18cba0d2",
+    "ravg-quadri": "eeb018dec849dc96892eb36ddabf23f92656772a51458f86f30de2f75e4086c7",
+    "havg-six": "22de6db5a93d552f4958842404705f25e3cb1ef76aa6be28fa3fded52f635616",
+}
+
+SUM_TRI_SHA256 = "b9d72aa9aebb378ef68d3afa787ca872e9ee9a209da439a612d9d313713dd1b1"
+
+CONSTRUCTION_RESULT_SHA256 = {
+    "quotient_dendriform": "c620eb0b022a6f4d3edb67c3500dca45f3c1725edfbfc2aa011d8b9638d76f69",
+    "quadri_embedding": "6ba40ffec62ad971716d104047eddd0834b40e586a0f057924adfe8c1a3166d9",
+    "six_embedding": "48d6f23203306e4666820aa194c6a7a234cfc8326904a69be35fb732249b5aa3",
+}
+
+
+def corpus_algebra(rel):
+    return load_algebra(CORPUS_ROOT / rel)
+
+
+def quadri_paths():
+    return [
+        (e["id"], e["path"]) for e in list_entries()
+        if e["type"] == "algebra" and e["path"].startswith(("dim2/", "dim3/", "controls/"))
+    ]
+
+
+def specializations(bundle, values=SPECIALIZATION_VALUES):
+    names = list(bundle.parameters)
+    for combo in itertools.product(values, repeat=len(names)):
+        yield combo, bundle.specialize(dict(zip(names, combo)))
+
+
+def deta_inputs():
+    """(algebra, representation, action, associative algebra) from Deta, and
+    the representation and action with the identity as module twist."""
+    deta = corpus_algebra("sec2/dendriform_Deta.json")
+    rep = RepresentationBundle.adjoint(deta)
+    action = ActionBundle.adjoint(deta)
+    identity = LinearMap.identity(deta.dim)
+    bad_rep = RepresentationBundle(rep.base, rep.module_dim, rep.actions, identity)
+    bad_acted = AlgebraBundle("dendriform", deta.dim, deta.ops, identity, deta.parameters)
+    bad_action = ActionBundle(deta, bad_acted, action.actions)
+    mu = deta.op("prec").add(deta.op("succ"))
+    associative = AlgebraBundle("associative", deta.dim, {"mu": mu}, deta.twist, deta.parameters)
+    return rep, action, associative, bad_rep, bad_action
+
+
+def matrix(*rows):
+    return LinearMap.from_strings([row.split() for row in rows])
+
+
+def construct_cases():
+    """[(NAME, input files {relative name: data}, force)]; files are written
+    to the working directory so the provenance headers stay the same."""
+    rep, action, associative, bad_rep, bad_action = deta_inputs()
+    identity, zero = matrix("1 0 0", "0 1 0", "0 0 1"), matrix("0 0 0", "0 0 0", "0 0 0")
+    e11, e22 = matrix("1 0 0", "0 0 0", "0 0 0"), matrix("0 0 0", "0 1 0", "0 0 0")
+    double = matrix("2 0 0", "0 2 0", "0 0 2")
+    cases = []
+    quadri = [(eid, corpus_algebra(path)) for eid, path in quadri_paths()]
+    for eid, bundle in quadri:
+        cases.append(("sum-dias", {f"{eid}.json": algebra_to_dict(bundle)}, False))
+        for combo, special in specializations(bundle, (0, 1)):
+            if len(set(combo)) <= 1:  # all parameters 0, or all 1
+                tag = f"{eid}.{''.join(map(str, combo))}.json"
+                cases.append(("quotient", {tag: algebra_to_dict(special)}, False))
+    by_id = dict(quadri)
+    for first, second in (("dim2.D1", "dim2.D2"), ("dim3.D4", "dim2.D5"), ("dim3.D13", "dim3.D13")):
+        files = {f"a.{first}.json": algebra_to_dict(by_id[first]),
+                 f"b.{second}.json": algebra_to_dict(by_id[second])}
+        cases.append(("dsum", files, False))
+    for force in (False, True):
+        for name, context, bad in (
+            ("hemi", representation_to_dict(rep), representation_to_dict(bad_rep)),
+            ("semidirect", action_to_dict(action), action_to_dict(bad_action)),
+        ):
+            cases.append((name, {"context.json": context}, force))
+            cases.append((name, {"bad-context.json": bad}, force))
+        diassociative = algebra_to_dict(corpus_algebra("sec2/diassociative_D.json"))
+        operator_cases = [
+            ("avg-dias", algebra_to_dict(associative), "averaging_assoc", (identity, e11, double, e22)),
+            ("rb-dias", diassociative, "rota_baxter", (zero, identity, e11)),
+            ("ravg-quadri", representation_to_dict(rep), "relative_averaging", (identity, double, e11)),
+            ("ravg-quadri", representation_to_dict(bad_rep), "relative_averaging", (identity, zero)),
+            ("havg-six", action_to_dict(action), "homomorphic_relative_averaging", (identity, zero, double)),
+            ("havg-six", action_to_dict(bad_action), "homomorphic_relative_averaging", (identity,)),
+        ]
+        for name, context, kind, matrices in operator_cases:
+            for index, op in enumerate(matrices):
+                files = {"context.json": context, f"op{index}.json": operator_to_dict(kind, op)}
+                cases.append((name, files, force))
+        for family in (1, 2, 3):
+            rel = f"operators/sec2_rb_family{family}.json"
+            files = {"context.json": diassociative, f"family{family}.json": json.loads((CORPUS_ROOT / rel).read_text())}
+            cases.append(("rb-dias", files, force))
+    return cases
+
+
+def run_construct(tmp_path, name, files, force, capsys):
+    """(exit code, output bytes, stdout, stderr) of one construct call."""
+    for rel, data in files.items():
+        write_json(tmp_path / rel, data)
+    argv = ["construct", name, *files, "-o", "out.json"] + (["--force"] if force else [])
+    code = main(argv)
+    out = capsys.readouterr()
+    written = tmp_path / "out.json"
+    data = written.read_bytes() if written.exists() else b""
+    if written.exists():
+        written.unlink()
+    for rel in files:
+        (tmp_path / rel).unlink()
+    return code, data, out.out, out.err
+
+
+def test_construct_outputs_and_refusals_are_byte_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    digests, codes = {}, {}
+    for name, files, force in construct_cases():
+        code, data, out, err = run_construct(tmp_path, name, files, force, capsys)
+        codes.setdefault(name, set()).add(code)
+        record = json.dumps([name, sorted(files), force, code, data.decode(), out, err])
+        digests.setdefault(name, hashlib.sha256()).update(record.encode("utf-8"))
+    # every precondition is exercised both ways; the splittings and dsum always build
+    assert codes == {
+        "sum-dias": {0}, "dsum": {0}, "quotient": {0, 1}, "hemi": {0, 1},
+        "semidirect": {0, 1}, "avg-dias": {0, 1}, "rb-dias": {0, 1},
+        "ravg-quadri": {0, 1}, "havg-six": {0, 1},
+    }
+    assert {name: d.hexdigest() for name, d in digests.items()} == CONSTRUCT_SHA256
+
+
+def test_construct_sum_tri_of_havg_six_outputs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _, action, _, _, _ = deta_inputs()
+    write_json(tmp_path / "action.json", action_to_dict(action))
+    digest = hashlib.sha256()
+    for index, op in enumerate((matrix("1 0 0", "0 1 0", "0 0 1"), matrix("2 0 0", "0 2 0", "0 0 2"))):
+        write_json(tmp_path / f"op{index}.json", operator_to_dict("homomorphic_relative_averaging", op))
+        assert main(["construct", "havg-six", "action.json", f"op{index}.json", "--force", "-o", f"six{index}.json"]) == 0
+        assert main(["construct", "sum-tri", f"six{index}.json", "-o", f"tri{index}.json"]) == 0
+        capsys.readouterr()
+        digest.update((tmp_path / f"tri{index}.json").read_bytes())
+    assert digest.hexdigest() == SUM_TRI_SHA256
+
+
+def _rows(linear):
+    return None if linear is None else [[str(c) for c in row] for row in linear.entries]
+
+
+def quotient_record(result) -> dict:
+    return {
+        "ok": result.ok,
+        "report": result.report.to_dict(),
+        "ideal": [result.ideal.ambient_dim, [[str(x) for x in row] for row in result.ideal.basis],
+                  list(result.ideal.pivots)],
+        "complement": list(result.complement),
+        "bundle": None if result.bundle is None else algebra_to_dict(result.bundle),
+        "projection": _rows(result.projection),
+    }
+
+
+def embedding_record(result) -> dict:
+    return {
+        "ok": result.ok,
+        "quotient": quotient_record(result.quotient),
+        "report": result.report.to_dict(),
+        "representation": None if result.representation is None else representation_to_dict(result.representation),
+        "action": None if result.action is None else action_to_dict(result.action),
+        "averaging": _rows(result.averaging),
+    }
+
+
+def six_variants(bundle):
+    """Six-dendriform bundles over a quadri bundle whose perp pair is its
+    vdash pair, its dashv pair, or zero."""
+    ops = dict(bundle.ops, zero=BilinearOp.zero_square(bundle.dim))
+    for perp in (("prec_vdash", "succ_vdash"), ("prec_dashv", "succ_dashv"), ("zero", "zero")):
+        six = dict(bundle.ops, prec_perp=ops[perp[0]], succ_perp=ops[perp[1]])
+        yield "/".join(perp), AlgebraBundle("six_dendriform", bundle.dim, six, bundle.twist, bundle.parameters)
+
+
+def construction_results():
+    """{function: {case: record}} over the dim-2, dim-3 and control quadri
+    entries at every specialization of their parameters to -1, 0, 1."""
+    out = {"quotient_dendriform": {}, "quadri_embedding": {}, "six_embedding": {}}
+    for eid, path in quadri_paths():
+        for combo, special in specializations(corpus_algebra(path)):
+            case = f"{eid}{list(combo)}"
+            out["quotient_dendriform"][case] = quotient_record(quotient_dendriform(special))
+            out["quadri_embedding"][case] = embedding_record(quadri_embedding(special))
+            for label, six in six_variants(special):
+                out["six_embedding"][f"{case}.{label}"] = embedding_record(six_embedding(six))
+    return out
+
+
+def test_quotient_and_embedding_results_are_byte_identical():
+    results = construction_results()
+    oks = {name: {record["ok"] for record in records.values()} for name, records in results.items()}
+    assert oks == {name: {False, True} for name in results}
+    digests = {
+        name: sha256(json.dumps(records, sort_keys=True).encode("utf-8"))
+        for name, records in results.items()
+    }
+    assert digests == CONSTRUCTION_RESULT_SHA256
