@@ -19,13 +19,18 @@ Template id conventions: "dend.1"-"dend.3", "assoc.1", "dias.4"-"dias.8"
 Operators, morphisms and graphs are named maps in the same templates ("H",
 "T", "G"): "avg.mu.a"/"avg.mu.b", "rb.<op>", "ravg.<op>.l"/"ravg.<op>.r",
 "qavg.<op>.a"/"qavg.<op>.b", "hom.<op>" and "graph.<op>"/"graph.twist".
+The quotient by the ideal I_D is checked the same way, with reduction modulo
+I_D as the map "R": "quotient.closure.left/right.<op>",
+"quotient.closure.twist", "quotient.flavor-mismatch.<flavor>" and
+"quotient.perp-compat.<flavor>".
 Twist commutation X o alpha = alpha' o X ("avg.twist", "rb.twist",
 "ravg.twist", "qavg.twist", "hom.twist") is the matrix identity
 `twist_commutation`, witnessed by (row, col).
 
 The evaluator tabulates each distinct subterm once per basis tuple of its own
 placeholders and shares the tables across the templates of one call that bind
-their placeholders to the same spaces.
+their placeholders to the same spaces.  `tabulate` exposes one such table, so
+that constructions build induced products from expressions as well.
 
 The sq15 identity mixes two operations across its sides in the source; both
 the literal reading and the symmetrized one are implemented, selectable via
@@ -158,6 +163,16 @@ def _tabulate(expr, scope: tuple, dims: dict, ops: dict, maps: dict, tables: dic
         for combo in itertools.product(*ranges)
     }
     return tables[key]
+
+
+def tabulate(expr, variables, dims: dict, ops: dict, maps: dict) -> dict:
+    """{basis tuple: vector of `expr`} over every tuple of basis indices of
+    `variables` ((placeholder, space), ...), keyed in `variables` order."""
+    names = [name for name, _ in variables]
+    free, table = _tabulate(expr, tuple(sorted(variables)), dims, ops, maps, {})
+    at = _projector(names, free)
+    ranges = [range(1, dims[space] + 1) for _, space in variables]
+    return {combo: table[at(combo)] for combo in itertools.product(*ranges)}
 
 
 def evaluate_templates(templates, dims: dict, ops: dict, maps: dict) -> Report:
@@ -632,6 +647,44 @@ def graph_templates(names) -> list:
     ts = [_t(f"graph.{name}", *residual(Op(name, u, v)), (("u", "P"), ("v", "P"))) for name in names]
     ts.append(_t("graph.twist", *residual(App("alpha", u)), (("u", "P"),)))
     return ts
+
+
+def quotient_closure_templates(names) -> list:
+    """Closure of the ideal I_D, included by "W" from the space "I" of its
+    basis, under each operation on both sides and under the twist: "R",
+    reduction modulo I_D, sends each product to zero ("Z" is a zero map)."""
+    x, w = Var("x"), App("W", Var("w"))
+    zero = App("Z", Var("w"))
+    xw, wx = (("x", "D"), ("w", "I")), (("w", "I"), ("x", "D"))
+    ts = []
+    for name in names:
+        ts += [
+            _t(f"quotient.closure.left.{name}", App("R", Op(name, x, w)), zero, xw),
+            _t(f"quotient.closure.right.{name}", App("R", Op(name, w, x)), zero, wx),
+        ]
+    ts.append(_t("quotient.closure.twist", App("R", App("alpha", w)), zero, (("w", "I"),)))
+    return ts
+
+
+def flavor_mismatch_templates() -> list:
+    """The vdash- and dashv-flavored products of complement representatives
+    ("C" includes the space "Q" of D/I_D) agree after the projection "P"."""
+    cr, cs = App("C", Var("r")), App("C", Var("s"))
+    qq = (("r", "Q"), ("s", "Q"))
+    return [
+        _t(f"quotient.flavor-mismatch.{flavor}",
+           App("P", Op(f"{flavor}_vdash", cr, cs)), App("P", Op(f"{flavor}_dashv", cr, cs)), qq)
+        for flavor in ("prec", "succ")
+    ]
+
+
+def perp_compat_templates() -> list:
+    """The perp operations agree with the vdash-flavored ones modulo I_D."""
+    return [
+        _t(f"quotient.perp-compat.{flavor}",
+           App("R", Op(f"{flavor}_perp", _X, _Y)), App("R", Op(f"{flavor}_vdash", _X, _Y)), _XY)
+        for flavor in ("prec", "succ")
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,13 @@
 """Structure-producing procedures: splittings, products, quotients, and
 operator-induced algebras.
 
+Every induced product is an `axioms` expression over named operations and
+maps, tabulated by the template engine (`induced_op`): the averaging operator
+is the map "H", a change of basis "S", the inclusion of the complement basis
+of D/I_D "C".  The quotient by I_D is checked by templates in which reduction
+modulo I_D is the linear map "R" (`quotient_closure_templates` and its
+neighbours in `axioms`), so no construction evaluates a basis loop of its own.
+
 Constructions whose validity rests on a precondition (a representation being
 valid, an operator verifying) check it first and refuse with the offending
 report attached (`PreconditionError`); `force=True` builds anyway, which is
@@ -13,31 +20,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import operators as _operators
-from .axioms import check_action, check_representation
-from .linalg import reduce_against, rref
-from .model import (
-    ActionBundle,
-    AlgebraBundle,
-    BilinearOp,
-    LinearMap,
-    RepresentationBundle,
-    Vector,
-    basis_vector,
-    vec_to_fractions,
+from .axioms import (
+    App,
+    Op,
+    S,
+    Var,
+    check_action,
+    check_representation,
+    evaluate_templates,
+    flavor_mismatch_templates,
+    perp_compat_templates,
+    quotient_closure_templates,
+    tabulate,
 )
-from .poly import Polynomial
-from .report import PreconditionError, Report, Violation
+from .linalg import reduction_matrix, rref
+from .model import ActionBundle, AlgebraBundle, BilinearOp, LinearMap, RepresentationBundle
+from .report import PreconditionError, Report
+
+_X, _Y = Var("x"), Var("y")
 
 
-def _tensor_from_products(dim_left, dim_right, dim_out, product) -> BilinearOp:
-    entries = []
-    for i in range(1, dim_left + 1):
-        for j in range(1, dim_right + 1):
-            vec = product(i, j)
-            for k, poly in enumerate(vec, start=1):
-                if poly:
-                    entries.append((i, j, k, poly))
-    return BilinearOp.from_entries(dim_left, dim_right, dim_out, entries)
+def induced_op(expr, spaces: tuple, dims: dict, ops: dict, maps: dict) -> BilinearOp:
+    """The tensor e_i, e_j -> `expr` at x = e_i, y = e_j, tabulated by the
+    template engine; `spaces` names the spaces of x, y and the output."""
+    left, right, out = spaces
+    table = tabulate(expr, (("x", left), ("y", right)), dims, ops, maps)
+    return BilinearOp.from_entries(dims[left], dims[right], dims[out], [
+        (i, j, k, poly)
+        for (i, j), vec in table.items()
+        for k, poly in enumerate(vec, start=1)
+        if poly
+    ])
 
 
 def _shift_entries(op: BilinearOp, di: int, dj: int, dk: int):
@@ -233,13 +246,16 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def reduce(self, vec) -> tuple:
-        return tuple(reduce_against([list(r) for r in self.basis], list(self.pivots), vec))
+    def reduction(self) -> LinearMap:
+        """Reduction modulo the subspace, a linear map of the ambient space."""
+        return LinearMap.from_fractions(
+            reduction_matrix(self.basis, self.pivots, self.ambient_dim)
+        )
 
-    def complement_positions(self) -> tuple:
-        """1-based standard basis positions not used as pivots."""
-        return tuple(
-            c + 1 for c in range(self.ambient_dim) if c not in self.pivots
+    def inclusion(self) -> LinearMap:
+        """The ambient_dim x dim matrix whose columns are the basis rows."""
+        return LinearMap.from_fractions(
+            [[row[k] for row in self.basis] for k in range(self.ambient_dim)]
         )
 
 
@@ -256,16 +272,22 @@ def ideal_ID(bundle: AlgebraBundle) -> Subspace:
     if bundle.kind != "quadri_dendriform":
         raise ValueError(f"expected a quadri_dendriform bundle, got {bundle.kind!r}")
     _require_parameter_free(bundle)
+    dims, ops, xy = {"D": bundle.dim}, dict(bundle.ops), (("x", "D"), ("y", "D"))
     generators = []
     for flavor in ("prec", "succ"):
-        diff = bundle.op(f"{flavor}_dashv").add(bundle.op(f"{flavor}_vdash").negate())
-        for i in range(1, bundle.dim + 1):
-            for j in range(1, bundle.dim + 1):
-                vec = vec_to_fractions(
-                    diff.apply(basis_vector(bundle.dim, i), basis_vector(bundle.dim, j))
-                )
-                generators.append(vec)
+        dashv = tabulate(Op(f"{flavor}_dashv", _X, _Y), xy, dims, ops, {})
+        vdash = tabulate(Op(f"{flavor}_vdash", _X, _Y), xy, dims, ops, {})
+        generators += [
+            [(a - b).as_fraction() for a, b in zip(dashv[key], vdash[key])] for key in dashv
+        ]
     return Subspace.from_spanning(bundle.dim, generators)
+
+
+def _complement_inclusion(dim: int, complement: tuple) -> LinearMap:
+    """The dim x len(complement) matrix sending e_s to e_{complement[s]}."""
+    return LinearMap.from_fractions(
+        [[int(k == c) for c in complement] for k in range(1, dim + 1)]
+    )
 
 
 @dataclass
@@ -288,101 +310,36 @@ def quotient_dendriform(bundle: AlgebraBundle) -> QuotientResult:
     """
     ideal = ideal_ID(bundle)
     dim = bundle.dim
-    entries = []
-    ideal_vectors = [
-        tuple(Polynomial.constant(x) for x in row) for row in ideal.basis
-    ]
-    for name in sorted(bundle.ops):
-        op = bundle.op(name)
-        for i in range(1, dim + 1):
-            e = basis_vector(dim, i)
-            for w_index, w in enumerate(ideal_vectors, start=1):
-                left = ideal.reduce(vec_to_fractions(op.apply(e, w)))
-                for coord, value in enumerate(left, start=1):
-                    if value != 0:
-                        entries.append(
-                            Violation(
-                                f"quotient.closure.left.{name}",
-                                (i, w_index, coord),
-                                Polynomial.constant(value),
-                            )
-                        )
-                right = ideal.reduce(vec_to_fractions(op.apply(w, e)))
-                for coord, value in enumerate(right, start=1):
-                    if value != 0:
-                        entries.append(
-                            Violation(
-                                f"quotient.closure.right.{name}",
-                                (w_index, i, coord),
-                                Polynomial.constant(value),
-                            )
-                        )
-    for w_index, w in enumerate(ideal_vectors, start=1):
-        image = ideal.reduce(vec_to_fractions(bundle.twist.apply(w)))
-        for coord, value in enumerate(image, start=1):
-            if value != 0:
-                entries.append(
-                    Violation(
-                        "quotient.closure.twist",
-                        (w_index, coord),
-                        Polynomial.constant(value),
-                    )
-                )
-    report = Report(entries)
+    complement = tuple(c + 1 for c in range(dim) if c not in ideal.pivots)
+    qdim = len(complement)
+    reduction = ideal.reduction()
+    projection = LinearMap(qdim, dim, tuple(reduction.entries[c - 1] for c in complement))
+    dims = {"D": dim, "I": ideal.dim, "Q": qdim}
+    ops = dict(bundle.ops)
+    maps = {
+        "R": reduction,
+        "W": ideal.inclusion(),
+        "Z": LinearMap.zero(dim, ideal.dim),
+        "alpha": bundle.twist,
+        "C": _complement_inclusion(dim, complement),
+        "P": projection,
+    }
+    report = evaluate_templates(quotient_closure_templates(sorted(bundle.ops)), dims, ops, maps)
     if not report.ok:
         return QuotientResult(ok=False, ideal=ideal, report=report)
+    mismatch = evaluate_templates(flavor_mismatch_templates(), dims, ops, maps)
+    if not mismatch.ok:
+        return QuotientResult(ok=False, ideal=ideal, report=mismatch)
 
-    complement = ideal.complement_positions()
-    qdim = len(complement)
-
-    def project(vec: Vector) -> tuple:
-        reduced = ideal.reduce(vec_to_fractions(vec))
-        return tuple(reduced[c - 1] for c in complement)
-
-    projection = LinearMap.from_fractions(
-        [
-            [project(basis_vector(dim, j))[r] for j in range(1, dim + 1)]
-            for r in range(qdim)
-        ]
-    ) if qdim else LinearMap(0, dim, ())
-
-    mismatch_entries = []
-
-    def quotient_op(vdash_name: str, dashv_name: str, label: str) -> BilinearOp:
-        tensor_entries = []
-        for r, cr in enumerate(complement, start=1):
-            for s, cs in enumerate(complement, start=1):
-                main = project(
-                    bundle.op(vdash_name).apply(basis_vector(dim, cr), basis_vector(dim, cs))
-                )
-                other = project(
-                    bundle.op(dashv_name).apply(basis_vector(dim, cr), basis_vector(dim, cs))
-                )
-                for coord, (x, y) in enumerate(zip(main, other), start=1):
-                    if x != y:
-                        mismatch_entries.append(
-                            Violation(
-                                f"quotient.flavor-mismatch.{label}",
-                                (r, s, coord),
-                                Polynomial.constant(x - y),
-                            )
-                        )
-                for k, value in enumerate(main, start=1):
-                    if value != 0:
-                        tensor_entries.append((r, s, k, Polynomial.constant(value)))
-        return BilinearOp.from_entries(qdim, qdim, qdim, tensor_entries)
-
-    prec = quotient_op("prec_vdash", "prec_dashv", "prec")
-    succ = quotient_op("succ_vdash", "succ_dashv", "succ")
-    if mismatch_entries:
-        return QuotientResult(ok=False, ideal=ideal, report=Report(mismatch_entries))
-
-    twist = LinearMap.from_fractions(
-        [
-            [project(bundle.twist.apply(basis_vector(dim, cs)))[r] for cs in complement]
-            for r in range(qdim)
-        ]
-    ) if qdim else LinearMap(0, 0, ())
+    cx, cy = App("C", _X), App("C", _Y)
+    prec, succ = (
+        induced_op(App("P", Op(f"{flavor}_vdash", cx, cy)), ("Q", "Q", "Q"), dims, ops, maps)
+        for flavor in ("prec", "succ")
+    )
+    columns = tabulate(App("P", App("alpha", App("C", _X))), (("x", "Q"),), dims, ops, maps)
+    twist = LinearMap(
+        qdim, qdim, tuple(tuple(columns[(s,)][r] for s in range(1, qdim + 1)) for r in range(qdim))
+    )
 
     quotient = AlgebraBundle(
         kind="dendriform",
@@ -412,16 +369,10 @@ def averaging_induced_diassociative(
     precondition = _operators.verify_averaging_assoc(algebra, avg)
     if not precondition.ok and not force:
         raise PreconditionError("averaging operator does not verify", precondition)
-    mu = algebra.op("mu")
     dim = algebra.dim
-    dashv = _tensor_from_products(
-        dim, dim, dim,
-        lambda i, j: mu.apply(basis_vector(dim, i), avg.apply(basis_vector(dim, j))),
-    )
-    vdash = _tensor_from_products(
-        dim, dim, dim,
-        lambda i, j: mu.apply(avg.apply(basis_vector(dim, i)), basis_vector(dim, j)),
-    )
+    dims, ops, maps = {"D": dim}, {"mu": algebra.op("mu")}, {"H": avg}
+    dashv = induced_op(Op("mu", _X, App("H", _Y)), ("D", "D", "D"), dims, ops, maps)
+    vdash = induced_op(Op("mu", App("H", _X), _Y), ("D", "D", "D"), dims, ops, maps)
     return AlgebraBundle(
         kind="diassociative",
         dim=dim,
@@ -441,15 +392,8 @@ def rota_baxter_induced(
     dim = algebra.dim
 
     def induced(name: str) -> BilinearOp:
-        op = algebra.op(name)
-
-        def product(i, j):
-            ei, ej = basis_vector(dim, i), basis_vector(dim, j)
-            first = op.apply(rb.apply(ei), ej)
-            second = op.apply(ei, rb.apply(ej))
-            return tuple(a + b for a, b in zip(first, second))
-
-        return _tensor_from_products(dim, dim, dim, product)
+        expr = S(Op(name, App("H", _X), _Y), Op(name, _X, App("H", _Y)))
+        return induced_op(expr, ("D", "D", "D"), {"D": dim}, dict(algebra.ops), {"H": rb})
 
     return AlgebraBundle(
         kind="diassociative",
@@ -460,6 +404,23 @@ def rota_baxter_induced(
     )
 
 
+def _twisted_actions(actions: dict, avg: LinearMap, module_dim: int) -> dict:
+    """u prec_vdash v = T(u) prec_l v, u prec_dashv v = u prec_r T(v), and
+    the succ pair alike, on the module M."""
+    tx, ty = App("H", _X), App("H", _Y)
+    exprs = {
+        "prec_vdash": Op("prec_l", tx, _Y),
+        "prec_dashv": Op("prec_r", _X, ty),
+        "succ_vdash": Op("succ_l", tx, _Y),
+        "succ_dashv": Op("succ_r", _X, ty),
+    }
+    dims, maps = {"M": module_dim}, {"H": avg}
+    return {
+        name: induced_op(expr, ("M", "M", "M"), dims, actions, maps)
+        for name, expr in exprs.items()
+    }
+
+
 def relative_averaging_induced_quadri(
     rep: RepresentationBundle, avg: LinearMap, force: bool = False
 ) -> AlgebraBundle:
@@ -467,29 +428,10 @@ def relative_averaging_induced_quadri(
     precondition = _operators.verify_relative_averaging(rep, avg)
     if not precondition.ok and not force:
         raise PreconditionError("relative averaging operator does not verify", precondition)
-    m = rep.module_dim
-
-    def twisted(action_name: str, side: str) -> BilinearOp:
-        act = rep.action(action_name)
-        if side == "left":
-            product = lambda i, j: act.apply(
-                avg.apply(basis_vector(m, i)), basis_vector(m, j)
-            )
-        else:
-            product = lambda i, j: act.apply(
-                basis_vector(m, i), avg.apply(basis_vector(m, j))
-            )
-        return _tensor_from_products(m, m, m, product)
-
     return AlgebraBundle(
         kind="quadri_dendriform",
-        dim=m,
-        ops={
-            "prec_vdash": twisted("prec_l", "left"),
-            "prec_dashv": twisted("prec_r", "right"),
-            "succ_vdash": twisted("succ_l", "left"),
-            "succ_dashv": twisted("succ_r", "right"),
-        },
+        dim=rep.module_dim,
+        ops=_twisted_actions(rep.actions, avg, rep.module_dim),
         twist=rep.module_twist,
         parameters=_declared(rep.base.parameters, rep.used_parameters(), avg.parameters()),
     )
@@ -505,8 +447,7 @@ def homomorphic_averaging_induced_six(
         raise PreconditionError(
             "homomorphic relative averaging operator does not verify", precondition
         )
-    quadri = relative_averaging_induced_quadri(action.representation(), avg, force=True)
-    ops = dict(quadri.ops)
+    ops = _twisted_actions(action.actions, avg, action.acted.dim)
     ops["prec_perp"] = action.acted.op("prec")
     ops["succ_perp"] = action.acted.op("succ")
     return AlgebraBundle(
@@ -533,25 +474,15 @@ class EmbeddingResult:
     averaging: LinearMap | None = None  # the quotient map
 
 
-def _embedding_actions(bundle: AlgebraBundle, complement) -> dict:
-    """Action tensors of D/I_D on D via complement-basis representatives."""
-    dim = bundle.dim
-    qdim = len(complement)
-
-    def left(op_name: str) -> BilinearOp:
-        op = bundle.op(op_name)
-        return _tensor_from_products(
-            qdim, dim, dim,
-            lambda r, j: op.apply(basis_vector(dim, complement[r - 1]), basis_vector(dim, j)),
-        )
-
-    def right(op_name: str) -> BilinearOp:
-        op = bundle.op(op_name)
-        return _tensor_from_products(
-            dim, qdim, dim,
-            lambda j, r: op.apply(basis_vector(dim, j), basis_vector(dim, complement[r - 1])),
-        )
-
+def _embedding_actions(bundle: AlgebraBundle, complement: tuple) -> dict:
+    """Action tensors of D/I_D on D via complement-basis representatives:
+    r prec_l x = C(r) prec_vdash x and x prec_r r = x prec_dashv C(r), and
+    the succ pair alike."""
+    dims = {"D": bundle.dim, "Q": len(complement)}
+    ops, maps = dict(bundle.ops), {"C": _complement_inclusion(bundle.dim, complement)}
+    cx, cy = App("C", _X), App("C", _Y)
+    left = lambda name: induced_op(Op(name, cx, _Y), ("Q", "D", "D"), dims, ops, maps)
+    right = lambda name: induced_op(Op(name, _X, cy), ("D", "Q", "D"), dims, ops, maps)
     return {
         "prec_l": left("prec_vdash"),
         "succ_l": left("succ_vdash"),
@@ -592,29 +523,12 @@ def six_embedding(bundle: AlgebraBundle) -> EmbeddingResult:
     quotient = quotient_dendriform(quadri)
     if not quotient.ok:
         return EmbeddingResult(ok=False, quotient=quotient, report=quotient.report)
-    entries = []
-    dim = bundle.dim
-    for perp_name, vdash_name, label in (
-        ("prec_perp", "prec_vdash", "prec"),
-        ("succ_perp", "succ_vdash", "succ"),
-    ):
-        diff = bundle.op(perp_name).add(bundle.op(vdash_name).negate())
-        for i in range(1, dim + 1):
-            for j in range(1, dim + 1):
-                vec = vec_to_fractions(
-                    diff.apply(basis_vector(dim, i), basis_vector(dim, j))
-                )
-                reduced = quotient.ideal.reduce(vec)
-                for coord, value in enumerate(reduced, start=1):
-                    if value != 0:
-                        entries.append(
-                            Violation(
-                                f"quotient.perp-compat.{label}",
-                                (i, j, coord),
-                                Polynomial.constant(value),
-                            )
-                        )
-    report = Report(entries)
+    report = evaluate_templates(
+        perp_compat_templates(),
+        {"D": bundle.dim},
+        dict(bundle.ops),
+        {"R": quotient.ideal.reduction()},
+    )
     if not report.ok:
         return EmbeddingResult(ok=False, quotient=quotient, report=report)
     action = ActionBundle(

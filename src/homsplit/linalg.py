@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals (fractions.Fraction throughout).
 
-Small and deliberate: reduced row echelon form, rank, nullspace, linear
-solve, determinant, inverse, the characteristic polynomial via
-Faddeev-LeVerrier, and the linear part of the grid searches: the equations
-of the matrices intertwining two twists, the grid combinations of a basis and
-the grid points of a kernel.  No pivots are
+Small and deliberate: reduced row echelon form, rank, the matrix of the
+reduction modulo a row space, nullspace, linear solve, determinant, inverse,
+the characteristic polynomial via Faddeev-LeVerrier, and the linear part of
+the grid searches: the equations of the matrices intertwining two twists, the
+grid combinations of a basis and the grid points of a kernel.  No pivots are
 chosen for numerical reasons (there is no rounding), only for determinism:
 first nonzero entry in column order.
 """
@@ -56,18 +56,15 @@ def rank(rows) -> int:
     return len(rref(rows)[0])
 
 
-def reduce_against(echelon: Matrix, pivots: list[int], vec) -> Row:
-    """Reduce a vector modulo the row space of an echelon basis."""
-    v = [Fraction(x) for x in vec]
-    for row, c in zip(echelon, pivots):
-        if v[c] != 0:
-            f = v[c]
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
-
-
-def in_row_space(echelon: Matrix, pivots: list[int], vec) -> bool:
-    return all(x == 0 for x in reduce_against(echelon, pivots, vec))
+def reduction_matrix(echelon, pivots, ncols: int) -> Matrix:
+    """The matrix R with R v = v reduced modulo the row space of a reduced
+    echelon basis: each row is subtracted at its pivot, so
+    R[k][c] = [k = c] - sum_r [c = pivot_r] row_r[k]."""
+    m = [[Fraction(int(k == c)) for c in range(ncols)] for k in range(ncols)]
+    for row, pivot in zip(echelon, pivots):
+        for k in range(ncols):
+            m[k][pivot] -= row[k]
+    return m
 
 
 def nullspace(rows, ncols: int | None = None) -> list[Row]:

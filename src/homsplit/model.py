@@ -67,10 +67,6 @@ def vec_scale(scalar, v: Vector) -> Vector:
     return tuple(scalar * x for x in v)
 
 
-def vec_to_fractions(v: Vector) -> tuple:
-    return tuple(x.as_fraction() for x in v)
-
-
 # ---------------------------------------------------------------------------
 # linear maps
 
@@ -293,14 +289,6 @@ class BilinearOp:
             self.dim_right,
             self.dim_out,
             [(i, j, k, c) for (i, j, k), c in self.constants + other.constants],
-        )
-
-    def negate(self) -> "BilinearOp":
-        return BilinearOp(
-            self.dim_left,
-            self.dim_right,
-            self.dim_out,
-            tuple((key, -c) for key, c in self.constants),
         )
 
     def specialize(self, bindings: Mapping) -> "BilinearOp":

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .axioms import check_homomorphism
-from .model import AlgebraBundle, BilinearOp, LinearMap, basis_vector, unknown_matrix
+from .axioms import App, Op, Var, check_homomorphism
+from .constructions import induced_op
+from .model import AlgebraBundle, LinearMap, unknown_matrix
 from .poly import CompiledSystem, Polynomial
 from .report import Report, Violation
 
@@ -97,24 +98,15 @@ def push_forward(bundle: AlgebraBundle, basis_change: LinearMap) -> AlgebraBundl
     if inverse_rows is None:
         raise ValueError("basis change matrix is singular")
     s_inv = LinearMap.from_fractions(inverse_rows)
-    dim = bundle.dim
-
-    def transport(op: BilinearOp) -> BilinearOp:
-        entries = []
-        for i in range(1, dim + 1):
-            si = basis_change.apply(basis_vector(dim, i))
-            for j in range(1, dim + 1):
-                sj = basis_change.apply(basis_vector(dim, j))
-                w = s_inv.apply(op.apply(si, sj))
-                for k, poly in enumerate(w, start=1):
-                    if poly:
-                        entries.append((i, j, k, poly))
-        return BilinearOp.from_entries(dim, dim, dim, entries)
-
+    dims, ops, maps = {"D": bundle.dim}, dict(bundle.ops), {"S": basis_change, "Sinv": s_inv}
+    sx, sy = App("S", Var("x")), App("S", Var("y"))
     return AlgebraBundle(
         kind=bundle.kind,
-        dim=dim,
-        ops={name: transport(op) for name, op in bundle.ops.items()},
+        dim=bundle.dim,
+        ops={
+            name: induced_op(App("Sinv", Op(name, sx, sy)), ("D", "D", "D"), dims, ops, maps)
+            for name in bundle.ops
+        },
         twist=s_inv.compose(bundle.twist).compose(basis_change),
         parameters=bundle.parameters,
     )
@@ -143,15 +135,16 @@ def brute_force_iso_search(
     source: AlgebraBundle, target: AlgebraBundle, grid
 ) -> LinearMap | None:
     """First grid matrix (in canonical row-major order) that is an
-    isomorphism source -> target, or None.  Dimensions <= 3 only."""
-    if source.dim != target.dim:
+    isomorphism source -> target, or None.  Dimensions <= 3 only.
+
+    Fingerprints are the caller's prefilter: the search does not compute
+    them, since unequal ones only certify the None it would return anyway."""
+    if source.dim != target.dim or source.kind != target.kind:
         return None
     if source.dim > 3:
         raise ValueError("brute-force isomorphism search is limited to dim <= 3")
     if source.used_parameters() or target.used_parameters():
         raise ValueError("isomorphism search needs parameter-free bundles")
-    if fingerprint(source) != fingerprint(target):
-        return None
     n = source.dim
     names, symbolic = unknown_matrix(n, n)
     report = check_homomorphism(source.kind, symbolic, source, target)

@@ -28,7 +28,9 @@ Text grammar (parse/str are mutually inverse on canonical forms):
 Implicit multiplication ("2a") is deliberately a syntax error: table
 transcriptions must spell out every '*'.  Parentheses and unary minus signs
 nest at most MAX_NESTING levels deep, so hostile text is a ParseError rather
-than a stack overflow.
+than a stack overflow.  A product or power whose term bound exceeds MAX_TERMS
+is refused before it is formed: |p|*|q| for p*q, and C(e+t-1, e), the number
+of degree-e monomials in t symbols, for p^e with t terms.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ ScalarLike = Union[int, Fraction]
 
 MAX_EXPONENT = 64
 MAX_NESTING = 100
+MAX_TERMS = 10_000
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -343,6 +346,13 @@ class _Parser:
         self.index = 0
         self.depth = 0
 
+    def bounded(self, bound: int, offset: int) -> None:
+        """Refuse a product or power that may have more than MAX_TERMS terms."""
+        if bound > MAX_TERMS:
+            raise ParseError(
+                f"result may have {bound} terms, above the cap of {MAX_TERMS} terms", offset
+            )
+
     def nested(self, offset: int) -> None:
         """Enter one more '(' or unary '-' level."""
         self.depth += 1
@@ -378,10 +388,12 @@ class _Parser:
     def term(self) -> Polynomial:
         node = self.factor()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "sym" and value == "*":
                 self.advance()
-                node = node * self.factor()
+                rhs = self.factor()
+                self.bounded(len(node.terms) * len(rhs.terms), offset)
+                node = node * rhs
             else:
                 return node
 
@@ -394,7 +406,7 @@ class _Parser:
             self.depth -= 1
             return node
         base = self.primary()
-        kind, value, _ = self.peek()
+        kind, value, power_offset = self.peek()
         if kind == "sym" and value == "^":
             self.advance()
             kind, value, offset = self.advance()
@@ -407,6 +419,7 @@ class _Parser:
                 raise ParseError(
                     f"exponent {value} exceeds the cap of {MAX_EXPONENT}", offset
                 )
+            self.bounded(math.comb(exponent + len(base.terms) - 1, exponent), power_offset)
             return base ** exponent
         return base
 

@@ -1,5 +1,6 @@
 """Independent brute-force oracle for the axiom checkers, the operator
-and homomorphism verifiers, and the two grid searches.
+and homomorphism verifiers, the two grid searches, and the constructions
+(induced products, push-forward, the quotient by I_D and its conditions).
 
 Transcribes the defining identities directly as coordinate computations with
 its own tiny evaluator; shares no evaluation code with homsplit.axioms or
@@ -351,13 +352,203 @@ def engine_violation_set(report) -> set:
     return {(v.template, v.witness) for v in report.entries}
 
 
+# -- constructions: induced products, push-forward, quotient by I_D ------------
+
+
+def _tensor(fn, dims: tuple, is_zero) -> dict:
+    """{(i, j, k): value} of the nonzero coordinates k of fn(e_i, e_j)."""
+    dim_left, dim_right = dims
+    return {
+        (i, j, k): value
+        for i, x in enumerate(_basis(dim_left), start=1)
+        for j, y in enumerate(_basis(dim_right), start=1)
+        for k, value in enumerate(fn(x, y), start=1)
+        if not is_zero(value)
+    }
+
+
+def averaging_dias_tensors(algebra, H, mode: str = "fraction") -> dict:
+    """a dashv b = mu(a, Hb), a vdash b = mu(Ha, b)."""
+    conv, is_zero = scalar_tools(mode, algebra, H)
+    n = algebra.dim
+    mu, h = _table(algebra.op("mu"), conv), _matrix(H, conv)
+    M = lambda x, y: _apply(mu, x, y, n)
+    Hm = lambda x: _map(h, x)
+    return {
+        "dashv": _tensor(lambda x, y: M(x, Hm(y)), (n, n), is_zero),
+        "vdash": _tensor(lambda x, y: M(Hm(x), y), (n, n), is_zero),
+    }
+
+
+def rota_baxter_tensors(algebra, R, mode: str = "fraction") -> dict:
+    """x new-op y = Rx op y + x op Ry for op = dashv, vdash."""
+    conv, is_zero = scalar_tools(mode, algebra, R)
+    n = algebra.dim
+    r = _matrix(R, conv)
+    Rm = lambda x: _map(r, x)
+    out = {}
+    for name in ("dashv", "vdash"):
+        O = lambda x, y, t=_table(algebra.op(name), conv): _apply(t, x, y, n)
+        out[name] = _tensor(lambda x, y, O=O: _add(O(Rm(x), y), O(x, Rm(y))), (n, n), is_zero)
+    return out
+
+
+def relative_averaging_tensors(rep, T, mode: str = "fraction") -> dict:
+    """u op_vdash v = T(u) op_l v and u op_dashv v = u op_r T(v) on the module."""
+    conv, is_zero = scalar_tools(mode, rep, T)
+    m = rep.module_dim
+    t = _matrix(T, conv)
+    Tm = lambda x: _map(t, x)
+    out = {}
+    for name in ("prec", "succ"):
+        L = lambda x, y, tl=_table(rep.action(f"{name}_l"), conv): _apply(tl, x, y, m)
+        R = lambda x, y, tr=_table(rep.action(f"{name}_r"), conv): _apply(tr, x, y, m)
+        out[f"{name}_vdash"] = _tensor(lambda u, v, L=L: L(Tm(u), v), (m, m), is_zero)
+        out[f"{name}_dashv"] = _tensor(lambda u, v, R=R: R(u, Tm(v)), (m, m), is_zero)
+    return out
+
+
+def _inverse(rows: list) -> list:
+    n = len(rows)
+    augmented = [list(row) + [int(r == c) for c in range(n)] for r, row in enumerate(rows)]
+    echelon, _ = _rref(augmented, 2 * n)
+    return [row[n:] for row in echelon]
+
+
+def push_forward_tensors(bundle, basis_change, mode: str = "fraction") -> dict:
+    """x op' y = S^-1(Sx op Sy) for an invertible parameter-free S."""
+    conv, is_zero = scalar_tools(mode, bundle)
+    n = bundle.dim
+    s = _matrix(basis_change, conv)
+    s_inv = _inverse(s)
+    out = {}
+    for name in sorted(bundle.ops):
+        O = lambda x, y, t=_table(bundle.op(name), conv): _apply(t, x, y, n)
+        out[name] = _tensor(
+            lambda x, y, O=O: _map(s_inv, O(_map(s, x), _map(s, y))), (n, n), is_zero
+        )
+    return out
+
+
+def _ideal(bundle, conv) -> tuple:
+    """RREF basis rows and pivots of I_D, spanned by all x op_dashv y - x op_vdash y."""
+    n = bundle.dim
+    generators = []
+    for flavor in ("prec", "succ"):
+        dashv = _table(bundle.op(f"{flavor}_dashv"), conv)
+        vdash = _table(bundle.op(f"{flavor}_vdash"), conv)
+        for x in _basis(n):
+            for y in _basis(n):
+                generators.append(
+                    [a - b for a, b in zip(_apply(dashv, x, y, n), _apply(vdash, x, y, n))]
+                )
+    return _rref(generators, n)
+
+
+def _reducer(rows: list, pivots: list):
+    """v -> v - sum_r v[pivot_r] row_r, reduction modulo the row space."""
+    def reduce(v):
+        out = list(v)
+        for row, pivot in zip(rows, pivots):
+            out = [a - v[pivot] * b for a, b in zip(out, row)]
+        return out
+
+    return reduce
+
+
+def quotient_oracle(bundle, mode: str = "fraction") -> dict:
+    """The quotient of a parameter-free quadri bundle by I_D, transcribed:
+    "violations" {(template, witness): residual} of the closure of I_D under
+    the four operations (both sides) and the twist, then of the agreement of
+    the two flavors on complement classes; once both hold, the quotient
+    "ops" (vdash-flavored), "twist" and "projection" rows."""
+    conv, is_zero = scalar_tools(mode, bundle)
+    n = bundle.dim
+    rows, pivots = _ideal(bundle, conv)
+    reduce = _reducer(rows, pivots)
+    alpha = _matrix(bundle.twist, conv)
+    found = {}
+
+    def record(template, witness, vector):
+        for coord, value in enumerate(vector, start=1):
+            if not is_zero(value):
+                found[template, witness + (coord,)] = value
+
+    for name in sorted(bundle.ops):
+        O = lambda x, y, t=_table(bundle.op(name), conv): _apply(t, x, y, n)
+        for i, x in enumerate(_basis(n), start=1):
+            for w_index, w in enumerate(rows, start=1):
+                record(f"quotient.closure.left.{name}", (i, w_index), reduce(O(x, w)))
+                record(f"quotient.closure.right.{name}", (w_index, i), reduce(O(w, x)))
+    for w_index, w in enumerate(rows, start=1):
+        record("quotient.closure.twist", (w_index,), reduce(_map(alpha, w)))
+    if found:
+        return {"violations": found}
+    complement = [c for c in range(n) if c not in pivots]
+    project = lambda v: [reduce(v)[c] for c in complement]
+    e = _basis(n)
+    ops = {}
+    for flavor in ("prec", "succ"):
+        vdash = _table(bundle.op(f"{flavor}_vdash"), conv)
+        dashv = _table(bundle.op(f"{flavor}_dashv"), conv)
+        ops[flavor] = {}
+        for r, cr in enumerate(complement, start=1):
+            for s, cs in enumerate(complement, start=1):
+                main = project(_apply(vdash, e[cr], e[cs], n))
+                other = project(_apply(dashv, e[cr], e[cs], n))
+                record(f"quotient.flavor-mismatch.{flavor}", (r, s), _add(main, [-v for v in other]))
+                ops[flavor].update(
+                    {(r, s, k): v for k, v in enumerate(main, start=1) if not is_zero(v)}
+                )
+    if found:
+        return {"violations": found}
+    twist = [[project(_map(alpha, e[cs]))[r] for cs in complement] for r in range(len(complement))]
+    projection = [[project(e[j])[r] for j in range(n)] for r in range(len(complement))]
+    return {"violations": {}, "ops": ops, "twist": twist, "projection": projection,
+            "complement": [c + 1 for c in complement]}
+
+
+def embedding_action_tensors(bundle, complement, mode: str = "fraction") -> dict:
+    """Actions of D/I_D on D through the complement representatives e_c:
+    r op_l x = e_{c_r} op_vdash x and x op_r r = x op_dashv e_{c_r}."""
+    conv, is_zero = scalar_tools(mode, bundle)
+    n, q = bundle.dim, len(complement)
+    lift = lambda r: _basis(n)[complement[r.index(1)] - 1]
+    out = {}
+    for flavor in ("prec", "succ"):
+        V = lambda x, y, t=_table(bundle.op(f"{flavor}_vdash"), conv): _apply(t, x, y, n)
+        D = lambda x, y, t=_table(bundle.op(f"{flavor}_dashv"), conv): _apply(t, x, y, n)
+        out[f"{flavor}_l"] = _tensor(lambda r, x, V=V: V(lift(r), x), (q, n), is_zero)
+        out[f"{flavor}_r"] = _tensor(lambda x, r, D=D: D(x, lift(r)), (n, q), is_zero)
+    return out
+
+
+def perp_compat_violations(bundle, mode: str = "fraction") -> dict:
+    """{(template, witness): residual} where x op_perp y and x op_vdash y
+    differ modulo I_D (the ideal of the six bundle's quadri operations)."""
+    conv, is_zero = scalar_tools(mode, bundle)
+    n = bundle.dim
+    reduce = _reducer(*_ideal(bundle, conv))
+    found = {}
+    for flavor in ("prec", "succ"):
+        perp = _table(bundle.op(f"{flavor}_perp"), conv)
+        vdash = _table(bundle.op(f"{flavor}_vdash"), conv)
+        for i, x in enumerate(_basis(n), start=1):
+            for j, y in enumerate(_basis(n), start=1):
+                diff = reduce([a - b for a, b in zip(_apply(perp, x, y, n), _apply(vdash, x, y, n))])
+                for coord, value in enumerate(diff, start=1):
+                    if not is_zero(value):
+                        found[f"quotient.perp-compat.{flavor}", (i, j, coord)] = value
+    return found
+
+
 # -- grid searches: the candidate-by-candidate enumerators, in plain Fractions --
 
 
-def _nullspace(equations: list, ncols: int) -> list:
-    """Basis of {x : A x = 0} read off the reduced row echelon form: one
-    vector per free column, 1 there and 0 at the other free columns."""
-    m = [list(row) for row in equations]
+def _rref(rows: list, ncols: int) -> tuple:
+    """(nonzero rows, pivot columns) of the reduced row echelon form, for
+    Fraction or sympy number entries."""
+    m = [list(row) for row in rows]
     pivots = []
     for c in range(ncols):
         r = len(pivots)
@@ -371,6 +562,13 @@ def _nullspace(equations: list, ncols: int) -> list:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def _nullspace(equations: list, ncols: int) -> list:
+    """Basis of {x : A x = 0} read off the reduced row echelon form: one
+    vector per free column, 1 there and 0 at the other free columns."""
+    m, pivots = _rref(equations, ncols)
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols

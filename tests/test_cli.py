@@ -211,3 +211,31 @@ def test_deeply_nested_cell_exits_two(tmp_path, capsys):
     )
     assert main(["check", str(bad)]) == 2
     assert "nest" in capsys.readouterr().err
+
+
+def test_oversized_power_cell_exits_two(tmp_path, capsys):
+    bad = tmp_path / "big.json"
+    bad.write_text(
+        json.dumps({"kind": "dendriform", "dimension": 1, "parameters": ["a", "b", "c", "d"],
+                    "alpha": [["(a+b+c+d+1)^20"]], "ops": {"prec": [], "succ": []}}),
+        encoding="utf-8",
+    )
+    assert main(["check", str(bad)]) == 2
+    assert "cap of" in capsys.readouterr().err
+
+
+def test_iso_with_equal_fingerprints_computes_each_fingerprint_once(monkeypatch, capsys):
+    from homsplit import morphisms
+
+    calls = []
+    original = morphisms.fingerprint
+
+    def counted(bundle):
+        calls.append(bundle)
+        return original(bundle)
+
+    monkeypatch.setattr(morphisms, "fingerprint", counted)
+    d4 = corpus_path("dim3/D4.json")
+    assert main(["iso", d4, d4, "--grid=-1..1"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "isomorphic"
+    assert len(calls) == 2

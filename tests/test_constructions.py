@@ -400,6 +400,21 @@ def test_homomorphic_averaging_induced_six():
     assert check_triassociative(six_to_triassociative(six_id)).ok
 
 
+def test_homomorphic_averaging_induced_six_verifies_its_operator_once(monkeypatch):
+    from homsplit import operators
+
+    calls = []
+    original = operators.verify_operator
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "verify_operator", counted)
+    homomorphic_averaging_induced_six(ActionBundle.adjoint(deta()), LinearMap.identity(3))
+    assert calls == ["homomorphic_relative_averaging"]
+
+
 # -- embeddings ------------------------------------------------------------------------
 
 def test_quadri_embedding_quotient_map_is_relative_averaging():

@@ -72,7 +72,11 @@ def test_determinant_inverse_charpoly_against_sympy():
 
 def test_reduce_against_row_space():
     echelon, pivots = linalg.rref([[1, 0, 2], [0, 1, 1]])
-    assert linalg.in_row_space(echelon, pivots, [1, 1, 3])
-    assert not linalg.in_row_space(echelon, pivots, [0, 0, 1])
-    reduced = linalg.reduce_against(echelon, pivots, [2, 3, 0])
-    assert reduced[:2] == [Fraction(0), Fraction(0)]
+    reduction = linalg.reduction_matrix(echelon, pivots, 3)
+    reduce = lambda vec: linalg.matmul(reduction, [[v] for v in vec])
+    assert reduce([1, 1, 3]) == [[0], [0], [0]]
+    assert reduce([0, 0, 1]) == [[0], [0], [1]]
+    assert reduce([2, 3, 0]) == [[0], [0], [-7]]
+    for vec in ([1, 1, 3], [0, 0, 1], [2, 3, 0], [5, -1, 4]):
+        once = [row[0] for row in reduce(vec)]
+        assert reduce(once) == [[v] for v in once]  # a projection

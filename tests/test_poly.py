@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from homsplit import poly
 from homsplit.poly import CompiledSystem, ParseError, Polynomial
 
 P = Polynomial.parse
@@ -206,3 +207,14 @@ def test_compiled_system_vanishes_exactly_where_the_polynomials_do():
         assert compiled.vanishes_at(point) == expected
     assert compiled.vanishes_at((2, 3)) and not compiled.vanishes_at((-2, -3))
     assert CompiledSystem([], ["t1"]).vanishes_at((5,))
+
+
+def test_products_and_powers_above_the_term_cap_are_parse_errors():
+    # the term bound is |p|*|q| for a product and C(e+t-1, e) for p^e with
+    # t terms; these would build 10,626, 513 and 274,625 terms
+    for text in ("(a+b+c+d+1)^20", "((a+1)^64)^8", "(a+1)^64*(b+1)^64*(c+1)^64"):
+        with pytest.raises(ParseError) as info:
+            P(text)
+        assert f"cap of {poly.MAX_TERMS} terms" in str(info.value)
+    assert len(P("(a+1)^64").terms) == 65
+    assert len(P("(a+b+c+1)^10").terms) == 286
