@@ -252,12 +252,6 @@ class Subspace:
             reduction_matrix(self.basis, self.pivots, self.ambient_dim)
         )
 
-    def inclusion(self) -> LinearMap:
-        """The ambient_dim x dim matrix whose columns are the basis rows."""
-        return LinearMap.from_fractions(
-            [[row[k] for row in self.basis] for k in range(self.ambient_dim)]
-        )
-
 
 def _require_parameter_free(bundle) -> None:
     used = bundle.used_parameters()
@@ -318,7 +312,7 @@ def quotient_dendriform(bundle: AlgebraBundle) -> QuotientResult:
     ops = dict(bundle.ops)
     maps = {
         "R": reduction,
-        "W": ideal.inclusion(),
+        "W": LinearMap.from_fractions([[row[k] for row in ideal.basis] for k in range(dim)]),
         "Z": LinearMap.zero(dim, ideal.dim),
         "alpha": bundle.twist,
         "C": _complement_inclusion(dim, complement),

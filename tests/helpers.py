@@ -188,6 +188,13 @@ def random_op(rng, dim_left, dim_right, dim_out, count) -> BilinearOp:
     ])
 
 
+def symbolic_matrix(rows: int, cols: int) -> LinearMap:
+    """The matrix of unknowns h11, h12, ...: an operator in sympy mode."""
+    return LinearMap.from_rows(
+        [[Polynomial.variable(f"h{i}{j}") for j in range(1, cols + 1)] for i in range(1, rows + 1)]
+    )
+
+
 def random_bundle(rng, kind, dim, count=3) -> AlgebraBundle:
     ops = {name: random_op(rng, dim, dim, dim, count) for name in sorted(KIND_OPS[kind])}
     return AlgebraBundle(kind, dim, ops, rand_matrix(rng, dim, dim), ())

@@ -496,7 +496,8 @@ def quotient_oracle(bundle, mode: str = "fraction") -> dict:
             for s, cs in enumerate(complement, start=1):
                 main = project(_apply(vdash, e[cr], e[cs], n))
                 other = project(_apply(dashv, e[cr], e[cs], n))
-                record(f"quotient.flavor-mismatch.{flavor}", (r, s), _add(main, [-v for v in other]))
+                difference = [a - b for a, b in zip(main, other)]
+                record(f"quotient.flavor-mismatch.{flavor}", (r, s), difference)
                 ops[flavor].update(
                     {(r, s, k): v for k, v in enumerate(main, start=1) if not is_zero(v)}
                 )
@@ -535,7 +536,8 @@ def perp_compat_violations(bundle, mode: str = "fraction") -> dict:
         vdash = _table(bundle.op(f"{flavor}_vdash"), conv)
         for i, x in enumerate(_basis(n), start=1):
             for j, y in enumerate(_basis(n), start=1):
-                diff = reduce([a - b for a, b in zip(_apply(perp, x, y, n), _apply(vdash, x, y, n))])
+                pairs = zip(_apply(perp, x, y, n), _apply(vdash, x, y, n))
+                diff = reduce([a - b for a, b in pairs])
                 for coord, value in enumerate(diff, start=1):
                     if not is_zero(value):
                         found[f"quotient.perp-compat.{flavor}", (i, j, coord)] = value

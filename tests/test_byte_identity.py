@@ -67,10 +67,10 @@ def test_corpus_verify_all_regenerates_committed_outputs(tmp_path, capsys):
     assert sha256(report.read_bytes()) == CORPUS_REPORT_SHA256
 
 
-def quadri_contexts():
+def quadri_contexts(folders=("dim2/", "dim3/")):
     return [
         (e["id"], e["path"]) for e in list_entries()
-        if e["type"] == "algebra" and e["path"].startswith(("dim2/", "dim3/"))
+        if e["type"] == "algebra" and e["path"].startswith(folders)
     ]
 
 
@@ -95,6 +95,7 @@ def test_emitted_operator_system_is_byte_identical(eid, path):
 # is replaced by the identity so that the precondition fails).
 
 SPECIALIZATION_VALUES = (-1, 0, 1)
+QUADRI_FOLDERS = ("dim2/", "dim3/", "controls/")
 
 CONSTRUCT_SHA256 = {
     "sum-dias": "4893e04a030af0a23a3828cf1d39ac4de65b5beb3f48add3572156d8d0d20b96",
@@ -119,13 +120,6 @@ CONSTRUCTION_RESULT_SHA256 = {
 
 def corpus_algebra(rel):
     return load_algebra(CORPUS_ROOT / rel)
-
-
-def quadri_paths():
-    return [
-        (e["id"], e["path"]) for e in list_entries()
-        if e["type"] == "algebra" and e["path"].startswith(("dim2/", "dim3/", "controls/"))
-    ]
 
 
 def specializations(bundle, values=SPECIALIZATION_VALUES):
@@ -161,7 +155,7 @@ def construct_cases():
     e11, e22 = matrix("1 0 0", "0 0 0", "0 0 0"), matrix("0 0 0", "0 1 0", "0 0 0")
     double = matrix("2 0 0", "0 2 0", "0 0 2")
     cases = []
-    quadri = [(eid, corpus_algebra(path)) for eid, path in quadri_paths()]
+    quadri = [(eid, corpus_algebra(path)) for eid, path in quadri_contexts(QUADRI_FOLDERS)]
     for eid, bundle in quadri:
         cases.append(("sum-dias", {f"{eid}.json": algebra_to_dict(bundle)}, False))
         for combo, special in specializations(bundle, (0, 1)):
@@ -181,21 +175,26 @@ def construct_cases():
             cases.append((name, {"context.json": context}, force))
             cases.append((name, {"bad-context.json": bad}, force))
         diassociative = algebra_to_dict(corpus_algebra("sec2/diassociative_D.json"))
+        homomorphic = "homomorphic_relative_averaging"
         operator_cases = [
-            ("avg-dias", algebra_to_dict(associative), "averaging_assoc", (identity, e11, double, e22)),
+            ("avg-dias", algebra_to_dict(associative), "averaging_assoc",
+             (identity, e11, double, e22)),
             ("rb-dias", diassociative, "rota_baxter", (zero, identity, e11)),
-            ("ravg-quadri", representation_to_dict(rep), "relative_averaging", (identity, double, e11)),
-            ("ravg-quadri", representation_to_dict(bad_rep), "relative_averaging", (identity, zero)),
-            ("havg-six", action_to_dict(action), "homomorphic_relative_averaging", (identity, zero, double)),
-            ("havg-six", action_to_dict(bad_action), "homomorphic_relative_averaging", (identity,)),
+            ("ravg-quadri", representation_to_dict(rep), "relative_averaging",
+             (identity, double, e11)),
+            ("ravg-quadri", representation_to_dict(bad_rep), "relative_averaging",
+             (identity, zero)),
+            ("havg-six", action_to_dict(action), homomorphic, (identity, zero, double)),
+            ("havg-six", action_to_dict(bad_action), homomorphic, (identity,)),
         ]
         for name, context, kind, matrices in operator_cases:
             for index, op in enumerate(matrices):
                 files = {"context.json": context, f"op{index}.json": operator_to_dict(kind, op)}
                 cases.append((name, files, force))
         for family in (1, 2, 3):
-            rel = f"operators/sec2_rb_family{family}.json"
-            files = {"context.json": diassociative, f"family{family}.json": json.loads((CORPUS_ROOT / rel).read_text())}
+            path = CORPUS_ROOT / f"operators/sec2_rb_family{family}.json"
+            operator = json.loads(path.read_text())
+            files = {"context.json": diassociative, f"family{family}.json": operator}
             cases.append(("rb-dias", files, force))
     return cases
 
@@ -238,10 +237,14 @@ def test_construct_sum_tri_of_havg_six_outputs(tmp_path, monkeypatch, capsys):
     _, action, _, _, _ = deta_inputs()
     write_json(tmp_path / "action.json", action_to_dict(action))
     digest = hashlib.sha256()
-    for index, op in enumerate((matrix("1 0 0", "0 1 0", "0 0 1"), matrix("2 0 0", "0 2 0", "0 0 2"))):
-        write_json(tmp_path / f"op{index}.json", operator_to_dict("homomorphic_relative_averaging", op))
-        assert main(["construct", "havg-six", "action.json", f"op{index}.json", "--force", "-o", f"six{index}.json"]) == 0
-        assert main(["construct", "sum-tri", f"six{index}.json", "-o", f"tri{index}.json"]) == 0
+    operators = (matrix("1 0 0", "0 1 0", "0 0 1"), matrix("2 0 0", "0 2 0", "0 0 2"))
+    for index, op in enumerate(operators):
+        operator = operator_to_dict("homomorphic_relative_averaging", op)
+        write_json(tmp_path / f"op{index}.json", operator)
+        six, tri = f"six{index}.json", f"tri{index}.json"
+        argv = ["construct", "havg-six", "action.json", f"op{index}.json", "--force", "-o", six]
+        assert main(argv) == 0
+        assert main(["construct", "sum-tri", six, "-o", tri]) == 0
         capsys.readouterr()
         digest.update((tmp_path / f"tri{index}.json").read_bytes())
     assert digest.hexdigest() == SUM_TRI_SHA256
@@ -268,8 +271,8 @@ def embedding_record(result) -> dict:
         "ok": result.ok,
         "quotient": quotient_record(result.quotient),
         "report": result.report.to_dict(),
-        "representation": None if result.representation is None else representation_to_dict(result.representation),
-        "action": None if result.action is None else action_to_dict(result.action),
+        "representation": result.representation and representation_to_dict(result.representation),
+        "action": result.action and action_to_dict(result.action),
         "averaging": _rows(result.averaging),
     }
 
@@ -280,14 +283,16 @@ def six_variants(bundle):
     ops = dict(bundle.ops, zero=BilinearOp.zero_square(bundle.dim))
     for perp in (("prec_vdash", "succ_vdash"), ("prec_dashv", "succ_dashv"), ("zero", "zero")):
         six = dict(bundle.ops, prec_perp=ops[perp[0]], succ_perp=ops[perp[1]])
-        yield "/".join(perp), AlgebraBundle("six_dendriform", bundle.dim, six, bundle.twist, bundle.parameters)
+        yield "/".join(perp), AlgebraBundle(
+            "six_dendriform", bundle.dim, six, bundle.twist, bundle.parameters
+        )
 
 
 def construction_results():
     """{function: {case: record}} over the dim-2, dim-3 and control quadri
     entries at every specialization of their parameters to -1, 0, 1."""
     out = {"quotient_dendriform": {}, "quadri_embedding": {}, "six_embedding": {}}
-    for eid, path in quadri_paths():
+    for eid, path in quadri_contexts(QUADRI_FOLDERS):
         for combo, special in specializations(corpus_algebra(path)):
             case = f"{eid}{list(combo)}"
             out["quotient_dendriform"][case] = quotient_record(quotient_dendriform(special))

@@ -21,6 +21,7 @@ from helpers import (
     random_bundle,
     random_op,
     sec2_diassociative,
+    symbolic_matrix,
 )
 from oracle import (
     averaging_dias_tensors,
@@ -43,17 +44,10 @@ from homsplit.constructions import (
     six_embedding,
 )
 from homsplit.corpus import CORPUS_ROOT, list_entries, load_algebra
-from homsplit.model import AlgebraBundle, LinearMap, RepresentationBundle
+from homsplit.model import AlgebraBundle, RepresentationBundle
 from homsplit.morphisms import push_forward
-from homsplit.poly import Polynomial
 
 MODES = ("fraction", "sympy")
-
-
-def symbolic_matrix(rows: int, cols: int) -> LinearMap:
-    return LinearMap.from_rows(
-        [[Polynomial.variable(f"h{i}{j}") for j in range(1, cols + 1)] for i in range(1, rows + 1)]
-    )
 
 
 def assert_same_values(engine: dict, oracle: dict, conv, is_zero):
@@ -70,9 +64,11 @@ def assert_same_ops(bundle, expected: dict, mode, *sources):
         assert_same_values(dict(bundle.op(name).constants), tensor, conv, is_zero)
 
 
-def operator_inputs(rng, dim, mode):
+def operator(rng, rows, cols, mode):
     """A parameter-free operator for Fraction mode, an unknown one for sympy."""
-    return rand_matrix(rng, dim, dim, VALUES) if mode == "fraction" else symbolic_matrix(dim, dim)
+    if mode == "fraction":
+        return rand_matrix(rng, rows, cols, VALUES)
+    return symbolic_matrix(rows, cols)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -80,7 +76,7 @@ def test_averaging_induced_diassociative_agrees_with_oracle(mode):
     rng = random.Random(21)
     algebras = associative_pool(rng, 3) + [random_bundle(rng, "associative", 3)]
     for algebra in algebras:
-        H = operator_inputs(rng, algebra.dim, mode)
+        H = operator(rng, algebra.dim, algebra.dim, mode)
         induced = averaging_induced_diassociative(algebra, H, force=True)
         assert_same_ops(induced, averaging_dias_tensors(algebra, H, mode), mode, algebra, H)
 
@@ -92,7 +88,7 @@ def test_rota_baxter_induced_agrees_with_oracle(mode):
     algebras = [random_bundle(rng, "diassociative", dim) for dim in (1, 2, 3)]
     algebras.append(D if mode == "sympy" else D.specialize({"a": rng.choice(VALUES)}))
     for algebra in algebras:
-        R = operator_inputs(rng, algebra.dim, mode)
+        R = operator(rng, algebra.dim, algebra.dim, mode)
         induced = rota_baxter_induced(algebra, R, force=True)
         assert_same_ops(induced, rota_baxter_tensors(algebra, R, mode), mode, algebra, R)
 
@@ -103,10 +99,7 @@ def test_relative_averaging_and_havg_six_agree_with_oracle(mode):
     for base_dim, module_dim in ((1, 2), (2, 1), (2, 3), (3, 2)):
         action = random_action(rng, base_dim, module_dim)
         rep = action.representation()
-        if mode == "fraction":
-            T = rand_matrix(rng, base_dim, module_dim, VALUES)
-        else:
-            T = symbolic_matrix(base_dim, module_dim)
+        T = operator(rng, base_dim, module_dim, mode)
         expected = relative_averaging_tensors(rep, T, mode)
         quadri = relative_averaging_induced_quadri(rep, T, force=True)
         assert_same_ops(quadri, expected, mode, rep, T)
@@ -131,7 +124,11 @@ def invertible(rng, dim):
 @pytest.mark.parametrize("mode", MODES)
 def test_push_forward_agrees_with_oracle(mode):
     rng = random.Random(24)
-    bundles = [random_bundle(rng, kind, dim) for kind in ("six_dendriform", "dendriform") for dim in (1, 2, 3)]
+    bundles = [
+        random_bundle(rng, kind, dim)
+        for kind in ("six_dendriform", "dendriform")
+        for dim in (1, 2, 3)
+    ]
     if mode == "sympy":
         bundles += [deta(), sec2_diassociative()]
     for bundle in bundles:

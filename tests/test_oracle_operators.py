@@ -20,6 +20,7 @@ from helpers import (
     random_bundle,
     rich_dendriform,
     sec2_diassociative,
+    symbolic_matrix,
 )
 from oracle import engine_violation_set, homomorphism_violations, operator_violations
 from homsplit.axioms import check_homomorphism
@@ -52,12 +53,6 @@ def perturbed(rng, matrix: LinearMap) -> LinearMap:
     i, j = rng.randrange(matrix.dim_out), rng.randrange(matrix.dim_in)
     rows[i][j] = rows[i][j] + Polynomial.constant(rng.choice(VALUES))
     return LinearMap.from_rows(rows)
-
-
-def symbolic_matrix(rows: int, cols: int) -> LinearMap:
-    return LinearMap.from_rows(
-        [[Polynomial.variable(f"h{i}{j}") for j in range(1, cols + 1)] for i in range(1, rows + 1)]
-    )
 
 
 def test_corpus_operator_entries_agree_with_oracle_symbolically():
