@@ -32,6 +32,19 @@ placeholders and shares the tables across the templates of one call that bind
 their placeholders to the same spaces.  `tabulate` exposes one such table, so
 that constructions build induced products from expressions as well.
 
+Tables hold exact integers.  Each call converts every op and map it uses once
+(`poly.IntegerForm`) into sparse {exponent tuple: int} entries over the
+sorted union of the parameters of the call's ops and maps, scaled by the least
+common multiple of that op's or map's own denominators.  A table carries the
+scale of its subterm: an op or map application multiplies its own scale with
+its children's, and a Sum takes the least common multiple of its terms' scales
+and multiplies each term by the matching integer.  The two sides of a template
+may have different scales (`mult.*` applies alpha once on one side and twice on
+the other), so a coordinate passes when lhs * (L / sL) == rhs * (L / sR) as
+integer dicts, with L = lcm(sL, sR).  Only a nonzero residual becomes a
+canonical Polynomial, with coefficients over L, and `tabulate` converts its
+table back to Polynomial vectors.
+
 The sq15 identity mixes two operations across its sides in the source; both
 the literal reading and the symmetrized one are implemented, selectable via
 `sq15="literal"` (default) or `sq15="symmetric"`.
@@ -40,18 +53,12 @@ the literal reading and the symmetrized one are implemented, selectable via
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import reduce
+from operator import add, itemgetter
 
-from .model import (
-    ActionBundle,
-    AlgebraBundle,
-    KIND_OPS,
-    LinearMap,
-    RepresentationBundle,
-    basis_vector,
-    vec_add,
-)
+from .model import ActionBundle, AlgebraBundle, KIND_OPS, LinearMap, RepresentationBundle
+from .poly import IntegerForm
 from .report import Report, Violation
 
 SQ15_READINGS = ("literal", "symmetric")
@@ -130,35 +137,179 @@ def _projector(names, sub):
     if tuple(sub) == tuple(names):
         return lambda combo: combo
     positions = [names.index(name) for name in sub]
-    return lambda combo: tuple(map(combo.__getitem__, positions))
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda combo: (combo[position],)
+    return itemgetter(*positions)
 
 
-def _tabulate(expr, scope: tuple, dims: dict, ops: dict, maps: dict, tables: dict):
-    """(sorted placeholder names of `expr`, {their basis indices: vector}).
+# ---------------------------------------------------------------------------
+# the integer backend: every vector coordinate is a dict {exponent tuple: int}
+
+_ZERO: dict = {}  # the zero coordinate; shared, so never mutated
+
+
+def _vector(out: dict, dim: int) -> tuple:
+    """The vector with the accumulated coordinates {index: dict}, whose zero
+    coefficients are dropped, and zero elsewhere."""
+    vector = [_ZERO] * dim
+    for k, acc in out.items():
+        vector[k] = acc if 0 not in acc.values() else {m: c for m, c in acc.items() if c}
+    return tuple(vector)
+
+
+def _accumulate(acc: dict, terms, factor_terms, constant) -> None:
+    """acc += terms * factor, the factor being the int `constant` when it is a
+    constant, else the polynomial `factor_terms`."""
+    if constant is not None:
+        for mono, coeff in terms:
+            acc[mono] = acc.get(mono, 0) + coeff * constant
+        return
+    for m1, c1 in terms:
+        for m2, c2 in factor_terms:
+            mono = tuple(map(add, m1, m2))
+            acc[mono] = acc.get(mono, 0) + c1 * c2
+
+
+class _Compiled:
+    """The ops and maps of one call as scaled integer tensors and matrices.
+
+    `form` writes polynomials over the sorted union of the parameters they
+    use; a coordinate is a dict {exponent tuple: int}, the empty dict being
+    zero.  Each op and map is converted on first use, scaled by the least
+    common multiple of its own coefficient denominators, and kept as (scale,
+    dims, kernel).
+    """
+
+    def __init__(self, ops: dict, maps: dict):
+        self.ops, self.maps = ops, maps
+        self.form = IntegerForm(sorted(set().union(
+            *(op.parameters() for op in ops.values()),
+            *(linear.parameters() for linear in maps.values()),
+        )))
+        self.one = self.form.one
+        self.kernels: dict = {}
+
+    def basis(self, dim: int, index: int) -> tuple:
+        return _vector({index: {self.one: 1}}, dim)
+
+    def _factor(self, terms: dict) -> tuple:
+        """(terms, None), or (None, c) for the constant polynomial c."""
+        if len(terms) == 1 and self.one in terms:
+            return None, terms[self.one]
+        return tuple(terms.items()), None
+
+    def op(self, name: str) -> tuple:
+        if ("op", name) not in self.kernels:
+            op = self.ops[name]
+            scale, values = self.form.scaled(poly for _, poly in op.constants)
+            pairs: dict = {}
+            for ((i, j, k), _), terms in zip(op.constants, values):
+                pairs.setdefault((i - 1, j - 1), []).append((k - 1, *self._factor(terms)))
+            pairs = tuple((i, j, tuple(targets)) for (i, j), targets in pairs.items())
+            dim_out = op.dim_out
+
+            def apply(x, y):
+                out = {}
+                for i, j, targets in pairs:
+                    xi, yj = x[i], y[j]
+                    if xi and yj:
+                        xy = [
+                            (tuple(map(add, m1, m2)), c1 * c2)
+                            for m1, c1 in xi.items()
+                            for m2, c2 in yj.items()
+                        ]
+                        for k, terms, constant in targets:
+                            _accumulate(out.setdefault(k, {}), xy, terms, constant)
+                return _vector(out, dim_out)
+
+            self.kernels["op", name] = scale, (op.dim_left, op.dim_right, dim_out), apply
+        return self.kernels["op", name]
+
+    def map(self, name: str) -> tuple:
+        if ("map", name) not in self.kernels:
+            linear = self.maps[name]
+            scale, values = self.form.scaled(cell for row in linear.entries for cell in row)
+            columns = [[] for _ in range(linear.dim_in)]
+            for index, terms in enumerate(values):
+                if terms:
+                    row, col = divmod(index, linear.dim_in)
+                    columns[col].append((row, *self._factor(terms)))
+            dim_out = linear.dim_out
+
+            def apply(v):
+                out = {}
+                for vj, column in zip(v, columns):
+                    if vj:
+                        items = vj.items()
+                        for row, terms, constant in column:
+                            _accumulate(out.setdefault(row, {}), items, terms, constant)
+                return _vector(out, dim_out)
+
+            self.kernels["map", name] = scale, (linear.dim_in, dim_out), apply
+        return self.kernels["map", name]
+
+
+def _sum_kernel(factors: list, dim: int):
+    """Coordinatewise sum of the term vectors, each times its integer factor."""
+
+    def apply(*vectors):
+        out = {}
+        for factor, vector in zip(factors, vectors):
+            for k, coord in enumerate(vector):
+                if coord:
+                    _accumulate(out.setdefault(k, {}), coord.items(), None, factor)
+        return _vector(out, dim)
+
+    return apply
+
+
+def _tabulate(expr, scope: tuple, dims: dict, compiled: _Compiled, tables: dict):
+    """(sorted placeholder names of `expr`, scale, dimension, {their basis
+    indices: integer vector}); the value of `expr` is the vector / scale.
 
     `scope` binds each placeholder to its space; a subterm is computed once
     per scope and basis tuple of its own placeholders, so H(e_i) is applied
-    once per i and a product shared by several templates is formed once.
+    once per i and a product shared by several templates is formed once.  A
+    subterm's scale is its own op or map scale times its children's scales;
+    a Sum takes the least common multiple of its terms' scales.
     """
     key = expr, scope
     if key in tables:
         return tables[key]
-    spaces = dict(scope)
     if isinstance(expr, Var):
-        dim = dims[spaces[expr.name]]
-        tables[key] = (expr.name,), {(i,): basis_vector(dim, i) for i in range(1, dim + 1)}
+        dim = dims[dict(scope)[expr.name]]
+        tables[key] = (expr.name,), 1, dim, {
+            (i,): compiled.basis(dim, i - 1) for i in range(1, dim + 1)
+        }
         return tables[key]
+    children = [_tabulate(child, scope, dims, compiled, tables) for child in _children(expr)]
+    child_dims = [dim for _, _, dim, _ in children]
+    scale = math.prod(child_scale for _, child_scale, _, _ in children)
     if isinstance(expr, App):
-        apply = maps[expr.map_name].apply
+        own, (dim_in, dim), apply = compiled.map(expr.map_name)
+        if child_dims != [dim_in]:
+            raise ValueError(
+                f"map expects dimension {dim_in}, got vector of length {child_dims[0]}"
+            )
+        scale *= own
     elif isinstance(expr, Op):
-        apply = ops[expr.op_name].apply
+        own, (dim_left, dim_right, dim), apply = compiled.op(expr.op_name)
+        if child_dims != [dim_left, dim_right]:
+            raise ValueError(
+                f"operation expects {dim_left} x {dim_right}, got {child_dims[0]} x {child_dims[1]}"
+            )
+        scale *= own
     else:
-        apply = lambda *vectors: reduce(vec_add, vectors)
-    children = [_tabulate(child, scope, dims, ops, maps, tables) for child in _children(expr)]
-    free = tuple(sorted(set().union(*(sub for sub, _ in children))))
-    parts = [(_projector(free, sub), table) for sub, table in children]
-    ranges = [range(1, dims[spaces[name]] + 1) for name in free]
-    tables[key] = free, {
+        dim = child_dims[0]
+        if any(d != dim for d in child_dims):
+            raise ValueError("vector dimension mismatch")
+        scale = math.lcm(*(child_scale for _, child_scale, _, _ in children))
+        apply = _sum_kernel([scale // child_scale for _, child_scale, _, _ in children], dim)
+    free = tuple(sorted(set().union(*(sub for sub, _, _, _ in children))))
+    parts = [(_projector(free, sub), table) for sub, _, _, table in children]
+    ranges = [range(1, dims[dict(scope)[name]] + 1) for name in free]
+    tables[key] = free, scale, dim, {
         combo: apply(*[table[project(combo)] for project, table in parts])
         for combo in itertools.product(*ranges)
     }
@@ -167,21 +318,38 @@ def _tabulate(expr, scope: tuple, dims: dict, ops: dict, maps: dict, tables: dic
 
 def tabulate(expr, variables, dims: dict, ops: dict, maps: dict) -> dict:
     """{basis tuple: vector of `expr`} over every tuple of basis indices of
-    `variables` ((placeholder, space), ...), keyed in `variables` order."""
-    names = [name for name, _ in variables]
-    free, table = _tabulate(expr, tuple(sorted(variables)), dims, ops, maps, {})
-    at = _projector(names, free)
+    `variables` ((placeholder, space), ...), keyed in `variables` order; the
+    coordinates are Polynomials."""
+    compiled = _Compiled(ops, maps)
+    free, scale, _, table = _tabulate(expr, tuple(sorted(variables)), dims, compiled, {})
+    vectors = {
+        combo: tuple(compiled.form.polynomial(coord, scale) for coord in vector)
+        for combo, vector in table.items()
+    }
+    at = _projector([name for name, _ in variables], free)
     ranges = [range(1, dims[space] + 1) for _, space in variables]
-    return {combo: table[at(combo)] for combo in itertools.product(*ranges)}
+    return {combo: vectors[at(combo)] for combo in itertools.product(*ranges)}
+
+
+def _difference(a: dict, a_factor: int, b: dict, b_factor: int) -> dict:
+    """a * a_factor - b * b_factor, without zero coefficients."""
+    out = {mono: coeff * a_factor for mono, coeff in a.items()}
+    for mono, coeff in b.items():
+        out[mono] = out.get(mono, 0) - coeff * b_factor
+    return {mono: coeff for mono, coeff in out.items() if coeff}
 
 
 def evaluate_templates(templates, dims: dict, ops: dict, maps: dict) -> Report:
     """Evaluate templates over all basis tuples; exact zero residual to pass.
 
-    Subterm tables are shared across the templates of one call and dropped
-    after the last template that contains them.
+    Both sides are tabulated as integer vectors with scales sL and sR.  With
+    L = lcm(sL, sR), a coordinate passes when lhs * (L / sL) == rhs * (L / sR)
+    as integer dicts; only a nonzero difference becomes a Polynomial, with
+    coefficients over L.  Subterm tables are shared across the templates of
+    one call and dropped after the last template that contains them.
     """
     templates = list(templates)
+    compiled = _Compiled(ops, maps)
     scopes = [tuple(sorted(template.variables)) for template in templates]
     last_use = {}
     for t, (template, scope) in enumerate(zip(templates, scopes)):
@@ -195,18 +363,27 @@ def evaluate_templates(templates, dims: dict, ops: dict, maps: dict) -> Report:
     entries = []
     for template, scope, expired in zip(templates, scopes, expiring):
         names = [name for name, _ in template.variables]
-        (lhs_free, lhs), (rhs_free, rhs) = (
-            _tabulate(side, scope, dims, ops, maps, tables)
+        (lhs_free, lhs_scale, _, lhs), (rhs_free, rhs_scale, _, rhs) = (
+            _tabulate(side, scope, dims, compiled, tables)
             for side in (template.lhs, template.rhs)
         )
+        scale = math.lcm(lhs_scale, rhs_scale)
+        lhs_factor, rhs_factor = scale // lhs_scale, scale // rhs_scale
         lhs_at, rhs_at = _projector(names, lhs_free), _projector(names, rhs_free)
         ranges = [range(1, dims[space] + 1) for _, space in template.variables]
         for combo in itertools.product(*ranges):
-            pairs = zip(lhs[lhs_at(combo)], rhs[rhs_at(combo)])
-            for coord, (a, b) in enumerate(pairs, start=1):
-                residual = a - b
+            left, right = lhs[lhs_at(combo)], rhs[rhs_at(combo)]
+            if left == right and lhs_factor == rhs_factor:
+                continue
+            for coord, (a, b) in enumerate(zip(left, right), start=1):
+                if a == b and lhs_factor == rhs_factor:
+                    continue
+                residual = _difference(a, lhs_factor, b, rhs_factor)
                 if residual:
-                    entries.append(Violation(template.id, combo + (coord,), residual))
+                    witness = combo + (coord,)
+                    entries.append(
+                        Violation(template.id, witness, compiled.form.polynomial(residual, scale))
+                    )
         for key in expired:
             del tables[key]
     return Report(entries)

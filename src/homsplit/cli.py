@@ -34,8 +34,41 @@ def _dump(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
 
-def _write_report(path, data: dict) -> None:
-    Path(path).write_text(_dump(data) + "\n", encoding="utf-8")
+def _write_report(path, text: str) -> None:
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def _publish(args, payload: dict, summary: str | None = None, show: bool = True) -> None:
+    """Write `payload` to the --report path, print `summary`, then print the
+    payload itself if `show`; the JSON text is serialized once for both."""
+    text = _dump(payload) if args.report or show else None
+    if args.report:
+        _write_report(args.report, text)
+    if summary is not None:
+        print(summary)
+    if show:
+        print(text)
+
+
+# The operator kind each operator-induced construction takes.
+CONSTRUCT_OPERATOR_KINDS = {
+    "avg-dias": "averaging_assoc",
+    "rb-dias": "rota_baxter",
+    "ravg-quadri": "relative_averaging",
+    "havg-six": "homomorphic_relative_averaging",
+}
+
+
+def _load_construct_operator(name: str, path):
+    """The matrix of an operator file whose kind is the one `name` takes."""
+    kind, matrix = corpus.load_operator(path)
+    expected = CONSTRUCT_OPERATOR_KINDS[name]
+    if kind != expected:
+        raise corpus.CorpusError(
+            f"construct {name} needs an operator of kind {expected!r}, "
+            f"but {path} has kind {kind!r}"
+        )
+    return matrix
 
 
 def _load_context(path):
@@ -92,11 +125,8 @@ def _cmd_check(args) -> int:
     else:
         raise corpus.CorpusError(f"{args.file}: operator files go through verify-op")
     payload = {"file": str(args.file), "check": report.to_dict(), **extra}
-    if args.report:
-        _write_report(args.report, payload)
-    print(f"{args.file}: {report.status} ({len(report.entries)} violation(s))")
-    if not report.ok:
-        print(_dump(payload))
+    summary = f"{args.file}: {report.status} ({len(report.entries)} violation(s))"
+    _publish(args, payload, summary, show=not report.ok)
     return 0 if report.ok else 1
 
 
@@ -129,19 +159,19 @@ def _cmd_construct(args) -> int:
             out = result.bundle
         elif name == "avg-dias":
             algebra = corpus.load_algebra(args.inputs[0])
-            kind, matrix = corpus.load_operator(args.inputs[1])
+            matrix = _load_construct_operator(name, args.inputs[1])
             out = constructions.averaging_induced_diassociative(algebra, matrix, force=force)
         elif name == "rb-dias":
             algebra = corpus.load_algebra(args.inputs[0])
-            kind, matrix = corpus.load_operator(args.inputs[1])
+            matrix = _load_construct_operator(name, args.inputs[1])
             out = constructions.rota_baxter_induced(algebra, matrix, force=force)
         elif name == "ravg-quadri":
             rep = corpus.load_representation(args.inputs[0])
-            kind, matrix = corpus.load_operator(args.inputs[1])
+            matrix = _load_construct_operator(name, args.inputs[1])
             out = constructions.relative_averaging_induced_quadri(rep, matrix, force=force)
         elif name == "havg-six":
             action = corpus.load_action(args.inputs[0])
-            kind, matrix = corpus.load_operator(args.inputs[1])
+            matrix = _load_construct_operator(name, args.inputs[1])
             out = constructions.homomorphic_averaging_induced_six(action, matrix, force=force)
         else:
             raise corpus.CorpusError(f"unknown construction {name!r}")
@@ -167,11 +197,8 @@ def _cmd_verify_op(args) -> int:
         "kind": kind,
         "report": report.to_dict(),
     }
-    if args.report:
-        _write_report(args.report, payload)
-    print(f"{kind}: {report.status} ({len(report.entries)} violation(s))")
-    if not report.ok:
-        print(_dump(payload))
+    summary = f"{kind}: {report.status} ({len(report.entries)} violation(s))"
+    _publish(args, payload, summary, show=not report.ok)
     return 0 if report.ok else 1
 
 
@@ -187,10 +214,7 @@ def _cmd_solve_op(args) -> int:
         "grid": [str(g) for g in grid],
         "solutions": [_matrix_rows(m) for m in solutions],
     }
-    if args.report:
-        _write_report(args.report, payload)
-    print(f"{len(solutions)} solution(s) over grid of {len(grid)} values")
-    print(_dump(payload))
+    _publish(args, payload, f"{len(solutions)} solution(s) over grid of {len(grid)} values")
     return 0
 
 
@@ -205,9 +229,7 @@ def _cmd_emit_system(args) -> int:
         "unknowns_prefix": args.unknown_prefix,
         "equations": [str(p) for p in system],
     }
-    if args.report:
-        _write_report(args.report, payload)
-    print(_dump(payload))
+    _publish(args, payload)
     return 0
 
 
@@ -215,9 +237,7 @@ def _cmd_fingerprint(args) -> int:
     bundle = corpus.load_algebra(args.file)
     fp = morphisms.fingerprint(bundle)
     payload = {"file": str(args.file), "fingerprint": fp.to_dict()}
-    if args.report:
-        _write_report(args.report, payload)
-    print(_dump(payload))
+    _publish(args, payload)
     return 0
 
 
@@ -240,9 +260,7 @@ def _cmd_iso(args) -> int:
                 payload = {"verdict": "isomorphic", "matrix": _matrix_rows(found)}
             else:
                 payload = {"verdict": "unknown", "note": "no isomorphism within grid"}
-    if args.report:
-        _write_report(args.report, payload)
-    print(_dump(payload))
+    _publish(args, payload)
     return 0
 
 

@@ -17,6 +17,13 @@ Canonical monomial order: by name tuple (lexicographic), then total degree,
 then exponent tuple.  The constant monomial sorts first.  Any fixed total
 order would do; this one is frozen by the round-trip tests.
 
+Compiled form, for code that evaluates many polynomials at once (the template
+engine's tables and `CompiledSystem`): `IntegerForm(order).scaled` writes
+polynomials over a fixed parameter order as {exponent tuple: int} dicts, all
+scaled by the least common multiple L of their coefficient denominators, and
+`IntegerForm.polynomial` turns such a dict over L back into a canonical
+Polynomial.
+
 Text grammar (parse/str are mutually inverse on canonical forms):
 
   expr    := term (('+' | '-') term)*
@@ -293,28 +300,75 @@ _ZERO = Polynomial()
 _ONE = Polynomial.constant(1)
 
 
+class IntegerForm:
+    """Polynomials over a fixed parameter order as scaled integer dicts.
+
+    A polynomial becomes {exponent tuple: int}: the exponent tuple lists the
+    exponent of each name of `order` (a*c^2 over (a, b, c) is (1, 0, 2)), and
+    the coefficients are scaled to ints.  `polynomial` reads such dicts back
+    and needs `order` sorted, so that its monomials are canonical.
+    """
+
+    def __init__(self, order: Sequence[str]):
+        self.order = tuple(order)
+        self.one = (0,) * len(self.order)
+        self._position = {name: index for index, name in enumerate(self.order)}
+        self._monomials: dict = {}
+
+    def scaled(self, polynomials: Iterable[Polynomial]) -> tuple:
+        """(L, [{exponent tuple: int}, ...]): the polynomials times L, the least
+        common multiple of all their coefficient denominators.  Every name they
+        use must be in `order`; the dicts keep their term order and hold no zero."""
+        polynomials = list(polynomials)
+        scale = math.lcm(*(c.denominator for poly in polynomials for _, c in poly.terms))
+        out = []
+        for poly in polynomials:
+            terms = {}
+            for mono, coeff in poly.terms:
+                exponents = [0] * len(self.order)
+                for name, exp in mono:
+                    exponents[self._position[name]] = exp
+                terms[tuple(exponents)] = coeff.numerator * (scale // coeff.denominator)
+            out.append(terms)
+        return scale, out
+
+    def polynomial(self, terms: Mapping, scale: int) -> Polynomial:
+        """The canonical Polynomial of {distinct exponent tuple: nonzero int} / scale."""
+        monomials = self._monomials
+        out = []
+        for exponents, coeff in terms.items():
+            mono = monomials.get(exponents)
+            if mono is None:
+                mono = monomials[exponents] = tuple(
+                    (name, exp) for name, exp in zip(self.order, exponents) if exp
+                )
+            out.append((mono, Fraction(coeff, scale)))
+        out.sort(key=lambda term: _mono_key(term[0]))
+        poly = object.__new__(Polynomial)
+        object.__setattr__(poly, "terms", tuple(out))
+        return poly
+
+
 class CompiledSystem:
     """Polynomials compiled once for exact evaluation at many points.
 
-    Each polynomial becomes a list of (coefficient, exponents) terms over the
-    fixed order of `unknowns`.  The exponents are stored sparsely, as the
-    positions of the unknowns repeated by multiplicity (t11*t23^2 over
-    t11..t33 is (0, 5, 5)).  Each polynomial is scaled by the least common
-    multiple of its coefficient denominators.  Scaling by a nonzero integer
-    does not move the zero set, and the coefficients become ints, so the
-    evaluation at a point with int coordinates is plain int arithmetic.
+    Each polynomial is scaled by the least common multiple of its coefficient
+    denominators (`IntegerForm.scaled`).  Scaling by a nonzero integer does not
+    move the zero set, and the coefficients become ints, so the evaluation at
+    a point with int coordinates is plain int arithmetic.  Each term is stored
+    as (coefficient, factors), the factors being the positions of `unknowns`
+    repeated by multiplicity (t11*t23^2 over t11..t33 is (0, 5, 5)).
     """
 
     def __init__(self, polynomials: Iterable[Polynomial], unknowns: Sequence[str]):
-        position = {name: index for index, name in enumerate(unknowns)}
+        form = IntegerForm(unknowns)
         self.equations = []
         for poly in polynomials:
-            scale = math.lcm(*(coeff.denominator for _, coeff in poly.terms))
-            terms = []
-            for mono, coeff in poly.terms:
-                factors = tuple(position[name] for name, exp in mono for _ in range(exp))
-                terms.append((int(coeff * scale), factors))
-            self.equations.append(terms)
+            _, (terms,) = form.scaled([poly])
+            self.equations.append([
+                (coeff, tuple(index for index, exp in enumerate(exponents) for _ in range(exp)))
+                for exponents, coeff in terms.items()
+            ])
 
     def vanishes_at(self, point: Sequence) -> bool:
         """Is every polynomial zero at `point` (values in unknown order)?

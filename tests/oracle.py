@@ -8,6 +8,11 @@ homsplit.operators.
 Runs over exact Fractions for parameter-free bundles and over sympy
 expressions for symbolic ones (sympy is a fully independent arithmetic
 engine, so engine/oracle agreement checks two disjoint code paths).
+
+The violation functions return (template, witness) sets, or with
+`residuals=True` (template, witness, residual text) sets.  The residual text
+is the oracle's own value written in homsplit's canonical polynomial form
+(`residual_text`); only that printing is shared with the engine.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ import itertools
 from fractions import Fraction
 
 import sympy as sp
+
+from homsplit.poly import Polynomial
 
 
 def _fraction_scalar(poly):
@@ -54,6 +61,26 @@ def scalar_tools(mode: str, *sources):
     return make_sympy_scalar(_names(*sources)), _sympy_is_zero
 
 
+def residual_text(value) -> str:
+    """Canonical homsplit text of a Fraction or sympy residual."""
+    if isinstance(value, (int, Fraction)):
+        return str(Polynomial.constant(value))
+    expr = sp.expand(value)
+    symbols = sorted(expr.free_symbols, key=lambda symbol: symbol.name)
+    terms = sp.Poly(expr, *symbols).terms() if symbols else [((), sp.Rational(expr))]
+    return str(Polynomial(
+        (tuple((s.name, e) for s, e in zip(symbols, exps) if e), Fraction(int(c.p), int(c.q)))
+        for exps, c in terms
+    ))
+
+
+def _found(found: dict, residuals: bool) -> set:
+    """{(template, witness): residual} as a witness set, or with residual texts."""
+    if not residuals:
+        return set(found)
+    return {key + (residual_text(value),) for key, value in found.items()}
+
+
 def _table(op, conv) -> dict:
     return {key: conv(c) for key, c in op.constants}
 
@@ -81,10 +108,10 @@ def _basis(n: int) -> list:
     return [[1 if c == r else 0 for c in range(n)] for r in range(n)]
 
 
-def _violations(chains, n: int, is_zero) -> set:
+def _violations(chains, n: int, is_zero) -> dict:
     """chains: list of (label, fn) with fn(x, y, z) -> list of expression
     lists; consecutive-to-first pairs are compared (.a, .b suffixes)."""
-    found = set()
+    found = {}
     basis = _basis(n)
     for label, fn in chains:
         for i, x in enumerate(basis, start=1):
@@ -95,12 +122,15 @@ def _violations(chains, n: int, is_zero) -> set:
                     suffixes = [""] if len(exprs) == 2 else [".a", ".b"]
                     for suffix, other in zip(suffixes, exprs[1:]):
                         for coord in range(n):
-                            if not is_zero(first[coord] - other[coord]):
-                                found.add((label + suffix, (i, j, k, coord + 1)))
+                            residual = first[coord] - other[coord]
+                            if not is_zero(residual):
+                                found[label + suffix, (i, j, k, coord + 1)] = residual
     return found
 
 
-def dendriform_violations(bundle, mode: str = "fraction", prefix: str = "dend") -> set:
+def dendriform_violations(
+    bundle, mode: str = "fraction", prefix: str = "dend", residuals: bool = False
+) -> set:
     conv, is_zero = scalar_tools(mode, bundle)
     n = bundle.dim
     p = _table(bundle.op("prec"), conv)
@@ -114,10 +144,10 @@ def dendriform_violations(bundle, mode: str = "fraction", prefix: str = "dend") 
         (f"{prefix}.2", lambda x, y, z: [S(A(x), P(y, z)), P(S(x, y), A(z))]),
         (f"{prefix}.3", lambda x, y, z: [S(A(x), S(y, z)), S(_add(P(x, y), S(x, y)), A(z))]),
     ]
-    return _violations(chains, n, is_zero)
+    return _found(_violations(chains, n, is_zero), residuals)
 
 
-def diassociative_violations(bundle, mode: str = "fraction") -> set:
+def diassociative_violations(bundle, mode: str = "fraction", residuals: bool = False) -> set:
     conv, is_zero = scalar_tools(mode, bundle)
     n = bundle.dim
     d = _table(bundle.op("dashv"), conv)
@@ -133,10 +163,10 @@ def diassociative_violations(bundle, mode: str = "fraction") -> set:
         ("dias.7", lambda x, y, z: [V(D(x, y), A(z)), V(A(x), V(y, z))]),
         ("dias.8", lambda x, y, z: [V(V(x, y), A(z)), V(A(x), V(y, z))]),
     ]
-    return _violations(chains, n, is_zero)
+    return _found(_violations(chains, n, is_zero), residuals)
 
 
-def quadri_violations(bundle, mode: str = "fraction") -> set:
+def quadri_violations(bundle, mode: str = "fraction", residuals: bool = False) -> set:
     conv, is_zero = scalar_tools(mode, bundle)
     n = bundle.dim
     pv = _table(bundle.op("prec_vdash"), conv)
@@ -183,14 +213,14 @@ def quadri_violations(bundle, mode: str = "fraction") -> set:
             SD(A(x), SV(y, z)), SD(A(x), SD(y, z)),
             SD(_add(PD(x, y), SD(x, y)), A(z))]),
     ]
-    return _violations(chains, n, is_zero)
+    return _found(_violations(chains, n, is_zero), residuals)
 
 
-def multiplicative_violations(bundle, mode: str = "fraction") -> set:
+def multiplicative_violations(bundle, mode: str = "fraction", residuals: bool = False) -> set:
     conv, is_zero = scalar_tools(mode, bundle)
     n = bundle.dim
     al = _matrix(bundle.twist, conv)
-    found = set()
+    found = {}
     basis = _basis(n)
     for name in sorted(bundle.ops):
         table = _table(bundle.op(name), conv)
@@ -199,46 +229,48 @@ def multiplicative_violations(bundle, mode: str = "fraction") -> set:
                 lhs = _map(al, _apply(table, x, y, n))
                 rhs = _apply(table, _map(al, x), _map(al, y), n)
                 for coord in range(n):
-                    if not is_zero(lhs[coord] - rhs[coord]):
-                        found.add((f"mult.{name}", (i, j, coord + 1)))
-    return found
+                    residual = lhs[coord] - rhs[coord]
+                    if not is_zero(residual):
+                        found[f"mult.{name}", (i, j, coord + 1)] = residual
+    return _found(found, residuals)
 
 
 # -- operators and homomorphisms: pair identities plus matrix commutation ----
 
 
-def _pair_violations(n: int, identities, is_zero, first: bool = False) -> set:
+def _pair_violations(n: int, identities, is_zero, first: bool = False) -> dict:
     """identities: (label, fn) with fn(x, y) -> (lhs, rhs) on basis pairs of
     an n-dimensional space; witnesses (i, j, coordinate).  With `first`, stop
     after the first basis pair that violates an identity."""
-    found = set()
+    found = {}
     basis = _basis(n)
     for label, fn in identities:
         for i, x in enumerate(basis, start=1):
             for j, y in enumerate(basis, start=1):
                 lhs, rhs = fn(x, y)
                 for coord in range(len(lhs)):
-                    if not is_zero(lhs[coord] - rhs[coord]):
-                        found.add((label, (i, j, coord + 1)))
+                    residual = lhs[coord] - rhs[coord]
+                    if not is_zero(residual):
+                        found[label, (i, j, coord + 1)] = residual
                 if first and found:
                     return found
     return found
 
 
-def _commutation(label: str, X: list, inner: list, outer: list, is_zero) -> set:
+def _commutation(label: str, X: list, inner: list, outer: list, is_zero) -> dict:
     """Entries of X inner - outer X, witnessed by (row, column)."""
-    found = set()
+    found = {}
     for r in range(len(X)):
         for c in range(len(inner[0])):
             left = sum(X[r][k] * inner[k][c] for k in range(len(inner)))
             right = sum(outer[r][k] * X[k][c] for k in range(len(outer)))
             if not is_zero(left - right):
-                found.add((label, (r + 1, c + 1)))
+                found[label, (r + 1, c + 1)] = left - right
     return found
 
 
 def averaging_assoc_violations(
-    algebra, H, mode: str = "fraction", strict_twist=False, first=False
+    algebra, H, mode: str = "fraction", strict_twist=False, first=False, residuals=False
 ) -> set:
     conv, is_zero = scalar_tools(mode, algebra, H)
     n = algebra.dim
@@ -252,10 +284,12 @@ def averaging_assoc_violations(
     ], is_zero, first)
     if strict_twist:
         found |= _commutation("avg.twist", h, al, al, is_zero)
-    return found
+    return _found(found, residuals)
 
 
-def rota_baxter_violations(algebra, R, mode: str = "fraction", first=False) -> set:
+def rota_baxter_violations(
+    algebra, R, mode: str = "fraction", first=False, residuals=False
+) -> set:
     conv, is_zero = scalar_tools(mode, algebra, R)
     n = algebra.dim
     r, al = _matrix(R, conv), _matrix(algebra.twist, conv)
@@ -267,12 +301,14 @@ def rota_baxter_violations(algebra, R, mode: str = "fraction", first=False) -> s
             f"rb.{name}",
             lambda x, y, O=O: (O(Rm(x), Rm(y)), Rm(_add(O(Rm(x), y), O(x, Rm(y))))),
         ))
-    return _pair_violations(n, identities, is_zero, first) | _commutation(
+    return _found(_pair_violations(n, identities, is_zero, first) | _commutation(
         "rb.twist", r, al, al, is_zero
-    )
+    ), residuals)
 
 
-def averaging_quadri_violations(algebra, H, mode: str = "fraction", first=False) -> set:
+def averaging_quadri_violations(
+    algebra, H, mode: str = "fraction", first=False, residuals=False
+) -> set:
     conv, is_zero = scalar_tools(mode, algebra, H)
     n = algebra.dim
     h, al = _matrix(H, conv), _matrix(algebra.twist, conv)
@@ -284,12 +320,14 @@ def averaging_quadri_violations(algebra, H, mode: str = "fraction", first=False)
             (f"qavg.{name}.a", lambda x, y, O=O: (O(Hm(x), Hm(y)), Hm(O(Hm(x), y)))),
             (f"qavg.{name}.b", lambda x, y, O=O: (O(Hm(x), Hm(y)), Hm(O(x, Hm(y))))),
         ]
-    return _pair_violations(n, identities, is_zero, first) | _commutation(
+    return _found(_pair_violations(n, identities, is_zero, first) | _commutation(
         "qavg.twist", h, al, al, is_zero
-    )
+    ), residuals)
 
 
-def relative_averaging_violations(rep, T, mode: str = "fraction", first=False) -> set:
+def relative_averaging_violations(
+    rep, T, mode: str = "fraction", first=False, residuals=False
+) -> set:
     """T: M -> D with Tu op Tv = T(Tu op_l v) = T(u op_r Tv), T beta = alpha T."""
     conv, is_zero = scalar_tools(mode, rep, T)
     d, m = rep.base.dim, rep.module_dim
@@ -305,12 +343,14 @@ def relative_averaging_violations(rep, T, mode: str = "fraction", first=False) -
             (f"ravg.{name}.r", lambda u, v, B=B, R=R: (B(Tm(u), Tm(v)), Tm(R(u, Tm(v))))),
         ]
     beta, alpha = _matrix(rep.module_twist, conv), _matrix(rep.base.twist, conv)
-    return _pair_violations(m, identities, is_zero, first) | _commutation(
+    return _found(_pair_violations(m, identities, is_zero, first) | _commutation(
         "ravg.twist", t, beta, alpha, is_zero
-    )
+    ), residuals)
 
 
-def homomorphism_violations(T, source, target, mode: str = "fraction", first=False) -> set:
+def homomorphism_violations(
+    T, source, target, mode: str = "fraction", first=False, residuals=False
+) -> set:
     """T(x op y) = Tx op Ty on source basis pairs, plus T alpha = alpha' T."""
     conv, is_zero = scalar_tools(mode, source, target, T)
     t = _matrix(T, conv)
@@ -323,33 +363,39 @@ def homomorphism_violations(T, source, target, mode: str = "fraction", first=Fal
             (f"hom.{name}", lambda x, y, A=A, B=B: (Tm(A(x, y)), B(Tm(x), Tm(y))))
         )
     alpha_s, alpha_t = _matrix(source.twist, conv), _matrix(target.twist, conv)
-    return _pair_violations(source.dim, identities, is_zero, first) | _commutation(
+    return _found(_pair_violations(source.dim, identities, is_zero, first) | _commutation(
         "hom.twist", t, alpha_s, alpha_t, is_zero
-    )
+    ), residuals)
 
 
 def operator_violations(
-    kind: str, context, H, mode: str = "fraction", strict_twist=False, first=False
+    kind: str, context, H, mode: str = "fraction", strict_twist=False, first=False,
+    residuals=False,
 ) -> set:
     """Oracle counterpart of homsplit.operators.verify_operator for algebra,
     representation and action contexts (adjoint ones built by the caller)."""
     if kind == "averaging_assoc":
-        return averaging_assoc_violations(context, H, mode, strict_twist, first)
+        return averaging_assoc_violations(context, H, mode, strict_twist, first, residuals)
     if kind == "rota_baxter":
-        return rota_baxter_violations(context, H, mode, first)
+        return rota_baxter_violations(context, H, mode, first, residuals)
     if kind == "averaging_quadri":
-        return averaging_quadri_violations(context, H, mode, first)
+        return averaging_quadri_violations(context, H, mode, first, residuals)
     if kind == "relative_averaging":
-        return relative_averaging_violations(context, H, mode, first)
+        return relative_averaging_violations(context, H, mode, first, residuals)
     if kind == "homomorphic_relative_averaging":
-        return relative_averaging_violations(context.representation(), H, mode, first) | (
-            homomorphism_violations(H, context.acted, context.acting, mode, first)
+        rep = context.representation()
+        return relative_averaging_violations(rep, H, mode, first, residuals) | (
+            homomorphism_violations(H, context.acted, context.acting, mode, first, residuals)
         )
     raise ValueError(kind)
 
 
 def engine_violation_set(report) -> set:
     return {(v.template, v.witness) for v in report.entries}
+
+
+def engine_residual_set(report) -> set:
+    return {(v.template, v.witness, str(v.residual)) for v in report.entries}
 
 
 # -- constructions: induced products, push-forward, quotient by I_D ------------
@@ -391,6 +437,16 @@ def rota_baxter_tensors(algebra, R, mode: str = "fraction") -> dict:
         O = lambda x, y, t=_table(algebra.op(name), conv): _apply(t, x, y, n)
         out[name] = _tensor(lambda x, y, O=O: _add(O(Rm(x), y), O(x, Rm(y))), (n, n), is_zero)
     return out
+
+
+def twisted_sum_tensor(algebra, H, mode: str = "fraction") -> dict:
+    """x, y -> Hx dashv y + x vdash y: a sum of two products of different ops."""
+    conv, is_zero = scalar_tools(mode, algebra, H)
+    n = algebra.dim
+    d, v, h = _table(algebra.op("dashv"), conv), _table(algebra.op("vdash"), conv), _matrix(H, conv)
+    return _tensor(
+        lambda x, y: _add(_apply(d, _map(h, x), y, n), _apply(v, x, y, n)), (n, n), is_zero
+    )
 
 
 def relative_averaging_tensors(rep, T, mode: str = "fraction") -> dict:

@@ -239,3 +239,74 @@ def test_iso_with_equal_fingerprints_computes_each_fingerprint_once(monkeypatch,
     assert main(["iso", d4, d4, "--grid=-1..1"]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "isomorphic"
     assert len(calls) == 2
+
+
+def construct_inputs():
+    """{construct NAME: (context file data, the operator kind it expects)}."""
+    from helpers import deta
+    from homsplit.files import action_to_dict, algebra_to_dict, representation_to_dict
+    from homsplit.model import ActionBundle, AlgebraBundle, RepresentationBundle
+
+    algebra = deta()
+    mu = algebra.op("prec").add(algebra.op("succ"))
+    associative = AlgebraBundle("associative", 3, {"mu": mu}, algebra.twist, algebra.parameters)
+    return {
+        "avg-dias": (algebra_to_dict(associative), "averaging_assoc"),
+        "rb-dias": (read_json(corpus_path("sec2/diassociative_D.json")), "rota_baxter"),
+        "ravg-quadri": (
+            representation_to_dict(RepresentationBundle.adjoint(algebra)), "relative_averaging"
+        ),
+        "havg-six": (
+            action_to_dict(ActionBundle.adjoint(algebra)), "homomorphic_relative_averaging"
+        ),
+    }
+
+
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("name", ["avg-dias", "rb-dias", "ravg-quadri", "havg-six"])
+def test_construct_refuses_an_operator_file_of_another_kind(tmp_path, capsys, name, force):
+    from homsplit.files import operator_to_dict
+    from homsplit.model import LinearMap
+
+    context, expected = construct_inputs()[name]
+    write_json(tmp_path / "context.json", context)
+    out = tmp_path / "out.json"
+    identity = LinearMap.identity(3)
+    others = [kind for _, kind in construct_inputs().values() if kind != expected]
+    wrong_kinds = ["averaging_quadri"] + others
+    for wrong in wrong_kinds:
+        write_json(tmp_path / "op.json", operator_to_dict(wrong, identity))
+        argv = ["construct", name, str(tmp_path / "context.json"), str(tmp_path / "op.json"),
+                "-o", str(out)] + (["--force"] if force else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert expected in err and wrong in err
+        assert not out.exists()
+    # the matching kind builds (the identity satisfies each precondition here or is forced)
+    write_json(tmp_path / "op.json", operator_to_dict(expected, identity))
+    argv = ["construct", name, str(tmp_path / "context.json"), str(tmp_path / "op.json"),
+            "-o", str(out), "--force"]
+    assert main(argv) == 0 and out.exists()
+
+
+def test_failing_check_report_prints_the_report_text_and_serializes_once(
+    tmp_path, monkeypatch, capsys
+):
+    from homsplit import cli
+
+    calls = []
+    original = cli._dump
+
+    def counted(data):
+        calls.append(data)
+        return original(data)
+
+    monkeypatch.setattr(cli, "_dump", counted)
+    report_path = tmp_path / "report.json"
+    code = main(["check", corpus_path("dim2/D4.json"), "--multiplicative",
+                 "--report", str(report_path)])
+    assert code == 1
+    summary, _, rest = capsys.readouterr().out.partition("\n")
+    assert summary.endswith("violation(s))") and "fail" in summary
+    assert rest == report_path.read_text(encoding="utf-8")
+    assert len(calls) == 1

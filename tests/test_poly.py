@@ -5,7 +5,7 @@ import pytest
 import sympy as sp
 
 from homsplit import poly
-from homsplit.poly import CompiledSystem, ParseError, Polynomial
+from homsplit.poly import CompiledSystem, IntegerForm, ParseError, Polynomial
 
 P = Polynomial.parse
 
@@ -207,6 +207,19 @@ def test_compiled_system_vanishes_exactly_where_the_polynomials_do():
         assert compiled.vanishes_at(point) == expected
     assert compiled.vanishes_at((2, 3)) and not compiled.vanishes_at((-2, -3))
     assert CompiledSystem([], ["t1"]).vanishes_at((5,))
+
+
+def test_integer_form_scales_by_the_common_denominator_and_reads_back():
+    form = IntegerForm(sorted(["a2", "a10", "b"]))  # string order: a10, a2, b
+    polys = [P("1/2*a10*a2^3 - 2/3*b + 1"), P("0"), P("a2 + 1/4")]
+    scale, terms = form.scaled(polys)
+    assert scale == 12
+    assert terms[0] == {(1, 3, 0): 6, (0, 0, 1): -8, (0, 0, 0): 12} and terms[1] == {}
+    for poly, dicts in zip(polys, terms):
+        assert form.polynomial(dicts, scale) == poly
+        assert str(form.polynomial(dicts, scale)) == str(poly)
+    # a difference over another scale reads back in lowest terms
+    assert form.polynomial({(0, 1, 0): 3, (0, 0, 0): -6}, 9) == P("1/3*a2 - 2/3")
 
 
 def test_products_and_powers_above_the_term_cap_are_parse_errors():
