@@ -264,8 +264,9 @@ def _commutation(label: str, X: list, inner: list, outer: list, is_zero) -> dict
         for c in range(len(inner[0])):
             left = sum(X[r][k] * inner[k][c] for k in range(len(inner)))
             right = sum(outer[r][k] * X[k][c] for k in range(len(outer)))
-            if not is_zero(left - right):
-                found[label, (r + 1, c + 1)] = left - right
+            residual = left - right
+            if not is_zero(residual):
+                found[label, (r + 1, c + 1)] = residual
     return found
 
 

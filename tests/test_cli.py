@@ -268,11 +268,12 @@ def test_construct_refuses_an_operator_file_of_another_kind(tmp_path, capsys, na
     from homsplit.files import operator_to_dict
     from homsplit.model import LinearMap
 
-    context, expected = construct_inputs()[name]
+    inputs = construct_inputs()
+    context, expected = inputs[name]
     write_json(tmp_path / "context.json", context)
     out = tmp_path / "out.json"
     identity = LinearMap.identity(3)
-    others = [kind for _, kind in construct_inputs().values() if kind != expected]
+    others = [kind for _, kind in inputs.values() if kind != expected]
     wrong_kinds = ["averaging_quadri"] + others
     for wrong in wrong_kinds:
         write_json(tmp_path / "op.json", operator_to_dict(wrong, identity))

@@ -188,6 +188,13 @@ def test_degree_64_entry_through_a_depth_3_template():
     assert max(v.residual.total_degree() for v in report.entries) == 129  # a^64 a^64 a
 
 
+def assert_same_tensor(op: BilinearOp, expected: dict, conv, is_zero):
+    engine = dict(op.constants)
+    assert set(engine) == set(expected) and expected
+    for key, value in engine.items():
+        assert is_zero(conv(value) - expected[key]), key
+
+
 @pytest.mark.parametrize("symbolic", [False, True])
 def test_tabulated_sum_with_mixed_scales(symbolic):
     D = rb_context(symbolic)
@@ -197,19 +204,12 @@ def test_tabulated_sum_with_mixed_scales(symbolic):
     x, y = Var("x"), Var("y")
     expr = S(Op("dashv", App("H", x), y), Op("vdash", x, y))
     tensor = induced_op(expr, ("D", "D", "D"), {"D": 3}, dict(D.ops), {"H": H})
-    expected = twisted_sum_tensor(D, H, mode)
-    engine = dict(tensor.constants)
-    assert set(engine) == set(expected) and expected
-    for key, value in engine.items():
-        assert is_zero(conv(value) - expected[key]), key
+    assert_same_tensor(tensor, twisted_sum_tensor(D, H, mode), conv, is_zero)
     # the Rota-Baxter products Rx op y + x op Ry through induced_op
     R = LinearMap.from_strings([["1/2", "0", "0"], ["0", "1", "0"], ["1/5", "0", "0"]])
     induced = rota_baxter_induced(D, R, force=True)
     for name, expected in rota_baxter_tensors(D, R, mode).items():
-        engine = dict(induced.op(name).constants)
-        assert set(engine) == set(expected)
-        for key, value in engine.items():
-            assert is_zero(conv(value) - expected[key]), key
+        assert_same_tensor(induced.op(name), expected, conv, is_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +221,8 @@ PARAMETERS = ("p", "q")
 
 @st.composite
 def entries(draw, dims, count):
-    """Polynomials: a coefficient, sometimes times one of two parameters."""
+    """Up to `count` sparse entries at indices within `dims`: a coefficient,
+    sometimes times one of two parameters."""
     cell = st.tuples(
         st.sampled_from(COEFFICIENTS), st.sampled_from((None, None, None) + PARAMETERS)
     )
@@ -235,7 +236,7 @@ def entries(draw, dims, count):
 
 
 @st.composite
-def tensors(draw, dim, count=4):
+def tensors(draw, dim, count=6):
     return BilinearOp.square(dim, draw(entries((dim, dim, dim), count)))
 
 
@@ -256,7 +257,7 @@ def bundles(draw, kind, dim=None):
 
 
 PROPERTY = settings(
-    derandomize=True, max_examples=30, deadline=None, database=None,
+    derandomize=True, max_examples=50, deadline=None, database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 
