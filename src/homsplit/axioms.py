@@ -41,9 +41,9 @@ its children's, and a Sum takes the least common multiple of its terms' scales
 and multiplies each term by the matching integer.  The two sides of a template
 may have different scales (`mult.*` applies alpha once on one side and twice on
 the other), so a coordinate passes when lhs * (L / sL) == rhs * (L / sR) as
-integer dicts, with L = lcm(sL, sR).  Only a nonzero residual becomes a
-canonical Polynomial, with coefficients over L, and `tabulate` converts its
-table back to Polynomial vectors.
+integer dicts, with L = lcm(sL, sR).  A nonzero residual stays the integer
+dict over L in its Violation, which builds the canonical Polynomial only on
+demand; `tabulate` converts its table back to Polynomial vectors.
 
 The sq15 identity mixes two operations across its sides in the source; both
 the literal reading and the symmetrized one are implemented, selectable via
@@ -344,12 +344,14 @@ def evaluate_templates(templates, dims: dict, ops: dict, maps: dict) -> Report:
 
     Both sides are tabulated as integer vectors with scales sL and sR.  With
     L = lcm(sL, sR), a coordinate passes when lhs * (L / sL) == rhs * (L / sR)
-    as integer dicts; only a nonzero difference becomes a Polynomial, with
-    coefficients over L.  Subterm tables are shared across the templates of
-    one call and dropped after the last template that contains them.
+    as integer dicts; a nonzero difference is kept as its integer dict over L,
+    and the Violation builds the Polynomial or its text on demand.  Subterm
+    tables are shared across the templates of one call and dropped after the
+    last template that contains them.
     """
     templates = list(templates)
     compiled = _Compiled(ops, maps)
+    form = compiled.form
     scopes = [tuple(sorted(template.variables)) for template in templates]
     last_use = {}
     for t, (template, scope) in enumerate(zip(templates, scopes)):
@@ -376,13 +378,12 @@ def evaluate_templates(templates, dims: dict, ops: dict, maps: dict) -> Report:
             if left == right and lhs_factor == rhs_factor:
                 continue
             for coord, (a, b) in enumerate(zip(left, right), start=1):
-                if a == b and lhs_factor == rhs_factor:
+                if a == b and (lhs_factor == rhs_factor or not a):
                     continue
                 residual = _difference(a, lhs_factor, b, rhs_factor)
                 if residual:
-                    witness = combo + (coord,)
                     entries.append(
-                        Violation(template.id, witness, compiled.form.polynomial(residual, scale))
+                        Violation(template.id, combo + (coord,), None, (form, residual, scale))
                     )
         for key in expired:
             del tables[key]

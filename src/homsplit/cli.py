@@ -2,7 +2,8 @@
 
 Subcommands: check, construct, verify-op, solve-op, emit-system,
 fingerprint, iso, corpus.  Output is machine-first (JSON reports, stable
-key order) with a one-line human summary on stdout.
+key order) with a one-line human summary on stdout.  Every JSON payload is
+written once, by `files.json_text`.
 
 Exit codes: 0 all pass; 1 violations or discrepancies found; 2 input error.
 """
@@ -10,7 +11,6 @@ Exit codes: 0 all pass; 1 violations or discrepancies found; 2 input error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +20,7 @@ from .axioms import check_action, check_kind, check_multiplicative, check_repres
 from .files import (
     algebra_to_dict,
     classify_file,
+    json_text,
     read_json,
     write_json,
 )
@@ -31,7 +32,7 @@ SQ15_CHOICES = ("literal", "symmetric")
 
 
 def _dump(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True)
+    return json_text(data)
 
 
 def _write_report(path, text: str) -> None:

@@ -28,6 +28,7 @@ from ..files import (
     action_from_dict,
     algebra_from_dict,
     classify_file,
+    json_text,
     operator_from_dict,
     read_json,
     representation_from_dict,
@@ -193,7 +194,7 @@ def corpus_verify_all(root=None, sq15: str = SQ15_DEFAULT) -> dict:
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json_text(report) + "\n"
 
 
 def discrepancies_markdown(report: dict) -> str:

@@ -19,6 +19,7 @@ lines before JSON parsing.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .model import (
@@ -229,6 +230,92 @@ def operator_to_dict(kind: str, matrix: LinearMap) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# the JSON writer
+
+_ROW_KEYS = frozenset({"residual", "template", "witness"})
+_INTS = frozenset({int})
+
+
+def json_text(data) -> str:
+    """The text the json module's `dumps` writes with indent 2 and sorted keys,
+    byte for byte, for trees of dicts with str keys, lists, tuples, str, int,
+    bool and None; anything else, floats included, raises TypeError.
+
+    Every report, corpus report and written file goes through here.  Strings
+    are escaped by json's own `encode_basestring_ascii`.  A list of ints and a
+    violation row (a dict of residual and template strings and a non-empty
+    witness of ints) are each written as one piece.
+    """
+    out: list = []
+    _write(data, "\n", out)
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list) -> None:
+    """Append the text of `value`; `newline` is a newline plus the
+    indentation of the line `value` starts on."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(separator + _quote(key) + ": ")
+            _write(value[key], inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, value)) == _INTS:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+            return
+        # a violation row's key lines start at `field`, its witness lines at `entry`
+        field, entry = inner + "  ", inner + "    "
+        row_head = "{" + field + '"residual": '
+        row_template = "," + field + '"template": '
+        row_witness = "," + field + '"witness": [' + entry
+        row_comma = "," + entry
+        row_end = field + "]" + inner + "}"
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            separator = "," + inner
+            if type(item) is dict and item.keys() == _ROW_KEYS:
+                residual, template, witness = item["residual"], item["template"], item["witness"]
+                if (
+                    type(residual) is str
+                    and type(template) is str
+                    and type(witness) in (list, tuple)
+                    and set(map(type, witness)) == _INTS
+                ):
+                    out.append(
+                        row_head + _quote(residual) + row_template + _quote(template)
+                        + row_witness + row_comma.join(map(int.__repr__, witness)) + row_end
+                    )
+                    continue
+            _write(item, inner, out)
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# ---------------------------------------------------------------------------
 # path-level helpers
 
 
@@ -247,7 +334,7 @@ def read_json(path) -> dict:
 
 
 def write_json(path, data: dict, header: str | None = None) -> None:
-    body = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    body = json_text(data) + "\n"
     if header:
         body = f"// {header}\n" + body
     Path(path).write_text(body, encoding="utf-8")

@@ -22,7 +22,8 @@ engine's tables and `CompiledSystem`): `IntegerForm(order).scaled` writes
 polynomials over a fixed parameter order as {exponent tuple: int} dicts, all
 scaled by the least common multiple L of their coefficient denominators, and
 `IntegerForm.polynomial` turns such a dict over L back into a canonical
-Polynomial.
+Polynomial.  `IntegerForm.text` writes the same polynomial's text straight
+from the ints; it and `Polynomial.__str__` share one formatter (`_format`).
 
 Text grammar (parse/str are mutually inverse on canonical forms):
 
@@ -272,28 +273,35 @@ class Polynomial:
         return hash(self.terms)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for index, (mono, coeff) in enumerate(self.terms):
-            body = _term_text(mono, abs(coeff))
-            if index == 0:
-                parts.append(("-" if coeff < 0 else "") + body)
-            else:
-                parts.append((" - " if coeff < 0 else " + ") + body)
-        return "".join(parts)
+        return _format((_mono_text(m), c.numerator, c.denominator) for m, c in self.terms)
 
     def __repr__(self) -> str:
         return f"Polynomial.parse({str(self)!r})"
 
 
-def _term_text(mono: Monomial, coeff: Fraction) -> str:
-    mono_text = "*".join(n if e == 1 else f"{n}^{e}" for n, e in mono)
-    if not mono_text:
-        return str(coeff)
-    if coeff == 1:
-        return mono_text
-    return f"{coeff}*{mono_text}"
+def _mono_text(mono: Monomial) -> str:
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in mono)
+
+
+def _format(terms: Iterable[tuple]) -> str:
+    """The canonical text of (monomial text, numerator, denominator) terms,
+    given in canonical monomial order, each a nonzero coefficient in lowest
+    terms with a positive denominator: "0", or signed terms "c*m", "m" or "c"."""
+    parts = []
+    for mono_text, numerator, denominator in terms:
+        parts.append(" - " if numerator < 0 else " + ")
+        numerator = abs(numerator)
+        coeff = str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+        if not mono_text:
+            parts.append(coeff)
+        elif coeff == "1":
+            parts.append(mono_text)
+        else:
+            parts.append(f"{coeff}*{mono_text}")
+    if not parts:
+        return "0"
+    parts[0] = "-" if parts[0] == " - " else ""
+    return "".join(parts)
 
 
 _ZERO = Polynomial()
@@ -314,6 +322,7 @@ class IntegerForm:
         self.one = (0,) * len(self.order)
         self._position = {name: index for index, name in enumerate(self.order)}
         self._monomials: dict = {}
+        self._labels: dict = {}
 
     def scaled(self, polynomials: Iterable[Polynomial]) -> tuple:
         """(L, [{exponent tuple: int}, ...]): the polynomials times L, the least
@@ -347,6 +356,21 @@ class IntegerForm:
         poly = object.__new__(Polynomial)
         object.__setattr__(poly, "terms", tuple(out))
         return poly
+
+    def text(self, terms: Mapping, scale: int) -> str:
+        """str(self.polynomial(terms, scale)), from the ints: each coefficient
+        is reduced by its gcd with `scale`, and no Fraction or Polynomial is made."""
+        labels = self._labels
+        out = []
+        for exponents, coeff in terms.items():
+            label = labels.get(exponents)
+            if label is None:
+                mono = tuple((name, exp) for name, exp in zip(self.order, exponents) if exp)
+                label = labels[exponents] = (_mono_key(mono), _mono_text(mono))
+            divisor = math.gcd(coeff, scale)
+            out.append((label, coeff // divisor, scale // divisor))
+        out.sort()
+        return _format((text, numerator, denominator) for (_, text), numerator, denominator in out)
 
 
 class CompiledSystem:

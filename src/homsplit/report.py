@@ -3,7 +3,9 @@
 A report is a sorted list of violations; an empty list means "pass".
 Each violation names the identity template that failed, the basis-index
 witness where it failed (with the coordinate index appended), and the
-residual polynomial (lhs - rhs at that coordinate).
+residual polynomial (lhs - rhs at that coordinate).  Residuals from the
+template engine are lazy: a violation keeps the integer residual, writes its
+text from the integers and builds the Polynomial on first access.
 """
 
 from __future__ import annotations
@@ -13,18 +15,49 @@ from dataclasses import dataclass, field
 from .poly import Polynomial
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, repr=False, slots=True)
 class Violation:
+    """One failed coordinate, compared and ordered by (template, witness).
+
+    `Violation(template, witness, residual)` takes the residual Polynomial.
+    The template engine passes None and `scaled` = (form, terms, scale)
+    instead: the residual is the {exponent tuple: int} dict `terms` over the
+    int `scale`, in the `poly.IntegerForm` `form`.  Such a violation writes
+    its residual text from the ints and builds the Polynomial only when
+    `residual` is first read, and keeps it.
+    """
+
     template: str
     witness: tuple[int, ...]
-    residual: Polynomial = field(compare=False)
+    _residual: Polynomial | None = field(default=None, compare=False)
+    scaled: tuple | None = field(default=None, compare=False)
+
+    @property
+    def residual(self) -> Polynomial:
+        if self._residual is None:
+            form, terms, scale = self.scaled
+            object.__setattr__(self, "_residual", form.polynomial(terms, scale))
+        return self._residual
+
+    def residual_text(self) -> str:
+        """str(self.residual)."""
+        if self.scaled is None:
+            return str(self._residual)
+        form, terms, scale = self.scaled
+        return form.text(terms, scale)
 
     def to_dict(self) -> dict:
         return {
             "template": self.template,
             "witness": list(self.witness),
-            "residual": str(self.residual),
+            "residual": self.residual_text(),
         }
+
+    def __repr__(self) -> str:
+        return (
+            f"Violation(template={self.template!r}, witness={self.witness!r}, "
+            f"residual={self.residual!r})"
+        )
 
 
 @dataclass
@@ -59,7 +92,7 @@ class Report:
             return "pass"
         lines = [f"fail ({len(self.entries)} violation(s))"]
         for v in self.entries[:20]:
-            lines.append(f"  {v.template} @ {list(v.witness)}: {v.residual}")
+            lines.append(f"  {v.template} @ {list(v.witness)}: {v.residual_text()}")
         if len(self.entries) > 20:
             lines.append(f"  ... {len(self.entries) - 20} more")
         return "\n".join(lines)

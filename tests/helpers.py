@@ -200,6 +200,25 @@ def random_bundle(rng, kind, dim, count=3) -> AlgebraBundle:
     return AlgebraBundle(kind, dim, ops, rand_matrix(rng, dim, dim), ())
 
 
+def dense_six(rng: random.Random, dim: int) -> AlgebraBundle:
+    """A six-dendriform tensor that fails densely: round(0.3 dim^3) entries per
+    operation from COEFFS, every third one times the parameter p; the twist is
+    the identity plus one off-diagonal 1/2."""
+    cells = [(i, j, k) for i in range(1, dim + 1) for j in range(1, dim + 1)
+             for k in range(1, dim + 1)]
+    p = Polynomial.variable("p")
+    ops = {}
+    for name in sorted(KIND_OPS["six_dendriform"]):
+        entries = []
+        for index, (i, j, k) in enumerate(sorted(rng.sample(cells, round(0.3 * len(cells))))):
+            coeff = Polynomial.constant(rng.choice(COEFFS))
+            entries.append((i, j, k, coeff * p if index % 3 == 0 else coeff))
+        ops[name] = BilinearOp.square(dim, entries)
+    alpha = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    alpha[0][dim - 1] = Fraction(1, 2)
+    return AlgebraBundle("six_dendriform", dim, ops, LinearMap.from_fractions(alpha), ("p",))
+
+
 def random_action(rng, base_dim, module_dim) -> ActionBundle:
     """Arbitrary tensors of the action shapes; the identities need not hold."""
     b, m = base_dim, module_dim
