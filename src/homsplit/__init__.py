@@ -20,10 +20,6 @@ from .model import (
     ModelError,
     RepresentationBundle,
     basis_vector,
-    bundle_specialize,
-    map_apply,
-    op_apply,
-    validate_bundle,
 )
 from .axioms import (
     check_action,
@@ -61,7 +57,6 @@ __all__ = [
     "RepresentationBundle",
     "Violation",
     "basis_vector",
-    "bundle_specialize",
     "check_action",
     "check_associative",
     "check_dendriform",
@@ -73,9 +68,6 @@ __all__ = [
     "check_representation",
     "check_six",
     "check_triassociative",
-    "map_apply",
-    "op_apply",
-    "validate_bundle",
 ]
 
 __version__ = "0.1.0"

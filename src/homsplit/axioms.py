@@ -21,8 +21,7 @@ Operators, morphisms and graphs are named maps in the same templates ("H",
 "qavg.<op>.a"/"qavg.<op>.b", "hom.<op>" and "graph.<op>"/"graph.twist".
 The quotient by the ideal I_D is checked the same way, with reduction modulo
 I_D as the map "R": "quotient.closure.left/right.<op>",
-"quotient.closure.twist", "quotient.flavor-mismatch.<flavor>" and
-"quotient.perp-compat.<flavor>".
+"quotient.closure.twist" and "quotient.perp-compat.<flavor>".
 Twist commutation X o alpha = alpha' o X ("avg.twist", "rb.twist",
 "ravg.twist", "qavg.twist", "hom.twist") is the matrix identity
 `twist_commutation`, witnessed by (row, col).
@@ -842,18 +841,6 @@ def quotient_closure_templates(names) -> list:
         ]
     ts.append(_t("quotient.closure.twist", App("R", App("alpha", w)), zero, (("w", "I"),)))
     return ts
-
-
-def flavor_mismatch_templates() -> list:
-    """The vdash- and dashv-flavored products of complement representatives
-    ("C" includes the space "Q" of D/I_D) agree after the projection "P"."""
-    cr, cs = App("C", Var("r")), App("C", Var("s"))
-    qq = (("r", "Q"), ("s", "Q"))
-    return [
-        _t(f"quotient.flavor-mismatch.{flavor}",
-           App("P", Op(f"{flavor}_vdash", cr, cs)), App("P", Op(f"{flavor}_dashv", cr, cs)), qq)
-        for flavor in ("prec", "succ")
-    ]
 
 
 def perp_compat_templates() -> list:

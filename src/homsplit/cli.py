@@ -16,19 +16,25 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import constructions, corpus, morphisms, operators
-from .axioms import check_action, check_kind, check_multiplicative, check_representation
+from .axioms import (
+    SQ15_READINGS,
+    check_action,
+    check_kind,
+    check_multiplicative,
+    check_representation,
+)
 from .files import (
+    OPERATOR_KINDS,
     algebra_to_dict,
     classify_file,
     json_text,
+    matrix_rows,
     read_json,
     write_json,
 )
-from .model import ModelError
+from .model import ActionBundle, AlgebraBundle, ModelError
 from .poly import ParseError
 from .report import PreconditionError
-
-SQ15_CHOICES = ("literal", "symmetric")
 
 
 def _dump(data: dict) -> str:
@@ -74,14 +80,10 @@ def _load_construct_operator(name: str, path):
 
 def _load_context(path):
     """Load an algebra, representation, or action file by its shape."""
-    kind = classify_file(read_json(path))
-    if kind == "algebra":
-        return corpus.load_algebra(path)
-    if kind == "representation":
-        return corpus.load_representation(path)
-    if kind == "action":
-        return corpus.load_action(path)
-    raise corpus.CorpusError(f"{path}: expected an algebra/representation/action file")
+    shape = classify_file(read_json(path))
+    if shape == "operator":
+        raise corpus.CorpusError(f"{path}: expected an algebra/representation/action file")
+    return getattr(corpus, f"load_{shape}")(path)
 
 
 def _parse_grid(text: str, denominators: str) -> list:
@@ -100,31 +102,21 @@ def _parse_grid(text: str, denominators: str) -> list:
     return sorted(values)
 
 
-def _matrix_rows(matrix) -> list:
-    return [[str(cell) for cell in row] for row in matrix.entries]
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
 def _cmd_check(args) -> int:
-    data = read_json(args.file)
-    shape = classify_file(data)
-    if shape == "algebra":
-        bundle = corpus.load_algebra(args.file)
-        report = check_kind(bundle, sq15=args.sq15)
-        extra = {}
+    context = _load_context(args.file)
+    extra = {}
+    if isinstance(context, AlgebraBundle):
+        report = check_kind(context, sq15=args.sq15)
         if args.multiplicative:
-            extra["multiplicative"] = check_multiplicative(bundle).to_dict()
-    elif shape == "representation":
-        report = check_representation(corpus.load_representation(args.file))
-        extra = {}
-    elif shape == "action":
-        report = check_action(corpus.load_action(args.file))
-        extra = {}
+            extra["multiplicative"] = check_multiplicative(context).to_dict()
+    elif isinstance(context, ActionBundle):
+        report = check_action(context)
     else:
-        raise corpus.CorpusError(f"{args.file}: operator files go through verify-op")
+        report = check_representation(context)
     payload = {"file": str(args.file), "check": report.to_dict(), **extra}
     summary = f"{args.file}: {report.status} ({len(report.entries)} violation(s))"
     _publish(args, payload, summary, show=not report.ok)
@@ -213,7 +205,7 @@ def _cmd_solve_op(args) -> int:
         "context": str(args.context),
         "kind": args.kind,
         "grid": [str(g) for g in grid],
-        "solutions": [_matrix_rows(m) for m in solutions],
+        "solutions": [matrix_rows(m) for m in solutions],
     }
     _publish(args, payload, f"{len(solutions)} solution(s) over grid of {len(grid)} values")
     return 0
@@ -258,7 +250,7 @@ def _cmd_iso(args) -> int:
         else:
             found = morphisms.brute_force_iso_search(first, second, grid)
             if found is not None:
-                payload = {"verdict": "isomorphic", "matrix": _matrix_rows(found)}
+                payload = {"verdict": "isomorphic", "matrix": matrix_rows(found)}
             else:
                 payload = {"verdict": "unknown", "note": "no isomorphism within grid"}
     _publish(args, payload)
@@ -312,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--sq15",
-        choices=SQ15_CHOICES,
-        default="literal",
+        choices=SQ15_READINGS,
+        default=corpus.SQ15_DEFAULT,
         help="reading of the ambiguous six-dendriform identity sq15",
     )
     add_report(p)
@@ -349,10 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-op", help="enumerate operator solutions over a rational grid")
     p.add_argument("context")
-    p.add_argument("--kind", required=True, choices=sorted(
-        {"averaging_assoc", "rota_baxter", "relative_averaging",
-         "homomorphic_relative_averaging", "averaging_quadri"}
-    ))
+    p.add_argument("--kind", required=True, choices=sorted(OPERATOR_KINDS))
     p.add_argument("--grid", default="-2..2", help="integer range lo..hi (default -2..2)")
     p.add_argument(
         "--denominators", default="1", help="comma-separated denominators (default 1)"
@@ -389,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="batch-verify the bundled corpus")
     p.add_argument("action", choices=["verify-all", "list"])
     p.add_argument("--corpus", help="corpus root directory (default: bundled)")
-    p.add_argument("--sq15", choices=SQ15_CHOICES, default="literal")
+    p.add_argument("--sq15", choices=SQ15_READINGS, default=corpus.SQ15_DEFAULT)
     p.add_argument(
         "--discrepancies", help="write the discrepancy summary markdown to this path"
     )

@@ -18,6 +18,7 @@ possibly wrong data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from . import operators as _operators
 from .axioms import (
@@ -25,10 +26,10 @@ from .axioms import (
     Op,
     S,
     Var,
+    _require_kind,
     check_action,
     check_representation,
     evaluate_templates,
-    flavor_mismatch_templates,
     perp_compat_templates,
     quotient_closure_templates,
     tabulate,
@@ -58,74 +59,48 @@ def _shift_entries(op: BilinearOp, di: int, dj: int, dk: int):
 
 
 def _declared(*param_sources) -> tuple:
-    names: set = set()
-    for source in param_sources:
-        names |= set(source)
-    return tuple(sorted(names))
+    return tuple(sorted(set().union(*param_sources)))
 
 
 # ---------------------------------------------------------------------------
 # sum-splittings
 
 
+def _regroup(bundle: AlgebraBundle, source: str, kind: str, parts: dict) -> AlgebraBundle:
+    """The `kind` bundle on the space, twist and declared parameters of a
+    `source` bundle whose op `name` is the sum of the ops in parts[name]."""
+    _require_kind(bundle, source)
+    ops = {name: reduce(BilinearOp.add, map(bundle.op, names)) for name, names in parts.items()}
+    return AlgebraBundle(kind, bundle.dim, ops, bundle.twist, bundle.parameters)
+
+
 def quadri_to_diassociative(bundle: AlgebraBundle) -> AlgebraBundle:
     """vdash = prec_vdash + succ_vdash, dashv = prec_dashv + succ_dashv."""
-    if bundle.kind != "quadri_dendriform":
-        raise ValueError(f"expected a quadri_dendriform bundle, got {bundle.kind!r}")
-    return AlgebraBundle(
-        kind="diassociative",
-        dim=bundle.dim,
-        ops={
-            "vdash": bundle.op("prec_vdash").add(bundle.op("succ_vdash")),
-            "dashv": bundle.op("prec_dashv").add(bundle.op("succ_dashv")),
-        },
-        twist=bundle.twist,
-        parameters=bundle.parameters,
-    )
+    return _regroup(bundle, "quadri_dendriform", "diassociative", {
+        "vdash": ("prec_vdash", "succ_vdash"), "dashv": ("prec_dashv", "succ_dashv"),
+    })
 
 
 def six_to_triassociative(bundle: AlgebraBundle) -> AlgebraBundle:
     """perp/vdash/dashv as the pairwise sums of the six operations."""
-    if bundle.kind != "six_dendriform":
-        raise ValueError(f"expected a six_dendriform bundle, got {bundle.kind!r}")
-    return AlgebraBundle(
-        kind="triassociative",
-        dim=bundle.dim,
-        ops={
-            "perp": bundle.op("prec_perp").add(bundle.op("succ_perp")),
-            "vdash": bundle.op("prec_vdash").add(bundle.op("succ_vdash")),
-            "dashv": bundle.op("prec_dashv").add(bundle.op("succ_dashv")),
-        },
-        twist=bundle.twist,
-        parameters=bundle.parameters,
-    )
+    return _regroup(bundle, "six_dendriform", "triassociative", {
+        "perp": ("prec_perp", "succ_perp"),
+        "vdash": ("prec_vdash", "succ_vdash"),
+        "dashv": ("prec_dashv", "succ_dashv"),
+    })
 
 
 def quadri_part(bundle: AlgebraBundle) -> AlgebraBundle:
     """Project a six-dendriform bundle onto its four quadri operations."""
-    if bundle.kind != "six_dendriform":
-        raise ValueError(f"expected a six_dendriform bundle, got {bundle.kind!r}")
     names = ("prec_vdash", "prec_dashv", "succ_vdash", "succ_dashv")
-    return AlgebraBundle(
-        kind="quadri_dendriform",
-        dim=bundle.dim,
-        ops={n: bundle.op(n) for n in names},
-        twist=bundle.twist,
-        parameters=bundle.parameters,
-    )
+    return _regroup(bundle, "six_dendriform", "quadri_dendriform", {n: (n,) for n in names})
 
 
 def perp_part(bundle: AlgebraBundle) -> AlgebraBundle:
     """Project a six-dendriform bundle onto its (prec_perp, succ_perp) pair."""
-    if bundle.kind != "six_dendriform":
-        raise ValueError(f"expected a six_dendriform bundle, got {bundle.kind!r}")
-    return AlgebraBundle(
-        kind="dendriform",
-        dim=bundle.dim,
-        ops={"prec": bundle.op("prec_perp"), "succ": bundle.op("succ_perp")},
-        twist=bundle.twist,
-        parameters=bundle.parameters,
-    )
+    return _regroup(bundle, "six_dendriform", "dendriform", {
+        "prec": ("prec_perp",), "succ": ("succ_perp",),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -135,18 +110,17 @@ def perp_part(bundle: AlgebraBundle) -> AlgebraBundle:
 def direct_sum_quadri(a: AlgebraBundle, b: AlgebraBundle) -> AlgebraBundle:
     """Block-diagonal operations on A + B; cross products vanish."""
     for bundle in (a, b):
-        if bundle.kind != "quadri_dendriform":
-            raise ValueError(f"expected quadri_dendriform bundles, got {bundle.kind!r}")
-    d = a.dim
-    ops = {}
-    for name in a.ops:
-        entries = list(a.op(name).constants)
-        entries = [(i, j, k, c) for (i, j, k), c in entries]
-        entries += _shift_entries(b.op(name), d, d, d)
-        ops[name] = BilinearOp.from_entries(d + b.dim, d + b.dim, d + b.dim, entries)
+        _require_kind(bundle, "quadri_dendriform")
+    d, n = a.dim, a.dim + b.dim
+    ops = {
+        name: BilinearOp.from_entries(
+            n, n, n, _shift_entries(a.op(name), 0, 0, 0) + _shift_entries(b.op(name), d, d, d)
+        )
+        for name in a.ops
+    }
     return AlgebraBundle(
         kind="quadri_dendriform",
-        dim=d + b.dim,
+        dim=n,
         ops=ops,
         twist=LinearMap.block_diag(a.twist, b.twist),
         parameters=_declared(a.parameters, b.parameters),
@@ -167,23 +141,20 @@ def hemi_semidirect(rep: RepresentationBundle, force: bool = False) -> AlgebraBu
     d, m = rep.base.dim, rep.module_dim
     n = d + m
 
-    def build(base_op: BilinearOp, act: BilinearOp, pattern: str) -> BilinearOp:
-        entries = [(i, j, k, c) for (i, j, k), c in base_op.constants]
-        if pattern == "left":  # D x M -> M
-            entries += _shift_entries(act, 0, d, d)
-        else:  # M x D -> M
-            entries += _shift_entries(act, d, 0, d)
+    def build(base_op: BilinearOp, act: BilinearOp, shift: tuple) -> BilinearOp:
+        entries = _shift_entries(base_op, 0, 0, 0) + _shift_entries(act, *shift)
         return BilinearOp.from_entries(n, n, n, entries)
 
     prec, succ = rep.base.op("prec"), rep.base.op("succ")
+    left, right = (0, d, d), (d, 0, d)  # D x M -> M and M x D -> M
     return AlgebraBundle(
         kind="quadri_dendriform",
         dim=n,
         ops={
-            "prec_vdash": build(prec, rep.action("prec_l"), "left"),
-            "prec_dashv": build(prec, rep.action("prec_r"), "right"),
-            "succ_vdash": build(succ, rep.action("succ_l"), "left"),
-            "succ_dashv": build(succ, rep.action("succ_r"), "right"),
+            "prec_vdash": build(prec, rep.action("prec_l"), left),
+            "prec_dashv": build(prec, rep.action("prec_r"), right),
+            "succ_vdash": build(succ, rep.action("succ_l"), left),
+            "succ_dashv": build(succ, rep.action("succ_r"), right),
         },
         twist=LinearMap.block_diag(rep.base.twist, rep.module_twist),
         parameters=_declared(rep.base.parameters, rep.used_parameters()),
@@ -203,9 +174,7 @@ def semidirect_dendriform(action: ActionBundle, force: bool = False) -> AlgebraB
     n = d + m
 
     def build(which: str) -> BilinearOp:
-        entries = [
-            (i, j, k, c) for (i, j, k), c in action.acting.op(which).constants
-        ]
+        entries = _shift_entries(action.acting.op(which), 0, 0, 0)
         entries += _shift_entries(action.actions[f"{which}_l"], 0, d, d)
         entries += _shift_entries(action.actions[f"{which}_r"], d, 0, d)
         entries += _shift_entries(action.acted.op(which), d, d, d)
@@ -263,8 +232,7 @@ def _require_parameter_free(bundle) -> None:
 
 def ideal_ID(bundle: AlgebraBundle) -> Subspace:
     """Span of all dashv-flavored minus vdash-flavored products."""
-    if bundle.kind != "quadri_dendriform":
-        raise ValueError(f"expected a quadri_dendriform bundle, got {bundle.kind!r}")
+    _require_kind(bundle, "quadri_dendriform")
     _require_parameter_free(bundle)
     dims, ops, xy = {"D": bundle.dim}, dict(bundle.ops), (("x", "D"), ("y", "D"))
     generators = []
@@ -299,8 +267,9 @@ def quotient_dendriform(bundle: AlgebraBundle) -> QuotientResult:
 
     Closure is checked, never assumed: all four operations must map
     D x I_D and I_D x D into I_D, and alpha must stabilize I_D.  Quotient
-    products use the vdash-flavored representatives; the dashv-flavored
-    ones are re-checked to agree modulo I_D.
+    products use the vdash-flavored representatives.  The dashv-flavored
+    ones agree with them modulo I_D by construction, since their difference
+    is a generator of I_D.
     """
     ideal = ideal_ID(bundle)
     dim = bundle.dim
@@ -321,9 +290,6 @@ def quotient_dendriform(bundle: AlgebraBundle) -> QuotientResult:
     report = evaluate_templates(quotient_closure_templates(sorted(bundle.ops)), dims, ops, maps)
     if not report.ok:
         return QuotientResult(ok=False, ideal=ideal, report=report)
-    mismatch = evaluate_templates(flavor_mismatch_templates(), dims, ops, maps)
-    if not mismatch.ok:
-        return QuotientResult(ok=False, ideal=ideal, report=mismatch)
 
     cx, cy = App("C", _X), App("C", _Y)
     prec, succ = (

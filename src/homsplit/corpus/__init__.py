@@ -20,7 +20,6 @@ one ambiguous table line ships as two variant entries (.literal/.emended).
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from ..axioms import check_kind, check_multiplicative
@@ -41,6 +40,8 @@ CORPUS_ROOT = Path(__file__).parent
 
 SQ15_DEFAULT = "literal"
 
+_OPTIONAL_TEXTS = ("algebra", "notes", "imaginary_unit")
+
 
 class CorpusError(ValueError):
     """Missing/invalid corpus file; carries the validation report if any."""
@@ -50,57 +51,47 @@ class CorpusError(ValueError):
         self.report = report
 
 
-def load_algebra(path) -> AlgebraBundle:
-    """Load and structurally validate a plain algebra file."""
+_FROM_DICT = {
+    "algebra": algebra_from_dict,
+    "representation": representation_from_dict,
+    "action": action_from_dict,
+    "operator": operator_from_dict,
+}
+
+
+def _load(path, shape: str):
+    """Read a file of the given shape, parse it and, unless it is an operator
+    file, validate its structure."""
     data = read_json(path)
-    if classify_file(data) != "algebra":
-        raise CorpusError(f"{path}: not an algebra file (use the matching loader)")
+    found = classify_file(data)
+    if found != shape:
+        raise CorpusError(f"{path}: expected {shape} file, got {found} file")
     try:
-        bundle = algebra_from_dict(data)
+        loaded = _FROM_DICT[shape](data)
     except ModelError as exc:
         raise CorpusError(str(exc)) from exc
-    report = bundle.validate()
-    if not report.ok:
-        raise CorpusError(f"{path}: structural violations\n{report}", report)
-    return bundle
+    if shape != "operator":
+        report = loaded.validate()
+        if not report.ok:
+            raise CorpusError(f"{path}: structural violations\n{report}", report)
+    return loaded
+
+
+def load_algebra(path) -> AlgebraBundle:
+    return _load(path, "algebra")
 
 
 def load_representation(path) -> RepresentationBundle:
-    data = read_json(path)
-    if classify_file(data) != "representation":
-        raise CorpusError(f"{path}: not a representation file")
-    try:
-        rep = representation_from_dict(data)
-    except ModelError as exc:
-        raise CorpusError(str(exc)) from exc
-    report = rep.validate()
-    if not report.ok:
-        raise CorpusError(f"{path}: structural violations\n{report}", report)
-    return rep
+    return _load(path, "representation")
 
 
 def load_action(path) -> ActionBundle:
-    data = read_json(path)
-    if classify_file(data) != "action":
-        raise CorpusError(f"{path}: not an action file")
-    try:
-        action = action_from_dict(data)
-    except ModelError as exc:
-        raise CorpusError(str(exc)) from exc
-    report = action.validate()
-    if not report.ok:
-        raise CorpusError(f"{path}: structural violations\n{report}", report)
-    return action
+    return _load(path, "action")
 
 
 def load_operator(path) -> tuple:
-    data = read_json(path)
-    if classify_file(data) != "operator":
-        raise CorpusError(f"{path}: not an operator file")
-    try:
-        return operator_from_dict(data)
-    except ModelError as exc:
-        raise CorpusError(str(exc)) from exc
+    """(kind, matrix) of an operator file."""
+    return _load(path, "operator")
 
 
 def load_manifest(root=None) -> dict:
@@ -108,10 +99,31 @@ def load_manifest(root=None) -> dict:
     path = root / "manifest.json"
     if not path.exists():
         raise CorpusError(f"missing corpus manifest {path}")
-    data = json.loads(path.read_text(encoding="utf-8"))
-    ids = [e["id"] for e in data["entries"]]
+    data = read_json(path)
+    entries = data.get("entries") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise CorpusError(f"{path}: a manifest is an object with an entries list")
+    for pos, entry in enumerate(entries):
+        if not (
+            isinstance(entry, dict)
+            and all(isinstance(entry.get(key), str) for key in ("id", "type", "path", "source"))
+            and all(isinstance(entry.get(key, ""), str) for key in _OPTIONAL_TEXTS)
+            and isinstance(entry.get("expected"), dict)
+            and entry["expected"].keys() == {"verdict", "provenance"}
+            and all(isinstance(value, str) for value in entry["expected"].values())
+        ):
+            raise CorpusError(
+                f"{path}: entry {pos} needs strings id, type, path and source, an expected "
+                f"object of strings verdict and provenance, and strings for any of "
+                f"{', '.join(_OPTIONAL_TEXTS)}"
+            )
+    ids = [e["id"] for e in entries]
     if len(ids) != len(set(ids)):
         raise CorpusError("duplicate ids in corpus manifest")
+    algebras = {e["id"] for e in entries if e["type"] == "algebra"}
+    for entry in entries:
+        if entry["type"] == "operator" and entry.get("algebra") not in algebras:
+            raise CorpusError(f"{path}: operator entry {entry['id']} names no algebra entry")
     return data
 
 
@@ -132,14 +144,9 @@ def verify_entry(entry: dict, root=None, sq15: str = SQ15_DEFAULT, algebras=None
     """Verify one manifest entry; returns its deterministic report record."""
     root = Path(root) if root else CORPUS_ROOT
     record = {
-        "id": entry["id"],
-        "type": entry["type"],
-        "path": entry["path"],
-        "source": entry["source"],
-        "expected": entry["expected"],
+        key: entry[key] for key in ("id", "type", "path", "source", "expected", "notes")
+        if key in entry
     }
-    if "notes" in entry:
-        record["notes"] = entry["notes"]
     if entry["type"] == "algebra":
         bundle = load_algebra(root / entry["path"])
         record["kind"] = bundle.kind
@@ -148,14 +155,12 @@ def verify_entry(entry: dict, root=None, sq15: str = SQ15_DEFAULT, algebras=None
     elif entry["type"] == "operator":
         kind, matrix = load_operator(root / entry["path"])
         record["operator_kind"] = kind
-        record["algebra"] = entry["algebra"]
-        if algebras is None or entry["algebra"] not in algebras:
-            context_entry = next(
-                e for e in load_manifest(root)["entries"] if e["id"] == entry["algebra"]
-            )
-            context = load_algebra(root / context_entry["path"])
+        record["algebra"] = algebra = entry["algebra"]
+        if algebras is None or algebra not in algebras:
+            paths = {e["id"]: e["path"] for e in load_manifest(root)["entries"]}
+            context = load_algebra(root / paths[algebra])
         else:
-            context = algebras[entry["algebra"]]
+            context = algebras[algebra]
         report = verify_operator(kind, context, matrix)
         unit = entry.get("imaginary_unit")
         if unit:

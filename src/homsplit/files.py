@@ -30,6 +30,7 @@ from .model import (
     LinearMap,
     ModelError,
     RepresentationBundle,
+    action_shapes,
 )
 from .poly import ParseError, Polynomial
 
@@ -69,7 +70,8 @@ def _matrix_from_json(data, where: str) -> LinearMap:
     return LinearMap.from_rows(rows)
 
 
-def _matrix_to_json(m: LinearMap) -> list:
+def matrix_rows(m: LinearMap) -> list:
+    """The matrix as rows of polynomial texts, as files and reports write it."""
     return [[str(cell) for cell in row] for row in m.entries]
 
 
@@ -111,6 +113,8 @@ def _check_keys(data: dict, allowed: set, required: set, what: str) -> None:
 
 def algebra_from_dict(data: dict) -> AlgebraBundle:
     _check_keys(data, ALGEBRA_KEYS, ALGEBRA_KEYS, "algebra file")
+    if not isinstance(data["kind"], str):
+        raise ModelError("algebra file: kind must be a string")
     dim = data["dimension"]
     if type(dim) is not int or dim < 1:
         raise ModelError("algebra file: dimension must be a positive integer")
@@ -138,7 +142,7 @@ def algebra_to_dict(bundle: AlgebraBundle) -> dict:
         "kind": bundle.kind,
         "dimension": bundle.dim,
         "parameters": sorted(bundle.parameters),
-        "alpha": _matrix_to_json(bundle.twist),
+        "alpha": matrix_rows(bundle.twist),
         "ops": {name: _tensor_to_json(op) for name, op in sorted(bundle.ops.items())},
     }
 
@@ -153,12 +157,7 @@ def _representation_parts(data: dict, base: AlgebraBundle) -> RepresentationBund
     mdim = data["module_dimension"]
     if type(mdim) is not int or mdim < 1:
         raise ModelError("representation file: module_dimension must be positive")
-    shapes = {
-        "prec_l": (base.dim, mdim, mdim),
-        "succ_l": (base.dim, mdim, mdim),
-        "prec_r": (mdim, base.dim, mdim),
-        "succ_r": (mdim, base.dim, mdim),
-    }
+    shapes = action_shapes(base.dim, mdim)
     actions_data = data["actions"]
     if not isinstance(actions_data, dict) or set(actions_data) != set(ACTION_NAMES):
         raise ModelError(
@@ -179,7 +178,7 @@ def _representation_parts(data: dict, base: AlgebraBundle) -> RepresentationBund
 def representation_to_dict(rep: RepresentationBundle) -> dict:
     out = algebra_to_dict(rep.base)
     out["module_dimension"] = rep.module_dim
-    out["beta"] = _matrix_to_json(rep.module_twist)
+    out["beta"] = matrix_rows(rep.module_twist)
     out["actions"] = {name: _tensor_to_json(rep.actions[name]) for name in ACTION_NAMES}
     return out
 
@@ -218,7 +217,7 @@ def action_to_dict(action: ActionBundle) -> dict:
 def operator_from_dict(data: dict) -> tuple:
     _check_keys(data, OPERATOR_KEYS, OPERATOR_KEYS, "operator file")
     kind = data["kind"]
-    if kind not in OPERATOR_KINDS:
+    if not isinstance(kind, str) or kind not in OPERATOR_KINDS:
         raise ModelError(
             f"operator file: unknown kind {kind!r} (expected one of {sorted(OPERATOR_KINDS)})"
         )
@@ -226,7 +225,7 @@ def operator_from_dict(data: dict) -> tuple:
 
 
 def operator_to_dict(kind: str, matrix: LinearMap) -> dict:
-    return {"kind": kind, "matrix": _matrix_to_json(matrix)}
+    return {"kind": kind, "matrix": matrix_rows(matrix)}
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +330,8 @@ def read_json(path) -> dict:
         return json.loads(body)
     except json.JSONDecodeError as exc:
         raise ModelError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ModelError(f"{path}: JSON nested too deeply") from exc
 
 
 def write_json(path, data: dict, header: str | None = None) -> None:

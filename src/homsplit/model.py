@@ -14,7 +14,6 @@ lives in `axioms`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .poly import Polynomial
@@ -39,6 +38,13 @@ KIND_OPS: dict[str, frozenset] = {
 ACTION_NAMES = ("prec_l", "succ_l", "prec_r", "succ_r")
 
 
+def action_shapes(base_dim: int, module_dim: int) -> dict:
+    """(left, right, output) dims of each action tensor: prec_l and succ_l
+    send D x M to M, prec_r and succ_r send M x D to M."""
+    left, right = (base_dim, module_dim, module_dim), (module_dim, base_dim, module_dim)
+    return dict(zip(ACTION_NAMES, (left, left, right, right)))
+
+
 class ModelError(ValueError):
     """Malformed input data (file shape, duplicate keys, bad polynomial text)."""
 
@@ -53,18 +59,6 @@ def basis_vector(dim: int, index: int) -> Vector:
     return tuple(
         Polynomial.one() if k == index - 1 else Polynomial.zero() for k in range(dim)
     )
-
-
-def vec_add(a: Vector, b: Vector) -> Vector:
-    if len(a) != len(b):
-        raise ValueError("vector dimension mismatch")
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_scale(scalar, v: Vector) -> Vector:
-    if isinstance(scalar, (int, Fraction)):
-        scalar = Polynomial.constant(scalar)
-    return tuple(scalar * x for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +137,6 @@ class LinearMap:
                 row.append(acc)
             rows.append(row)
         return LinearMap.from_rows(rows)
-
-    def add(self, other: "LinearMap") -> "LinearMap":
-        if (self.dim_out, self.dim_in) != (other.dim_out, other.dim_in):
-            raise ValueError("matrix shape mismatch")
-        return LinearMap.from_rows(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
 
     def specialize(self, bindings: Mapping) -> "LinearMap":
         return LinearMap.from_rows(
@@ -248,12 +232,6 @@ class BilinearOp:
     def zero_square(dim: int) -> "BilinearOp":
         return BilinearOp(dim, dim, dim, ())
 
-    @property
-    def dim(self) -> int:
-        if self.dim_left == self.dim_right == self.dim_out:
-            return self.dim_left
-        raise ValueError("mixed-dimension tensor has no single dim")
-
     def apply(self, x: Vector, y: Vector) -> Vector:
         if len(x) != self.dim_left or len(y) != self.dim_right:
             raise ValueError(
@@ -270,12 +248,6 @@ class BilinearOp:
                 continue
             out[k - 1] = out[k - 1] + xi * yj * coeff
         return tuple(out)
-
-    def entry(self, i: int, j: int, k: int) -> Polynomial:
-        for key, poly in self.constants:
-            if key == (i, j, k):
-                return poly
-        return Polynomial.zero()
 
     def add(self, other: "BilinearOp") -> "BilinearOp":
         if (self.dim_left, self.dim_right, self.dim_out) != (
@@ -423,14 +395,8 @@ class RepresentationBundle:
 
         if self.base.kind != "dendriform":
             flag("structure.representation-base-kind")
-        d, m = self.base.dim, self.module_dim
-        shapes = {
-            "prec_l": (d, m, m),
-            "succ_l": (d, m, m),
-            "prec_r": (m, d, m),
-            "succ_r": (m, d, m),
-        }
-        for name, shape in shapes.items():
+        m = self.module_dim
+        for name, shape in action_shapes(self.base.dim, m).items():
             op = self.actions.get(name)
             if op is None:
                 flag(f"structure.missing-action:{name}")
@@ -488,23 +454,3 @@ class ActionBundle:
                 Violation("structure.acted-kind", (), Polynomial.zero())
             )
         return Report(entries)
-
-
-# ---------------------------------------------------------------------------
-# evaluation entry points named in the interface
-
-
-def op_apply(op: BilinearOp, x: Vector, y: Vector) -> Vector:
-    return op.apply(x, y)
-
-
-def map_apply(m: LinearMap, x: Vector) -> Vector:
-    return m.apply(x)
-
-
-def bundle_specialize(bundle: AlgebraBundle, bindings: Mapping) -> AlgebraBundle:
-    return bundle.specialize(bindings)
-
-
-def validate_bundle(bundle: AlgebraBundle) -> Report:
-    return bundle.validate()

@@ -107,32 +107,6 @@ def _resolve(kind: str, context) -> _Frame:
     )
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
-    """An operator matrix tagged with its kind and (optionally) the bundle
-    it acts on; with a context attached the matrix shape is validated."""
-
-    kind: str
-    matrix: LinearMap
-    context: object = None
-
-    def __post_init__(self):
-        if self.context is not None:
-            rows, cols = _resolve(self.kind, self.context).shape
-            if (self.matrix.dim_out, self.matrix.dim_in) != (rows, cols):
-                raise ValueError(
-                    f"{self.kind} operator must be {rows} x {cols}, "
-                    f"got {self.matrix.dim_out} x {self.matrix.dim_in}"
-                )
-
-    def verify(self, strict_twist: bool = False) -> Report:
-        if self.context is None:
-            raise ValueError("no context attached to this operator")
-        return verify_operator(
-            self.kind, self.context, self.matrix, strict_twist=strict_twist
-        )
-
-
 def verify_operator(kind: str, context, matrix: LinearMap, strict_twist: bool = False) -> Report:
     """Dispatch on the operator kind; `context` is the matching bundle type."""
     frame = _resolve(kind, context)

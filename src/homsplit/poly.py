@@ -232,22 +232,6 @@ class Polynomial:
             out.append((tuple(kept), coeff))
         return Polynomial(out)
 
-    def substitute(self, bindings: Mapping[str, "Polynomial"]) -> "Polynomial":
-        """Substitute polynomials for parameters (the ring endomorphism
-        extending the bindings; unbound parameters persist)."""
-        if not bindings:
-            return self
-        acc = _ZERO
-        for mono, coeff in self.terms:
-            term = Polynomial.constant(coeff)
-            for name, exp in mono:
-                factor = bindings.get(name)
-                if factor is None:
-                    factor = Polynomial.variable(name)
-                term = term * factor ** exp
-            acc = acc + term
-        return acc
-
     def reduce_imaginary(self, name: str = "i") -> "Polynomial":
         """Rewrite powers of `name` using name^2 = -1 (Gaussian reduction)."""
         out = []
@@ -532,11 +516,3 @@ class _Parser:
             else "unexpected end of input",
             offset,
         )
-
-
-def parse(text: str) -> Polynomial:
-    return Polynomial.parse(text)
-
-
-ZERO = _ZERO
-ONE = _ONE

@@ -85,6 +85,35 @@ def sec2_diassociative() -> AlgebraBundle:
     )
 
 
+def vec_add(a: tuple, b: tuple) -> tuple:
+    if len(a) != len(b):
+        raise ValueError("vector dimension mismatch")
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vec_scale(scalar, v: tuple) -> tuple:
+    if isinstance(scalar, (int, Fraction)):
+        scalar = Polynomial.constant(scalar)
+    return tuple(scalar * x for x in v)
+
+
+def substitute(poly: Polynomial, bindings: dict) -> Polynomial:
+    """Substitute polynomials for parameters (the ring endomorphism
+    extending the bindings; unbound parameters persist)."""
+    if not bindings:
+        return poly
+    acc = Polynomial.zero()
+    for mono, coeff in poly.terms:
+        term = Polynomial.constant(coeff)
+        for name, exp in mono:
+            factor = bindings.get(name)
+            if factor is None:
+                factor = Polynomial.variable(name)
+            term = term * factor ** exp
+        acc = acc + term
+    return acc
+
+
 def rand_fraction(rng: random.Random) -> Fraction:
     return rng.choice(COEFFS)
 

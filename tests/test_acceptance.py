@@ -14,6 +14,7 @@ from helpers import (
     deta,
     rand_matrix,
     rich_dendriform,
+    substitute,
     zero_bundle,
 )
 from test_poly import run_ring_axiom_suite, run_roundtrip_suite
@@ -385,7 +386,7 @@ def test_acceptance_8_operator_propositions():
             f"u{i + 1}{j + 1}": matrix.entries[i][j]
             for i in range(matrix.dim_out) for j in range(matrix.dim_in)
         }
-        substituted = [eq.substitute(bindings) for eq in systems[entry["algebra"]]]
+        substituted = [substitute(eq, bindings) for eq in systems[entry["algebra"]]]
         if unit:
             substituted = [p.reduce_imaginary(unit) for p in substituted]
         assert all(p.is_zero() for p in substituted) == verdict_ok, entry["id"]

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from homsplit.cli import build_parser, main
-from homsplit.corpus import CORPUS_ROOT
-from homsplit.files import read_json, write_json
+from homsplit.corpus import CORPUS_ROOT, load_algebra
+from homsplit.files import action_to_dict, read_json, representation_to_dict, write_json
+from homsplit.model import ActionBundle, RepresentationBundle
 
 
 def corpus_path(rel: str) -> str:
@@ -222,6 +223,99 @@ def test_oversized_power_cell_exits_two(tmp_path, capsys):
     )
     assert main(["check", str(bad)]) == 2
     assert "cap of" in capsys.readouterr().err
+
+
+# -- hostile files: exit 2 with an error line, never a traceback ---------------------
+
+DETA = CORPUS_ROOT / "sec2" / "dendriform_Deta.json"
+DIAS = CORPUS_ROOT / "sec2" / "diassociative_D.json"
+RB = CORPUS_ROOT / "operators" / "sec2_rb_family1.json"
+
+
+def _manifest(drop=(), **changes) -> dict:
+    """A manifest of DIAS as a.json and RB as x.json, whose operator entry
+    lacks the keys in `drop`; without changes it is valid."""
+    algebra = {"id": "a", "type": "algebra", "path": "a.json", "source": "s",
+               "expected": {"verdict": "pass", "provenance": "p"}}
+    entry = {"id": "x", "type": "operator", "path": "x.json", "algebra": "a", "source": "s",
+             "expected": {"verdict": "fail", "provenance": "p"}, **changes}
+    return {"entries": [algebra, {key: value for key, value in entry.items() if key not in drop}]}
+
+
+def _payloads(root) -> None:
+    """The files the entries of `_manifest` name."""
+    (root / "a.json").write_bytes(DIAS.read_bytes())
+    (root / "x.json").write_bytes(RB.read_bytes())
+
+
+HOSTILE_FILES = {
+    "algebra-kind": lambda: dict(read_json(DETA), kind=[]),
+    "representation-kind": lambda: dict(
+        representation_to_dict(RepresentationBundle.adjoint(load_algebra(DETA))), kind=[]
+    ),
+    "action-kind": lambda: dict(action_to_dict(ActionBundle.adjoint(load_algebra(DETA))), kind=[]),
+    "operator-kind": lambda: {"kind": {"rota_baxter": True}, "matrix": [["0"]]},
+    "deep": None,  # a list nested 200,000 deep
+    "manifest-list": lambda: [],
+    "manifest-no-entries": lambda: {"entries": {}},
+    "manifest-entry-list": lambda: {"entries": [[]]},
+    **{f"manifest-no-{key}": (lambda key=key: _manifest(drop=(key,)))
+       for key in ("id", "type", "path", "source", "expected")},
+    "manifest-id-list": lambda: _manifest(id=[]),
+    "manifest-verdict-missing": lambda: _manifest(expected={"provenance": "p"}),
+    "manifest-expected-extra": lambda: _manifest(
+        expected={"verdict": "pass", "provenance": "p", "x": [1]}
+    ),
+    "manifest-no-algebra": lambda: _manifest(drop=("algebra",)),
+    "manifest-unknown-algebra": lambda: _manifest(algebra="y"),
+    "manifest-operator-as-algebra": lambda: _manifest(algebra="x"),
+}
+
+# argv with BAD for the hostile file, CORPUS for its directory, OUT for an output
+# path, and DETA, DIAS and RB for valid dendriform, diassociative and operator files
+ALGEBRA_READERS = [
+    ["check", "BAD"], ["construct", "sum-dias", "BAD", "-o", "OUT"], ["fingerprint", "BAD"],
+    ["iso", "BAD", "DETA"], ["iso", "DETA", "BAD"], ["verify-op", "BAD", "RB"],
+    ["solve-op", "BAD", "--kind", "rota_baxter"], ["emit-system", "BAD", "--kind", "rota_baxter"],
+]
+HOSTILE_CASES = [
+    *[(name, argv) for name in ("algebra-kind", "deep") for argv in ALGEBRA_READERS],
+    *[(name, argv) for name in ("operator-kind", "deep") for argv in (
+        ["verify-op", "DIAS", "BAD"], ["construct", "rb-dias", "DIAS", "BAD", "-o", "OUT"],
+    )],
+    ("representation-kind", ["check", "BAD"]),
+    ("representation-kind", ["construct", "hemi", "BAD", "-o", "OUT"]),
+    ("representation-kind", ["verify-op", "BAD", "RB"]),
+    ("action-kind", ["check", "BAD"]),
+    ("action-kind", ["construct", "semidirect", "BAD", "-o", "OUT"]),
+    ("action-kind", ["verify-op", "BAD", "RB"]),
+    *[(name, ["corpus", action, "--corpus", "CORPUS"])
+      for name in HOSTILE_FILES if name.startswith(("manifest", "deep"))
+      for action in ("verify-all", "list")],
+]
+
+
+@pytest.mark.parametrize(
+    "name,argv", HOSTILE_CASES, ids=["-".join([name, *argv]) for name, argv in HOSTILE_CASES]
+)
+def test_hostile_file_exits_two_with_an_error_line(tmp_path, capsys, name, argv):
+    bad = tmp_path / ("manifest.json" if "CORPUS" in argv else "bad.json")
+    build = HOSTILE_FILES[name]
+    bad.write_text("[" * 200_000 + "]" * 200_000 if build is None else json.dumps(build()))
+    _payloads(tmp_path)
+    paths = {"BAD": bad, "CORPUS": tmp_path, "OUT": tmp_path / "out.json",
+             "DETA": DETA, "DIAS": DIAS, "RB": RB}
+    assert main([str(paths.get(arg, arg)) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_the_hostile_manifests_differ_from_a_valid_one(tmp_path, capsys):
+    (tmp_path / "manifest.json").write_text(json.dumps(_manifest()))
+    _payloads(tmp_path)
+    assert main(["corpus", "verify-all", "--corpus", str(tmp_path)]) == 0
+    assert "2 entries: 1 pass, 1 fail, 0 discrepancies" in capsys.readouterr().out
 
 
 def test_iso_with_equal_fingerprints_computes_each_fingerprint_once(monkeypatch, capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import bundle, deta, rand_fraction, zero_bundle
+from helpers import bundle, deta, rand_fraction, vec_add, vec_scale, zero_bundle
 from homsplit.files import (
     algebra_from_dict,
     algebra_to_dict,
@@ -21,8 +21,6 @@ from homsplit.model import (
     ModelError,
     RepresentationBundle,
     basis_vector,
-    vec_add,
-    vec_scale,
 )
 from homsplit.poly import Polynomial
 
@@ -102,7 +100,7 @@ def test_map_compose_matches_sequential_application():
 def test_specialize_dim2_D1_at_zero():
     D = dim2_D1().specialize({"a": 0})
     assert D.twist == LinearMap.from_strings([["0", "1"], ["0", "0"]])
-    assert D.op("succ_dashv").entry(1, 1, 2) == P("1/2")
+    assert dict(D.op("succ_dashv").constants)[1, 1, 2] == P("1/2")
     assert D.parameters == ()
 
 

@@ -3,7 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bundle, dendriform_pool, rand_matrix, rich_dendriform, sec2_diassociative, zero_bundle
+from helpers import (
+    bundle,
+    dendriform_pool,
+    deta,
+    rand_matrix,
+    rich_dendriform,
+    sec2_diassociative,
+    substitute,
+    zero_bundle,
+)
 from homsplit.axioms import check_diassociative
 from homsplit.constructions import (
     averaging_induced_diassociative,
@@ -24,6 +33,7 @@ from homsplit.operators import (
     verify_averaging_assoc,
     verify_averaging_quadri,
     verify_relative_averaging,
+    verify_operator,
     verify_rota_baxter,
 )
 from homsplit.poly import Polynomial
@@ -101,13 +111,15 @@ def test_homomorphic_relative_averaging_projection_fails():
 
 
 def test_operator_spec_shape_validation():
-    from homsplit.operators import OperatorSpec
-
+    """verify_operator refuses a matrix whose shape does not fit the context."""
     D = sec2_diassociative()
-    spec = OperatorSpec("rota_baxter", LinearMap.zero(3, 3), D)
-    assert spec.verify().ok
-    with pytest.raises(ValueError, match="must be 3 x 3"):
-        OperatorSpec("rota_baxter", LinearMap.zero(2, 2), D)
+    assert verify_operator("rota_baxter", D, LinearMap.zero(3, 3)).ok
+    with pytest.raises(ValueError, match="shape does not match the algebra"):
+        verify_operator("rota_baxter", D, LinearMap.zero(2, 2))
+    rep = RepresentationBundle.adjoint(deta())
+    assert verify_operator("relative_averaging", rep, LinearMap.zero(3, 3)).ok
+    with pytest.raises(ValueError, match="module into the base algebra"):
+        verify_operator("relative_averaging", rep, LinearMap.zero(3, 2))
 
 
 def test_averaging_quadri_examples():
@@ -202,7 +214,7 @@ def test_emit_system_family_substitution_agreement():
     D3 = load_algebra(CORPUS_ROOT / "dim2" / "D3_literal.json")
     system = emit_operator_system(D3, "averaging_quadri", unknown_prefix="u")
     bindings = {"u11": P("t22"), "u12": P("0"), "u21": P("0"), "u22": P("t22")}
-    substituted = [eq.substitute(bindings) for eq in system]
+    substituted = [substitute(eq, bindings) for eq in system]
     assert all(p.is_zero() for p in substituted) == verify_averaging_quadri(
         D3, LinearMap.from_strings([["t22", "0"], ["0", "t22"]])
     ).ok

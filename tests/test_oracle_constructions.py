@@ -33,6 +33,7 @@ from oracle import (
     rota_baxter_tensors,
     scalar_tools,
 )
+from test_byte_identity import QUADRI_FOLDERS, corpus_algebra, quadri_contexts, specializations
 from homsplit import linalg
 from homsplit.constructions import (
     averaging_induced_diassociative,
@@ -220,3 +221,22 @@ def test_perp_compat_agrees_with_oracle(mode):
         assert_same_values(engine_values(result.report), expected, conv, is_zero)
         outcomes.add(result.ok)
     assert outcomes == {False, True}
+
+
+def test_the_two_flavors_agree_on_every_closed_quotient():
+    """P(C r vdash C s) - P(C r dashv C s) is P applied to a generator of I_D,
+    and P kills I_D, so the oracle's flavor check never fires; the engine
+    does not evaluate it.  The cases are the random quadri bundles and the
+    pinned quotient contexts of `test_byte_identity`."""
+    pinned = [
+        special
+        for _, path in quadri_contexts(QUADRI_FOLDERS)
+        for _, special in specializations(corpus_algebra(path))
+    ]
+    closed = 0
+    for bundle in quadri_cases() + pinned:
+        expected = quotient_oracle(bundle)
+        assert not any(t.startswith("quotient.flavor-mismatch") for t, _ in expected["violations"])
+        closed += "ops" in expected
+        assert ("ops" in expected) == quotient_dendriform(bundle).ok
+    assert closed > 100
