@@ -28,8 +28,16 @@ Twist commutation X o alpha = alpha' o X ("avg.twist", "rb.twist",
 
 The evaluator tabulates each distinct subterm once per basis tuple of its own
 placeholders and shares the tables across the templates of one call that bind
-their placeholders to the same spaces.  `tabulate` exposes one such table, so
-that constructions build induced products from expressions as well.
+their placeholders to the same spaces.  Tables are sparse: a table holds only
+the basis tuples where the subterm's vector is nonzero, and a missing key is
+the zero vector.  A placeholder's table is full; an op multiplies only the
+present entries of its two factors, since a product is zero wherever either
+factor is, so it makes nnz(A) * nnz(B) kernel calls rather than one per
+tuple; a map application or a sum keeps only the entries that do not come out
+zero.  A template whose two tables and scales are equal passes outright, and
+otherwise only the tuples present on either side are compared.  `tabulate`
+exposes one table, with the zero vector at every missing tuple, so that
+constructions build induced products from expressions as well.
 
 Tables hold exact integers.  Each call converts every op and map it uses once
 (`poly.IntegerForm`) into sparse {exponent tuple: int} entries over the
@@ -57,7 +65,7 @@ from dataclasses import dataclass
 from operator import add, itemgetter
 
 from .model import ActionBundle, AlgebraBundle, KIND_OPS, LinearMap, RepresentationBundle
-from .poly import IntegerForm
+from .poly import IntegerForm, Polynomial
 from .report import Report, Violation
 
 SQ15_READINGS = ("literal", "symmetric")
@@ -132,10 +140,13 @@ def _subterms(expr):
 
 
 def _projector(names, sub):
-    """Map an index tuple over `names` to the one over the subsequence `sub`."""
+    """Map an index tuple over `names` to the one over `sub`, whose names are
+    taken from `names` (a repeated name reads its first position)."""
     if tuple(sub) == tuple(names):
         return lambda combo: combo
     positions = [names.index(name) for name in sub]
+    if not positions:
+        return lambda combo: ()
     if len(positions) == 1:
         (position,) = positions
         return lambda combo: (combo[position],)
@@ -250,28 +261,68 @@ class _Compiled:
 
 
 def _sum_kernel(factors: list, dim: int):
-    """Coordinatewise sum of the term vectors, each times its integer factor."""
+    """Coordinatewise sum of the term vectors, each times its integer factor;
+    a term given as None is zero."""
 
     def apply(*vectors):
         out = {}
         for factor, vector in zip(factors, vectors):
-            for k, coord in enumerate(vector):
-                if coord:
-                    _accumulate(out.setdefault(k, {}), coord.items(), None, factor)
+            if vector is not None:
+                for k, coord in enumerate(vector):
+                    if coord:
+                        _accumulate(out.setdefault(k, {}), coord.items(), None, factor)
         return _vector(out, dim)
 
     return apply
+
+
+def _spread(free: tuple, table: dict, names: tuple, ranges: dict) -> dict:
+    """`table`, keyed by index tuples over `free`, re-keyed by tuples over
+    `names`, which hold every name of `free`: each entry stands for all the
+    tuples that agree with its key on `free`.  A missing key is still zero."""
+    if free == names:
+        return table
+    missing = tuple(name for name in names if name not in free)
+    pick = _projector(free + missing, names)
+    extensions = list(itertools.product(*(ranges[name] for name in missing)))
+    return {pick(key + extra): vector for key, vector in table.items() for extra in extensions}
+
+
+def _join(left: tuple, right: tuple, apply, free: tuple) -> dict:
+    """The sparse table of an op over the sparse tables of its two factors.
+
+    A product is zero wherever either factor is, so only pairs of present
+    entries that agree on their shared placeholders are multiplied, and a
+    product that comes out zero is dropped."""
+    (free_a, _, _, a), (free_b, _, _, b) = left, right
+    shared = tuple(name for name in free_b if name in free_a)
+    at_a, at_b = _projector(free_a, shared), _projector(free_b, shared)
+    pick = _projector(free_a + free_b, free)
+    groups: dict = {}
+    for key_b, vector_b in b.items():
+        groups.setdefault(at_b(key_b), []).append((key_b, vector_b))
+    table = {}
+    for key_a, vector_a in a.items():
+        for key_b, vector_b in groups.get(at_a(key_a), ()):
+            product = apply(vector_a, vector_b)
+            if any(product):
+                table[pick(key_a + key_b)] = product
+    return table
 
 
 def _tabulate(expr, scope: tuple, dims: dict, compiled: _Compiled, tables: dict):
     """(sorted placeholder names of `expr`, scale, dimension, {their basis
     indices: integer vector}); the value of `expr` is the vector / scale.
 
-    `scope` binds each placeholder to its space; a subterm is computed once
-    per scope and basis tuple of its own placeholders, so H(e_i) is applied
-    once per i and a product shared by several templates is formed once.  A
-    subterm's scale is its own op or map scale times its children's scales;
-    a Sum takes the least common multiple of its terms' scales.
+    Tables are sparse: they hold only the basis tuples where the vector is
+    nonzero, and a missing key is the zero vector.  A placeholder's table is
+    full (every basis vector), an op or map application keeps the entries it
+    does not send to zero, an op multiplies only present entries of its two
+    factors, and a sum runs over the union of its terms' keys.  `scope` binds
+    each placeholder to its space; a subterm is computed once per scope, so
+    H(e_i) is applied once per i and a product shared by several templates is
+    formed once.  A subterm's scale is its own op or map scale times its
+    children's scales; a sum takes the least common multiple of its terms'.
     """
     key = expr, scope
     if key in tables:
@@ -285,6 +336,7 @@ def _tabulate(expr, scope: tuple, dims: dict, compiled: _Compiled, tables: dict)
     children = [_tabulate(child, scope, dims, compiled, tables) for child in _children(expr)]
     child_dims = [dim for _, _, dim, _ in children]
     scale = math.prod(child_scale for _, child_scale, _, _ in children)
+    free = tuple(sorted(set().union(*(sub for sub, _, _, _ in children))))
     if isinstance(expr, App):
         own, (dim_in, dim), apply = compiled.map(expr.map_name)
         if child_dims != [dim_in]:
@@ -292,6 +344,11 @@ def _tabulate(expr, scope: tuple, dims: dict, compiled: _Compiled, tables: dict)
                 f"map expects dimension {dim_in}, got vector of length {child_dims[0]}"
             )
         scale *= own
+        table = {
+            combo: image
+            for combo, vector in children[0][3].items()
+            if any(image := apply(vector))
+        }
     elif isinstance(expr, Op):
         own, (dim_left, dim_right, dim), apply = compiled.op(expr.op_name)
         if child_dims != [dim_left, dim_right]:
@@ -299,35 +356,39 @@ def _tabulate(expr, scope: tuple, dims: dict, compiled: _Compiled, tables: dict)
                 f"operation expects {dim_left} x {dim_right}, got {child_dims[0]} x {child_dims[1]}"
             )
         scale *= own
+        table = _join(*children, apply, free)
     else:
         dim = child_dims[0]
         if any(d != dim for d in child_dims):
             raise ValueError("vector dimension mismatch")
         scale = math.lcm(*(child_scale for _, child_scale, _, _ in children))
         apply = _sum_kernel([scale // child_scale for _, child_scale, _, _ in children], dim)
-    free = tuple(sorted(set().union(*(sub for sub, _, _, _ in children))))
-    parts = [(_projector(free, sub), table) for sub, _, _, table in children]
-    ranges = [range(1, dims[dict(scope)[name]] + 1) for name in free]
-    tables[key] = free, scale, dim, {
-        combo: apply(*[table[project(combo)] for project, table in parts])
-        for combo in itertools.product(*ranges)
-    }
+        ranges = {name: range(1, dims[space] + 1) for name, space in scope}
+        terms = [_spread(sub, term, free, ranges) for sub, _, _, term in children]
+        table = {
+            combo: total
+            for combo in set().union(*terms)
+            if any(total := apply(*[term.get(combo) for term in terms]))
+        }
+    tables[key] = free, scale, dim, table
     return tables[key]
 
 
 def tabulate(expr, variables, dims: dict, ops: dict, maps: dict) -> dict:
     """{basis tuple: vector of `expr`} over every tuple of basis indices of
     `variables` ((placeholder, space), ...), keyed in `variables` order; the
-    coordinates are Polynomials."""
+    coordinates are Polynomials, and a tuple where `expr` is zero gets the
+    zero vector."""
     compiled = _Compiled(ops, maps)
-    free, scale, _, table = _tabulate(expr, tuple(sorted(variables)), dims, compiled, {})
+    free, scale, dim, table = _tabulate(expr, tuple(sorted(variables)), dims, compiled, {})
     vectors = {
         combo: tuple(compiled.form.polynomial(coord, scale) for coord in vector)
         for combo, vector in table.items()
     }
+    zero = (Polynomial.zero(),) * dim
     at = _projector([name for name, _ in variables], free)
     ranges = [range(1, dims[space] + 1) for _, space in variables]
-    return {combo: vectors[at(combo)] for combo in itertools.product(*ranges)}
+    return {combo: vectors.get(at(combo), zero) for combo in itertools.product(*ranges)}
 
 
 def _difference(a: dict, a_factor: int, b: dict, b_factor: int) -> dict:
@@ -338,15 +399,47 @@ def _difference(a: dict, a_factor: int, b: dict, b_factor: int) -> dict:
     return {mono: coeff for mono, coeff in out.items() if coeff}
 
 
+def _violations(template: Template, lhs_table: tuple, rhs_table: tuple, dims: dict, form):
+    """The violations of `template`, whose sides have the tabulations
+    `lhs_table` and `rhs_table`; see `evaluate_templates`."""
+    lhs_free, lhs_scale, lhs_dim, lhs = lhs_table
+    rhs_free, rhs_scale, rhs_dim, rhs = rhs_table
+    if lhs_scale == rhs_scale and lhs_free == rhs_free and lhs == rhs:
+        return []
+    names = tuple(name for name, _ in template.variables)
+    ranges = {name: range(1, dims[space] + 1) for name, space in template.variables}
+    lhs, rhs = _spread(lhs_free, lhs, names, ranges), _spread(rhs_free, rhs, names, ranges)
+    lhs_zero, rhs_zero = (_ZERO,) * lhs_dim, (_ZERO,) * rhs_dim
+    scale = math.lcm(lhs_scale, rhs_scale)
+    lhs_factor, rhs_factor = scale // lhs_scale, scale // rhs_scale
+    entries = []
+    for combo in sorted(lhs.keys() | rhs.keys()):
+        left, right = lhs.get(combo, lhs_zero), rhs.get(combo, rhs_zero)
+        if left == right and lhs_factor == rhs_factor:
+            continue
+        for coord, (a, b) in enumerate(zip(left, right), start=1):
+            if a == b and (lhs_factor == rhs_factor or not a):
+                continue
+            residual = _difference(a, lhs_factor, b, rhs_factor)
+            if residual:
+                entries.append(
+                    Violation(template.id, combo + (coord,), None, (form, residual, scale))
+                )
+    return entries
+
+
 def evaluate_templates(templates, dims: dict, ops: dict, maps: dict) -> Report:
     """Evaluate templates over all basis tuples; exact zero residual to pass.
 
-    Both sides are tabulated as integer vectors with scales sL and sR.  With
-    L = lcm(sL, sR), a coordinate passes when lhs * (L / sL) == rhs * (L / sR)
-    as integer dicts; a nonzero difference is kept as its integer dict over L,
-    and the Violation builds the Polynomial or its text on demand.  Subterm
-    tables are shared across the templates of one call and dropped after the
-    last template that contains them.
+    Both sides are tabulated as sparse integer tables with scales sL and sR.
+    A template whose two tables and scales are equal passes outright.  Else
+    the tuples where either side is nonzero are visited, a missing side being
+    the zero vector; every other tuple is zero on both sides and passes.
+    With L = lcm(sL, sR), a coordinate passes when lhs * (L / sL) ==
+    rhs * (L / sR) as integer dicts; a nonzero difference is kept as its
+    integer dict over L, and the Violation builds the Polynomial or its text
+    on demand.  Subterm tables are shared across the templates of one call
+    and dropped after the last template that contains them.
     """
     templates = list(templates)
     compiled = _Compiled(ops, maps)
@@ -363,27 +456,10 @@ def evaluate_templates(templates, dims: dict, ops: dict, maps: dict) -> Report:
     tables: dict = {}
     entries = []
     for template, scope, expired in zip(templates, scopes, expiring):
-        names = [name for name, _ in template.variables]
-        (lhs_free, lhs_scale, _, lhs), (rhs_free, rhs_scale, _, rhs) = (
-            _tabulate(side, scope, dims, compiled, tables)
-            for side in (template.lhs, template.rhs)
+        lhs, rhs = (
+            _tabulate(side, scope, dims, compiled, tables) for side in (template.lhs, template.rhs)
         )
-        scale = math.lcm(lhs_scale, rhs_scale)
-        lhs_factor, rhs_factor = scale // lhs_scale, scale // rhs_scale
-        lhs_at, rhs_at = _projector(names, lhs_free), _projector(names, rhs_free)
-        ranges = [range(1, dims[space] + 1) for _, space in template.variables]
-        for combo in itertools.product(*ranges):
-            left, right = lhs[lhs_at(combo)], rhs[rhs_at(combo)]
-            if left == right and lhs_factor == rhs_factor:
-                continue
-            for coord, (a, b) in enumerate(zip(left, right), start=1):
-                if a == b and (lhs_factor == rhs_factor or not a):
-                    continue
-                residual = _difference(a, lhs_factor, b, rhs_factor)
-                if residual:
-                    entries.append(
-                        Violation(template.id, combo + (coord,), None, (form, residual, scale))
-                    )
+        entries += _violations(template, lhs, rhs, dims, form)
         for key in expired:
             del tables[key]
     return Report(entries)

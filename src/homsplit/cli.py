@@ -79,11 +79,13 @@ def _load_construct_operator(name: str, path):
 
 
 def _load_context(path):
-    """Load an algebra, representation, or action file by its shape."""
-    shape = classify_file(read_json(path))
+    """Load an algebra, representation, or action file by its shape, reading
+    and parsing the file once."""
+    data = read_json(path)
+    shape = classify_file(data)
     if shape == "operator":
         raise corpus.CorpusError(f"{path}: expected an algebra/representation/action file")
-    return getattr(corpus, f"load_{shape}")(path)
+    return getattr(corpus, f"load_{shape}")(path, data)
 
 
 def _parse_grid(text: str, denominators: str) -> list:
@@ -112,12 +114,12 @@ def _cmd_check(args) -> int:
     if isinstance(context, AlgebraBundle):
         report = check_kind(context, sq15=args.sq15)
         if args.multiplicative:
-            extra["multiplicative"] = check_multiplicative(context).to_dict()
+            extra["multiplicative"] = check_multiplicative(context).payload()
     elif isinstance(context, ActionBundle):
         report = check_action(context)
     else:
         report = check_representation(context)
-    payload = {"file": str(args.file), "check": report.to_dict(), **extra}
+    payload = {"file": str(args.file), "check": report.payload(), **extra}
     summary = f"{args.file}: {report.status} ({len(report.entries)} violation(s))"
     _publish(args, payload, summary, show=not report.ok)
     return 0 if report.ok else 1
@@ -147,7 +149,7 @@ def _cmd_construct(args) -> int:
             result = constructions.quotient_dendriform(corpus.load_algebra(args.inputs[0]))
             if not result.ok:
                 print("quotient refused: preconditions failed", file=sys.stderr)
-                print(_dump(result.report.to_dict()), file=sys.stderr)
+                print(_dump(result.report.payload()), file=sys.stderr)
                 return 1
             out = result.bundle
         elif name == "avg-dias":
@@ -170,7 +172,7 @@ def _cmd_construct(args) -> int:
             raise corpus.CorpusError(f"unknown construction {name!r}")
     except PreconditionError as exc:
         print(f"construct {name} refused: {exc}", file=sys.stderr)
-        print(_dump(exc.report.to_dict()), file=sys.stderr)
+        print(_dump(exc.report.payload()), file=sys.stderr)
         return 1
     except IndexError:
         raise corpus.CorpusError(f"construct {name}: missing input file(s)")
@@ -188,7 +190,7 @@ def _cmd_verify_op(args) -> int:
         "context": str(args.context),
         "operator": str(args.operator),
         "kind": kind,
-        "report": report.to_dict(),
+        "report": report.payload(),
     }
     summary = f"{kind}: {report.status} ({len(report.entries)} violation(s))"
     _publish(args, payload, summary, show=not report.ok)

@@ -59,10 +59,11 @@ _FROM_DICT = {
 }
 
 
-def _load(path, shape: str):
-    """Read a file of the given shape, parse it and, unless it is an operator
-    file, validate its structure."""
-    data = read_json(path)
+def _load(path, shape: str, data=None):
+    """Read a file of the given shape, or take its already parsed JSON `data`,
+    parse it and, unless it is an operator file, validate its structure."""
+    if data is None:
+        data = read_json(path)
     found = classify_file(data)
     if found != shape:
         raise CorpusError(f"{path}: expected {shape} file, got {found} file")
@@ -77,16 +78,16 @@ def _load(path, shape: str):
     return loaded
 
 
-def load_algebra(path) -> AlgebraBundle:
-    return _load(path, "algebra")
+def load_algebra(path, data=None) -> AlgebraBundle:
+    return _load(path, "algebra", data)
 
 
-def load_representation(path) -> RepresentationBundle:
-    return _load(path, "representation")
+def load_representation(path, data=None) -> RepresentationBundle:
+    return _load(path, "representation", data)
 
 
-def load_action(path) -> ActionBundle:
-    return _load(path, "action")
+def load_action(path, data=None) -> ActionBundle:
+    return _load(path, "action", data)
 
 
 def load_operator(path) -> tuple:

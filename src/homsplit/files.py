@@ -33,6 +33,7 @@ from .model import (
     action_shapes,
 )
 from .poly import ParseError, Polynomial
+from .report import Violation
 
 ALGEBRA_KEYS = {"kind", "dimension", "parameters", "alpha", "ops"}
 REPRESENTATION_KEYS = ALGEBRA_KEYS | {"module_dimension", "beta", "actions"}
@@ -238,12 +239,17 @@ _INTS = frozenset({int})
 def json_text(data) -> str:
     """The text the json module's `dumps` writes with indent 2 and sorted keys,
     byte for byte, for trees of dicts with str keys, lists, tuples, str, int,
-    bool and None; anything else, floats included, raises TypeError.
+    bool, None and `Violation`s; anything else, floats included, raises
+    TypeError.  A `Violation` is written as its row, `to_dict()`.
 
     Every report, corpus report and written file goes through here.  Strings
     are escaped by json's own `encode_basestring_ascii`.  A list of ints and a
     violation row (a dict of residual and template strings and a non-empty
-    witness of ints) are each written as one piece.
+    witness of ints) are each written as one piece.  In a list of
+    `Violation`s, which is how the CLI hands over its reports, each row is
+    written straight from the violation, with no row dict: the text of each
+    template and of each witness is made once per list, and each distinct
+    residual text once per `IntegerForm`.
     """
     out: list = []
     _write(data, "\n", out)
@@ -292,9 +298,28 @@ def _write(value, newline: str, out: list) -> None:
         row_comma = "," + entry
         row_end = field + "]" + inner + "}"
         separator = "[" + inner
+        templates: dict = {}  # template -> its row line
+        witnesses: dict = {}  # witness -> its row lines, or "" unless non-empty ints
         for item in value:
             out.append(separator)
             separator = "," + inner
+            if type(item) is Violation:
+                witness = item.witness
+                tail = witnesses.get(witness)
+                if tail is None:
+                    tail = witnesses[witness] = (
+                        row_witness + row_comma.join(map(int.__repr__, witness)) + row_end
+                        if witness and set(map(type, witness)) == _INTS
+                        else ""
+                    )
+                if not tail:
+                    _write(item.to_dict(), inner, out)
+                    continue
+                template = templates.get(item.template)
+                if template is None:
+                    template = templates[item.template] = row_template + _quote(item.template)
+                out.append(row_head + _quote(item.residual_text()) + template + tail)
+                continue
             if type(item) is dict and item.keys() == _ROW_KEYS:
                 residual, template, witness = item["residual"], item["template"], item["witness"]
                 if (
@@ -310,6 +335,8 @@ def _write(value, newline: str, out: list) -> None:
                     continue
             _write(item, inner, out)
         out.append(newline + "]")
+    elif isinstance(value, Violation):
+        _write(value.to_dict(), newline, out)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

@@ -23,7 +23,8 @@ polynomials over a fixed parameter order as {exponent tuple: int} dicts, all
 scaled by the least common multiple L of their coefficient denominators, and
 `IntegerForm.polynomial` turns such a dict over L back into a canonical
 Polynomial.  `IntegerForm.text` writes the same polynomial's text straight
-from the ints; it and `Polynomial.__str__` share one formatter (`_format`).
+from the ints, once per distinct dict and scale; it and `Polynomial.__str__`
+share one formatter (`_format`).
 
 Text grammar (parse/str are mutually inverse on canonical forms):
 
@@ -307,6 +308,7 @@ class IntegerForm:
         self._position = {name: index for index, name in enumerate(self.order)}
         self._monomials: dict = {}
         self._labels: dict = {}
+        self._texts: dict = {}
 
     def scaled(self, polynomials: Iterable[Polynomial]) -> tuple:
         """(L, [{exponent tuple: int}, ...]): the polynomials times L, the least
@@ -343,7 +345,12 @@ class IntegerForm:
 
     def text(self, terms: Mapping, scale: int) -> str:
         """str(self.polynomial(terms, scale)), from the ints: each coefficient
-        is reduced by its gcd with `scale`, and no Fraction or Polynomial is made."""
+        is reduced by its gcd with `scale`, and no Fraction or Polynomial is made.
+        The text of each distinct (terms, scale) is computed once and kept."""
+        key = tuple(terms.items()), scale
+        text = self._texts.get(key)
+        if text is not None:
+            return text
         labels = self._labels
         out = []
         for exponents, coeff in terms.items():
@@ -354,7 +361,11 @@ class IntegerForm:
             divisor = math.gcd(coeff, scale)
             out.append((label, coeff // divisor, scale // divisor))
         out.sort()
-        return _format((text, numerator, denominator) for (_, text), numerator, denominator in out)
+        text = self._texts[key] = _format(
+            (mono_text, numerator, denominator)
+            for (_, mono_text), numerator, denominator in out
+        )
+        return text
 
 
 class CompiledSystem:

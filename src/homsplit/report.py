@@ -6,6 +6,11 @@ witness where it failed (with the coordinate index appended), and the
 residual polynomial (lhs - rhs at that coordinate).  Residuals from the
 template engine are lazy: a violation keeps the integer residual, writes its
 text from the integers and builds the Polynomial on first access.
+
+A violation's row is {"residual", "template", "witness"} (`to_dict`).
+`Report.to_dict` lists the row dicts; `Report.payload` lists the violations
+themselves, which `files.json_text` writes as the same row text without
+making a dict per violation, as the CLI does for its reports.
 """
 
 from __future__ import annotations
@@ -86,6 +91,11 @@ class Report:
             "status": self.status,
             "entries": [v.to_dict() for v in self.entries],
         }
+
+    def payload(self) -> dict:
+        """`to_dict()` with the violations themselves as its entries, for
+        `files.json_text`, which writes the same text from either."""
+        return {"status": self.status, "entries": self.entries}
 
     def __str__(self) -> str:
         if self.ok:

@@ -10,8 +10,10 @@ every supported Python, with or without pytest:
 The payloads are the corpus report under both sq15 readings, the check,
 multiplicative and file payloads of every corpus algebra (with the fingerprint
 of each parameter-free one), the verification report of every corpus
-operator, the check reports of two dense failing six-dendriform algebras, and
-a payload of strings that need escaping.
+operator, the check reports of two dense failing six-dendriform algebras, the
+CLI's check payloads of a dense failing and a near-valid six-dendriform
+algebra, whose entries are `Violation`s (compared with `json.dumps` of their
+row dicts), and a payload of strings that need escaping.
 It prints one line per payload family and exits 1 on the first difference.
 """
 
@@ -25,7 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from helpers import dense_six  # noqa: E402
+from helpers import dense_six, near_valid_six, rows  # noqa: E402
 from homsplit.axioms import check_kind, check_multiplicative  # noqa: E402
 from homsplit.corpus import (  # noqa: E402
     CORPUS_ROOT,
@@ -70,13 +72,24 @@ def payloads():
         {"file": ESCAPES, "check": check_kind(dense_six(random.Random(seed), dim)).to_dict()}
         for seed, dim in ((10, 3), (11, 4))
     ]
+    yield "violation payloads", [
+        {
+            "file": ESCAPES,
+            "check": check_kind(bundle, sq15=sq15).payload(),
+            "multiplicative": check_multiplicative(bundle).payload(),
+        }
+        for bundle, sq15 in (
+            (dense_six(random.Random(11), 4), "literal"),
+            (near_valid_six(), "symmetric"),
+        )
+    ]
     yield "escaped strings", {ESCAPES: [ESCAPES, {"": ESCAPES}, [], {}, True, 1, None]}
 
 
 def main() -> int:
     print(f"Python {sys.version.split()[0]}")
     for name, data in payloads():
-        expected = json.dumps(data, indent=2, sort_keys=True)
+        expected = json.dumps(rows(data), indent=2, sort_keys=True)
         if json_text(data) != expected:
             print(f"{name}: the writer differs from json.dumps")
             return 1

@@ -15,6 +15,7 @@ from homsplit.model import (
     RepresentationBundle,
 )
 from homsplit.poly import Polynomial
+from homsplit.report import Violation
 
 P = Polynomial.parse
 
@@ -203,6 +204,37 @@ def flip_one_constant(rng: random.Random, algebra: AlgebraBundle) -> AlgebraBund
         ]
         ops[op_name] = BilinearOp.from_entries(op.dim_left, op.dim_right, op.dim_out, entries)
     return AlgebraBundle(algebra.kind, algebra.dim, ops, algebra.twist, algebra.parameters)
+
+
+def six_from_pair(dend: AlgebraBundle) -> AlgebraBundle:
+    """Degenerate six bundle with every operation pair equal to (prec, succ)."""
+    prec, succ = dend.op("prec"), dend.op("succ")
+    return AlgebraBundle(
+        "six_dendriform", dend.dim,
+        {
+            "prec_perp": prec, "succ_perp": succ,
+            "prec_vdash": prec, "succ_vdash": succ,
+            "prec_dashv": prec, "succ_dashv": succ,
+        },
+        dend.twist, dend.parameters,
+    )
+
+
+def near_valid_six() -> AlgebraBundle:
+    """A six-dendriform algebra that passes symmetric sq15 but for one
+    structure constant whose sign is flipped: a few violations."""
+    return flip_one_constant(random.Random(0), six_from_pair(rich_dendriform()))
+
+
+def rows(data):
+    """`data` with each Violation replaced by its row dict (`to_dict()`)."""
+    if isinstance(data, Violation):
+        return data.to_dict()
+    if isinstance(data, dict):
+        return {key: rows(value) for key, value in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [rows(value) for value in data]
+    return data
 
 
 def adjoint(algebra: AlgebraBundle) -> RepresentationBundle:

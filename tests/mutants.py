@@ -1,0 +1,119 @@
+"""Mutation check: do the tests notice when a fast path is broken?
+
+Each mutant is one exact-string edit of a file under `src/homsplit`, which
+must match exactly once, and the test files that should fail with it.  The
+script copies `src` and `tests` to a temporary directory, runs the named test
+files there once unmutated (they must pass), then applies each mutant to a
+fresh copy and runs its test files.  A mutant whose tests still pass
+survived.  It needs only the standard library and the test dependencies, and
+pytest does not collect it:
+
+    python tests/mutants.py
+
+It prints one line per mutant and exits 1 if a mutant survives, an edit does
+not match exactly once, or the unmutated tests fail.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = [
+    {
+        "name": "the evaluator visits the lhs keys only",
+        "file": "src/homsplit/axioms.py",
+        "old": "for combo in sorted(lhs.keys() | rhs.keys()):",
+        "new": "for combo in sorted(lhs.keys()):",
+        "tests": ["tests/test_sparse_engine.py"],
+    },
+    {
+        "name": "the op join keeps a product only when its first coordinate is nonzero",
+        "file": "src/homsplit/axioms.py",
+        "old": "            if any(product):\n",
+        "new": "            if product[0]:\n",
+        "tests": ["tests/test_sparse_engine.py"],
+    },
+    {
+        "name": "the residual text cache ignores the scale",
+        "file": "src/homsplit/poly.py",
+        "old": "key = tuple(terms.items()), scale",
+        "new": "key = tuple(terms.items())",
+        "tests": ["tests/test_sparse_engine.py", "tests/test_residuals.py"],
+    },
+    {
+        "name": "the writer caches witness text by template",
+        "file": "src/homsplit/files.py",
+        "old": (
+            "tail = witnesses.get(witness)\n"
+            "                if tail is None:\n"
+            "                    tail = witnesses[witness] = ("
+        ),
+        "new": (
+            "tail = witnesses.get(item.template)\n"
+            "                if tail is None:\n"
+            "                    tail = witnesses[item.template] = ("
+        ),
+        "tests": ["tests/test_json_writer.py"],
+    },
+]
+
+
+def copy_tree(target: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, target / part, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", target / "pyproject.toml")
+
+
+def run_tests(tree: Path, tests: list) -> bool:
+    """Do the test files pass in `tree`, importing homsplit from its `src`?"""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    where = subprocess.run(
+        [sys.executable, "-c", "import homsplit; print(homsplit.__file__)"],
+        cwd=tree, env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    if not Path(where).resolve().is_relative_to(tree.resolve()):
+        raise RuntimeError(f"homsplit was imported from {where}, not from the copy")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    return result.returncode == 0
+
+
+def main() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        base = Path(scratch) / "base"
+        copy_tree(base)
+        every_test = sorted({test for mutant in MUTANTS for test in mutant["tests"]})
+        if not run_tests(base, every_test):
+            print("the unmutated tests fail; no mutant was run")
+            return 1
+        for number, mutant in enumerate(MUTANTS, start=1):
+            tree = Path(scratch) / f"mutant{number}"
+            shutil.copytree(base, tree)
+            path = tree / mutant["file"]
+            text = path.read_text(encoding="utf-8")
+            count = text.count(mutant["old"])
+            if count != 1:
+                print(f"{mutant['name']}: the edit matches {count} times, not once")
+                failures += 1
+                continue
+            path.write_text(text.replace(mutant["old"], mutant["new"]), encoding="utf-8")
+            killed = not run_tests(tree, mutant["tests"])
+            print(f"{mutant['name']}: {'killed' if killed else 'SURVIVED'}")
+            failures += not killed
+            shutil.rmtree(tree)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -581,6 +581,35 @@ def embedding_action_tensors(bundle, complement, mode: str = "fraction") -> dict
     return out
 
 
+def closure_violations(ops: dict, R, W, Z, alpha, mode: str = "fraction") -> dict:
+    """{(template, witness): residual} of R(x op Ww) = Zw, R(Ww op x) = Zw and
+    R(alpha Ww) = Zw over basis vectors x of D and w of I, for arbitrary
+    matrices R: D -> D, W: I -> D, Z: I -> D and alpha: D -> D; with the
+    reduction modulo I_D, its inclusion and Z = 0 these are the closure
+    conditions of the quotient.  `ops` holds square tensors on D."""
+    conv, is_zero = scalar_tools(mode, R, W, Z, alpha, *ops.values())
+    r, w_rows, z, al = (_matrix(m, conv) for m in (R, W, Z, alpha))
+    n, m = len(w_rows), len(w_rows[0])
+    found = {}
+
+    def record(template, witness, lhs, rhs):
+        for coord, (a, b) in enumerate(zip(lhs, rhs), start=1):
+            if not is_zero(a - b):
+                found[template, witness + (coord,)] = a - b
+
+    for w_index, w in enumerate(_basis(m), start=1):
+        image, zw = _map(w_rows, w), _map(z, w)
+        for name in sorted(ops):
+            table = _table(ops[name], conv)
+            for i, x in enumerate(_basis(n), start=1):
+                record(f"quotient.closure.left.{name}", (i, w_index),
+                       _map(r, _apply(table, x, image, n)), zw)
+                record(f"quotient.closure.right.{name}", (w_index, i),
+                       _map(r, _apply(table, image, x, n)), zw)
+        record("quotient.closure.twist", (w_index,), _map(r, _map(al, image)), zw)
+    return found
+
+
 def perp_compat_violations(bundle, mode: str = "fraction") -> dict:
     """{(template, witness): residual} where x op_perp y and x op_vdash y
     differ modulo I_D (the ideal of the six bundle's quadri operations)."""

@@ -9,6 +9,7 @@ from helpers import (
     flip_one_constant,
     rich_dendriform,
     sec2_diassociative,
+    six_from_pair,
     zero_bundle,
 )
 from oracle import (
@@ -51,20 +52,6 @@ P = Polynomial.parse
 
 QUADRI_OPS = ("prec_vdash", "prec_dashv", "succ_vdash", "succ_dashv")
 SIX_OPS = QUADRI_OPS + ("prec_perp", "succ_perp")
-
-
-def six_from_pair(dend: AlgebraBundle) -> AlgebraBundle:
-    """Degenerate six bundle with every operation pair equal to (prec, succ)."""
-    prec, succ = dend.op("prec"), dend.op("succ")
-    return AlgebraBundle(
-        "six_dendriform", dend.dim,
-        {
-            "prec_perp": prec, "succ_perp": succ,
-            "prec_vdash": prec, "succ_vdash": succ,
-            "prec_dashv": prec, "succ_dashv": succ,
-        },
-        dend.twist, dend.parameters,
-    )
 
 
 # -- zero algebras pass everything [TRIVIAL] -----------------------------------

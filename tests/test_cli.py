@@ -335,6 +335,31 @@ def test_iso_with_equal_fingerprints_computes_each_fingerprint_once(monkeypatch,
     assert len(calls) == 2
 
 
+def test_check_reads_its_context_file_once(monkeypatch, capsys):
+    """The CLI classifies the parsed file and builds the bundle from the same
+    data; every homsplit module that holds `read_json` gets the counter."""
+    import sys
+
+    from homsplit import files
+
+    calls = []
+    original = files.read_json
+
+    def counted(path):
+        calls.append(path)
+        return original(path)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "homsplit":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    d4 = corpus_path("dim3/D4.json")
+    assert main(["check", d4]) in (0, 1)
+    capsys.readouterr()
+    assert calls == [d4]
+
+
 def construct_inputs():
     """{construct NAME: (context file data, the operator kind it expects)}."""
     from helpers import deta

@@ -2,9 +2,10 @@
 
 `files.json_text(data)` must equal `json.dumps(data, indent=2, sort_keys=True)`
 byte for byte on the JSON trees homsplit writes (dicts with str keys, lists,
-tuples, str, int, bool, None), and refuse anything else with TypeError.  The
-dense failing six-dendriform check pins the bytes of a large report, through
-the CLI, at a path whose name needs escaping.
+tuples, str, int, bool, None), and refuse anything else with TypeError.  A
+`Violation` in the tree, as in the CLI's report payloads, is written as its
+row dict `to_dict()`.  The dense failing six-dendriform check pins the bytes
+of a large report, through the CLI, at a path whose name needs escaping.
 """
 
 import hashlib
@@ -17,10 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_six
-from homsplit.axioms import check_kind
+from helpers import dense_six, near_valid_six, rows
+from homsplit.axioms import check_kind, check_multiplicative
 from homsplit.cli import main
 from homsplit.files import algebra_to_dict, json_text
+from homsplit.poly import Polynomial
+from homsplit.report import Report, Violation
 
 # quotes, backslashes, control characters, the JSON-sensitive separators and
 # non-ASCII letters, including one outside the basic multilingual plane
@@ -83,6 +86,54 @@ def test_writer_equals_json_dumps_on_edge_cases(data):
 def test_writer_refuses_floats_non_str_keys_and_other_types(data):
     with pytest.raises(TypeError):
         json_text(data)
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """got == want, reporting the first difference instead of pytest's diff
+    of two long texts, which takes minutes."""
+    if got != want:
+        pairs = enumerate(zip(got, want))
+        at = next((i for i, (a, b) in pairs if a != b), min(len(got), len(want)))
+        pytest.fail(f"texts differ at offset {at}: {got[at:at + 60]!r} != {want[at:at + 60]!r}")
+
+
+def check_payload(bundle, sq15: str) -> dict:
+    """The CLI's check payload, whose entries are the violations themselves."""
+    return {
+        "file": DENSE_NAME,
+        "check": check_kind(bundle, sq15=sq15).payload(),
+        "multiplicative": check_multiplicative(bundle).payload(),
+    }
+
+
+@pytest.mark.parametrize("bundle, sq15", [
+    (dense_six(random.Random(5), 4), "literal"),
+    (dense_six(random.Random(6), 3), "symmetric"),
+    (near_valid_six(), "symmetric"),
+], ids=["dense-literal", "dense-symmetric", "near-valid"])
+def test_violation_rows_are_written_as_their_row_dicts(bundle, sq15):
+    payload = check_payload(bundle, sq15)
+    assert payload["check"]["status"] == "fail"
+    assert all(type(v) is Violation for v in payload["check"]["entries"])
+    text = json_text(payload)
+    assert_same_text(text, json.dumps(rows(payload), indent=2, sort_keys=True))
+    assert_same_text(text, json_text(rows(payload)))
+
+
+def test_violations_anywhere_in_a_tree_are_written_as_their_row_dicts():
+    engine = check_kind(near_valid_six()).entries[:2]
+    given = [
+        Violation("structure.acted-kind", (), Polynomial.zero()),
+        Violation('six."sq1"\u00e9', (1, 2, 3), Polynomial.parse("-1/2*p + q")),
+        Violation("t", (10**30, -1), Polynomial.one()),
+    ]
+    payload = {
+        "mixed": [1, "a", None, *engine, *given, {"nested": engine}],
+        "alone": given[1],
+        "report": Report(engine + given).payload(),
+        "empty": Report([]).payload(),
+    }
+    assert_same_text(json_text(payload), json.dumps(rows(payload), indent=2, sort_keys=True))
 
 
 # A dense failing six-dendriform file: fractional coefficients, the parameter
