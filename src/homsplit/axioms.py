@@ -404,17 +404,21 @@ def _violations(template: Template, lhs_table: tuple, rhs_table: tuple, dims: di
     `lhs_table` and `rhs_table`; see `evaluate_templates`."""
     lhs_free, lhs_scale, lhs_dim, lhs = lhs_table
     rhs_free, rhs_scale, rhs_dim, rhs = rhs_table
+    if lhs_dim != rhs_dim:
+        raise ValueError(
+            f"template {template.id}: the sides have dimensions {lhs_dim} and {rhs_dim}"
+        )
     if lhs_scale == rhs_scale and lhs_free == rhs_free and lhs == rhs:
         return []
     names = tuple(name for name, _ in template.variables)
     ranges = {name: range(1, dims[space] + 1) for name, space in template.variables}
     lhs, rhs = _spread(lhs_free, lhs, names, ranges), _spread(rhs_free, rhs, names, ranges)
-    lhs_zero, rhs_zero = (_ZERO,) * lhs_dim, (_ZERO,) * rhs_dim
+    zero = (_ZERO,) * lhs_dim
     scale = math.lcm(lhs_scale, rhs_scale)
     lhs_factor, rhs_factor = scale // lhs_scale, scale // rhs_scale
     entries = []
     for combo in sorted(lhs.keys() | rhs.keys()):
-        left, right = lhs.get(combo, lhs_zero), rhs.get(combo, rhs_zero)
+        left, right = lhs.get(combo, zero), rhs.get(combo, zero)
         if left == right and lhs_factor == rhs_factor:
             continue
         for coord, (a, b) in enumerate(zip(left, right), start=1):

@@ -30,6 +30,7 @@ from homsplit.axioms import (
     App,
     Op,
     S,
+    Template,
     Var,
     check_dendriform,
     check_homomorphism,
@@ -161,6 +162,16 @@ def test_quotient_closure_sides_have_different_placeholders():
     assert engine_residual_set(report) == residuals(expected)
     assert any(witness[-1] == 3 and template.startswith("quotient.closure.left")
                for template, witness in expected)
+
+
+def test_a_template_whose_sides_differ_in_dimension_is_refused():
+    """F e1 = e1 in a 2-dimensional space and G e1 = e3 in a 3-dimensional
+    one: a coordinatewise comparison of the two would never see e3."""
+    F = LinearMap.from_fractions([[1], [0]])
+    G = LinearMap.from_fractions([[0], [0], [1]])
+    template = Template("t", (("x", "A"),), App("F", Var("x")), App("G", Var("x")))
+    with pytest.raises(ValueError, match="dimensions 2 and 3"):
+        evaluate_templates([template], {"A": 1}, {}, {"F": F, "G": G})
 
 
 def test_tabulate_fills_missing_tuples_with_zero_vectors_of_the_output_dimension():
