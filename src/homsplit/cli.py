@@ -11,6 +11,7 @@ Exit codes: 0 all pass; 1 violations or discrepancies found; 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -390,9 +391,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built once per process: parsing leaves it as it
+    was, and each call gets a fresh namespace filled from its defaults."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (corpus.CorpusError, ModelError, ParseError, ValueError, OSError) as exc:

@@ -1,14 +1,16 @@
 """Isomorphism-invariant fingerprints, morphism verification, and a bounded
 isomorphism search over a rational grid.
 
-Fingerprints are necessary conditions computed exactly over the rationals:
+Fingerprints are necessary conditions computed exactly over the rationals
+(ranks and characteristic polynomials by integer elimination, `linalg`):
 unequal fingerprints certify non-isomorphism; equal ones decide nothing.
 The grid search walks only the grid matrices T that commute with the twists
 (T alpha = alpha' T, solved exactly once), in row-major order, and tests each
-against the homomorphism equations of a symbolic T, compiled once to exact
-arithmetic, and against det T != 0; the first survivor is confirmed by
-`verify_isomorphism`.  It is a desk-scale oracle only -- "no isomorphism
-within the grid" is conclusive relative to the grid, never absolutely.
+against the homomorphism equations of a symbolic T, compiled once from the
+engine's integer residuals (`poly.CompiledSystem`), and against det T != 0;
+the first survivor is confirmed by `verify_isomorphism`.  It is a desk-scale
+oracle only -- "no isomorphism within the grid" is conclusive relative to the
+grid, never absolutely.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ def brute_force_iso_search(
     n = source.dim
     names, symbolic = unknown_matrix(n, n)
     report = check_homomorphism(source.kind, symbolic, source, target)
-    system = CompiledSystem(dict.fromkeys(v.residual for v in report.entries), names)
+    system = CompiledSystem(report.entries, names)
     equations = linalg.intertwiner_equations(
         source.twist.to_fraction_rows(), target.twist.to_fraction_rows()
     )

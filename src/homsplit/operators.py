@@ -197,18 +197,27 @@ def _context_parameters(context) -> frozenset:
     return context.used_parameters()
 
 
-def emit_operator_system(
+def _operator_violations(
     context, kind: str, unknown_prefix: str = "t", strict_twist: bool = False
-) -> list:
-    """The polynomial system in the unknown matrix entries t{i}{j} whose
-    common zero set is exactly the operator variety; deterministic order."""
+) -> tuple:
+    """(unknown names, violations of the operator whose matrix holds the
+    unknowns t{i}{j}): the residuals of those violations are the operator
+    system."""
     rows, cols = _resolve(kind, context).shape
     names, symbolic = unknown_matrix(rows, cols, unknown_prefix)
     clash = sorted(set(names) & _context_parameters(context))
     if clash:
         raise ValueError(f"unknown names collide with context parameters: {clash}")
-    report = verify_operator(kind, context, symbolic, strict_twist=strict_twist)
-    return list(dict.fromkeys(violation.residual for violation in report.entries))
+    return names, verify_operator(kind, context, symbolic, strict_twist=strict_twist).entries
+
+
+def emit_operator_system(
+    context, kind: str, unknown_prefix: str = "t", strict_twist: bool = False
+) -> list:
+    """The polynomial system in the unknown matrix entries t{i}{j} whose
+    common zero set is exactly the operator variety; deterministic order."""
+    _, violations = _operator_violations(context, kind, unknown_prefix, strict_twist)
+    return list(dict.fromkeys(violation.residual for violation in violations))
 
 
 def solve_operators_grid(
@@ -218,9 +227,10 @@ def solve_operators_grid(
 
     The linear twist-commutation constraints are solved exactly first (row
     echelon); the free coordinates of that solution space are then enumerated
-    over the grid.  Each candidate is tested against the emitted system
-    (`emit_operator_system`), compiled once to exact arithmetic, and each
-    candidate that solves it is confirmed by `verify_operator`.  Solutions
+    over the grid.  Each candidate is tested against the operator system
+    (the residuals `emit_operator_system` writes), compiled once from the
+    engine's integer residuals (`CompiledSystem`), and each candidate that
+    solves it is confirmed by `verify_operator`.  Solutions
     come back in row-major order of their entries.  Completeness is claimed
     only relative to the grid.
     """
@@ -239,8 +249,8 @@ def solve_operators_grid(
         basis = linalg.nullspace(equations, ncols=n_unknowns)
     else:
         basis = [[int(p == q) for q in range(n_unknowns)] for p in range(n_unknowns)]
-    names, _ = unknown_matrix(rows, cols)
-    system = CompiledSystem(emit_operator_system(context, kind, strict_twist=strict_twist), names)
+    names, violations = _operator_violations(context, kind, strict_twist=strict_twist)
+    system = CompiledSystem(violations, names)
     points = sorted(
         point
         for point in linalg.grid_combinations(basis, grid_values, n_unknowns)

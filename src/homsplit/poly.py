@@ -24,7 +24,12 @@ scaled by the least common multiple L of their coefficient denominators, and
 `IntegerForm.polynomial` turns such a dict over L back into a canonical
 Polynomial.  `IntegerForm.text` writes the same polynomial's text straight
 from the ints, once per distinct dict and scale; it and `Polynomial.__str__`
-share one formatter (`_format`).
+share one formatter (`_format`).  `CompiledSystem` compiles the residuals of a
+symbolic report from those integer dicts, without making a Polynomial.
+
+A bare rational literal ("1", "-1/2"), which is most of a structure-constant
+file, is read by `Polynomial.parse` without the tokenizer; any other text,
+and a literal with a zero denominator, goes through the parser below.
 
 Text grammar (parse/str are mutually inverse on canonical forms):
 
@@ -58,6 +63,8 @@ MAX_NESTING = 100
 MAX_TERMS = 10_000
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+
+_LITERAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<sym>[-+*^/()])"
@@ -144,6 +151,16 @@ class Polynomial:
 
     @staticmethod
     def parse(text: str) -> "Polynomial":
+        """The polynomial of `text` (grammar in the module docstring).  A bare
+        rational literal, exactly -?INT or -?INT/INT with a nonzero
+        denominator, is read without the tokenizer; the value is the same."""
+        literal = _LITERAL_RE.fullmatch(text)
+        if literal is not None:
+            numerator, denominator = literal.groups()
+            if denominator is None:
+                return Polynomial.constant(int(numerator))
+            if int(denominator):
+                return Polynomial.constant(Fraction(int(numerator), int(denominator)))
         return _Parser(text).run()
 
     # -- ring operations ---------------------------------------------------
@@ -369,29 +386,49 @@ class IntegerForm:
 
 
 class CompiledSystem:
-    """Polynomials compiled once for exact evaluation at many points.
+    """The residuals of a symbolic report, compiled once for exact evaluation
+    at many points.
 
-    Each polynomial is scaled by the least common multiple of its coefficient
-    denominators (`IntegerForm.scaled`).  Scaling by a nonzero integer does not
-    move the zero set, and the coefficients become ints, so the evaluation at
-    a point with int coordinates is plain int arithmetic.  Each term is stored
-    as (coefficient, factors), the factors being the positions of `unknowns`
-    repeated by multiplicity (t11*t23^2 over t11..t33 is (0, 5, 5)).
+    A residual vanishes exactly where its scaled integer numerator does.  A
+    violation of the template engine holds that numerator already, as the
+    {exponent tuple: int} dict of its `scaled` = (form, terms, scale); a
+    Polynomial residual (`axioms.twist_commutation`) is scaled by
+    `IntegerForm.scaled` over `unknowns`.  No Polynomial is made.  The
+    coefficients are ints, so the evaluation at a point with int coordinates
+    is plain int arithmetic.  Each term is stored as (coefficient, factors),
+    the factors being the positions in `unknowns` of its names, looked up by
+    name and repeated by multiplicity (t11*t23^2 over t11..t33 is (0, 5, 5)).
+    Equations with the same integer terms are kept once, in the order of
+    their first violation.
     """
 
-    def __init__(self, polynomials: Iterable[Polynomial], unknowns: Sequence[str]):
-        form = IntegerForm(unknowns)
-        self.equations = []
-        for poly in polynomials:
-            _, (terms,) = form.scaled([poly])
-            self.equations.append([
-                (coeff, tuple(index for index, exp in enumerate(exponents) for _ in range(exp)))
-                for exponents, coeff in terms.items()
-            ])
+    def __init__(self, violations: Iterable, unknowns: Sequence[str]):
+        own = IntegerForm(unknowns)
+        position = {name: index for index, name in enumerate(unknowns)}
+        forms: dict = {}  # form -> (its names' positions, {exponent tuple: factors})
+        equations: dict = {}
+        for violation in violations:
+            if violation.scaled is None:
+                form, (terms,) = own, own.scaled([violation.residual])[1]
+            else:
+                form, terms, _ = violation.scaled
+            if form not in forms:
+                forms[form] = [position[name] for name in form.order], {}
+            where, known = forms[form]
+            equation = []
+            for exponents, coeff in terms.items():
+                factors = known.get(exponents)
+                if factors is None:
+                    factors = known[exponents] = tuple(
+                        index for index, exp in zip(where, exponents) for _ in range(exp)
+                    )
+                equation.append((coeff, factors))
+            equations.setdefault(frozenset(equation), equation)
+        self.equations = list(equations.values())
 
     def vanishes_at(self, point: Sequence) -> bool:
-        """Is every polynomial zero at `point` (values in unknown order)?
-        Stops at the first polynomial that does not vanish."""
+        """Is every residual zero at `point` (values in unknown order)?
+        Stops at the first residual that does not vanish."""
         for terms in self.equations:
             total = 0
             for value, factors in terms:

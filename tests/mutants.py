@@ -11,7 +11,8 @@ pytest does not collect it:
     python tests/mutants.py
 
 It prints one line per mutant and exits 1 if a mutant survives, an edit does
-not match exactly once, or the unmutated tests fail.
+not match exactly once, or the unmutated tests fail.  The known equivalent
+mutants (`EQUIVALENT`) are printed with their reason and not run.
 """
 
 from __future__ import annotations
@@ -61,6 +62,83 @@ MUTANTS = [
             "                    tail = witnesses[item.template] = ("
         ),
         "tests": ["tests/test_json_writer.py"],
+    },
+    {
+        "name": "rref divides each pivot row by the absolute value of its pivot",
+        "file": "src/homsplit/linalg.py",
+        "old": "[[Fraction(v, row[c]) for v in row] for row, c in zip(m, pivots)]",
+        "new": "[[Fraction(v, abs(row[c])) for v in row] for row, c in zip(m, pivots)]",
+        "tests": ["tests/test_linalg.py"],
+    },
+    {
+        "name": "rref leaves the rows above a pivot uncleared",
+        "file": "src/homsplit/linalg.py",
+        "old": "for i in range(0 if reduced else r + 1, nrows):",
+        "new": "for i in range(r + 1, nrows):",
+        "tests": ["tests/test_linalg.py"],
+    },
+    {
+        "name": "the Bareiss determinant keeps its sign across a row swap",
+        "file": "src/homsplit/linalg.py",
+        "old": "            sign = -sign\n",
+        "new": "",
+        "tests": ["tests/test_linalg.py"],
+    },
+    {
+        "name": "charpoly returns the coefficients of L*A without dividing by L^k",
+        "file": "src/homsplit/linalg.py",
+        "old": "return [Fraction(c, common**k) for k, c in enumerate(coeffs)]",
+        "new": "return [Fraction(c) for k, c in enumerate(coeffs)]",
+        "tests": ["tests/test_linalg.py"],
+    },
+    {
+        "name": "the literal fast path of the parser drops the minus sign",
+        "file": "src/homsplit/poly.py",
+        "old": '_LITERAL_RE = re.compile(r"(-?\\d+)(?:/(\\d+))?")',
+        "new": '_LITERAL_RE = re.compile(r"-?(\\d+)(?:/(\\d+))?")',
+        "tests": ["tests/test_poly.py"],
+    },
+    {
+        "name": "the literal fast path divides by a zero denominator",
+        "file": "src/homsplit/poly.py",
+        "old": (
+            "            if int(denominator):\n"
+            "                return Polynomial.constant(Fraction(int(numerator), int(denominator)))\n"
+        ),
+        "new": "            return Polynomial.constant(Fraction(int(numerator), int(denominator)))\n",
+        "tests": ["tests/test_poly.py"],
+    },
+    {
+        "name": "the compiled system maps exponent positions to unknowns by index",
+        "file": "src/homsplit/poly.py",
+        "old": "forms[form] = [position[name] for name in form.order], {}",
+        "new": "forms[form] = list(range(len(form.order))), {}",
+        "tests": ["tests/test_poly.py"],
+    },
+]
+
+# Edits that change the code but not what it computes, with the reason; they
+# are listed so that nobody spends time trying to kill them, and are not run.
+EQUIVALENT = [
+    {
+        "name": "the compiled system of a search drops the twist-commutation residuals",
+        "reason": (
+            "both searches only visit points that commute with the twists: the iso "
+            "search walks the kernel points of the twist equations "
+            "(linalg.grid_kernel_points) and the operator search combines a "
+            "nullspace basis of them, so those residuals vanish at every point"
+        ),
+    },
+    {
+        "name": "the iso search drops its det != 0 test",
+        "reason": (
+            "verify_isomorphism, which confirms every candidate, reports a singular "
+            "matrix as iso.singular, so a singular candidate is never returned"
+        ),
+    },
+    {
+        "name": "quotient.perp-compat is checked against dashv instead of vdash",
+        "reason": "dashv - vdash lies in I_D, so both readings give the same conditions",
     },
 ]
 
@@ -112,6 +190,8 @@ def main() -> int:
             print(f"{mutant['name']}: {'killed' if killed else 'SURVIVED'}")
             failures += not killed
             shutil.rmtree(tree)
+    for mutant in EQUIVALENT:
+        print(f"{mutant['name']}: equivalent, not run ({mutant['reason']})")
     return 1 if failures else 0
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from homsplit import cli
 from homsplit.cli import build_parser, main
 from homsplit.corpus import CORPUS_ROOT, load_algebra
 from homsplit.files import action_to_dict, read_json, representation_to_dict, write_json
@@ -173,6 +174,46 @@ def test_corpus_list_cli(capsys):
     assert main(["corpus", "list"]) == 0
     out = capsys.readouterr().out
     assert "dim2.D1" in out and "ops.sec2.rb.family1" in out
+
+
+def test_main_builds_its_parser_once_and_no_option_outlives_its_call(
+    tmp_path, monkeypatch, capsys
+):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    try:
+        d1 = corpus_path("dim2/D1.json")
+        report = tmp_path / "report.json"
+        assert main(["check", d1, "--multiplicative", "--report", str(report)]) == 0
+        assert "multiplicative" in json.loads(report.read_text())
+        report.unlink()
+        assert main(["check", d1]) == 0
+        assert not report.exists()
+        capsys.readouterr()
+
+        def payload(argv):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            return json.loads(out[out.index("{"):])
+
+        d4 = corpus_path("dim3/D4.json")
+        solve = ["solve-op", d4, "--kind", "averaging_quadri", "--grid=-1..1"]
+        assert len(payload(solve + ["--denominators", "1,2"])["grid"]) == 5
+        assert len(payload(solve)["grid"]) == 3
+        emit = ["emit-system", d1, "--kind", "averaging_quadri"]
+        assert "s11" in "".join(payload(emit + ["--unknown-prefix", "s"])["equations"])
+        assert "s11" not in "".join(payload(emit)["equations"])
+        with pytest.raises(SystemExit):
+            main(["solve-op", d1])  # --kind is required, whatever came before
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_help_documents_spec_flags():

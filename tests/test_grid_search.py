@@ -20,6 +20,7 @@ from homsplit.corpus import CORPUS_ROOT, load_algebra
 from homsplit.model import AlgebraBundle, LinearMap, RepresentationBundle
 from homsplit.morphisms import brute_force_iso_search, push_forward
 from homsplit.operators import solve_operators_grid
+from homsplit.poly import IntegerForm
 
 GRID = [Fraction(-1), Fraction(0), Fraction(1)]
 # --grid=-1..1 --denominators 1,2
@@ -164,3 +165,21 @@ def test_relative_averaging_on_an_algebra_uses_its_adjoint():
     assert rows_of(solve_operators_grid(algebra, "relative_averaging", GRID)) == (
         grid_operator_solutions("relative_averaging", RepresentationBundle.adjoint(algebra), GRID)
     )
+
+
+def test_searches_build_no_polynomial_from_the_engine_residuals(monkeypatch):
+    # the compiled system reads the engine's integers; a residual Polynomial
+    # is built only when a report is written
+    d4 = load_algebra(CORPUS_ROOT / "dim3" / "D4.json")
+    moved = push_forward(d4, LinearMap.from_fractions([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+    calls = []
+    original = IntegerForm.polynomial
+
+    def counted(self, terms, scale):
+        calls.append(scale)
+        return original(self, terms, scale)
+
+    monkeypatch.setattr(IntegerForm, "polynomial", counted)
+    assert solve_operators_grid(d4, "averaging_quadri", GRID)
+    assert brute_force_iso_search(moved, d4, GRID) is not None
+    assert calls == []

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy as sp
 
+import oracle
 from homsplit import linalg
 
 
@@ -80,3 +82,153 @@ def test_reduce_against_row_space():
     for vec in ([1, 1, 3], [0, 0, 1], [2, 3, 0], [5, -1, 4]):
         once = [row[0] for row in reduce(vec)]
         assert reduce(once) == [[v] for v in once]  # a projection
+
+
+# -- integer kernels against the oracle and sympy on the shapes the search uses --
+
+BIG = 2**64 + 13
+
+
+def hard_matrix(rng, rows, cols, max_den=7):
+    """Mostly zeros and small values, with denominators up to `max_den`, a few
+    numerators above 2^64, and repeated and zero rows."""
+    m = []
+    for _ in range(rows):
+        roll = rng.random()
+        if m and roll < 0.15:
+            m.append(list(rng.choice(m)))
+        elif roll < 0.25:
+            m.append([Fraction(0)] * cols)
+        else:
+            m.append([
+                rng.choice([
+                    0, 0, 0, 1, -1, rng.randrange(-9, 10),
+                    Fraction(rng.randrange(-9, 10), rng.randrange(1, max_den + 1)),
+                    rng.choice([BIG, -BIG, Fraction(3 * BIG, 7)]),
+                ])
+                for _ in range(cols)
+            ])
+    return m
+
+
+def fingerprint_shaped(rng, n=3):
+    """(n^2 * 8) x n rows like the structure-constant rows of `fingerprint`:
+    one row per (op, i, j) with the coordinates of e_i op e_j."""
+    return [
+        [rng.choice([0, 0, 0, 0, 1, -1, Fraction(1, 2), 2]) for _ in range(n)]
+        for _ in range(8 * n * n)
+    ]
+
+
+def fractions(m):
+    return [[Fraction(v) for v in row] for row in m]
+
+
+def check_against_oracle(m, ncols):
+    echelon, pivots = linalg.rref(m)
+    assert (echelon, pivots) == oracle._rref(fractions(m), ncols)
+    assert linalg.rank(m) == len(pivots)
+    assert linalg.nullspace(m, ncols=ncols) == oracle._nullspace(fractions(m), ncols)
+    if m and ncols:
+        sm = sp.Matrix(m)
+        reduced, sympy_pivots = sm.rref()
+        assert list(pivots) == list(sympy_pivots)
+        assert echelon == [[Fraction(int(x.p), int(x.q)) for x in row] for row in reduced.tolist()[: len(pivots)]]
+        assert linalg.rank(m) == sm.rank()
+
+
+def test_rref_rank_nullspace_on_tall_repeated_and_huge_rows():
+    rng = random.Random(21)
+    for _ in range(12):
+        m = fingerprint_shaped(rng)
+        check_against_oracle(m, 3)
+    for _ in range(120):
+        rows, cols = rng.randrange(1, 8), rng.randrange(1, 7)
+        check_against_oracle(hard_matrix(rng, rows, cols), cols)
+
+
+def test_rref_pivots_are_one_and_their_columns_clear():
+    # a zero leading entry, negative pivots and entries above each pivot
+    m = [[0, -2, 4, 1], [-3, 1, 0, 0], [6, -2, 1, Fraction(1, 7)], [0, 0, 0, 0]]
+    echelon, pivots = linalg.rref(m)
+    assert pivots == [0, 1, 2]
+    for row, pc in zip(echelon, pivots):
+        assert row[pc] == 1
+        assert all(other[pc] == 0 for other in echelon if other is not row)
+    check_against_oracle(m, 4)
+
+
+def test_empty_and_degenerate_inputs():
+    assert linalg.rref([]) == ([], []) and linalg.rref([[]]) == ([], [])
+    assert linalg.rank([]) == 0 and linalg.rank([[]]) == 0 and linalg.rank([[0, 0]]) == 0
+    assert linalg.nullspace([], ncols=2) == oracle._nullspace([], 2)
+    assert linalg.nullspace([[]]) == []
+    assert linalg.nullspace([[0, 0, 0]]) == oracle._nullspace([[0, 0, 0]], 3)
+    assert linalg.determinant([]) == 1 == oracle._determinant([])
+    assert linalg.charpoly([]) == [1]
+    assert linalg.inverse([]) == []
+    assert linalg.solve([], []) == []
+    for call in (linalg.determinant, linalg.charpoly):
+        with pytest.raises(ValueError):
+            call([[]])
+        with pytest.raises(ValueError):
+            call([[1, 2]])
+
+
+def test_determinant_inverse_charpoly_up_to_six():
+    rng = random.Random(22)
+    cases = [
+        [[0, 1], [1, 0]],
+        [[0, 2, 1], [3, 0, 0], [1, 1, 1]],
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        [[Fraction(1, 2), 0], [0, Fraction(1, 3)]],
+        [[BIG, 1], [1, BIG]],
+    ]
+    cases += [hard_matrix(rng, n, n) for n in range(1, 7) for _ in range(8)]
+    for m in cases:
+        sm = sp.Matrix(m)
+        det = linalg.determinant(m)
+        assert det == oracle._determinant(fractions(m))
+        assert det == Fraction(int(sm.det().p), int(sm.det().q))
+        inv = linalg.inverse(m)
+        if det == 0:
+            assert inv is None
+        else:
+            assert sp.Matrix(inv) == sm.inv()
+        theirs = sp.Poly(sm.charpoly(sp.Symbol("x")), sp.Symbol("x")).all_coeffs()
+        assert linalg.charpoly(m) == [Fraction(int(c.p), int(c.q)) for c in theirs]
+    assert linalg.determinant([[0, 1], [1, 0]]) == -1
+    assert linalg.charpoly([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]) == [1, Fraction(-5, 6), Fraction(1, 6)]
+
+
+def test_solve_with_huge_and_fractional_right_hand_sides():
+    rng = random.Random(23)
+    for _ in range(60):
+        rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
+        m = hard_matrix(rng, rows, cols)
+        rhs = [rng.choice([0, 1, Fraction(-2, 7), BIG]) for _ in range(rows)]
+        ours = linalg.solve(m, rhs)
+        solvable = bool(list(sp.linsolve((sp.Matrix(m), sp.Matrix(rows, 1, rhs)))))
+        assert (ours is not None) == solvable
+        if ours is not None:
+            assert list(sp.Matrix(m) * sp.Matrix(cols, 1, ours)) == list(rhs)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: linalg.rref([[1, 0.5]]), id="rref"),
+        pytest.param(lambda: linalg.rank([[0.25]]), id="rank"),
+        pytest.param(lambda: linalg.nullspace([[1, 2.0]]), id="nullspace"),
+        pytest.param(lambda: linalg.solve([[1]], [0.5]), id="solve"),
+        pytest.param(lambda: linalg.determinant([[0.1]]), id="determinant"),
+        pytest.param(lambda: linalg.inverse([[2.0]]), id="inverse"),
+        pytest.param(lambda: linalg.charpoly([[1.5]]), id="charpoly"),
+        pytest.param(lambda: linalg.matmul([[1]], [[0.1]]), id="matmul"),
+        pytest.param(lambda: linalg.determinant([["1/2"]]), id="text"),
+    ],
+)
+def test_entries_must_be_ints_or_fractions(call):
+    # a float would be read with its binary rounding: 0.1 is not 1/10
+    with pytest.raises(TypeError, match="expected an int or Fraction"):
+        call()

@@ -3,9 +3,15 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from homsplit import poly
+from homsplit.corpus import CORPUS_ROOT, load_algebra
+from homsplit.model import unknown_matrix
+from homsplit.operators import solve_operators_grid, verify_operator
 from homsplit.poly import CompiledSystem, IntegerForm, ParseError, Polynomial
+from homsplit.report import Violation
 
 P = Polynomial.parse
 
@@ -201,12 +207,49 @@ def test_power_by_squaring_matches_repeated_multiplication():
 
 def test_compiled_system_vanishes_exactly_where_the_polynomials_do():
     system = [P("1/2*t1 - 1/3*t2"), P("t1^2*t2 - 12"), P("t1*t2 - 6")]
-    compiled = CompiledSystem(system, ["t1", "t2"])
+    compiled = CompiledSystem([Violation("v", (k,), p) for k, p in enumerate(system)], ["t1", "t2"])
     for point in [(2, 3), (Fraction(2), Fraction(3)), (1, 1), (Fraction(1, 2), 3), (0, 0), (-2, -3)]:
         expected = all(p.specialize({"t1": point[0], "t2": point[1]}).is_zero() for p in system)
         assert compiled.vanishes_at(point) == expected
     assert compiled.vanishes_at((2, 3)) and not compiled.vanishes_at((-2, -3))
     assert CompiledSystem([], ["t1"]).vanishes_at((5,))
+
+
+def test_compiled_system_finds_unknown_positions_by_name():
+    form = IntegerForm(["a", "b"])
+    violations = [
+        # (a - 2*b) / 3 as the engine keeps it, and the Polynomial b - 1
+        Violation("x", (1,), None, (form, {(1, 0): 1, (0, 1): -2}, 3)),
+        Violation("y", (1,), P("b - 1")),
+    ]
+    compiled = CompiledSystem(violations, ["b", "a"])
+    assert compiled.vanishes_at((1, 2))  # b = 1, a = 2
+    assert not compiled.vanishes_at((2, 1))
+    assert not compiled.vanishes_at((1, 1))
+
+
+def test_compiled_system_over_a_report_vanishes_where_its_residuals_do():
+    d4 = load_algebra(CORPUS_ROOT / "dim3" / "D4.json")
+    names, symbolic = unknown_matrix(3, 3)
+    report = verify_operator("averaging_quadri", d4, symbolic)
+    # residuals kept as engine integers, and Polynomials of twist commutation
+    assert {v.scaled is None for v in report.entries} == {True, False}
+    order = names[::-1]  # not the engine's sorted order
+    compiled = CompiledSystem(report.entries, order)
+    residuals = set(v.residual for v in report.entries)
+    points = [
+        [v for row in m.to_fraction_rows() for v in row]
+        for m in solve_operators_grid(d4, "averaging_quadri", [-1, 0, 1])
+    ]
+    rng = random.Random(8)
+    points += [[rng.choice((-1, 0, 1, Fraction(1, 2))) for _ in names] for _ in range(100)]
+    vanishing = 0
+    for point in points:
+        binding = dict(zip(names, point))
+        expected = all(r.specialize(binding).is_zero() for r in residuals)
+        assert compiled.vanishes_at([binding[name] for name in order]) == expected
+        vanishing += expected
+    assert 0 < vanishing < len(points)
 
 
 def test_integer_form_scales_by_the_common_denominator_and_reads_back():
@@ -231,3 +274,34 @@ def test_products_and_powers_above_the_term_cap_are_parse_errors():
         assert f"cap of {poly.MAX_TERMS} terms" in str(info.value)
     assert len(P("(a+1)^64").terms) == 65
     assert len(P("(a+b+c+1)^10").terms) == 286
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+LITERAL_LIKE = st.text(alphabet="-0123456789/ +()", max_size=8) | st.from_regex(
+    r"-?\d{1,25}(/\d{1,25})?", fullmatch=True
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(LITERAL_LIKE)
+@example("-0")
+@example("007")
+@example("1/0")
+@example("-1/00")
+@example(" 1")
+@example("1 ")
+@example("--1")
+@example("-1/2")
+@example("+1")
+@example("1/-2")
+@example("18446744073709551629/7")
+def test_rational_literals_parse_as_the_parser_reads_them(text):
+    assert parse_outcome(Polynomial.parse, text) == parse_outcome(
+        lambda t: poly._Parser(t).run(), text
+    )
