@@ -278,11 +278,6 @@ def matmul(a, b) -> Matrix:
     ]
 
 
-def _int_matmul(a: Matrix, b: Matrix) -> Matrix:
-    columns = list(zip(*b))
-    return [[sum(map(mul, row, column)) for column in columns] for row in a]
-
-
 def charpoly(matrix) -> list[Fraction]:
     """Coefficients [1, c1, ..., cn] of det(xI - A) = x^n + c1 x^(n-1) + ... + cn.
 
@@ -299,7 +294,8 @@ def charpoly(matrix) -> list[Fraction]:
     coeffs = [1]
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        m = _int_matmul(b, m)
+        columns = list(zip(*m))
+        m = [[sum(map(mul, row, column)) for column in columns] for row in b]
         ck = -sum(m[i][i] for i in range(n)) // k
         coeffs.append(ck)
         for i in range(n):
