@@ -28,29 +28,37 @@ Twist commutation X o alpha = alpha' o X ("avg.twist", "rb.twist",
 
 The evaluator tabulates each distinct subterm once per basis tuple of its own
 placeholders and shares the tables across the templates of one call that bind
-their placeholders to the same spaces.  Tables are sparse: a table holds only
-the basis tuples where the subterm's vector is nonzero, and a missing key is
-the zero vector.  A placeholder's table is full; an op multiplies only the
-present entries of its two factors, since a product is zero wherever either
-factor is, so it makes nnz(A) * nnz(B) kernel calls rather than one per
-tuple; a map application or a sum keeps only the entries that do not come out
-zero.  A template whose two tables and scales are equal passes outright, and
-otherwise only the tuples present on either side are compared.  `tabulate`
-exposes one table, with the zero vector at every missing tuple, so that
-constructions build induced products from expressions as well.
+their placeholders to the same spaces.  What that takes from the templates
+alone (the distinct subterms, the order they are tabulated in, the tables each
+template drops, the placeholder names of every subterm and the projectors
+between their index tuples) is an evaluation plan, made once per template set
+and kept across calls (`_Plan`).  Tables are sparse: a table holds only the
+basis tuples where the subterm's vector is nonzero, and a missing key is the
+zero vector.  A placeholder's table is full; an op multiplies only the present
+entries of its two factors, since a product is zero wherever either factor is,
+and of those only the pairs whose nonzero coordinates meet a structure
+constant; a map application or a sum keeps only the entries that do not come
+out zero.  A template whose two tables and scales are equal passes outright,
+and otherwise only the tuples present on either side are compared.
+`tabulate` exposes one table, with the zero vector at every missing tuple, so
+that constructions build induced products from expressions as well.
 
 Tables hold exact integers.  Each call converts every op and map it uses once
-(`poly.IntegerForm`) into sparse {exponent tuple: int} entries over the
-sorted union of the parameters of the call's ops and maps, scaled by the least
-common multiple of that op's or map's own denominators.  A table carries the
-scale of its subterm: an op or map application multiplies its own scale with
-its children's, and a Sum takes the least common multiple of its terms' scales
-and multiplies each term by the matching integer.  The two sides of a template
-may have different scales (`mult.*` applies alpha once on one side and twice on
-the other), so a coordinate passes when lhs * (L / sL) == rhs * (L / sR) as
-integer dicts, with L = lcm(sL, sR).  A nonzero residual stays the integer
-dict over L in its Violation, which builds the canonical Polynomial only on
-demand; `tabulate` converts its table back to Polynomial vectors.
+(`poly.IntegerForm`) into sparse {packed monomial: int} entries over the
+sorted union of the parameters of the call's ops and maps, a monomial being
+one int whose bit fields hold its exponents, so that multiplying two
+monomials is one integer addition; the fields are wide enough that no
+exponent the call forms can carry into the next (see `_Compiled`).  Each op
+and map is scaled by the least common multiple of its own denominators.  A
+table carries the scale of its subterm: an op or map application multiplies
+its own scale with its children's, and a Sum takes the least common multiple
+of its terms' scales and multiplies each term by the matching integer.  The
+two sides of a template may have different scales (`mult.*` applies alpha
+once on one side and twice on the other), so a coordinate passes when
+lhs * (L / sL) == rhs * (L / sR) as integer dicts, with L = lcm(sL, sR).  A
+nonzero residual stays the integer dict over L in its Violation, which builds
+the canonical Polynomial only on demand; `tabulate` converts its table back
+to Polynomial vectors.
 
 The sq15 identity mixes two operations across its sides in the source; both
 the literal reading and the symmetrized one are implemented, selectable via
@@ -59,13 +67,14 @@ the literal reading and the symmetrized one are implemented, selectable via
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .model import ActionBundle, AlgebraBundle, KIND_OPS, LinearMap, RepresentationBundle
-from .poly import IntegerForm, Polynomial
+from .poly import IntegerForm, Polynomial, max_exponent
 from .report import Report, Violation
 
 SQ15_READINGS = ("literal", "symmetric")
@@ -119,6 +128,7 @@ class Template:
     variables: tuple  # ((placeholder, space), ...) in witness order
     lhs: object
     rhs: object
+    __hash__ = _hash_once
 
 
 def _children(expr) -> tuple:
@@ -133,10 +143,9 @@ def _children(expr) -> tuple:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _subterms(expr):
-    yield expr
-    for child in _children(expr):
-        yield from _subterms(child)
+def _nodes(expr) -> int:
+    """The number of Op and App nodes of `expr`."""
+    return isinstance(expr, (Op, App)) + sum(map(_nodes, _children(expr)))
 
 
 def _projector(names, sub):
@@ -154,7 +163,7 @@ def _projector(names, sub):
 
 
 # ---------------------------------------------------------------------------
-# the integer backend: every vector coordinate is a dict {exponent tuple: int}
+# the integer backend: every vector coordinate is a dict {packed monomial: int}
 
 _ZERO: dict = {}  # the zero coordinate; shared, so never mutated
 
@@ -177,7 +186,7 @@ def _accumulate(acc: dict, terms, factor_terms, constant) -> None:
         return
     for m1, c1 in terms:
         for m2, c2 in factor_terms:
-            mono = tuple(map(add, m1, m2))
+            mono = m1 + m2
             acc[mono] = acc.get(mono, 0) + c1 * c2
 
 
@@ -185,55 +194,79 @@ class _Compiled:
     """The ops and maps of one call as scaled integer tensors and matrices.
 
     `form` writes polynomials over the sorted union of the parameters they
-    use; a coordinate is a dict {exponent tuple: int}, the empty dict being
-    zero.  Each op and map is converted on first use, scaled by the least
-    common multiple of its own coefficient denominators, and kept as (scale,
-    dims, kernel).
+    use, with monomials packed into ints (`poly.IntegerForm`); a coordinate
+    is a dict {packed monomial: int}, the empty dict being zero, and the
+    product of two monomials is their sum.  `nodes` bounds the number of Op
+    and App nodes on a template side: a product multiplies one entry of each
+    op and map on its side, a sum keeps the exponents of its terms and a
+    residual difference adds none, so no exponent exceeds `nodes` times the
+    largest exponent of any entry, which is the `degree` the form holds
+    without carrying.  Each op and map is converted on first use, scaled by
+    the least common multiple of its own coefficient denominators, and kept
+    as (scale, dims, kernel, ...).
     """
 
-    def __init__(self, ops: dict, maps: dict):
+    def __init__(self, ops: dict, maps: dict, nodes: int):
         self.ops, self.maps = ops, maps
+        exponent = max_exponent(itertools.chain(
+            (poly for op in ops.values() for _, poly in op.constants),
+            (cell for linear in maps.values() for row in linear.entries for cell in row),
+        ))
         self.form = IntegerForm(sorted(set().union(
             *(op.parameters() for op in ops.values()),
             *(linear.parameters() for linear in maps.values()),
-        )))
-        self.one = self.form.one
+        )), nodes * exponent)
         self.kernels: dict = {}
 
-    def basis(self, dim: int, index: int) -> tuple:
-        return _vector({index: {self.one: 1}}, dim)
+    @staticmethod
+    def basis(dim: int, index: int) -> tuple:
+        return _vector({index: {0: 1}}, dim)
 
-    def _factor(self, terms: dict) -> tuple:
+    @staticmethod
+    def _factor(terms: dict) -> tuple:
         """(terms, None), or (None, c) for the constant polynomial c."""
-        if len(terms) == 1 and self.one in terms:
-            return None, terms[self.one]
+        if len(terms) == 1 and 0 in terms:
+            return None, terms[0]
         return tuple(terms.items()), None
 
     def op(self, name: str) -> tuple:
+        """(scale, dims, kernel, reach).  The kernel reads the constants of
+        each row i of the left factor, {j: [(k, terms, constant), ...]}, only
+        where x_i is nonzero, and adds x_i y_j times a constant target inline;
+        `reach[i]` sets bit j for each j of a constant c_ij* (see `_join`)."""
         if ("op", name) not in self.kernels:
             op = self.ops[name]
             scale, values = self.form.scaled(poly for _, poly in op.constants)
-            pairs: dict = {}
+            rows = [{} for _ in range(op.dim_left)]
             for ((i, j, k), _), terms in zip(op.constants, values):
-                pairs.setdefault((i - 1, j - 1), []).append((k - 1, *self._factor(terms)))
-            pairs = tuple((i, j, tuple(targets)) for (i, j), targets in pairs.items())
+                rows[i - 1].setdefault(j - 1, []).append((k - 1, *self._factor(terms)))
+            reach = [sum(1 << j for j in row) for row in rows]
+            rows = [tuple(row.items()) for row in rows]
             dim_out = op.dim_out
 
             def apply(x, y):
                 out = {}
-                for i, j, targets in pairs:
-                    xi, yj = x[i], y[j]
-                    if xi and yj:
-                        xy = [
-                            (tuple(map(add, m1, m2)), c1 * c2)
-                            for m1, c1 in xi.items()
-                            for m2, c2 in yj.items()
-                        ]
+                for xi, row in zip(x, rows):
+                    if not xi:
+                        continue
+                    xi = xi.items()
+                    for j, targets in row:
+                        yj = y[j]
+                        if not yj:
+                            continue
+                        xy = [(m1 + m2, c1 * c2) for m1, c1 in xi for m2, c2 in yj.items()]
                         for k, terms, constant in targets:
-                            _accumulate(out.setdefault(k, {}), xy, terms, constant)
+                            acc = out.get(k)
+                            if acc is None:
+                                acc = out[k] = {}
+                            if constant is None:
+                                _accumulate(acc, xy, terms, None)
+                            else:
+                                for mono, coeff in xy:
+                                    acc[mono] = acc.get(mono, 0) + coeff * constant
                 return _vector(out, dim_out)
 
-            self.kernels["op", name] = scale, (op.dim_left, op.dim_right, dim_out), apply
+            self.kernels["op", name] = scale, (op.dim_left, op.dim_right, dim_out), apply, reach
         return self.kernels["op", name]
 
     def map(self, name: str) -> tuple:
@@ -276,102 +309,202 @@ def _sum_kernel(factors: list, dim: int):
     return apply
 
 
-def _spread(free: tuple, table: dict, names: tuple, ranges: dict) -> dict:
-    """`table`, keyed by index tuples over `free`, re-keyed by tuples over
-    `names`, which hold every name of `free`: each entry stands for all the
-    tuples that agree with its key on `free`.  A missing key is still zero."""
+# ---------------------------------------------------------------------------
+# evaluation plans
+
+_VAR, _APP, _OP, _SUM = range(4)
+
+
+def _spreader(free: tuple, names: tuple, spaces: dict):
+    """How `_spread` re-keys a table over `free` by tuples over `names`, which
+    hold every name of `free`: None when they are equal, else (the spaces of
+    the names missing from `free`, the projector onto `names`)."""
     if free == names:
-        return table
+        return None
     missing = tuple(name for name in names if name not in free)
-    pick = _projector(free + missing, names)
-    extensions = list(itertools.product(*(ranges[name] for name in missing)))
+    return tuple(spaces[name] for name in missing), _projector(free + missing, names)
+
+
+def _spread(table: dict, spreader, dims: dict) -> dict:
+    """`table` re-keyed as `spreader` says (see `_spreader`): each entry stands
+    for all the tuples that agree with its key on the table's own names.  A
+    missing key is still zero."""
+    if spreader is None:
+        return table
+    spaces, pick = spreader
+    extensions = list(itertools.product(*(range(1, dims[space] + 1) for space in spaces)))
     return {pick(key + extra): vector for key, vector in table.items() for extra in extensions}
 
 
-def _join(left: tuple, right: tuple, apply, free: tuple) -> dict:
+class _Plan:
+    """How to evaluate one template set, worked out once from the templates
+    alone: no dimension, op or map enters it.
+
+    Each distinct (subterm, scope) gets a slot; `scope` binds each
+    placeholder to its space, so a subterm shared by several templates over
+    the same spaces is tabulated once.  `code[slot]` is the instruction that
+    tabulates it from the slots of its children, which come first, with the
+    projectors its op join or sum needs, and `free[slot]` its sorted
+    placeholder names.  `steps` holds, per template in order: the template,
+    the range of slots it tabulates first, the slots of its two sides with
+    the spreaders that re-key them by its witness order, and the slots it
+    uses last, whose tables are dropped after it.  `nodes` is the largest
+    number of Op and App nodes on a template side (see `_Compiled`).
+    """
+
+    def __init__(self, templates: tuple):
+        self.code: list = []
+        self.free: list = []
+        self._slots: dict = {}
+        self.steps: list = []
+        self.nodes = max(
+            (_nodes(side) for template in templates for side in (template.lhs, template.rhs)),
+            default=0,
+        )
+        last_use = {}
+        for t, template in enumerate(templates):
+            scope = tuple(sorted(template.variables))
+            spaces = dict(scope)
+            start, used = len(self.code), set()
+            lhs, rhs = (self.slot(side, scope, used) for side in (template.lhs, template.rhs))
+            names = tuple(name for name, _ in template.variables)
+            self.steps.append((
+                template, range(start, len(self.code)), lhs, rhs,
+                _spreader(self.free[lhs], names, spaces),
+                _spreader(self.free[rhs], names, spaces),
+                [],
+            ))
+            for slot in used:
+                last_use[slot] = t
+        for slot, t in last_use.items():
+            self.steps[t][-1].append(slot)
+
+    def slot(self, expr, scope: tuple, used: set) -> int:
+        """The slot of `expr` over `scope`, adding the instructions of it and
+        of its subterms that have none yet; `used` collects the slots read."""
+        key = expr, scope
+        slot = self._slots.get(key)
+        if slot is None:
+            children = [self.slot(child, scope, used) for child in _children(expr)]
+            free = tuple(sorted(set().union(*(self.free[child] for child in children))))
+            if isinstance(expr, Var):
+                free = (expr.name,)
+                code = _VAR, dict(scope)[expr.name]
+            elif isinstance(expr, App):
+                code = _APP, children[0], expr.map_name
+            elif isinstance(expr, Op):
+                (free_a, free_b) = (self.free[child] for child in children)
+                shared = tuple(name for name in free_b if name in free_a)
+                code = (
+                    _OP, *children, expr.op_name,
+                    _projector(free_a, shared), _projector(free_b, shared),
+                    _projector(free_a + free_b, free),
+                )
+            else:
+                spaces = dict(scope)
+                code = _SUM, children, [_spreader(self.free[c], free, spaces) for c in children]
+            slot = self._slots[key] = len(self.code)
+            self.code.append(code)
+            self.free.append(free)
+        used.add(slot)
+        return slot
+
+
+_PLANS: dict = {}
+_PLAN_LIMIT = 64
+
+
+def _plan(templates: tuple) -> _Plan:
+    """The plan of a template set, kept for the last `_PLAN_LIMIT` sets."""
+    key = templates
+    plan = _PLANS.get(key)
+    if plan is None:
+        if len(_PLANS) >= _PLAN_LIMIT:
+            del _PLANS[next(iter(_PLANS))]
+        plan = _PLANS[key] = _Plan(templates)
+    return plan
+
+
+def _join(a: dict, b: dict, apply, reach, at_a, at_b, pick) -> dict:
     """The sparse table of an op over the sparse tables of its two factors.
 
     A product is zero wherever either factor is, so only pairs of present
-    entries that agree on their shared placeholders are multiplied, and a
-    product that comes out zero is dropped."""
-    (free_a, _, _, a), (free_b, _, _, b) = left, right
-    shared = tuple(name for name in free_b if name in free_a)
-    at_a, at_b = _projector(free_a, shared), _projector(free_b, shared)
-    pick = _projector(free_a + free_b, free)
+    entries that agree on their shared placeholders (`at_a`, `at_b`) are
+    multiplied, and a product that comes out zero is dropped.  x op y is also
+    zero unless some constant c_ijk meets an x_i and a y_j that are nonzero:
+    `reach[i]` sets bit j for each j of a constant c_ij*, and a pair is
+    multiplied only when its bits meet."""
     groups: dict = {}
     for key_b, vector_b in b.items():
-        groups.setdefault(at_b(key_b), []).append((key_b, vector_b))
+        support = 0
+        for j, coord in enumerate(vector_b):
+            if coord:
+                support |= 1 << j
+        groups.setdefault(at_b(key_b), []).append((key_b, vector_b, support))
     table = {}
     for key_a, vector_a in a.items():
-        for key_b, vector_b in groups.get(at_a(key_a), ()):
-            product = apply(vector_a, vector_b)
-            if any(product):
-                table[pick(key_a + key_b)] = product
+        bits = 0
+        for coord, row in zip(vector_a, reach):
+            if coord:
+                bits |= row
+        for key_b, vector_b, support in groups.get(at_a(key_a), ()):
+            if bits & support:
+                product = apply(vector_a, vector_b)
+                if any(product):
+                    table[pick(key_a + key_b)] = product
     return table
 
 
-def _tabulate(expr, scope: tuple, dims: dict, compiled: _Compiled, tables: dict):
-    """(sorted placeholder names of `expr`, scale, dimension, {their basis
-    indices: integer vector}); the value of `expr` is the vector / scale.
+def _tabulate(code: tuple, tables: list, dims: dict, compiled: _Compiled) -> tuple:
+    """(scale, dimension, {basis indices of the slot's names: integer
+    vector}) of the instruction `code` (see `_Plan`) over the tables of its
+    children; the value of the subterm is the vector / scale.
 
     Tables are sparse: they hold only the basis tuples where the vector is
     nonzero, and a missing key is the zero vector.  A placeholder's table is
     full (every basis vector), an op or map application keeps the entries it
     does not send to zero, an op multiplies only present entries of its two
-    factors, and a sum runs over the union of its terms' keys.  `scope` binds
-    each placeholder to its space; a subterm is computed once per scope, so
-    H(e_i) is applied once per i and a product shared by several templates is
-    formed once.  A subterm's scale is its own op or map scale times its
-    children's scales; a sum takes the least common multiple of its terms'.
+    factors, and a sum runs over the union of its terms' keys.  A subterm's
+    scale is its own op or map scale times its children's scales; a sum
+    takes the least common multiple of its terms'.
     """
-    key = expr, scope
-    if key in tables:
-        return tables[key]
-    if isinstance(expr, Var):
-        dim = dims[dict(scope)[expr.name]]
-        tables[key] = (expr.name,), 1, dim, {
-            (i,): compiled.basis(dim, i - 1) for i in range(1, dim + 1)
-        }
-        return tables[key]
-    children = [_tabulate(child, scope, dims, compiled, tables) for child in _children(expr)]
-    child_dims = [dim for _, _, dim, _ in children]
-    scale = math.prod(child_scale for _, child_scale, _, _ in children)
-    free = tuple(sorted(set().union(*(sub for sub, _, _, _ in children))))
-    if isinstance(expr, App):
-        own, (dim_in, dim), apply = compiled.map(expr.map_name)
-        if child_dims != [dim_in]:
+    kind = code[0]
+    if kind == _VAR:
+        dim = dims[code[1]]
+        return 1, dim, {(i,): compiled.basis(dim, i - 1) for i in range(1, dim + 1)}
+    if kind == _APP:
+        _, child, name = code
+        scale, child_dim, vectors = tables[child]
+        own, (dim_in, dim), apply = compiled.map(name)
+        if child_dim != dim_in:
+            raise ValueError(f"map expects dimension {dim_in}, got vector of length {child_dim}")
+        table = {combo: image for combo, vector in vectors.items() if any(image := apply(vector))}
+        return own * scale, dim, table
+    if kind == _OP:
+        _, left, right, name, at_a, at_b, pick = code
+        (scale_a, dim_a, a), (scale_b, dim_b, b) = tables[left], tables[right]
+        own, (dim_left, dim_right, dim), apply, reach = compiled.op(name)
+        if (dim_a, dim_b) != (dim_left, dim_right):
             raise ValueError(
-                f"map expects dimension {dim_in}, got vector of length {child_dims[0]}"
+                f"operation expects {dim_left} x {dim_right}, got {dim_a} x {dim_b}"
             )
-        scale *= own
-        table = {
-            combo: image
-            for combo, vector in children[0][3].items()
-            if any(image := apply(vector))
-        }
-    elif isinstance(expr, Op):
-        own, (dim_left, dim_right, dim), apply = compiled.op(expr.op_name)
-        if child_dims != [dim_left, dim_right]:
-            raise ValueError(
-                f"operation expects {dim_left} x {dim_right}, got {child_dims[0]} x {child_dims[1]}"
-            )
-        scale *= own
-        table = _join(*children, apply, free)
-    else:
-        dim = child_dims[0]
-        if any(d != dim for d in child_dims):
-            raise ValueError("vector dimension mismatch")
-        scale = math.lcm(*(child_scale for _, child_scale, _, _ in children))
-        apply = _sum_kernel([scale // child_scale for _, child_scale, _, _ in children], dim)
-        ranges = {name: range(1, dims[space] + 1) for name, space in scope}
-        terms = [_spread(sub, term, free, ranges) for sub, _, _, term in children]
-        table = {
-            combo: total
-            for combo in set().union(*terms)
-            if any(total := apply(*[term.get(combo) for term in terms]))
-        }
-    tables[key] = free, scale, dim, table
-    return tables[key]
+        return own * scale_a * scale_b, dim, _join(a, b, apply, reach, at_a, at_b, pick)
+    _, children, spreaders = code
+    terms = [tables[child] for child in children]
+    dim = terms[0][1]
+    if any(term_dim != dim for _, term_dim, _ in terms):
+        raise ValueError("vector dimension mismatch")
+    scale = math.lcm(*(term_scale for term_scale, _, _ in terms))
+    apply = _sum_kernel([scale // term_scale for term_scale, _, _ in terms], dim)
+    spread = [
+        _spread(table, spreader, dims) for (_, _, table), spreader in zip(terms, spreaders)
+    ]
+    table = {
+        combo: total
+        for combo in set().union(*spread)
+        if any(total := apply(*[term.get(combo) for term in spread]))
+    }
+    return scale, dim, table
 
 
 def tabulate(expr, variables, dims: dict, ops: dict, maps: dict) -> dict:
@@ -379,93 +512,95 @@ def tabulate(expr, variables, dims: dict, ops: dict, maps: dict) -> dict:
     `variables` ((placeholder, space), ...), keyed in `variables` order; the
     coordinates are Polynomials, and a tuple where `expr` is zero gets the
     zero vector."""
-    compiled = _Compiled(ops, maps)
-    free, scale, dim, table = _tabulate(expr, tuple(sorted(variables)), dims, compiled, {})
+    plan = _Plan(())
+    slot = plan.slot(expr, tuple(sorted(variables)), set())
+    compiled = _Compiled(ops, maps, _nodes(expr))
+    tables: list = []
+    for code in plan.code:
+        tables.append(_tabulate(code, tables, dims, compiled))
+    scale, dim, table = tables[slot]
     vectors = {
         combo: tuple(compiled.form.polynomial(coord, scale) for coord in vector)
         for combo, vector in table.items()
     }
     zero = (Polynomial.zero(),) * dim
-    at = _projector([name for name, _ in variables], free)
+    at = _projector([name for name, _ in variables], plan.free[slot])
     ranges = [range(1, dims[space] + 1) for _, space in variables]
     return {combo: vectors.get(at(combo), zero) for combo in itertools.product(*ranges)}
 
 
 def _difference(a: dict, a_factor: int, b: dict, b_factor: int) -> dict:
-    """a * a_factor - b * b_factor, without zero coefficients."""
-    out = {mono: coeff * a_factor for mono, coeff in a.items()}
+    """a * a_factor - b * b_factor, without zero coefficients: a copy of a,
+    from which b is subtracted in place.  The coefficients of a and b and both
+    factors are nonzero, so a coefficient that comes out zero was in the copy."""
+    out = dict(a) if a_factor == 1 else {mono: coeff * a_factor for mono, coeff in a.items()}
     for mono, coeff in b.items():
-        out[mono] = out.get(mono, 0) - coeff * b_factor
-    return {mono: coeff for mono, coeff in out.items() if coeff}
+        value = out.get(mono, 0) - coeff * b_factor
+        if value:
+            out[mono] = value
+        else:
+            del out[mono]
+    return out
 
 
-def _violations(template: Template, lhs_table: tuple, rhs_table: tuple, dims: dict, form):
-    """The violations of `template`, whose sides have the tabulations
-    `lhs_table` and `rhs_table`; see `evaluate_templates`."""
-    lhs_free, lhs_scale, lhs_dim, lhs = lhs_table
-    rhs_free, rhs_scale, rhs_dim, rhs = rhs_table
+def _violations(step: tuple, tables: list, same_names: bool, dims: dict, form) -> list:
+    """The violations of the template of the plan step `step`, whose sides
+    have the tabulations `tables[lhs]` and `tables[rhs]`; see
+    `evaluate_templates`."""
+    template, _, lhs, rhs, lhs_spreader, rhs_spreader, _ = step
+    (lhs_scale, lhs_dim, lhs), (rhs_scale, rhs_dim, rhs) = tables[lhs], tables[rhs]
     if lhs_dim != rhs_dim:
         raise ValueError(
             f"template {template.id}: the sides have dimensions {lhs_dim} and {rhs_dim}"
         )
-    if lhs_scale == rhs_scale and lhs_free == rhs_free and lhs == rhs:
+    if lhs_scale == rhs_scale and same_names and lhs == rhs:
         return []
-    names = tuple(name for name, _ in template.variables)
-    ranges = {name: range(1, dims[space] + 1) for name, space in template.variables}
-    lhs, rhs = _spread(lhs_free, lhs, names, ranges), _spread(rhs_free, rhs, names, ranges)
+    lhs, rhs = _spread(lhs, lhs_spreader, dims), _spread(rhs, rhs_spreader, dims)
     zero = (_ZERO,) * lhs_dim
+    coords = range(1, lhs_dim + 1)
     scale = math.lcm(lhs_scale, rhs_scale)
     lhs_factor, rhs_factor = scale // lhs_scale, scale // rhs_scale
+    same = lhs_factor == rhs_factor
+    tid = template.id
     entries = []
     for combo in sorted(lhs.keys() | rhs.keys()):
         left, right = lhs.get(combo, zero), rhs.get(combo, zero)
-        if left == right and lhs_factor == rhs_factor:
+        if same and left == right:
             continue
-        for coord, (a, b) in enumerate(zip(left, right), start=1):
-            if a == b and (lhs_factor == rhs_factor or not a):
+        for coord, a, b in zip(coords, left, right):
+            if a == b and (same or not a):
                 continue
             residual = _difference(a, lhs_factor, b, rhs_factor)
             if residual:
-                entries.append(
-                    Violation(template.id, combo + (coord,), None, (form, residual, scale))
-                )
+                entries.append(Violation(tid, (*combo, coord), None, (form, residual, scale)))
     return entries
 
 
 def evaluate_templates(templates, dims: dict, ops: dict, maps: dict) -> Report:
     """Evaluate templates over all basis tuples; exact zero residual to pass.
 
-    Both sides are tabulated as sparse integer tables with scales sL and sR.
-    A template whose two tables and scales are equal passes outright.  Else
-    the tuples where either side is nonzero are visited, a missing side being
-    the zero vector; every other tuple is zero on both sides and passes.
-    With L = lcm(sL, sR), a coordinate passes when lhs * (L / sL) ==
-    rhs * (L / sR) as integer dicts; a nonzero difference is kept as its
-    integer dict over L, and the Violation builds the Polynomial or its text
-    on demand.  Subterm tables are shared across the templates of one call
-    and dropped after the last template that contains them.
+    The structure of the evaluation comes from the plan of the template set
+    (`_Plan`), kept across calls.  Both sides are tabulated as sparse integer
+    tables with scales sL and sR.  A template whose two tables and scales are
+    equal passes outright.  Else the tuples where either side is nonzero are
+    visited, a missing side being the zero vector; every other tuple is zero
+    on both sides and passes.  With L = lcm(sL, sR), a coordinate passes when
+    lhs * (L / sL) == rhs * (L / sR) as integer dicts; a nonzero difference
+    is kept as its integer dict over L, and the Violation builds the
+    Polynomial or its text on demand.  Subterm tables are shared across the
+    templates of one call and dropped after the last template that reads them.
     """
-    templates = list(templates)
-    compiled = _Compiled(ops, maps)
-    form = compiled.form
-    scopes = [tuple(sorted(template.variables)) for template in templates]
-    last_use = {}
-    for t, (template, scope) in enumerate(zip(templates, scopes)):
-        for side in (template.lhs, template.rhs):
-            for sub in _subterms(side):
-                last_use[sub, scope] = t
-    expiring = [[] for _ in templates]
-    for key, t in last_use.items():
-        expiring[t].append(key)
-    tables: dict = {}
+    plan = _plan(tuple(templates))
+    compiled = _Compiled(ops, maps, plan.nodes)
+    code, free = plan.code, plan.free
+    tables: list = [None] * len(code)
     entries = []
-    for template, scope, expired in zip(templates, scopes, expiring):
-        lhs, rhs = (
-            _tabulate(side, scope, dims, compiled, tables) for side in (template.lhs, template.rhs)
-        )
-        entries += _violations(template, lhs, rhs, dims, form)
-        for key in expired:
-            del tables[key]
+    for step in plan.steps:
+        for slot in step[1]:
+            tables[slot] = _tabulate(code[slot], tables, dims, compiled)
+        entries += _violations(step, tables, free[step[2]] == free[step[3]], dims, compiled.form)
+        for slot in step[-1]:
+            tables[slot] = None
     return Report(entries)
 
 
@@ -895,6 +1030,12 @@ def homomorphism_templates(names) -> list:
     ]
 
 
+def multiplicative_templates(names) -> list:
+    """alpha(x op y) = alpha(x) op alpha(y), per operation."""
+    ax, ay = App("alpha", _X), App("alpha", _Y)
+    return [_t(f"mult.{name}", App("alpha", Op(name, _X, _Y)), Op(name, ax, ay), _XY) for name in names]
+
+
 def graph_templates(names) -> list:
     """Closure of the graph of X: P -> Q, embedded by G into a container,
     under each operation and the twist: the "image" part of a product of
@@ -943,7 +1084,15 @@ def _require_kind(bundle: AlgebraBundle, kind: str) -> None:
         raise ValueError(f"expected {article} {kind} bundle, got {got!r}")
 
 
-def _run(bundle: AlgebraBundle, templates) -> Report:
+@functools.cache
+def _frozen(factory, *args) -> tuple:
+    """`factory(*args)` as a tuple, built once per process.  The checkers
+    pass the same tuple on every call, so `_plan` finds its plan at once; the
+    public factories still return a fresh list on every call."""
+    return tuple(factory(*args))
+
+
+def _run(bundle: AlgebraBundle, templates: tuple) -> Report:
     return evaluate_templates(
         templates, {"D": bundle.dim}, dict(bundle.ops), {"alpha": bundle.twist}
     )
@@ -951,34 +1100,34 @@ def _run(bundle: AlgebraBundle, templates) -> Report:
 
 def check_dendriform(bundle: AlgebraBundle) -> Report:
     _require_kind(bundle, "dendriform")
-    return _run(bundle, dendriform_templates())
+    return _run(bundle, _frozen(dendriform_templates))
 
 
 def check_associative(bundle: AlgebraBundle) -> Report:
     _require_kind(bundle, "associative")
-    return _run(bundle, associative_templates())
+    return _run(bundle, _frozen(associative_templates))
 
 
 def check_diassociative(bundle: AlgebraBundle) -> Report:
     _require_kind(bundle, "diassociative")
-    return _run(bundle, diassociative_templates())
+    return _run(bundle, _frozen(diassociative_templates))
 
 
 def check_quadri(bundle: AlgebraBundle, include_implied: bool = False) -> Report:
     _require_kind(bundle, "quadri_dendriform")
-    return _run(bundle, quadri_templates(include_implied=include_implied))
+    return _run(bundle, _frozen(quadri_templates, include_implied))
 
 
 def check_triassociative(bundle: AlgebraBundle) -> Report:
     _require_kind(bundle, "triassociative")
-    return _run(bundle, triassociative_templates())
+    return _run(bundle, _frozen(triassociative_templates))
 
 
 def check_six(
     bundle: AlgebraBundle, sq15: str = "literal", include_implied: bool = False
 ) -> Report:
     _require_kind(bundle, "six_dendriform")
-    return _run(bundle, six_templates(sq15=sq15, include_implied=include_implied))
+    return _run(bundle, _frozen(six_templates, sq15, include_implied))
 
 
 def check_representation(rep: RepresentationBundle) -> Report:
@@ -987,7 +1136,7 @@ def check_representation(rep: RepresentationBundle) -> Report:
     ops = dict(rep.base.ops)
     ops.update(rep.actions)
     maps = {"alpha": rep.base.twist, "beta": rep.module_twist}
-    return evaluate_templates(representation_templates(), dims, ops, maps)
+    return evaluate_templates(_frozen(representation_templates), dims, ops, maps)
 
 
 def check_action(action: ActionBundle) -> Report:
@@ -1000,24 +1149,14 @@ def check_action(action: ActionBundle) -> Report:
     ops["prec_m"] = action.acted.op("prec")
     ops["succ_m"] = action.acted.op("succ")
     maps = {"alpha": action.acting.twist, "alpha_m": action.acted.twist}
-    act_report = evaluate_templates(action_templates(), dims, ops, maps)
+    act_report = evaluate_templates(_frozen(action_templates), dims, ops, maps)
     return rep_report.merged(act_report)
 
 
 def check_multiplicative(bundle: AlgebraBundle) -> Report:
     if bundle.kind not in KIND_OPS:
         raise ValueError(f"unknown kind {bundle.kind!r}")
-    x, y = _X, _Y
-    templates = [
-        _t(
-            f"mult.{name}",
-            App("alpha", Op(name, x, y)),
-            Op(name, App("alpha", x), App("alpha", y)),
-            _XY,
-        )
-        for name in sorted(bundle.ops)
-    ]
-    return _run(bundle, templates)
+    return _run(bundle, _frozen(multiplicative_templates, tuple(sorted(bundle.ops))))
 
 
 def check_homomorphism(
@@ -1034,7 +1173,7 @@ def check_homomorphism(
     ops = {name: source.op(name) for name in names}
     ops.update({name + "'": target.op(name) for name in names})
     report = evaluate_templates(
-        homomorphism_templates(names), {"D": source.dim}, ops, {"T": linear}
+        _frozen(homomorphism_templates, tuple(names)), {"D": source.dim}, ops, {"T": linear}
     )
     return report.merged(
         twist_commutation("hom.twist", linear, source.twist, target.twist)

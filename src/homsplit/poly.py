@@ -18,9 +18,11 @@ then exponent tuple.  The constant monomial sorts first.  Any fixed total
 order would do; this one is frozen by the round-trip tests.
 
 Compiled form, for code that evaluates many polynomials at once (the template
-engine's tables and `CompiledSystem`): `IntegerForm(order).scaled` writes
-polynomials over a fixed parameter order as {exponent tuple: int} dicts, all
-scaled by the least common multiple L of their coefficient denominators, and
+engine's tables and `CompiledSystem`): `IntegerForm(order, degree).scaled`
+writes polynomials over a fixed parameter order as {packed monomial: int}
+dicts, all scaled by the least common multiple L of their coefficient
+denominators.  A packed monomial is one int holding each exponent in a bit
+field wide enough for `degree`, so that multiplying monomials is adding ints.
 `IntegerForm.polynomial` turns such a dict over L back into a canonical
 Polynomial.  `IntegerForm.text` writes the same polynomial's text straight
 from the ints, once per distinct dict and scale; it and `Polynomial.__str__`
@@ -310,27 +312,60 @@ _ZERO = Polynomial()
 _ONE = Polynomial.constant(1)
 
 
+def max_exponent(polynomials: Iterable[Polynomial]) -> int:
+    """The largest exponent of any name in `polynomials`; 0 if none has one."""
+    return max((exp for poly in polynomials for mono, _ in poly.terms for _, exp in mono), default=0)
+
+
 class IntegerForm:
     """Polynomials over a fixed parameter order as scaled integer dicts.
 
-    A polynomial becomes {exponent tuple: int}: the exponent tuple lists the
-    exponent of each name of `order` (a*c^2 over (a, b, c) is (1, 0, 2)), and
-    the coefficients are scaled to ints.  `polynomial` reads such dicts back
-    and needs `order` sorted, so that its monomials are canonical.
+    A polynomial becomes {packed monomial: int}, its coefficients scaled to
+    ints.  A monomial is packed into one int: the exponent of the k-th name of
+    `order` is the field of `width` bits at shift k * width, so the constant
+    monomial is 0 and the product of two monomials is their sum (a*c^2 over
+    (a, b, c) with width 2 is 1 + (2 << 4)).  `width` is the bit length of
+    `degree`, the largest exponent the caller will form by such sums: while
+    every exponent stays within it, no field carries into the next.  `scaled`
+    refuses an exponent above its field.  `polynomial` and `text` read the
+    dicts back and need `order` sorted, so that their monomials are
+    canonical; each distinct monomial is decoded once (`monomial`).
     """
 
-    def __init__(self, order: Sequence[str]):
+    def __init__(self, order: Sequence[str], degree: int):
         self.order = tuple(order)
-        self.one = (0,) * len(self.order)
+        self.width = max(degree, 1).bit_length()
         self._position = {name: index for index, name in enumerate(self.order)}
         self._monomials: dict = {}
         self._labels: dict = {}
         self._texts: dict = {}
 
+    def pack(self, exponents: Sequence[int]) -> int:
+        """The packed monomial with `exponents`, one per name of `order`."""
+        width, packed = self.width, 0
+        for index, exp in enumerate(exponents):
+            if not 0 <= exp < 1 << width:
+                raise ValueError(f"exponent {exp} does not fit a field of {width} bits")
+            packed |= exp << (index * width)
+        return packed
+
+    def monomial(self, packed: int) -> Monomial:
+        """The Polynomial monomial ((name, exponent), ...) of a packed one."""
+        mono = self._monomials.get(packed)
+        if mono is None:
+            width, field = self.width, (1 << self.width) - 1
+            mono = self._monomials[packed] = tuple(
+                (name, exp)
+                for index, name in enumerate(self.order)
+                if (exp := packed >> (index * width) & field)
+            )
+        return mono
+
     def scaled(self, polynomials: Iterable[Polynomial]) -> tuple:
-        """(L, [{exponent tuple: int}, ...]): the polynomials times L, the least
+        """(L, [{packed monomial: int}, ...]): the polynomials times L, the least
         common multiple of all their coefficient denominators.  Every name they
-        use must be in `order`; the dicts keep their term order and hold no zero."""
+        use must be in `order`, and every exponent must fit a field (else
+        ValueError); the dicts keep their term order and hold no zero."""
         polynomials = list(polynomials)
         scale = math.lcm(*(c.denominator for poly in polynomials for _, c in poly.terms))
         out = []
@@ -340,21 +375,14 @@ class IntegerForm:
                 exponents = [0] * len(self.order)
                 for name, exp in mono:
                     exponents[self._position[name]] = exp
-                terms[tuple(exponents)] = coeff.numerator * (scale // coeff.denominator)
+                terms[self.pack(exponents)] = coeff.numerator * (scale // coeff.denominator)
             out.append(terms)
         return scale, out
 
     def polynomial(self, terms: Mapping, scale: int) -> Polynomial:
-        """The canonical Polynomial of {distinct exponent tuple: nonzero int} / scale."""
-        monomials = self._monomials
-        out = []
-        for exponents, coeff in terms.items():
-            mono = monomials.get(exponents)
-            if mono is None:
-                mono = monomials[exponents] = tuple(
-                    (name, exp) for name, exp in zip(self.order, exponents) if exp
-                )
-            out.append((mono, Fraction(coeff, scale)))
+        """The canonical Polynomial of {distinct packed monomial: nonzero int} / scale."""
+        monomial = self.monomial
+        out = [(monomial(packed), Fraction(coeff, scale)) for packed, coeff in terms.items()]
         out.sort(key=lambda term: _mono_key(term[0]))
         poly = object.__new__(Polynomial)
         object.__setattr__(poly, "terms", tuple(out))
@@ -370,11 +398,11 @@ class IntegerForm:
             return text
         labels = self._labels
         out = []
-        for exponents, coeff in terms.items():
-            label = labels.get(exponents)
+        for packed, coeff in terms.items():
+            label = labels.get(packed)
             if label is None:
-                mono = tuple((name, exp) for name, exp in zip(self.order, exponents) if exp)
-                label = labels[exponents] = (_mono_key(mono), _mono_text(mono))
+                mono = self.monomial(packed)
+                label = labels[packed] = (_mono_key(mono), _mono_text(mono))
             divisor = math.gcd(coeff, scale)
             out.append((label, coeff // divisor, scale // divisor))
         out.sort()
@@ -391,36 +419,37 @@ class CompiledSystem:
 
     A residual vanishes exactly where its scaled integer numerator does.  A
     violation of the template engine holds that numerator already, as the
-    {exponent tuple: int} dict of its `scaled` = (form, terms, scale); a
-    Polynomial residual (`axioms.twist_commutation`) is scaled by
-    `IntegerForm.scaled` over `unknowns`.  No Polynomial is made.  The
+    {packed monomial: int} dict of its `scaled` = (form, terms, scale); a
+    Polynomial residual (`axioms.twist_commutation`) is scaled by an
+    `IntegerForm` over `unknowns`.  No Polynomial is made.  The
     coefficients are ints, so the evaluation at a point with int coordinates
     is plain int arithmetic.  Each term is stored as (coefficient, factors),
     the factors being the positions in `unknowns` of its names, looked up by
-    name and repeated by multiplicity (t11*t23^2 over t11..t33 is (0, 5, 5)).
-    Equations with the same integer terms are kept once, in the order of
-    their first violation.
+    name and repeated by multiplicity (t11*t23^2 over t11..t33 is (0, 5, 5));
+    each distinct monomial of a form is decoded once.  Equations with the
+    same integer terms are kept once, in the order of their first violation.
     """
 
     def __init__(self, violations: Iterable, unknowns: Sequence[str]):
-        own = IntegerForm(unknowns)
+        violations = list(violations)
+        own = IntegerForm(unknowns, max_exponent(
+            violation.residual for violation in violations if violation.scaled is None
+        ))
         position = {name: index for index, name in enumerate(unknowns)}
-        forms: dict = {}  # form -> (its names' positions, {exponent tuple: factors})
+        forms: dict = {}  # form -> {packed monomial: factors}
         equations: dict = {}
         for violation in violations:
             if violation.scaled is None:
                 form, (terms,) = own, own.scaled([violation.residual])[1]
             else:
                 form, terms, _ = violation.scaled
-            if form not in forms:
-                forms[form] = [position[name] for name in form.order], {}
-            where, known = forms[form]
+            known = forms.setdefault(form, {})
             equation = []
-            for exponents, coeff in terms.items():
-                factors = known.get(exponents)
+            for packed, coeff in terms.items():
+                factors = known.get(packed)
                 if factors is None:
-                    factors = known[exponents] = tuple(
-                        index for index, exp in zip(where, exponents) for _ in range(exp)
+                    factors = known[packed] = tuple(
+                        position[name] for name, exp in form.monomial(packed) for _ in range(exp)
                     )
                 equation.append((coeff, factors))
             equations.setdefault(frozenset(equation), equation)

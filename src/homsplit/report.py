@@ -26,7 +26,7 @@ class Violation:
 
     `Violation(template, witness, residual)` takes the residual Polynomial.
     The template engine passes None and `scaled` = (form, terms, scale)
-    instead: the residual is the {exponent tuple: int} dict `terms` over the
+    instead: the residual is the {packed monomial: int} dict `terms` over the
     int `scale`, in the `poly.IntegerForm` `form`.  Such a violation writes
     its residual text from the ints and builds the Polynomial only when
     `residual` is first read, and keeps it.

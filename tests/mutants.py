@@ -37,8 +37,8 @@ MUTANTS = [
     {
         "name": "the op join keeps a product only when its first coordinate is nonzero",
         "file": "src/homsplit/axioms.py",
-        "old": "            if any(product):\n",
-        "new": "            if product[0]:\n",
+        "old": "                if any(product):\n",
+        "new": "                if product[0]:\n",
         "tests": ["tests/test_sparse_engine.py"],
     },
     {
@@ -111,9 +111,56 @@ MUTANTS = [
     {
         "name": "the compiled system maps exponent positions to unknowns by index",
         "file": "src/homsplit/poly.py",
-        "old": "forms[form] = [position[name] for name in form.order], {}",
-        "new": "forms[form] = list(range(len(form.order))), {}",
+        "old": "position[name] for name, exp in form.monomial(packed) for _ in range(exp)",
+        "new": "form.order.index(name) for name, exp in form.monomial(packed) for _ in range(exp)",
         "tests": ["tests/test_poly.py"],
+    },
+    {
+        "name": "the packed fields are sized from the largest entry exponent without the node count",
+        "file": "src/homsplit/axioms.py",
+        "old": ")), nodes * exponent)",
+        "new": ")), exponent)",
+        "tests": ["tests/test_packed_monomials.py"],
+    },
+    {
+        "name": "IntegerForm.scaled packs an exponent above its field",
+        "file": "src/homsplit/poly.py",
+        "old": "if not 0 <= exp < 1 << width:",
+        "new": "if exp < 0:",
+        "tests": ["tests/test_packed_monomials.py"],
+    },
+    {
+        "name": "the plan cache is keyed by template ids only",
+        "file": "src/homsplit/axioms.py",
+        "old": "    key = templates\n",
+        "new": "    key = tuple(template.id for template in templates)\n",
+        "tests": ["tests/test_packed_monomials.py"],
+    },
+    {
+        "name": "the row-indexed op kernel drops its last row",
+        "file": "src/homsplit/axioms.py",
+        "old": "rows = [tuple(row.items()) for row in rows]",
+        "new": "rows = [tuple(row.items()) for row in rows[:-1]]",
+        "tests": ["tests/test_sparse_engine.py"],
+    },
+    {
+        "name": "the join prefilter keeps only the last nonzero coordinate of the right factor",
+        "file": "src/homsplit/axioms.py",
+        "old": "support |= 1 << j",
+        "new": "support = 1 << j",
+        "tests": ["tests/test_sparse_engine.py"],
+    },
+    {
+        "name": "the one-copy difference keeps a coefficient that comes out zero",
+        "file": "src/homsplit/axioms.py",
+        "old": (
+            "        if value:\n"
+            "            out[mono] = value\n"
+            "        else:\n"
+            "            del out[mono]\n"
+        ),
+        "new": "        out[mono] = value\n",
+        "tests": ["tests/test_sparse_engine.py"],
     },
 ]
 
@@ -134,6 +181,13 @@ EQUIVALENT = [
         "reason": (
             "verify_isomorphism, which confirms every candidate, reports a singular "
             "matrix as iso.singular, so a singular candidate is never returned"
+        ),
+    },
+    {
+        "name": "the op join multiplies every pair of present entries, without the support prefilter",
+        "reason": (
+            "a pair the prefilter skips has no structure constant c_ijk with x_i and "
+            "y_j both nonzero, so its product is the zero vector, which the join drops"
         ),
     },
     {

@@ -216,10 +216,10 @@ def test_compiled_system_vanishes_exactly_where_the_polynomials_do():
 
 
 def test_compiled_system_finds_unknown_positions_by_name():
-    form = IntegerForm(["a", "b"])
+    form = IntegerForm(["a", "b"], 1)
     violations = [
         # (a - 2*b) / 3 as the engine keeps it, and the Polynomial b - 1
-        Violation("x", (1,), None, (form, {(1, 0): 1, (0, 1): -2}, 3)),
+        Violation("x", (1,), None, (form, {form.pack((1, 0)): 1, form.pack((0, 1)): -2}, 3)),
         Violation("y", (1,), P("b - 1")),
     ]
     compiled = CompiledSystem(violations, ["b", "a"])
@@ -253,16 +253,18 @@ def test_compiled_system_over_a_report_vanishes_where_its_residuals_do():
 
 
 def test_integer_form_scales_by_the_common_denominator_and_reads_back():
-    form = IntegerForm(sorted(["a2", "a10", "b"]))  # string order: a10, a2, b
+    form = IntegerForm(sorted(["a2", "a10", "b"]), 3)  # string order: a10, a2, b
     polys = [P("1/2*a10*a2^3 - 2/3*b + 1"), P("0"), P("a2 + 1/4")]
     scale, terms = form.scaled(polys)
     assert scale == 12
-    assert terms[0] == {(1, 3, 0): 6, (0, 0, 1): -8, (0, 0, 0): 12} and terms[1] == {}
+    pack = form.pack
+    assert terms[0] == {pack((1, 3, 0)): 6, pack((0, 0, 1)): -8, pack((0, 0, 0)): 12}
+    assert terms[1] == {}
     for poly, dicts in zip(polys, terms):
         assert form.polynomial(dicts, scale) == poly
         assert str(form.polynomial(dicts, scale)) == str(poly)
     # a difference over another scale reads back in lowest terms
-    assert form.polynomial({(0, 1, 0): 3, (0, 0, 0): -6}, 9) == P("1/3*a2 - 2/3")
+    assert form.polynomial({pack((0, 1, 0)): 3, pack((0, 0, 0)): -6}, 9) == P("1/3*a2 - 2/3")
 
 
 def test_products_and_powers_above_the_term_cap_are_parse_errors():

@@ -41,7 +41,8 @@ def integer_polynomials(draw):
     coefficients = st.integers(-60, 60).filter(bool) | st.integers(-(10**30), 10**30).filter(bool)
     terms = draw(st.dictionaries(exponents, coefficients, max_size=8))
     scale = draw(st.sampled_from([1, 2, 4, 6, 12, 60, 97]) | st.integers(1, 10**12))
-    return IntegerForm(order), terms, scale
+    form = IntegerForm(order, 3)
+    return form, {form.pack(exps): coeff for exps, coeff in terms.items()}, scale
 
 
 @settings(derandomize=True, max_examples=500, deadline=None)
@@ -58,7 +59,8 @@ def test_integer_text_equals_polynomial_text(case):
     ({(0, 0, 2, 1): 3, (0, 0, 0, 0): 3}, 3, "1 + b^2*eta"),
 ])
 def test_integer_text_examples(terms, scale, text):
-    assert IntegerForm(ORDERS[2]).text(terms, scale) == text
+    form = IntegerForm(ORDERS[2], 2)
+    assert form.text({form.pack(exps): coeff for exps, coeff in terms.items()}, scale) == text
 
 
 def assert_lazy_residuals(report, oracle: set) -> None:

@@ -224,9 +224,10 @@ def column(linear: LinearMap, conv, j: int) -> list:
 
 
 def test_residual_text_is_kept_per_terms_and_scale():
-    form = IntegerForm(("p",))
-    terms = {(1,): 3, (0,): -2}
+    form = IntegerForm(("p",), 1)
+    p, one = form.pack((1,)), form.pack((0,))
+    terms = {p: 3, one: -2}
     assert form.text(terms, 1) == "-2 + 3*p"
     assert form.text(terms, 2) == "-1 + 3/2*p"
     assert form.text(dict(terms), 1) == "-2 + 3*p"
-    assert form.text({(1,): 3, (0,): -2}, 6) == "-1/3 + 1/2*p"
+    assert form.text({p: 3, one: -2}, 6) == "-1/3 + 1/2*p"
