@@ -388,8 +388,7 @@ class _Plan:
             children = [self.slot(child, scope, used) for child in _children(expr)]
             free = tuple(sorted(set().union(*(self.free[child] for child in children))))
             if isinstance(expr, Var):
-                free = (expr.name,)
-                code = _VAR, dict(scope)[expr.name]
+                free, code = (expr.name,), (_VAR, dict(scope)[expr.name])
             elif isinstance(expr, App):
                 code = _APP, children[0], expr.map_name
             elif isinstance(expr, Op):
@@ -596,10 +595,11 @@ def evaluate_templates(templates, dims: dict, ops: dict, maps: dict) -> Report:
     tables: list = [None] * len(code)
     entries = []
     for step in plan.steps:
-        for slot in step[1]:
+        _, new, lhs, rhs, _, _, expired = step
+        for slot in new:
             tables[slot] = _tabulate(code[slot], tables, dims, compiled)
-        entries += _violations(step, tables, free[step[2]] == free[step[3]], dims, compiled.form)
-        for slot in step[-1]:
+        entries += _violations(step, tables, free[lhs] == free[rhs], dims, compiled.form)
+        for slot in expired:
             tables[slot] = None
     return Report(entries)
 
