@@ -1033,7 +1033,9 @@ def homomorphism_templates(names) -> list:
 def multiplicative_templates(names) -> list:
     """alpha(x op y) = alpha(x) op alpha(y), per operation."""
     ax, ay = App("alpha", _X), App("alpha", _Y)
-    return [_t(f"mult.{name}", App("alpha", Op(name, _X, _Y)), Op(name, ax, ay), _XY) for name in names]
+    return [
+        _t(f"mult.{name}", App("alpha", Op(name, _X, _Y)), Op(name, ax, ay), _XY) for name in names
+    ]
 
 
 def graph_templates(names) -> list:

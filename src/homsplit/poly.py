@@ -314,7 +314,9 @@ _ONE = Polynomial.constant(1)
 
 def max_exponent(polynomials: Iterable[Polynomial]) -> int:
     """The largest exponent of any name in `polynomials`; 0 if none has one."""
-    return max((exp for poly in polynomials for mono, _ in poly.terms for _, exp in mono), default=0)
+    return max(
+        (exp for poly in polynomials for mono, _ in poly.terms for _, exp in mono), default=0
+    )
 
 
 class IntegerForm:

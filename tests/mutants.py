@@ -116,7 +116,7 @@ MUTANTS = [
         "tests": ["tests/test_poly.py"],
     },
     {
-        "name": "the packed fields are sized from the largest entry exponent without the node count",
+        "name": "the packed fields are sized from the largest exponent without the node count",
         "file": "src/homsplit/axioms.py",
         "old": ")), nodes * exponent)",
         "new": ")), exponent)",
@@ -184,7 +184,7 @@ EQUIVALENT = [
         ),
     },
     {
-        "name": "the op join multiplies every pair of present entries, without the support prefilter",
+        "name": "the op join multiplies every pair of present entries, with no support prefilter",
         "reason": (
             "a pair the prefilter skips has no structure constant c_ijk with x_i and "
             "y_j both nonzero, so its product is the zero vector, which the join drops"
