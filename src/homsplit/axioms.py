@@ -75,7 +75,7 @@ from operator import itemgetter
 
 from .model import ActionBundle, AlgebraBundle, KIND_OPS, LinearMap, RepresentationBundle
 from .poly import IntegerForm, Polynomial, max_exponent
-from .report import Report, Violation
+from .report import Report, Violation, scaled_violation
 
 SQ15_READINGS = ("literal", "symmetric")
 
@@ -571,7 +571,7 @@ def _violations(step: tuple, tables: list, same_names: bool, dims: dict, form) -
                 continue
             residual = _difference(a, lhs_factor, b, rhs_factor)
             if residual:
-                entries.append(Violation(tid, (*combo, coord), None, (form, residual, scale)))
+                entries.append(scaled_violation(tid, (*combo, coord), (form, residual, scale)))
     return entries
 
 

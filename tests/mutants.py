@@ -151,6 +151,13 @@ MUTANTS = [
         "tests": ["tests/test_sparse_engine.py"],
     },
     {
+        "name": "the fast Violation constructor leaves the lazy residual unset",
+        "file": "src/homsplit/report.py",
+        "old": "    _set_residual(violation, None)\n",
+        "new": "",
+        "tests": ["tests/test_residuals.py"],
+    },
+    {
         "name": "the one-copy difference keeps a coefficient that comes out zero",
         "file": "src/homsplit/axioms.py",
         "old": (

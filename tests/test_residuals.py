@@ -28,7 +28,7 @@ from homsplit.corpus import CORPUS_ROOT, list_entries, load_algebra
 from homsplit.model import AlgebraBundle
 from homsplit.operators import verify_operator
 from homsplit.poly import IntegerForm, Polynomial
-from homsplit.report import Report, Violation
+from homsplit.report import Report, Violation, scaled_violation
 
 # string order differs from numeric order in a10 < a2
 ORDERS = [(), ("p",), ("a10", "a2", "b", "eta")]
@@ -154,3 +154,19 @@ def test_violation_built_from_a_polynomial():
     assert sorted([Violation("t", (2,), residual), v]) == [v, Violation("t", (2,), residual)]
     with pytest.raises(AttributeError):
         v.template = "u"
+
+
+def test_scaled_violation_is_the_dataclass_violation():
+    form = IntegerForm(("p",), 2)
+    scaled = (form, {form.pack((2,)): 3, 0: -1}, 2)
+    fast, slow = scaled_violation("t", (1, 2), scaled), Violation("t", (1, 2), None, scaled)
+    assert type(fast) is Violation and fast == slow and hash(fast) == hash(slow)
+    assert fast.scaled is scaled and repr(fast) == repr(slow)
+    row = {"template": "t", "witness": [1, 2], "residual": "-1/2 + 3/2*p^2"}
+    assert fast.to_dict() == slow.to_dict() == row
+    assert fast.residual is fast.residual == Polynomial.parse("3/2*p^2 - 1/2")
+    assert sorted([Violation("t", (2,)), fast, Violation("s", (9,))]) == [
+        Violation("s", (9,)), slow, Violation("t", (2,))
+    ]
+    with pytest.raises(AttributeError):
+        fast.witness = (3,)
