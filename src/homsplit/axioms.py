@@ -23,8 +23,8 @@ The quotient by the ideal I_D is checked the same way, with reduction modulo
 I_D as the map "R": "quotient.closure.left/right.<op>",
 "quotient.closure.twist" and "quotient.perp-compat.<flavor>".
 Twist commutation X o alpha = alpha' o X ("avg.twist", "rb.twist",
-"ravg.twist", "qavg.twist", "hom.twist") is the matrix identity
-`twist_commutation`, witnessed by (row, col).
+"ravg.twist", "qavg.twist", "hom.twist") is a template too, over the
+transposed maps (`twist_template`), so that it is witnessed by (row, col).
 
 The evaluator tabulates each distinct subterm once per basis tuple of its own
 placeholders and shares the tables across the templates of one call that bind
@@ -75,7 +75,7 @@ from operator import itemgetter
 
 from .model import ActionBundle, AlgebraBundle, KIND_OPS, LinearMap, RepresentationBundle
 from .poly import IntegerForm, Polynomial, max_exponent
-from .report import Report, Violation, scaled_violation
+from .report import Report, scaled_violation
 
 SQ15_READINGS = ("literal", "symmetric")
 
@@ -604,17 +604,6 @@ def evaluate_templates(templates, dims: dict, ops: dict, maps: dict) -> Report:
     return Report(entries)
 
 
-def twist_commutation(template: str, linear: LinearMap, inner: LinearMap, outer: LinearMap) -> Report:
-    """The matrix identity X o inner = outer o X, with (row, col) witnesses."""
-    rows = zip(linear.compose(inner).entries, outer.compose(linear).entries)
-    return Report([
-        Violation(template, (r, c), residual)
-        for r, (left, right) in enumerate(rows, start=1)
-        for c, (a, b) in enumerate(zip(left, right), start=1)
-        if (residual := a - b)
-    ])
-
-
 # ---------------------------------------------------------------------------
 # template sets
 
@@ -1021,13 +1010,30 @@ def relative_averaging_templates() -> list:
     return ts
 
 
+def twist_template(prefix: str, name: str, space: str = "D") -> Template:
+    """Twist commutation X o inner = outer o X for the map X named `name`,
+    with x over the rows of X (`space`): transposed, inner^T(X^T x) =
+    X^T(outer^T x), so that coordinate c at x = e_r is the entry (r, c) of
+    X inner - outer X, witnessed by (r, c).  The maps are `twist_maps`."""
+    xt = f"{name}^T"
+    lhs, rhs = App("inner^T", App(xt, _X)), App(xt, App("outer^T", _X))
+    return _t(f"{prefix}.twist", lhs, rhs, (("x", space),))
+
+
+def twist_maps(name: str, linear: LinearMap, inner: LinearMap, outer: LinearMap) -> dict:
+    """The transposed maps of `twist_template` for X = `linear`."""
+    maps = {f"{name}^T": linear, "inner^T": inner, "outer^T": outer}
+    return {key: matrix.transpose() for key, matrix in maps.items()}
+
+
 def homomorphism_templates(names) -> list:
-    """T(x op y) = Tx op' Ty, per operation; op' is the target's op."""
+    """T(x op y) = Tx op' Ty, per operation, op' being the target's op, and
+    twist commutation, with x over the target ("D'")."""
     tx, ty = App("T", _X), App("T", _Y)
     return [
         _t(f"hom.{name}", App("T", Op(name, _X, _Y)), Op(name + "'", tx, ty), _XY)
         for name in names
-    ]
+    ] + [twist_template("hom", "T", "D'")]
 
 
 def multiplicative_templates(names) -> list:
@@ -1174,12 +1180,9 @@ def check_homomorphism(
     names = sorted(KIND_OPS[kind])
     ops = {name: source.op(name) for name in names}
     ops.update({name + "'": target.op(name) for name in names})
-    report = evaluate_templates(
-        _frozen(homomorphism_templates, tuple(names)), {"D": source.dim}, ops, {"T": linear}
-    )
-    return report.merged(
-        twist_commutation("hom.twist", linear, source.twist, target.twist)
-    )
+    maps = {"T": linear, **twist_maps("T", linear, source.twist, target.twist)}
+    templates = _frozen(homomorphism_templates, tuple(names))
+    return evaluate_templates(templates, {"D": source.dim, "D'": target.dim}, ops, maps)
 
 
 _KIND_CHECKERS = {

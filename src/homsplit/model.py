@@ -138,6 +138,10 @@ class LinearMap:
             rows.append(row)
         return LinearMap.from_rows(rows)
 
+    def transpose(self) -> "LinearMap":
+        columns = tuple(tuple(row[c] for row in self.entries) for c in range(self.dim_in))
+        return LinearMap(self.dim_in, self.dim_out, columns)
+
     def specialize(self, bindings: Mapping) -> "LinearMap":
         return LinearMap.from_rows(
             [[cell.specialize(bindings) for cell in row] for row in self.entries]

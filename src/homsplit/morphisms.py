@@ -7,10 +7,10 @@ unequal fingerprints certify non-isomorphism; equal ones decide nothing.
 The grid search walks only the grid matrices T that commute with the twists
 (T alpha = alpha' T, solved exactly once), in row-major order, and tests each
 against the homomorphism equations of a symbolic T, compiled once from the
-engine's integer residuals (`poly.CompiledSystem`), and against det T != 0;
-the first survivor is confirmed by `verify_isomorphism`.  It is a desk-scale
-oracle only -- "no isomorphism within the grid" is conclusive relative to the
-grid, never absolutely.
+engine's integer residuals (`poly.CompiledSystem`), and against det T != 0.
+Those are the conditions `verify_isomorphism` checks, so the first survivor
+is returned as it is.  It is a desk-scale oracle only -- "no isomorphism
+within the grid" is conclusive relative to the grid, never absolutely.
 """
 
 from __future__ import annotations
@@ -159,9 +159,6 @@ def brute_force_iso_search(
             continue
         # the zero matrix and other singular ones satisfy every equation
         rows = [list(point[r * n : (r + 1) * n]) for r in range(n)]
-        if linalg.determinant(rows) == 0:
-            continue
-        candidate = LinearMap.from_fractions(rows)
-        if verify_isomorphism(source.kind, candidate, source, target).ok:
-            return candidate
+        if linalg.determinant(rows) != 0:
+            return LinearMap.from_fractions(rows)
     return None

@@ -17,9 +17,10 @@ exact symbolic residuals):
                                   interpretation)
 
 Each identity is an `axioms` template in which the operator is the named map
-"H", evaluated by `axioms.evaluate_templates`; twist commutation is the
-matrix identity `axioms.twist_commutation`.  Graph closure is checked the
-same way (templates "graph.*").
+"H", and one call of `axioms.evaluate_templates` checks them all, twist
+commutation included (`axioms.twist_template`, over the transposed maps);
+the homomorphic kind adds the one call of `axioms.check_homomorphism`.
+Graph closure is checked the same way (templates "graph.*").
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from fractions import Fraction
 
 from . import linalg
 from .axioms import (
+    _frozen,
     _require_kind,
     averaging_templates,
     check_homomorphism,
@@ -36,14 +38,16 @@ from .axioms import (
     graph_templates,
     relative_averaging_templates,
     rota_baxter_templates,
-    twist_commutation,
+    twist_maps,
+    twist_template,
 )
 from .model import ActionBundle, AlgebraBundle, LinearMap, RepresentationBundle, unknown_matrix
 from .poly import CompiledSystem
 from .report import Report
 
-# operator kind acting on one algebra -> (template prefix, algebra kind, templates)
-_ALGEBRA_OPERATORS = {
+# operator kind -> (template prefix, the kind of algebra it acts on, or None
+# for a module, and its templates over the sorted op names)
+_OPERATORS = {
     "averaging_assoc": (
         "avg", "associative", lambda names: averaging_templates("avg", names, swap=True)
     ),
@@ -52,6 +56,15 @@ _ALGEBRA_OPERATORS = {
         "qavg", "quadri_dendriform", lambda names: averaging_templates("qavg", names)
     ),
 }
+_OPERATORS["relative_averaging"] = _OPERATORS["homomorphic_relative_averaging"] = (
+    "ravg", None, lambda names: relative_averaging_templates()
+)
+
+
+def _operator_templates(kind: str, names: tuple, twist: bool) -> list:
+    """The templates of an operator kind, with twist commutation when `twist`."""
+    prefix, _, templates = _OPERATORS[kind]
+    return templates(names) + ([twist_template(prefix, "H")] if twist else [])
 
 
 @dataclass(frozen=True)
@@ -59,29 +72,31 @@ class _Frame:
     """What an operator kind acts on: the templates with their spaces, ops
     and twists, and the matrix shape (rows, cols) the operator must have."""
 
-    prefix: str
-    templates: list
+    templates: tuple
     dims: dict
     ops: dict
-    inner: LinearMap  # twist on the operator's domain
-    outer: LinearMap  # twist on its codomain
-    twist_bound: bool  # twist commutation belongs to the definition
     shape: tuple
     shape_error: str
+    twists: tuple = ()  # (domain twist, codomain twist) when commutation is checked
     homomorphism: tuple = ()  # (source, target) the operator must intertwine
 
 
-def _resolve(kind: str, context) -> _Frame:
-    """The single per-kind resolver used by verification and solving."""
-    if kind in _ALGEBRA_OPERATORS:
-        prefix, required, templates = _ALGEBRA_OPERATORS[kind]
+def _resolve(kind: str, context, strict_twist: bool = False) -> _Frame:
+    """The single per-kind resolver used by verification and solving.  Twist
+    commutation belongs to the definition of every kind but averaging_assoc,
+    which checks it only under `strict_twist`."""
+    if kind not in _OPERATORS:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    twist = kind != "averaging_assoc" or strict_twist
+    required = _OPERATORS[kind][1]
+    if required:
         _require_kind(context, required)
         dim = context.dim
+        names = tuple(sorted(context.ops))
         return _Frame(
-            prefix, templates(sorted(context.ops)), {"D": dim}, dict(context.ops),
-            context.twist, context.twist,
-            kind != "averaging_assoc", (dim, dim),
-            "operator matrix shape does not match the algebra",
+            _frozen(_operator_templates, kind, names, twist), {"D": dim}, dict(context.ops),
+            (dim, dim), "operator matrix shape does not match the algebra",
+            (context.twist, context.twist) if twist else (),
         )
     homomorphism = ()
     if kind == "homomorphic_relative_averaging":
@@ -90,8 +105,6 @@ def _resolve(kind: str, context) -> _Frame:
         if not isinstance(context, ActionBundle):
             raise ValueError(f"{kind} needs an algebra or action context")
         homomorphism = (context.acted, context.acting)
-    elif kind != "relative_averaging":
-        raise ValueError(f"unknown operator kind {kind!r}")
     if isinstance(context, ActionBundle):
         context = context.representation()
     if isinstance(context, AlgebraBundle):
@@ -101,22 +114,21 @@ def _resolve(kind: str, context) -> _Frame:
     base = context.base
     ops = {"prec": base.op("prec"), "succ": base.op("succ"), **context.actions}
     return _Frame(
-        "ravg", relative_averaging_templates(), {"D": base.dim, "M": context.module_dim},
-        ops, context.module_twist, base.twist, True, (base.dim, context.module_dim),
-        "operator must map the module into the base algebra", homomorphism,
+        _frozen(_operator_templates, kind, (), twist), {"D": base.dim, "M": context.module_dim},
+        ops, (base.dim, context.module_dim), "operator must map the module into the base algebra",
+        (context.module_twist, base.twist), homomorphism,
     )
 
 
 def verify_operator(kind: str, context, matrix: LinearMap, strict_twist: bool = False) -> Report:
     """Dispatch on the operator kind; `context` is the matching bundle type."""
-    frame = _resolve(kind, context)
+    frame = _resolve(kind, context, strict_twist)
     if (matrix.dim_out, matrix.dim_in) != frame.shape:
         raise ValueError(frame.shape_error)
-    report = evaluate_templates(frame.templates, frame.dims, frame.ops, {"H": matrix})
-    if frame.twist_bound or strict_twist:
-        report = report.merged(
-            twist_commutation(f"{frame.prefix}.twist", matrix, frame.inner, frame.outer)
-        )
+    maps = {"H": matrix}
+    if frame.twists:
+        maps.update(twist_maps("H", matrix, *frame.twists))
+    report = evaluate_templates(frame.templates, frame.dims, frame.ops, maps)
     if frame.homomorphism:
         report = report.merged(check_homomorphism("dendriform", matrix, *frame.homomorphism))
     return report
@@ -181,9 +193,8 @@ def graph_is_subalgebra(
         "image": LinearMap.from_rows(image),
         "domain": LinearMap.from_rows(domain),
     }
-    report = evaluate_templates(
-        graph_templates(sorted(container.ops)), {"P": domain_dim}, dict(container.ops), maps
-    )
+    templates = _frozen(graph_templates, tuple(sorted(container.ops)))
+    report = evaluate_templates(templates, {"P": domain_dim}, dict(container.ops), maps)
     return report.ok, report
 
 
@@ -229,12 +240,13 @@ def solve_operators_grid(
     echelon); the free coordinates of that solution space are then enumerated
     over the grid.  Each candidate is tested against the operator system
     (the residuals `emit_operator_system` writes), compiled once from the
-    engine's integer residuals (`CompiledSystem`), and each candidate that
-    solves it is confirmed by `verify_operator`.  Solutions
-    come back in row-major order of their entries.  Completeness is claimed
-    only relative to the grid.
+    engine's integer residuals (`CompiledSystem`).  Those are the residuals
+    `verify_operator` finds at the symbolic matrix, so a candidate solves the
+    system exactly when `verify_operator` passes it, and it is returned as it
+    is.  Solutions come back in row-major order of their entries.
+    Completeness is claimed only relative to the grid.
     """
-    frame = _resolve(kind, context)
+    frame = _resolve(kind, context, strict_twist)
     rows, cols = frame.shape
     if max(rows, cols) > 3:
         raise ValueError("grid solving is limited to dimensions <= 3")
@@ -242,28 +254,17 @@ def solve_operators_grid(
         raise ValueError("grid solving needs a parameter-free context; specialize first")
     grid_values = sorted(Fraction(g) for g in set(grid))
     n_unknowns = rows * cols
-    if frame.twist_bound or strict_twist:
-        equations = linalg.intertwiner_equations(
-            frame.inner.to_fraction_rows(), frame.outer.to_fraction_rows()
-        )
+    if frame.twists:
+        equations = linalg.intertwiner_equations(*(t.to_fraction_rows() for t in frame.twists))
         basis = linalg.nullspace(equations, ncols=n_unknowns)
     else:
         basis = [[int(p == q) for q in range(n_unknowns)] for p in range(n_unknowns)]
     names, violations = _operator_violations(context, kind, strict_twist=strict_twist)
     system = CompiledSystem(violations, names)
-    points = sorted(
-        point
-        for point in linalg.grid_combinations(basis, grid_values, n_unknowns)
-        if system.vanishes_at(point)
-    )
-    candidates = (
-        LinearMap.from_fractions([point[r * cols : (r + 1) * cols] for r in range(rows)])
-        for point in points
-    )
+    points = linalg.grid_combinations(basis, grid_values, n_unknowns)
     return [
-        candidate
-        for candidate in candidates
-        if verify_operator(kind, context, candidate, strict_twist=strict_twist).ok
+        LinearMap.from_fractions([point[r * cols : (r + 1) * cols] for r in range(rows)])
+        for point in sorted(filter(system.vanishes_at, points))
     ]
 
 

@@ -419,13 +419,11 @@ class CompiledSystem:
     """The residuals of a symbolic report, compiled once for exact evaluation
     at many points.
 
-    A residual vanishes exactly where its scaled integer numerator does.  A
-    violation of the template engine holds that numerator already, as the
-    {packed monomial: int} dict of its `scaled` = (form, terms, scale); a
-    Polynomial residual (`axioms.twist_commutation`) is scaled by an
-    `IntegerForm` over `unknowns`.  No Polynomial is made.  The
-    coefficients are ints, so the evaluation at a point with int coordinates
-    is plain int arithmetic.  Each term is stored as (coefficient, factors),
+    A residual vanishes exactly where its scaled integer numerator does.
+    The violations are the template engine's, which hold that numerator
+    already, as the {packed monomial: int} dict of their `scaled` = (form,
+    terms, scale), so no Polynomial is made.  The coefficients are ints, so
+    the evaluation at a point with int coordinates is plain int arithmetic.  Each term is stored as (coefficient, factors),
     the factors being the positions in `unknowns` of its names, looked up by
     name and repeated by multiplicity (t11*t23^2 over t11..t33 is (0, 5, 5));
     each distinct monomial of a form is decoded once.  Equations with the
@@ -433,18 +431,11 @@ class CompiledSystem:
     """
 
     def __init__(self, violations: Iterable, unknowns: Sequence[str]):
-        violations = list(violations)
-        own = IntegerForm(unknowns, max_exponent(
-            violation.residual for violation in violations if violation.scaled is None
-        ))
         position = {name: index for index, name in enumerate(unknowns)}
         forms: dict = {}  # form -> {packed monomial: factors}
         equations: dict = {}
         for violation in violations:
-            if violation.scaled is None:
-                form, (terms,) = own, own.scaled([violation.residual])[1]
-            else:
-                form, terms, _ = violation.scaled
+            form, terms, _ = violation.scaled
             known = forms.setdefault(form, {})
             equation = []
             for packed, coeff in terms.items():

@@ -169,6 +169,52 @@ MUTANTS = [
         "new": "        out[mono] = value\n",
         "tests": ["tests/test_sparse_engine.py"],
     },
+    {
+        "name": "the iso search drops its det != 0 test",
+        "file": "src/homsplit/morphisms.py",
+        "old": "        if linalg.determinant(rows) != 0:\n",
+        "new": "        if True:\n",
+        "tests": ["tests/test_morphisms.py"],
+    },
+    {
+        "name": "the twist template runs without the transposes, witnessed by (col, row)",
+        "file": "src/homsplit/axioms.py",
+        "old": (
+            '    lhs, rhs = App("inner^T", App(xt, _X)), App(xt, App("outer^T", _X))\n'
+            '    return _t(f"{prefix}.twist", lhs, rhs, (("x", space),))\n'
+            "\n"
+            "\n"
+            "def twist_maps(name: str, linear: LinearMap, inner: LinearMap, outer: LinearMap)"
+            " -> dict:\n"
+            '    """The transposed maps of `twist_template` for X = `linear`."""\n'
+            '    maps = {f"{name}^T": linear, "inner^T": inner, "outer^T": outer}\n'
+            "    return {key: matrix.transpose() for key, matrix in maps.items()}\n"
+        ),
+        "new": (
+            '    lhs, rhs = App(xt, App("inner^T", _X)), App("outer^T", App(xt, _X))\n'
+            '    return _t(f"{prefix}.twist", lhs, rhs, (("x", space),))\n'
+            "\n"
+            "\n"
+            "def twist_maps(name: str, linear: LinearMap, inner: LinearMap, outer: LinearMap)"
+            " -> dict:\n"
+            '    return {f"{name}^T": linear, "inner^T": inner, "outer^T": outer}\n'
+        ),
+        "tests": ["tests/test_twist_reports.py"],
+    },
+    {
+        "name": "the frozen operator template set is keyed without the strict_twist flag",
+        "file": "src/homsplit/operators.py",
+        "old": "_frozen(_operator_templates, kind, names, twist)",
+        "new": '_frozen(_operator_templates, kind, names, kind != "averaging_assoc")',
+        "tests": ["tests/test_twist_reports.py"],
+    },
+    {
+        "name": "check_homomorphism drops hom.twist",
+        "file": "src/homsplit/axioms.py",
+        "old": "    ] + [twist_template(\"hom\", \"T\", \"D'\")]\n",
+        "new": "    ]\n",
+        "tests": ["tests/test_twist_reports.py"],
+    },
 ]
 
 # Edits that change the code but not what it computes, with the reason; they
@@ -181,13 +227,6 @@ EQUIVALENT = [
             "search walks the kernel points of the twist equations "
             "(linalg.grid_kernel_points) and the operator search combines a "
             "nullspace basis of them, so those residuals vanish at every point"
-        ),
-    },
-    {
-        "name": "the iso search drops its det != 0 test",
-        "reason": (
-            "verify_isomorphism, which confirms every candidate, reports a singular "
-            "matrix as iso.singular, so a singular candidate is never returned"
         ),
     },
     {

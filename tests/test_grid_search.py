@@ -6,7 +6,9 @@ the exact twist-commutation subspace and test them against a compiled
 equation system.  `oracle.grid_operator_solutions` and
 `oracle.first_grid_isomorphism` visit every candidate in plain Fractions and
 check it in full.  Solution lists must agree in content and order, and the
-first isomorphism must be the same matrix.
+first isomorphism must be the same matrix.  The searches return what the
+compiled system accepts without checking it again, so every solution must
+also pass `verify_operator` and every isomorphism `verify_isomorphism`.
 """
 
 import random
@@ -18,9 +20,9 @@ from helpers import associative_pool, random_action, sec2_diassociative, zero_bu
 from oracle import first_grid_isomorphism, grid_operator_solutions
 from homsplit.corpus import CORPUS_ROOT, load_algebra
 from homsplit.model import AlgebraBundle, LinearMap, RepresentationBundle
-from homsplit.morphisms import brute_force_iso_search, push_forward
-from homsplit.operators import solve_operators_grid
-from homsplit.poly import IntegerForm
+from homsplit.morphisms import brute_force_iso_search, push_forward, verify_isomorphism
+from homsplit.operators import solve_operators_grid, verify_operator
+from homsplit.poly import IntegerForm, Polynomial
 
 GRID = [Fraction(-1), Fraction(0), Fraction(1)]
 # --grid=-1..1 --denominators 1,2
@@ -65,8 +67,10 @@ def test_solve_matches_oracle_on_corpus_contexts():
         grids = (GRID, HALVES) if context.dim == 2 else (GRID,)
         for grid in grids:
             expected = grid_operator_solutions("averaging_quadri", context, grid)
-            got = rows_of(solve_operators_grid(context, "averaging_quadri", grid))
-            assert got == expected, label
+            solutions = solve_operators_grid(context, "averaging_quadri", grid)
+            assert rows_of(solutions) == expected, label
+            for solution in solutions:
+                assert verify_operator("averaging_quadri", context, solution).ok, label
 
 
 def test_iso_matches_oracle_on_corpus_contexts():
@@ -88,7 +92,10 @@ def test_iso_matches_oracle_on_corpus_contexts():
             )))
         for partner in partners:
             expected = first_grid_isomorphism(partner, context, GRID)
-            assert found_rows(brute_force_iso_search(partner, context, GRID)) == expected, label
+            isomorphism = brute_force_iso_search(partner, context, GRID)
+            assert found_rows(isomorphism) == expected, label
+            if isomorphism is not None:
+                assert verify_isomorphism(context.kind, isomorphism, partner, context).ok, label
             found += expected is not None
     assert found >= len(corpus_contexts())  # every self pair at least
 
@@ -180,6 +187,25 @@ def test_searches_build_no_polynomial_from_the_engine_residuals(monkeypatch):
         return original(self, terms, scale)
 
     monkeypatch.setattr(IntegerForm, "polynomial", counted)
+    assert solve_operators_grid(d4, "averaging_quadri", GRID)
+    assert brute_force_iso_search(moved, d4, GRID) is not None
+    assert calls == []
+
+
+def test_searches_multiply_no_polynomial_and_compose_no_map(monkeypatch):
+    # both searches run on the engine's integers: neither the symbolic matrix
+    # nor a grid point is ever multiplied out in Polynomial arithmetic
+    d4 = load_algebra(CORPUS_ROOT / "dim3" / "D4.json")
+    moved = push_forward(d4, LinearMap.from_fractions([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+    calls = []
+    for owner, name in ((Polynomial, "__mul__"), (Polynomial, "__rmul__"), (LinearMap, "compose")):
+        original = getattr(owner, name)
+
+        def counted(*args, original=original, name=name):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
     assert solve_operators_grid(d4, "averaging_quadri", GRID)
     assert brute_force_iso_search(moved, d4, GRID) is not None
     assert calls == []

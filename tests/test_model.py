@@ -95,6 +95,15 @@ def test_map_compose_matches_sequential_application():
         assert m.compose(n).apply(x) == m.apply(n.apply(x))
 
 
+def test_map_transpose_swaps_rows_and_columns_at_every_shape():
+    m = LinearMap.from_strings([["1", "a", "0"], ["-1/2", "0", "b^2"]])
+    assert m.transpose() == LinearMap.from_strings([["1", "-1/2"], ["a", "0"], ["0", "b^2"]])
+    assert m.transpose().transpose() == m
+    # from_rows cannot tell a 0 x 2 map from a 0 x 0 one
+    assert LinearMap(0, 2, ()).transpose() == LinearMap(2, 0, ((), ()))
+    assert LinearMap(2, 0, ((), ())).transpose() == LinearMap(0, 2, ())
+
+
 # -- bundle_specialize ----------------------------------------------------------
 
 def test_specialize_dim2_D1_at_zero():

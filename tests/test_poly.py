@@ -205,9 +205,19 @@ def test_power_by_squaring_matches_repeated_multiplication():
         expected = expected * base
 
 
+def engine_violation(template, witness, residual, order):
+    """A violation as the template engine keeps it: `residual` scaled to
+    integers in an `IntegerForm` over `order`."""
+    form = IntegerForm(order, poly.max_exponent([residual]))
+    scale, (terms,) = form.scaled([residual])
+    return Violation(template, witness, None, (form, terms, scale))
+
+
 def test_compiled_system_vanishes_exactly_where_the_polynomials_do():
     system = [P("1/2*t1 - 1/3*t2"), P("t1^2*t2 - 12"), P("t1*t2 - 6")]
-    compiled = CompiledSystem([Violation("v", (k,), p) for k, p in enumerate(system)], ["t1", "t2"])
+    compiled = CompiledSystem(
+        [engine_violation("v", (k,), p, ["t1", "t2"]) for k, p in enumerate(system)], ["t1", "t2"]
+    )
     for point in [(2, 3), (Fraction(2), Fraction(3)), (1, 1), (Fraction(1, 2), 3), (0, 0), (-2, -3)]:
         expected = all(p.specialize({"t1": point[0], "t2": point[1]}).is_zero() for p in system)
         assert compiled.vanishes_at(point) == expected
@@ -218,9 +228,9 @@ def test_compiled_system_vanishes_exactly_where_the_polynomials_do():
 def test_compiled_system_finds_unknown_positions_by_name():
     form = IntegerForm(["a", "b"], 1)
     violations = [
-        # (a - 2*b) / 3 as the engine keeps it, and the Polynomial b - 1
+        # (a - 2*b) / 3, and b - 1 in a form of its own over (b,)
         Violation("x", (1,), None, (form, {form.pack((1, 0)): 1, form.pack((0, 1)): -2}, 3)),
-        Violation("y", (1,), P("b - 1")),
+        engine_violation("y", (1,), P("b - 1"), ["b"]),
     ]
     compiled = CompiledSystem(violations, ["b", "a"])
     assert compiled.vanishes_at((1, 2))  # b = 1, a = 2
@@ -232,8 +242,9 @@ def test_compiled_system_over_a_report_vanishes_where_its_residuals_do():
     d4 = load_algebra(CORPUS_ROOT / "dim3" / "D4.json")
     names, symbolic = unknown_matrix(3, 3)
     report = verify_operator("averaging_quadri", d4, symbolic)
-    # residuals kept as engine integers, and Polynomials of twist commutation
-    assert {v.scaled is None for v in report.entries} == {True, False}
+    # every residual, twist commutation's too, is kept as engine integers
+    assert "qavg.twist" in report.templates()
+    assert all(v.scaled is not None for v in report.entries)
     order = names[::-1]  # not the engine's sorted order
     compiled = CompiledSystem(report.entries, order)
     residuals = set(v.residual for v in report.entries)
