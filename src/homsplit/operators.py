@@ -82,9 +82,8 @@ class _Frame:
 
 
 def _resolve(kind: str, context, strict_twist: bool = False) -> _Frame:
-    """The single per-kind resolver used by verification and solving.  Twist
-    commutation belongs to the definition of every kind but averaging_assoc,
-    which checks it only under `strict_twist`."""
+    """The single per-kind resolver used by verification and solving.  Only
+    averaging_assoc leaves twist commutation out, unless `strict_twist`."""
     if kind not in _OPERATORS:
         raise ValueError(f"unknown operator kind {kind!r}")
     twist = kind != "averaging_assoc" or strict_twist

@@ -143,7 +143,10 @@ class Polynomial:
 
     @staticmethod
     def constant(value: ScalarLike) -> "Polynomial":
-        return Polynomial((((), _exact(value)),))
+        """Made without `__init__`'s sort: one term or none is canonical."""
+        poly, value = object.__new__(Polynomial), _exact(value)
+        object.__setattr__(poly, "terms", (((), value),) if value else ())
+        return poly
 
     @staticmethod
     def variable(name: str) -> "Polynomial":

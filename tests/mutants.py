@@ -209,6 +209,13 @@ MUTANTS = [
         "tests": ["tests/test_twist_reports.py"],
     },
     {
+        "name": "the constant fast path keeps a zero coefficient",
+        "file": "src/homsplit/poly.py",
+        "old": '(((), value),) if value else ()',
+        "new": '(((), value),)',
+        "tests": ["tests/test_poly.py"],
+    },
+    {
         "name": "check_homomorphism drops hom.twist",
         "file": "src/homsplit/axioms.py",
         "old": "    ] + [twist_template(\"hom\", \"T\", \"D'\")]\n",
