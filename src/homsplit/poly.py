@@ -426,11 +426,12 @@ class CompiledSystem:
     The violations are the template engine's, which hold that numerator
     already, as the {packed monomial: int} dict of their `scaled` = (form,
     terms, scale), so no Polynomial is made.  The coefficients are ints, so
-    the evaluation at a point with int coordinates is plain int arithmetic.  Each term is stored as (coefficient, factors),
-    the factors being the positions in `unknowns` of its names, looked up by
-    name and repeated by multiplicity (t11*t23^2 over t11..t33 is (0, 5, 5));
-    each distinct monomial of a form is decoded once.  Equations with the
-    same integer terms are kept once, in the order of their first violation.
+    the evaluation at a point with int coordinates is plain int arithmetic.
+    Each term is stored as (coefficient, factors), the factors being the
+    positions in `unknowns` of its names, looked up by name and repeated by
+    multiplicity (t11*t23^2 over t11..t33 is (0, 5, 5)); each distinct
+    monomial of a form is decoded once.  Equations with the same integer
+    terms are kept once, in the order of their first violation.
     """
 
     def __init__(self, violations: Iterable, unknowns: Sequence[str]):

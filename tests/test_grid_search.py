@@ -175,30 +175,18 @@ def test_relative_averaging_on_an_algebra_uses_its_adjoint():
 
 
 def test_searches_build_no_polynomial_from_the_engine_residuals(monkeypatch):
-    # the compiled system reads the engine's integers; a residual Polynomial
-    # is built only when a report is written
+    # the compiled system reads the engine's integers, twist commutation's
+    # too: a residual Polynomial is built only when a report is written, and
+    # neither the symbolic matrix nor a grid point is multiplied out
     d4 = load_algebra(CORPUS_ROOT / "dim3" / "D4.json")
     moved = push_forward(d4, LinearMap.from_fractions([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
     calls = []
-    original = IntegerForm.polynomial
-
-    def counted(self, terms, scale):
-        calls.append(scale)
-        return original(self, terms, scale)
-
-    monkeypatch.setattr(IntegerForm, "polynomial", counted)
-    assert solve_operators_grid(d4, "averaging_quadri", GRID)
-    assert brute_force_iso_search(moved, d4, GRID) is not None
-    assert calls == []
-
-
-def test_searches_multiply_no_polynomial_and_compose_no_map(monkeypatch):
-    # both searches run on the engine's integers: neither the symbolic matrix
-    # nor a grid point is ever multiplied out in Polynomial arithmetic
-    d4 = load_algebra(CORPUS_ROOT / "dim3" / "D4.json")
-    moved = push_forward(d4, LinearMap.from_fractions([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
-    calls = []
-    for owner, name in ((Polynomial, "__mul__"), (Polynomial, "__rmul__"), (LinearMap, "compose")):
+    for owner, name in (
+        (IntegerForm, "polynomial"),
+        (Polynomial, "__mul__"),
+        (Polynomial, "__rmul__"),
+        (LinearMap, "compose"),
+    ):
         original = getattr(owner, name)
 
         def counted(*args, original=original, name=name):

@@ -59,7 +59,8 @@ def homomorphism_cases():
 
 def rectangular_cases():
     for base_dim, module_dim in ((2, 3), (3, 2), (1, 2)):
-        action = random_action(random.Random(70 + base_dim * 10 + module_dim), base_dim, module_dim)
+        rng = random.Random(70 + base_dim * 10 + module_dim)
+        action = random_action(rng, base_dim, module_dim)
         _, symbolic = unknown_matrix(base_dim, module_dim)
         for kind in ("relative_averaging", "homomorphic_relative_averaging"):
             yield f"{kind}.{base_dim}x{module_dim}", verify_operator(kind, action, symbolic)
