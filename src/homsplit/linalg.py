@@ -178,7 +178,8 @@ def grid_kernel_points(rows, ncols: int, values):
     coordinate is a combination of free coordinates that come before it.  A
     depth-first walk over the coordinates in order runs each free one over
     the sorted values and computes each pivot one when it is reached,
-    dropping the branch when that value is not in `values`."""
+    dropping the branch when that value is not in `values`.  Entries are
+    exact: ints where integral, Fractions otherwise."""
     values = sorted({_narrow(Fraction(v)) for v in values})
     allowed = set(values)
     echelon, pivots = rref([list(reversed(row)) for row in rows]) if rows else ([], [])
@@ -196,7 +197,7 @@ def grid_kernel_points(rows, ncols: int, values):
         if terms is None:
             choices = values
         else:
-            value = sum(c * point[k] for k, c in terms)
+            value = _narrow(sum(c * point[k] for k, c in terms))
             choices = (value,) if value in allowed else ()
         for value in choices:
             point[position] = value

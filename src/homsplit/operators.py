@@ -45,8 +45,7 @@ from .model import ActionBundle, AlgebraBundle, LinearMap, RepresentationBundle,
 from .poly import CompiledSystem
 from .report import Report
 
-# operator kind -> (template prefix, the kind of algebra it acts on, or None
-# for a module, and its templates over the sorted op names)
+# operator kind -> (template prefix, algebra kind or None for a module, templates)
 _OPERATORS = {
     "averaging_assoc": (
         "avg", "associative", lambda names: averaging_templates("avg", names, swap=True)

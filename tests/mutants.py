@@ -216,6 +216,13 @@ MUTANTS = [
         "tests": ["tests/test_poly.py"],
     },
     {
+        "name": "the kernel walk keeps an integral pivot value as a Fraction",
+        "file": "src/homsplit/linalg.py",
+        "old": "value = _narrow(sum(c * point[k] for k, c in terms))",
+        "new": "value = sum(c * point[k] for k, c in terms)",
+        "tests": ["tests/test_linalg.py"],
+    },
+    {
         "name": "check_homomorphism drops hom.twist",
         "file": "src/homsplit/axioms.py",
         "old": "    ] + [twist_template(\"hom\", \"T\", \"D'\")]\n",

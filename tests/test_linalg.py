@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -232,3 +233,13 @@ def test_entries_must_be_ints_or_fractions(call):
     # a float would be read with its binary rounding: 0.1 is not 1/10
     with pytest.raises(TypeError, match="expected an int or Fraction"):
         call()
+
+
+@pytest.mark.parametrize("values", [[-1, 0, 1], [-1, Fraction(-1, 2), 0, Fraction(1, 2), 1]])
+def test_kernel_walk_yields_the_grid_kernel_with_ints_where_integral(values):
+    # x2 = (x0 + x1) / 2: the pivot's coefficients are halves, and an integral
+    # value must still come out an int, so that a compiled system evaluated
+    # at the point runs on ints
+    points = list(linalg.grid_kernel_points([[-1, -1, 2]], 3, values))
+    assert points == [p for p in itertools.product(values, repeat=3) if 2 * p[2] == p[0] + p[1]]
+    assert all(type(v) is int for p in points for v in p if Fraction(v).denominator == 1)
