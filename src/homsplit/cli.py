@@ -89,6 +89,11 @@ def _load_context(path):
     return getattr(corpus, f"load_{shape}")(path, data)
 
 
+#: The most values a --grid may build, sum over d of ((hi - lo) * d + 1), counted
+#: first; a search may visit |grid|^f points for up to f = 9 free coefficients.
+MAX_GRID_VALUES = 10_000
+
+
 def _parse_grid(text: str, denominators: str) -> list:
     try:
         lo_text, hi_text = text.split("..")
@@ -98,11 +103,11 @@ def _parse_grid(text: str, denominators: str) -> list:
         raise corpus.CorpusError(f"bad grid specification: {exc}") from exc
     if hi < lo or any(d < 1 for d in dens):
         raise corpus.CorpusError("bad grid specification")
-    values = set()
-    for d in dens:
-        for n in range(lo * d, hi * d + 1):
-            values.add(Fraction(n, d))
-    return sorted(values)
+    if (count := sum((hi - lo) * d + 1 for d in dens)) > MAX_GRID_VALUES:
+        raise corpus.CorpusError(
+            f"grid of {count} values is above the limit of {MAX_GRID_VALUES} values"
+        )
+    return sorted({Fraction(n, d) for d in dens for n in range(lo * d, hi * d + 1)})
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Small and deliberate: reduced row echelon form, rank, the matrix of the
 reduction modulo a row space, nullspace, linear solve, determinant, inverse,
 the characteristic polynomial via Faddeev-LeVerrier, and the linear part of
 the grid searches: the equations of the matrices intertwining two twists, the
-grid combinations of a basis and the grid points of a kernel.
+combinations of a basis and the pruned depth-first walk over a grid.
 
 Entries are ints or Fractions; anything else (a float above all) is a
 TypeError.  The eliminations run on ints: each row is multiplied by the least
@@ -22,7 +22,6 @@ nonzero entry in column order.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from operator import mul
@@ -153,57 +152,38 @@ def _narrow(value):
     return value.numerator if value.denominator == 1 else value
 
 
-def grid_combinations(basis, values, ncols: int):
-    """Yield sum_k c_k basis[k] as a tuple for every coefficient tuple
-    (c_1, ..., c_f) in itertools.product(values, repeat=f), in that order.
-    Entries are exact: ints where integral, Fractions otherwise."""
-    values = [_narrow(Fraction(v)) for v in values]
-    sparse = [
-        [(col, _narrow(Fraction(b))) for col, b in enumerate(vec) if b] for vec in basis
-    ]
-    for coefficients in itertools.product(values, repeat=len(sparse)):
-        point = [0] * ncols
-        for c, vec in zip(coefficients, sparse):
-            if c:
-                for col, b in vec:
-                    point[col] += c * b
-        yield tuple(point)
-
-
-def grid_kernel_points(rows, ncols: int, values):
-    """Yield every x with A x = 0 whose entries all lie in `values`, in
-    lexicographic order (row-major order for a flattened matrix).
-
-    The echelon form is taken with the columns reversed, so each pivot
-    coordinate is a combination of free coordinates that come before it.  A
-    depth-first walk over the coordinates in order runs each free one over
-    the sorted values and computes each pivot one when it is reached,
-    dropping the branch when that value is not in `values`.  Entries are
-    exact: ints where integral, Fractions otherwise."""
-    values = sorted({_narrow(Fraction(v)) for v in values})
-    allowed = set(values)
-    echelon, pivots = rref([list(reversed(row)) for row in rows]) if rows else ([], [])
-    dependent = {
-        ncols - 1 - p: [(ncols - 1 - j, _narrow(-row[j])) for j in range(p + 1, ncols) if row[j]]
-        for row, p in zip(echelon, pivots)
-    }
+def combination(basis, coefficients, ncols: int) -> tuple:
+    """sum_k coefficients[k] * basis[k] as a tuple of length `ncols`, exact:
+    ints where integral, Fractions otherwise."""
     point = [0] * ncols
+    for c, vector in zip(coefficients, basis):
+        if c:
+            for col, b in enumerate(vector):
+                if b:
+                    point[col] += c * b
+    return tuple(map(_narrow, point))
 
-    def walk(position):
-        if position == ncols:
+
+def grid_walk(nvars: int, values, accept):
+    """Yield, in order, the points of itertools.product(sorted(set(values)),
+    repeat=nvars) that `accept(point, depth)` admits at every depth: it is
+    asked at each node of a depth-first walk, the root (depth 0) included,
+    with the first `depth` coordinates of `point` bound, and a refused prefix
+    is never extended.  Values are exact: ints where integral."""
+    values = sorted({_narrow(Fraction(v)) for v in values})
+    point = [0] * nvars
+
+    def walk(depth):
+        if not accept(point, depth):
+            return
+        if depth == nvars:
             yield tuple(point)
             return
-        terms = dependent.get(position)
-        if terms is None:
-            choices = values
-        else:
-            value = _narrow(sum(c * point[k] for k, c in terms))
-            choices = (value,) if value in allowed else ()
-        for value in choices:
-            point[position] = value
-            yield from walk(position + 1)
+        for value in values:
+            point[depth] = value
+            yield from walk(depth + 1)
 
-    yield from walk(0)
+    return walk(0)
 
 
 def solve(rows, rhs) -> Row | None:

@@ -105,9 +105,8 @@ class LinearMap:
 
     @staticmethod
     def zero(dim_out: int, dim_in: int) -> "LinearMap":
-        return LinearMap.from_rows(
-            [[Polynomial.zero()] * dim_in for _ in range(dim_out)]
-        )
+        row = (Polynomial.zero(),) * dim_in
+        return LinearMap(dim_out, dim_in, (row,) * dim_out)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.dim_in:
@@ -197,6 +196,19 @@ def unknown_matrix(rows: int, cols: int, prefix: str = "t") -> tuple:
         [[Polynomial.variable(n) for n in names[r * cols : (r + 1) * cols]] for r in range(rows)]
     )
     return names, matrix
+
+
+def span_matrix(basis, rows: int, cols: int) -> tuple:
+    """(names, matrix): names c1, c2, ... and the matrix sum_k ck * basis[k],
+    each vector a rows x cols matrix flattened row-major."""
+    names = [f"c{k}" for k in range(1, len(basis) + 1)]
+    cells = [
+        Polynomial((((name, 1),), vector[p]) for name, vector in zip(names, basis))
+        for p in range(rows * cols)
+    ]
+    return names, LinearMap(rows, cols, tuple(
+        tuple(cells[r * cols : (r + 1) * cols]) for r in range(rows)
+    ))
 
 
 # ---------------------------------------------------------------------------

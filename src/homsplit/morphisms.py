@@ -4,13 +4,13 @@ isomorphism search over a rational grid.
 Fingerprints are necessary conditions computed exactly over the rationals
 (ranks and characteristic polynomials by integer elimination, `linalg`):
 unequal fingerprints certify non-isomorphism; equal ones decide nothing.
-The grid search walks only the grid matrices T that commute with the twists
-(T alpha = alpha' T, solved exactly once), in row-major order, and tests each
-against the homomorphism equations of a symbolic T, compiled once from the
-engine's integer residuals (`poly.CompiledSystem`), and against det T != 0.
-Those are the conditions `verify_isomorphism` checks, so the first survivor
-is returned as it is.  It is a desk-scale oracle only -- "no isomorphism
-within the grid" is conclusive relative to the grid, never absolutely.
+The grid search writes the matrices commuting with the twists as T(c) =
+sum_k c_k B_k, c_k the k-th free entry in row-major order and each other
+entry a combination of earlier ones, and walks c over the grid
+(`linalg.grid_walk`), testing each homomorphism equation of T(c)
+(`poly.CompiledSystem`) once its last coefficient is bound.  The first T(c)
+in the grid with det T != 0 passes `verify_isomorphism` and comes first in
+row-major order.  "No isomorphism within the grid" is never a proof.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import linalg
 from .axioms import App, Op, Var, check_homomorphism
 from .constructions import induced_op
-from .model import AlgebraBundle, LinearMap, unknown_matrix
+from .model import AlgebraBundle, LinearMap, span_matrix
 from .poly import CompiledSystem, Polynomial
 from .report import Report, Violation
 
@@ -148,17 +148,20 @@ def brute_force_iso_search(
     if source.used_parameters() or target.used_parameters():
         raise ValueError("isomorphism search needs parameter-free bundles")
     n = source.dim
-    names, symbolic = unknown_matrix(n, n)
-    report = check_homomorphism(source.kind, symbolic, source, target)
-    system = CompiledSystem(report.entries, names)
     equations = linalg.intertwiner_equations(
         source.twist.to_fraction_rows(), target.twist.to_fraction_rows()
     )
-    for point in linalg.grid_kernel_points(equations, n * n, grid):
-        if not system.vanishes_at(point):
-            continue
-        # the zero matrix and other singular ones satisfy every equation
+    # the last-column echelon basis, in the order of its free entries
+    reversed_basis = linalg.nullspace([row[::-1] for row in equations], ncols=n * n)
+    basis = [vector[::-1] for vector in reversed(reversed_basis)]
+    names, symbolic = span_matrix(basis, n, n)
+    report = check_homomorphism(source.kind, symbolic, source, target)
+    system = CompiledSystem(report.entries, names)
+    allowed = {Fraction(v) for v in grid}
+    for c in linalg.grid_walk(len(basis), grid, system.vanishes_at):
+        point = linalg.combination(basis, c, n * n)
         rows = [list(point[r * n : (r + 1) * n]) for r in range(n)]
-        if linalg.determinant(rows) != 0:
+        # the zero matrix and other singular ones satisfy every equation
+        if allowed.issuperset(point) and linalg.determinant(rows) != 0:
             return LinearMap.from_fractions(rows)
     return None

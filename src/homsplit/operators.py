@@ -41,7 +41,8 @@ from .axioms import (
     twist_maps,
     twist_template,
 )
-from .model import ActionBundle, AlgebraBundle, LinearMap, RepresentationBundle, unknown_matrix
+from .model import ActionBundle, AlgebraBundle, LinearMap, RepresentationBundle
+from .model import span_matrix, unknown_matrix
 from .poly import CompiledSystem
 from .report import Report
 
@@ -206,43 +207,33 @@ def _context_parameters(context) -> frozenset:
     return context.used_parameters()
 
 
-def _operator_violations(
-    context, kind: str, unknown_prefix: str = "t", strict_twist: bool = False
-) -> tuple:
-    """(unknown names, violations of the operator whose matrix holds the
-    unknowns t{i}{j}): the residuals of those violations are the operator
-    system."""
-    rows, cols = _resolve(kind, context).shape
-    names, symbolic = unknown_matrix(rows, cols, unknown_prefix)
-    clash = sorted(set(names) & _context_parameters(context))
-    if clash:
-        raise ValueError(f"unknown names collide with context parameters: {clash}")
-    return names, verify_operator(kind, context, symbolic, strict_twist=strict_twist).entries
-
-
 def emit_operator_system(
     context, kind: str, unknown_prefix: str = "t", strict_twist: bool = False
 ) -> list:
     """The polynomial system in the unknown matrix entries t{i}{j} whose
     common zero set is exactly the operator variety; deterministic order."""
-    _, violations = _operator_violations(context, kind, unknown_prefix, strict_twist)
+    rows, cols = _resolve(kind, context).shape
+    names, symbolic = unknown_matrix(rows, cols, unknown_prefix)
+    clash = sorted(set(names) & _context_parameters(context))
+    if clash:
+        raise ValueError(f"unknown names collide with context parameters: {clash}")
+    violations = verify_operator(kind, context, symbolic, strict_twist=strict_twist).entries
     return list(dict.fromkeys(violation.residual for violation in violations))
 
 
 def solve_operators_grid(
     context, kind: str, grid, strict_twist: bool = False
 ) -> list:
-    """Enumerate operator solutions with free coordinates over a rational grid.
+    """Enumerate operator solutions whose coefficients lie on a rational grid.
 
-    The linear twist-commutation constraints are solved exactly first (row
-    echelon); the free coordinates of that solution space are then enumerated
-    over the grid.  Each candidate is tested against the operator system
-    (the residuals `emit_operator_system` writes), compiled once from the
-    engine's integer residuals (`CompiledSystem`).  Those are the residuals
-    `verify_operator` finds at the symbolic matrix, so a candidate solves the
-    system exactly when `verify_operator` passes it, and it is returned as it
-    is.  Solutions come back in row-major order of their entries.
-    Completeness is claimed only relative to the grid.
+    The twist-commutation constraints are solved exactly first, giving a
+    basis B_k of the matrices commuting with the twists (of every matrix
+    when no twist is checked).  The residuals `verify_operator` finds at
+    X(c) = sum_k c_k B_k are compiled once (`CompiledSystem`), and a
+    depth-first walk runs c over the grid (`linalg.grid_walk`), testing each
+    as soon as its last coefficient is bound.  The X(c) that survive are
+    returned in row-major order of their entries.  Completeness is claimed
+    only relative to the grid.
     """
     frame = _resolve(kind, context, strict_twist)
     rows, cols = frame.shape
@@ -250,19 +241,17 @@ def solve_operators_grid(
         raise ValueError("grid solving is limited to dimensions <= 3")
     if _context_parameters(context):
         raise ValueError("grid solving needs a parameter-free context; specialize first")
-    grid_values = sorted(Fraction(g) for g in set(grid))
     n_unknowns = rows * cols
-    if frame.twists:
-        equations = linalg.intertwiner_equations(*(t.to_fraction_rows() for t in frame.twists))
-        basis = linalg.nullspace(equations, ncols=n_unknowns)
-    else:
-        basis = [[int(p == q) for q in range(n_unknowns)] for p in range(n_unknowns)]
-    names, violations = _operator_violations(context, kind, strict_twist=strict_twist)
-    system = CompiledSystem(violations, names)
-    points = linalg.grid_combinations(basis, grid_values, n_unknowns)
+    twists = [twist.to_fraction_rows() for twist in frame.twists]
+    equations = linalg.intertwiner_equations(*twists) if twists else []
+    basis = linalg.nullspace(equations, ncols=n_unknowns)
+    names, symbolic = span_matrix(basis, rows, cols)
+    report = verify_operator(kind, context, symbolic, strict_twist=strict_twist)
+    system = CompiledSystem(report.entries, names)
+    found = linalg.grid_walk(len(basis), grid, system.vanishes_at)
     return [
         LinearMap.from_fractions([point[r * cols : (r + 1) * cols] for r in range(rows)])
-        for point in sorted(filter(system.vanishes_at, points))
+        for point in sorted(linalg.combination(basis, c, n_unknowns) for c in found)
     ]
 
 

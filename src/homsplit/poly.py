@@ -431,7 +431,8 @@ class CompiledSystem:
     positions in `unknowns` of its names, looked up by name and repeated by
     multiplicity (t11*t23^2 over t11..t33 is (0, 5, 5)); each distinct
     monomial of a form is decoded once.  Equations with the same integer
-    terms are kept once, in the order of their first violation.
+    terms are kept once, in the order of their first violation, under their
+    level: the number of leading unknowns they need (0 for a constant).
     """
 
     def __init__(self, violations: Iterable, unknowns: Sequence[str]):
@@ -450,19 +451,24 @@ class CompiledSystem:
                     )
                 equation.append((coeff, factors))
             equations.setdefault(frozenset(equation), equation)
-        self.equations = list(equations.values())
+        self.levels: list = [[] for _ in range(len(unknowns) + 1)]
+        for equation in equations.values():
+            level = max((max(factors, default=-1) for _, factors in equation), default=-1) + 1
+            self.levels[level].append(equation)
 
-    def vanishes_at(self, point: Sequence) -> bool:
-        """Is every residual zero at `point` (values in unknown order)?
-        Stops at the first residual that does not vanish."""
-        for terms in self.equations:
-            total = 0
-            for value, factors in terms:
-                for index in factors:
-                    value *= point[index]
-                total += value
-            if total:
-                return False
+    def vanishes_at(self, point: Sequence, depth: int | None = None) -> bool:
+        """Is every residual of level `depth`, or of every level when `depth`
+        is None, zero at `point` (values in unknown order)?  Stops at the
+        first residual that does not vanish."""
+        for level in self.levels if depth is None else (self.levels[depth],):
+            for terms in level:
+                total = 0
+                for value, factors in terms:
+                    for index in factors:
+                        value *= point[index]
+                    total += value
+                if total:
+                    return False
         return True
 
 

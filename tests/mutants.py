@@ -172,8 +172,8 @@ MUTANTS = [
     {
         "name": "the iso search drops its det != 0 test",
         "file": "src/homsplit/morphisms.py",
-        "old": "        if linalg.determinant(rows) != 0:\n",
-        "new": "        if True:\n",
+        "old": "if allowed.issuperset(point) and linalg.determinant(rows) != 0:",
+        "new": "if allowed.issuperset(point):",
         "tests": ["tests/test_morphisms.py"],
     },
     {
@@ -216,10 +216,34 @@ MUTANTS = [
         "tests": ["tests/test_poly.py"],
     },
     {
-        "name": "the kernel walk keeps an integral pivot value as a Fraction",
+        "name": "the iso search takes the first-column echelon basis",
+        "file": "src/homsplit/morphisms.py",
+        "old": (
+            "    reversed_basis = linalg.nullspace([row[::-1] for row in equations], ncols=n * n)\n"
+            "    basis = [vector[::-1] for vector in reversed(reversed_basis)]\n"
+        ),
+        "new": "    basis = linalg.nullspace(equations, ncols=n * n)\n",
+        "tests": ["tests/test_grid_search.py"],
+    },
+    {
+        "name": "the compiled system files each equation one level too early",
+        "file": "src/homsplit/poly.py",
+        "old": "            self.levels[level].append(equation)\n",
+        "new": "            self.levels[max(level - 1, 0)].append(equation)\n",
+        "tests": ["tests/test_grid_search.py"],
+    },
+    {
+        "name": "the compiled system tests every equation only at the leaf",
+        "file": "src/homsplit/poly.py",
+        "old": "            self.levels[level].append(equation)\n",
+        "new": "            self.levels[-1].append(equation)\n",
+        "tests": ["tests/test_grid_search.py"],
+    },
+    {
+        "name": "the grid walk does not narrow its values to ints",
         "file": "src/homsplit/linalg.py",
-        "old": "value = _narrow(sum(c * point[k] for k, c in terms))",
-        "new": "value = sum(c * point[k] for k, c in terms)",
+        "old": "values = sorted({_narrow(Fraction(v)) for v in values})",
+        "new": "values = sorted({Fraction(v) for v in values})",
         "tests": ["tests/test_linalg.py"],
     },
     {
@@ -234,15 +258,6 @@ MUTANTS = [
 # Edits that change the code but not what it computes, with the reason; they
 # are listed so that nobody spends time trying to kill them, and are not run.
 EQUIVALENT = [
-    {
-        "name": "the compiled system of a search drops the twist-commutation residuals",
-        "reason": (
-            "both searches only visit points that commute with the twists: the iso "
-            "search walks the kernel points of the twist equations "
-            "(linalg.grid_kernel_points) and the operator search combines a "
-            "nullspace basis of them, so those residuals vanish at every point"
-        ),
-    },
     {
         "name": "the op join multiplies every pair of present entries, with no support prefilter",
         "reason": (

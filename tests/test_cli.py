@@ -471,3 +471,20 @@ def test_failing_check_report_prints_the_report_text_and_serializes_once(
     assert summary.endswith("violation(s))") and "fail" in summary
     assert rest == report_path.read_text(encoding="utf-8")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["solve-op", "iso"])
+def test_oversized_grid_is_refused_before_a_value_is_built(monkeypatch, capsys, command):
+    # the count is sum over d of ((hi - lo) * d + 1), repeats included:
+    # 0..4999 over 1,1 counts 10,000 values and is allowed
+    assert len(cli._parse_grid("0..4999", "1,1")) == 5000 and cli.MAX_GRID_VALUES == 10_000
+    d4 = corpus_path("dim3/D4.json")
+    argv = [command, d4] + (["--kind", "averaging_quadri"] if command == "solve-op" else [d4])
+    built = []
+    monkeypatch.setattr(cli, "Fraction", lambda *args: built.append(args))
+    assert main(argv + ["--grid=-1000000000..1000000000"]) == 2
+    assert main(argv + ["--grid=0..3333", "--denominators", "1,2"]) == 2  # 3,334 + 6,667
+    assert built == []
+    err = capsys.readouterr().err
+    assert "grid of 2000000001 values is above the limit of 10000 values" in err
+    assert "grid of 10001 values is above the limit of 10000 values" in err

@@ -1,9 +1,10 @@
 """The grid searches against the candidate-by-candidate enumerators of the
 oracle.
 
-`solve_operators_grid` and `brute_force_iso_search` visit only the points of
-the exact twist-commutation subspace and test them against a compiled
-equation system.  `oracle.grid_operator_solutions` and
+`solve_operators_grid` and `brute_force_iso_search` compile their equations
+over the coefficients c of a basis of the twist-commutation subspace and walk
+c depth-first over the grid (`linalg.grid_walk`), testing each equation as
+soon as its last coefficient is bound.  `oracle.grid_operator_solutions` and
 `oracle.first_grid_isomorphism` visit every candidate in plain Fractions and
 check it in full.  Solution lists must agree in content and order, and the
 first isomorphism must be the same matrix.  The searches return what the
@@ -11,6 +12,8 @@ compiled system accepts without checking it again, so every solution must
 also pass `verify_operator` and every isomorphism `verify_isomorphism`.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -19,10 +22,10 @@ import pytest
 from helpers import associative_pool, random_action, sec2_diassociative, zero_bundle
 from oracle import first_grid_isomorphism, grid_operator_solutions
 from homsplit.corpus import CORPUS_ROOT, load_algebra
-from homsplit.model import AlgebraBundle, LinearMap, RepresentationBundle
+from homsplit.model import AlgebraBundle, BilinearOp, LinearMap, RepresentationBundle
 from homsplit.morphisms import brute_force_iso_search, push_forward, verify_isomorphism
 from homsplit.operators import solve_operators_grid, verify_operator
-from homsplit.poly import IntegerForm, Polynomial
+from homsplit.poly import CompiledSystem, IntegerForm, Polynomial
 
 GRID = [Fraction(-1), Fraction(0), Fraction(1)]
 # --grid=-1..1 --denominators 1,2
@@ -98,6 +101,23 @@ def test_iso_matches_oracle_on_corpus_contexts():
                 assert verify_isomorphism(context.kind, isomorphism, partner, context).ok, label
             found += expected is not None
     assert found >= len(corpus_contexts())  # every self pair at least
+
+
+def test_iso_matches_oracle_on_halves_for_dim2_contexts():
+    rng = random.Random(17)
+    for label, context in corpus_contexts():
+        if context.dim != 2:
+            continue
+        partners = [context]
+        while len(partners) < 2:
+            inside = LinearMap.from_fractions(
+                [[rng.choice(HALVES) for _ in range(2)] for _ in range(2)]
+            )
+            if inside.determinant():
+                partners.append(push_forward(context, inside))
+        for partner in partners:
+            expected = first_grid_isomorphism(partner, context, HALVES)
+            assert found_rows(brute_force_iso_search(partner, context, HALVES)) == expected, label
 
 
 def test_iso_answer_is_row_major_first_not_enumeration_first():
@@ -197,3 +217,49 @@ def test_searches_build_no_polynomial_from_the_engine_residuals(monkeypatch):
     assert solve_operators_grid(d4, "averaging_quadri", GRID)
     assert brute_force_iso_search(moved, d4, GRID) is not None
     assert calls == []
+
+
+def counting_vanishes_at(monkeypatch) -> list:
+    """Record the (bound coordinates of the) points `CompiledSystem.vanishes_at`
+    is asked about, one per node of a search's walk."""
+    seen = []
+    original = CompiledSystem.vanishes_at
+
+    def counted(self, point, depth=None):
+        seen.append(tuple(point if depth is None else point[:depth]))
+        return original(self, point, depth)
+
+    monkeypatch.setattr(CompiledSystem, "vanishes_at", counted)
+    return seen
+
+
+def test_d13_walk_visits_the_pinned_node_count(monkeypatch):
+    # D13 at a = b = c = 1 over -2..2: the 225 solutions of the exhaustive
+    # search (their digest is that of the unpruned enumeration), reached in
+    # 100,906 nodes, the root included, against 5^9 = 1,953,125 points
+    d13 = load_algebra(CORPUS_ROOT / "dim3" / "D13.json").specialize({"a": 1, "b": 1, "c": 1})
+    seen = counting_vanishes_at(monkeypatch)
+    solutions = solve_operators_grid(d13, "averaging_quadri", range(-2, 3))
+    text = json.dumps([[[str(v) for v in row] for row in rows] for rows in rows_of(solutions)])
+    assert len(solutions) == 225
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "335379cee1620b6cc6397e95487fc5201b582a595f9a310e0765c4a367669cd4"
+    )
+    assert len(seen) == 100906
+
+
+def test_fractional_basis_reaches_the_system_as_grid_values(monkeypatch):
+    # the matrices commuting with [[0, 1], [2, 0]] have the first-column
+    # echelon basis (0, 1/2, 1, 0), (1, 0, 0, 1): the solutions hold halves,
+    # but the system is evaluated at the coefficients, which are grid ints
+    alpha = LinearMap.from_fractions([[0, 1], [2, 0]])
+    zero = zero_bundle("quadri_dendriform", 2, QUADRI_OPS, alpha)
+    ops = dict(zero.ops, succ_vdash=BilinearOp.square(2, [(1, 1, 1, Polynomial.one())]))
+    halves = []
+    for context in (zero, AlgebraBundle(zero.kind, 2, ops, alpha, ())):
+        seen = counting_vanishes_at(monkeypatch)
+        solutions = rows_of(solve_operators_grid(context, "averaging_quadri", GRID))
+        assert solutions == grid_operator_solutions("averaging_quadri", context, GRID)
+        assert seen and all(type(v) is int and v in GRID for point in seen for v in point)
+        halves.append(sum(rows[0][1].denominator == 2 for rows in solutions))
+    assert halves == [6, 0]  # every commuting grid combination, then a pruned system

@@ -235,11 +235,35 @@ def test_entries_must_be_ints_or_fractions(call):
         call()
 
 
-@pytest.mark.parametrize("values", [[-1, 0, 1], [-1, Fraction(-1, 2), 0, Fraction(1, 2), 1]])
-def test_kernel_walk_yields_the_grid_kernel_with_ints_where_integral(values):
-    # x2 = (x0 + x1) / 2: the pivot's coefficients are halves, and an integral
-    # value must still come out an int, so that a compiled system evaluated
-    # at the point runs on ints
-    points = list(linalg.grid_kernel_points([[-1, -1, 2]], 3, values))
-    assert points == [p for p in itertools.product(values, repeat=3) if 2 * p[2] == p[0] + p[1]]
+@pytest.mark.parametrize(
+    "values", [[1, 0, -1, 0], [1, Fraction(-1, 2), Fraction(0), Fraction(1, 2), -1]]
+)
+def test_grid_walk_yields_the_admitted_product_points_with_ints_where_integral(values):
+    # admit a prefix while its sum is <= 0: the points whose partial sums all
+    # stay <= 0, in the order of the product over the sorted distinct values,
+    # integral values as ints so that a compiled system runs on ints
+    grid = sorted(set(values))
+    calls = []
+
+    def accept(point, depth):
+        calls.append(tuple(point[:depth]))
+        return sum(point[:depth]) <= 0
+
+    points = list(linalg.grid_walk(3, values, accept))
+    assert points == [
+        p for p in itertools.product(grid, repeat=3) if all(sum(p[:k]) <= 0 for k in (1, 2, 3))
+    ]
     assert all(type(v) is int for p in points for v in p if Fraction(v).denominator == 1)
+    # the root once, then every value after each admitted inner prefix; a
+    # refused prefix is never extended
+    assert calls[0] == ()
+    extended = [prefix for prefix in calls if len(prefix) < 3 and sum(prefix) <= 0]
+    assert len(calls) == 1 + len(grid) * len(extended)
+    assert all(sum(prefix[:-1]) <= 0 for prefix in calls[1:])
+
+
+def test_grid_walk_at_the_root():
+    assert list(linalg.grid_walk(0, [1, 2], lambda point, depth: True)) == [()]
+    assert list(linalg.grid_walk(2, [1, 2], lambda point, depth: depth == 0)) == []
+    assert list(linalg.grid_walk(2, [1, 2], lambda point, depth: False)) == []
+    assert list(linalg.grid_walk(1, [], lambda point, depth: True)) == []

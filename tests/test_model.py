@@ -99,9 +99,14 @@ def test_map_transpose_swaps_rows_and_columns_at_every_shape():
     m = LinearMap.from_strings([["1", "a", "0"], ["-1/2", "0", "b^2"]])
     assert m.transpose() == LinearMap.from_strings([["1", "-1/2"], ["a", "0"], ["0", "b^2"]])
     assert m.transpose().transpose() == m
-    # from_rows cannot tell a 0 x 2 map from a 0 x 0 one
-    assert LinearMap(0, 2, ()).transpose() == LinearMap(2, 0, ((), ()))
-    assert LinearMap(2, 0, ((), ())).transpose() == LinearMap(0, 2, ())
+    assert LinearMap.zero(0, 2).transpose() == LinearMap.zero(2, 0)
+    assert LinearMap.zero(2, 0).transpose() == LinearMap.zero(0, 2)
+
+
+def test_zero_map_keeps_its_shape_without_rows():
+    assert (LinearMap.zero(0, 2).dim_out, LinearMap.zero(0, 2).dim_in) == (0, 2)
+    assert LinearMap.zero(0, 2) != LinearMap.zero(0, 0)
+    assert LinearMap.zero(2, 3) == LinearMap.from_fractions([[0, 0, 0], [0, 0, 0]])
 
 
 # -- bundle_specialize ----------------------------------------------------------
