@@ -262,6 +262,20 @@ def test_grid_walk_yields_the_admitted_product_points_with_ints_where_integral(v
     assert all(sum(prefix[:-1]) <= 0 for prefix in calls[1:])
 
 
+@pytest.mark.parametrize("values", [[-1, 0, 1], [-1, Fraction(-1, 2), 0, Fraction(1, 2), 1]])
+def test_kernel_walk_yields_the_grid_kernel_with_ints_where_integral(values):
+    # the kernel of 2 x2 = x0 + x1 on the grid, tested as soon as x2 is bound
+    # the way a compiled system files an equation under its last coefficient;
+    # an integral value must still come out an int, so that a compiled system
+    # evaluated at the point runs on ints
+    def accept(point, depth):
+        return depth < 3 or 2 * point[2] == point[0] + point[1]
+
+    points = list(linalg.grid_walk(3, values, accept))
+    assert points == [p for p in itertools.product(values, repeat=3) if 2 * p[2] == p[0] + p[1]]
+    assert all(type(v) is int for p in points for v in p if Fraction(v).denominator == 1)
+
+
 def test_grid_walk_at_the_root():
     assert list(linalg.grid_walk(0, [1, 2], lambda point, depth: True)) == [()]
     assert list(linalg.grid_walk(2, [1, 2], lambda point, depth: depth == 0)) == []
