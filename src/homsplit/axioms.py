@@ -409,19 +409,10 @@ class _Plan:
         return slot
 
 
-_PLANS: dict = {}
-_PLAN_LIMIT = 64
-
-
+@functools.lru_cache(maxsize=64)
 def _plan(templates: tuple) -> _Plan:
-    """The plan of a template set, kept for the last `_PLAN_LIMIT` sets."""
-    key = templates
-    plan = _PLANS.get(key)
-    if plan is None:
-        if len(_PLANS) >= _PLAN_LIMIT:
-            del _PLANS[next(iter(_PLANS))]
-        plan = _PLANS[key] = _Plan(templates)
-    return plan
+    """The plan of a template set, kept for the 64 sets used last."""
+    return _Plan(templates)
 
 
 def _join(a: dict, b: dict, apply, reach, at_a, at_b, pick) -> dict:

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: check, construct, verify-op, solve-op, emit-system,
-fingerprint, iso, corpus.  Output is machine-first (JSON reports, stable
-key order) with a one-line human summary on stdout.  Every JSON payload is
+Subcommands: check, construct (dispatched by the one table `CONSTRUCTIONS`),
+verify-op, solve-op and iso (both walk `operators.grid_points`), emit-system,
+fingerprint, corpus.  Output is machine-first (JSON reports, stable key
+order) with a one-line human summary on stdout.  Every JSON payload is
 written once, by `files.json_text`.
 
 Exit codes: 0 all pass; 1 violations or discrepancies found; 2 input error.
@@ -58,22 +59,39 @@ def _publish(args, payload: dict, summary: str | None = None, show: bool = True)
         print(text)
 
 
-# The operator kind each operator-induced construction takes.
-CONSTRUCT_OPERATOR_KINDS = {
-    "avg-dias": "averaging_assoc",
-    "rb-dias": "rota_baxter",
-    "ravg-quadri": "relative_averaging",
-    "havg-six": "homomorphic_relative_averaging",
+# construct name -> (construction, its input files in order: "algebra",
+# "representation", "action" or the kind of an operator file); a construction
+# takes --force exactly when one of its inputs is not an algebra
+CONSTRUCTIONS = {
+    "sum-dias": (constructions.quadri_to_diassociative, ("algebra",)),
+    "sum-tri": (constructions.six_to_triassociative, ("algebra",)),
+    "dsum": (constructions.direct_sum_quadri, ("algebra", "algebra")),
+    "hemi": (constructions.hemi_semidirect, ("representation",)),
+    "semidirect": (constructions.semidirect_dendriform, ("action",)),
+    "quotient": (constructions.quotient_dendriform, ("algebra",)),
+    "avg-dias": (constructions.averaging_induced_diassociative, ("algebra", "averaging_assoc")),
+    "rb-dias": (constructions.rota_baxter_induced, ("algebra", "rota_baxter")),
+    "ravg-quadri": (
+        constructions.relative_averaging_induced_quadri, ("representation", "relative_averaging")
+    ),
+    "havg-six": (
+        constructions.homomorphic_averaging_induced_six,
+        ("action", "homomorphic_relative_averaging"),
+    ),
 }
 
 
-def _load_construct_operator(name: str, path):
-    """The matrix of an operator file whose kind is the one `name` takes."""
+def _load_input(name: str, shape: str, path):
+    """The bundle of a construct input file of the given shape, or the matrix
+    of an operator file whose kind is `shape`."""
+    if path is None:
+        raise corpus.CorpusError(f"construct {name}: missing input file(s)")
+    if shape not in OPERATOR_KINDS:
+        return getattr(corpus, f"load_{shape}")(path)
     kind, matrix = corpus.load_operator(path)
-    expected = CONSTRUCT_OPERATOR_KINDS[name]
-    if kind != expected:
+    if kind != shape:
         raise corpus.CorpusError(
-            f"construct {name} needs an operator of kind {expected!r}, "
+            f"construct {name} needs an operator of kind {shape!r}, "
             f"but {path} has kind {kind!r}"
         )
     return matrix
@@ -133,55 +151,22 @@ def _cmd_check(args) -> int:
 
 def _cmd_construct(args) -> int:
     name = args.name
-    force = args.force
+    build, shapes = CONSTRUCTIONS[name]
+    paths = iter(args.inputs)
+    inputs = [_load_input(name, shape, next(paths, None)) for shape in shapes]
+    forced = {"force": args.force} if set(shapes) != {"algebra"} else {}
     try:
-        if name == "sum-dias":
-            out = constructions.quadri_to_diassociative(corpus.load_algebra(args.inputs[0]))
-        elif name == "sum-tri":
-            out = constructions.six_to_triassociative(corpus.load_algebra(args.inputs[0]))
-        elif name == "dsum":
-            out = constructions.direct_sum_quadri(
-                corpus.load_algebra(args.inputs[0]), corpus.load_algebra(args.inputs[1])
-            )
-        elif name == "hemi":
-            out = constructions.hemi_semidirect(
-                corpus.load_representation(args.inputs[0]), force=force
-            )
-        elif name == "semidirect":
-            out = constructions.semidirect_dendriform(
-                corpus.load_action(args.inputs[0]), force=force
-            )
-        elif name == "quotient":
-            result = constructions.quotient_dendriform(corpus.load_algebra(args.inputs[0]))
-            if not result.ok:
-                print("quotient refused: preconditions failed", file=sys.stderr)
-                print(_dump(result.report.payload()), file=sys.stderr)
-                return 1
-            out = result.bundle
-        elif name == "avg-dias":
-            algebra = corpus.load_algebra(args.inputs[0])
-            matrix = _load_construct_operator(name, args.inputs[1])
-            out = constructions.averaging_induced_diassociative(algebra, matrix, force=force)
-        elif name == "rb-dias":
-            algebra = corpus.load_algebra(args.inputs[0])
-            matrix = _load_construct_operator(name, args.inputs[1])
-            out = constructions.rota_baxter_induced(algebra, matrix, force=force)
-        elif name == "ravg-quadri":
-            rep = corpus.load_representation(args.inputs[0])
-            matrix = _load_construct_operator(name, args.inputs[1])
-            out = constructions.relative_averaging_induced_quadri(rep, matrix, force=force)
-        elif name == "havg-six":
-            action = corpus.load_action(args.inputs[0])
-            matrix = _load_construct_operator(name, args.inputs[1])
-            out = constructions.homomorphic_averaging_induced_six(action, matrix, force=force)
-        else:
-            raise corpus.CorpusError(f"unknown construction {name!r}")
+        out = build(*inputs, **forced)
     except PreconditionError as exc:
         print(f"construct {name} refused: {exc}", file=sys.stderr)
         print(_dump(exc.report.payload()), file=sys.stderr)
         return 1
-    except IndexError:
-        raise corpus.CorpusError(f"construct {name}: missing input file(s)")
+    if isinstance(out, constructions.QuotientResult):
+        if not out.ok:
+            print(f"{name} refused: preconditions failed", file=sys.stderr)
+            print(_dump(out.report.payload()), file=sys.stderr)
+            return 1
+        out = out.bundle
     header = f"construct {name} " + " ".join(str(p) for p in args.inputs)
     write_json(args.output, algebra_to_dict(out), header=header)
     print(f"wrote {args.output} ({out.kind}, dimension {out.dim})")
@@ -320,13 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("construct", help="run a structure-producing construction")
-    p.add_argument(
-        "name",
-        choices=[
-            "sum-dias", "sum-tri", "dsum", "hemi", "semidirect",
-            "quotient", "avg-dias", "rb-dias", "ravg-quadri", "havg-six",
-        ],
-    )
+    p.add_argument("name", choices=list(CONSTRUCTIONS))
     p.add_argument("inputs", nargs="+", help="input algebra/representation/operator files")
     p.add_argument("-o", "--output", required=True, help="output algebra file")
     p.add_argument(

@@ -62,6 +62,12 @@ def _declared(*param_sources) -> tuple:
     return tuple(sorted(set().union(*param_sources)))
 
 
+def _refuse_unless(precondition: Report, force: bool, message: str) -> None:
+    """Refuse with `message` unless `precondition` passes or `force`."""
+    if not precondition.ok and not force:
+        raise PreconditionError(message, precondition)
+
+
 # ---------------------------------------------------------------------------
 # sum-splittings
 
@@ -135,9 +141,7 @@ def hemi_semidirect(rep: RepresentationBundle, force: bool = False) -> AlgebraBu
     (x,u) succ_vdash (y,v) = (x succ y, x succ_l v)
     (x,u) succ_dashv (y,v) = (x succ y, u succ_r y)       twist: alpha + beta
     """
-    precondition = check_representation(rep)
-    if not precondition.ok and not force:
-        raise PreconditionError("representation does not verify", precondition)
+    _refuse_unless(check_representation(rep), force, "representation does not verify")
     d, m = rep.base.dim, rep.module_dim
     n = d + m
 
@@ -167,9 +171,7 @@ def semidirect_dendriform(action: ActionBundle, force: bool = False) -> AlgebraB
     (x,u) prec (y,v) = (x prec y, x prec_l v + u prec_r y + u prec' v)
     (x,u) succ (y,v) = (x succ y, x succ_l v + u succ_r y + u succ' v)
     """
-    precondition = check_action(action)
-    if not precondition.ok and not force:
-        raise PreconditionError("action does not verify", precondition)
+    _refuse_unless(check_action(action), force, "action does not verify")
     d, m = action.acting.dim, action.acted.dim
     n = d + m
 
@@ -327,8 +329,7 @@ def averaging_induced_diassociative(
 ) -> AlgebraBundle:
     """a dashv b = mu(a, Hb), a vdash b = mu(Ha, b)."""
     precondition = _operators.verify_averaging_assoc(algebra, avg)
-    if not precondition.ok and not force:
-        raise PreconditionError("averaging operator does not verify", precondition)
+    _refuse_unless(precondition, force, "averaging operator does not verify")
     dim = algebra.dim
     dims, ops, maps = {"D": dim}, {"mu": algebra.op("mu")}, {"H": avg}
     dashv = induced_op(Op("mu", _X, App("H", _Y)), ("D", "D", "D"), dims, ops, maps)
@@ -347,8 +348,7 @@ def rota_baxter_induced(
 ) -> AlgebraBundle:
     """x new-dashv y = Rx dashv y + x dashv Ry, and the vdash analogue."""
     precondition = _operators.verify_rota_baxter(algebra, rb)
-    if not precondition.ok and not force:
-        raise PreconditionError("Rota-Baxter operator does not verify", precondition)
+    _refuse_unless(precondition, force, "Rota-Baxter operator does not verify")
     dim = algebra.dim
 
     def induced(name: str) -> BilinearOp:
@@ -386,8 +386,7 @@ def relative_averaging_induced_quadri(
 ) -> AlgebraBundle:
     """Quadri structure on the module: u prec_vdash v = T(u) prec_l v, etc."""
     precondition = _operators.verify_relative_averaging(rep, avg)
-    if not precondition.ok and not force:
-        raise PreconditionError("relative averaging operator does not verify", precondition)
+    _refuse_unless(precondition, force, "relative averaging operator does not verify")
     return AlgebraBundle(
         kind="quadri_dendriform",
         dim=rep.module_dim,
@@ -403,10 +402,7 @@ def homomorphic_averaging_induced_six(
     """Six-dendriform structure on the acted algebra: perp ops are its own
     pair, the four T-twisted ops come from the action."""
     precondition = _operators.verify_homomorphic_relative_averaging(action, avg)
-    if not precondition.ok and not force:
-        raise PreconditionError(
-            "homomorphic relative averaging operator does not verify", precondition
-        )
+    _refuse_unless(precondition, force, "homomorphic relative averaging operator does not verify")
     ops = _twisted_actions(action.actions, avg, action.acted.dim)
     ops["prec_perp"] = action.acted.op("prec")
     ops["succ_perp"] = action.acted.op("succ")

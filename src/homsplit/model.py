@@ -301,6 +301,10 @@ class BilinearOp:
 # bundles
 
 
+def _parameters(*parts) -> frozenset:
+    return frozenset().union(*(part.parameters() for part in parts))
+
+
 @dataclass(frozen=True, eq=True)
 class AlgebraBundle:
     kind: str
@@ -313,10 +317,7 @@ class AlgebraBundle:
         return self.ops[name]
 
     def used_parameters(self) -> frozenset:
-        names = set(self.twist.parameters())
-        for op in self.ops.values():
-            names |= op.parameters()
-        return frozenset(names)
+        return _parameters(self.twist, *self.ops.values())
 
     def specialize(self, bindings: Mapping) -> "AlgebraBundle":
         for name in bindings:
@@ -390,10 +391,7 @@ class RepresentationBundle:
         return self.actions[name]
 
     def used_parameters(self) -> frozenset:
-        names = set(self.base.used_parameters()) | set(self.module_twist.parameters())
-        for op in self.actions.values():
-            names |= op.parameters()
-        return frozenset(names)
+        return self.base.used_parameters() | _parameters(self.module_twist, *self.actions.values())
 
     def specialize(self, bindings: Mapping) -> "RepresentationBundle":
         return RepresentationBundle(
@@ -420,6 +418,10 @@ class RepresentationBundle:
                 flag(f"structure.action-dim:{name}")
         if (self.module_twist.dim_out, self.module_twist.dim_in) != (m, m):
             flag("structure.module-twist-dim")
+        # the names the base's own ops and twist use are flagged by the base
+        known = self.base.used_parameters().union(self.base.parameters)
+        for name in sorted(self.used_parameters() - known):
+            flag(f"structure.undeclared-parameter:{name}")
         return Report(entries)
 
 
@@ -449,10 +451,7 @@ class ActionBundle:
         )
 
     def used_parameters(self) -> frozenset:
-        names = set(self.acting.used_parameters()) | set(self.acted.used_parameters())
-        for op in self.actions.values():
-            names |= op.parameters()
-        return frozenset(names)
+        return self.representation().used_parameters() | self.acted.used_parameters()
 
     def specialize(self, bindings: Mapping) -> "ActionBundle":
         return ActionBundle(
@@ -462,11 +461,10 @@ class ActionBundle:
         )
 
     def validate(self) -> Report:
-        entries = list(self.representation().validate().entries)
-        acted_report = self.acted.validate()
-        entries.extend(acted_report.entries)
+        entries = self.representation().validate().entries
+        reported = set(entries)  # the acted twist is the module twist: flag its names once
+        entries += [violation for violation in self.acted.validate().entries
+                    if violation not in reported]
         if self.acted.kind != "dendriform":
-            entries.append(
-                Violation("structure.acted-kind", (), Polynomial.zero())
-            )
+            entries.append(Violation("structure.acted-kind", (), Polynomial.zero()))
         return Report(entries)

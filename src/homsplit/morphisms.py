@@ -4,25 +4,26 @@ isomorphism search over a rational grid.
 Fingerprints are necessary conditions computed exactly over the rationals
 (ranks and characteristic polynomials by integer elimination, `linalg`):
 unequal fingerprints certify non-isomorphism; equal ones decide nothing.
-The grid search writes the matrices commuting with the twists as T(c) =
-sum_k c_k B_k, c_k the k-th free entry in row-major order and each other
-entry a combination of earlier ones, and walks c over the grid
-(`linalg.grid_walk`), testing each homomorphism equation of T(c)
-(`poly.CompiledSystem`) once its last coefficient is bound.  The first T(c)
-in the grid with det T != 0 passes `verify_isomorphism` and comes first in
-row-major order.  "No isomorphism within the grid" is never a proof.
+The grid search takes its candidates from `operators.grid_points`, the one
+walk both grid searches share: T(c) = sum_k c_k B_k over the matrices
+commuting with the twists, c_k the k-th free entry in row-major order
+(`row_major`), pruned by the homomorphism equations of T(c).  The first T(c)
+whose entries lie in the grid with det T != 0 passes `verify_isomorphism`
+and comes first in row-major order.  "No isomorphism within the grid" is
+never a proof.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import linalg
 from .axioms import App, Op, Var, check_homomorphism
 from .constructions import induced_op
-from .model import AlgebraBundle, LinearMap, span_matrix
-from .poly import CompiledSystem, Polynomial
+from .model import AlgebraBundle, LinearMap
+from .operators import grid_points
+from .poly import Polynomial
 from .report import Report, Violation
 
 
@@ -44,17 +45,7 @@ class Fingerprint:
         }
 
     def differing_fields(self, other: "Fingerprint") -> list:
-        out = []
-        for name in (
-            "op_span_dims",
-            "total_span_dim",
-            "twist_rank",
-            "twist_charpoly",
-            "annihilator_dim",
-        ):
-            if getattr(self, name) != getattr(other, name):
-                out.append(name)
-        return out
+        return [f.name for f in fields(self) if getattr(self, f.name) != getattr(other, f.name)]
 
 
 def fingerprint(bundle: AlgebraBundle) -> Fingerprint:
@@ -81,13 +72,12 @@ def fingerprint(bundle: AlgebraBundle) -> Fingerprint:
                 equations.append([table.get((i, j, k), zero) for i in range(1, n + 1)])
                 equations.append([table.get((j, i, k), zero) for i in range(1, n + 1)])
     twist_rows = bundle.twist.to_fraction_rows()
-    annihilator = len(linalg.nullspace(equations, ncols=n)) if equations else n
     return Fingerprint(
         op_span_dims=tuple(op_dims),
-        total_span_dim=linalg.rank(all_rows) if all_rows else 0,
+        total_span_dim=linalg.rank(all_rows),
         twist_rank=linalg.rank(twist_rows),
         twist_charpoly=tuple(linalg.charpoly(twist_rows)),
-        annihilator_dim=annihilator,
+        annihilator_dim=n - linalg.rank(equations),
     )
 
 
@@ -147,21 +137,11 @@ def brute_force_iso_search(
         raise ValueError("brute-force isomorphism search is limited to dim <= 3")
     if source.used_parameters() or target.used_parameters():
         raise ValueError("isomorphism search needs parameter-free bundles")
-    n = source.dim
-    equations = linalg.intertwiner_equations(
-        source.twist.to_fraction_rows(), target.twist.to_fraction_rows()
-    )
-    # the last-column echelon basis, in the order of its free entries
-    reversed_basis = linalg.nullspace([row[::-1] for row in equations], ncols=n * n)
-    basis = [vector[::-1] for vector in reversed(reversed_basis)]
-    names, symbolic = span_matrix(basis, n, n)
-    report = check_homomorphism(source.kind, symbolic, source, target)
-    system = CompiledSystem(report.entries, names)
     allowed = {Fraction(v) for v in grid}
-    for c in linalg.grid_walk(len(basis), grid, system.vanishes_at):
-        point = linalg.combination(basis, c, n * n)
-        rows = [list(point[r * n : (r + 1) * n]) for r in range(n)]
+    check = lambda linear: check_homomorphism(source.kind, linear, source, target)
+    twists, shape = (source.twist, target.twist), (source.dim, source.dim)
+    for rows in grid_points(twists, shape, check, grid, row_major=True):
         # the zero matrix and other singular ones satisfy every equation
-        if allowed.issuperset(point) and linalg.determinant(rows) != 0:
+        if all(allowed.issuperset(row) for row in rows) and linalg.determinant(rows) != 0:
             return LinearMap.from_fractions(rows)
     return None

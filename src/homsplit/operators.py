@@ -21,6 +21,8 @@ Each identity is an `axioms` template in which the operator is the named map
 commutation included (`axioms.twist_template`, over the transposed maps);
 the homomorphic kind adds the one call of `axioms.check_homomorphism`.
 Graph closure is checked the same way (templates "graph.*").
+Both grid searches, `solve_operators_grid` and
+`morphisms.brute_force_iso_search`, walk the one routine `grid_points`.
 """
 
 from __future__ import annotations
@@ -201,58 +203,57 @@ def graph_is_subalgebra(
 # equation extraction and grid solving
 
 
-def _context_parameters(context) -> frozenset:
-    if isinstance(context, AlgebraBundle):
-        return frozenset(context.parameters) | context.used_parameters()
-    return context.used_parameters()
-
-
 def emit_operator_system(
     context, kind: str, unknown_prefix: str = "t", strict_twist: bool = False
 ) -> list:
     """The polynomial system in the unknown matrix entries t{i}{j} whose
     common zero set is exactly the operator variety; deterministic order."""
-    rows, cols = _resolve(kind, context).shape
-    names, symbolic = unknown_matrix(rows, cols, unknown_prefix)
-    clash = sorted(set(names) & _context_parameters(context))
+    names, symbolic = unknown_matrix(*_resolve(kind, context).shape, unknown_prefix)
+    clash = sorted(set(names) & context.used_parameters())
     if clash:
         raise ValueError(f"unknown names collide with context parameters: {clash}")
     violations = verify_operator(kind, context, symbolic, strict_twist=strict_twist).entries
     return list(dict.fromkeys(violation.residual for violation in violations))
 
 
+def grid_points(twists: tuple, shape: tuple, residuals, grid, row_major: bool = False):
+    """Yield, in walk order, the rows of each X(c) = sum_k c_k B_k, c on the
+    grid, at which the residuals of the report `residuals(X(c))` vanish.  B
+    spans the `shape` matrices with X inner = outer X, (inner, outer) =
+    `twists` (all of them with no twist), in first-column echelon form, or in
+    last-column echelon form when `row_major`: c_k is then the k-th free
+    entry in row-major order, so walk order is row-major order.  Each residual
+    is compiled once and tested as soon as its last c_k is bound."""
+    rows, cols = shape
+    size = rows * cols
+    twist_rows = [twist.to_fraction_rows() for twist in twists]
+    equations = linalg.intertwiner_equations(*twist_rows) if twists else []
+    if row_major:
+        reversed_basis = linalg.nullspace([row[::-1] for row in equations], ncols=size)
+        basis = [vector[::-1] for vector in reversed(reversed_basis)]
+    else:
+        basis = linalg.nullspace(equations, ncols=size)
+    names, symbolic = span_matrix(basis, rows, cols)
+    system = CompiledSystem(residuals(symbolic).entries, names)
+    for c in linalg.grid_walk(len(basis), grid, system.vanishes_at):
+        point = linalg.combination(basis, c, size)
+        yield tuple(point[r * cols : (r + 1) * cols] for r in range(rows))
+
+
 def solve_operators_grid(
     context, kind: str, grid, strict_twist: bool = False
 ) -> list:
-    """Enumerate operator solutions whose coefficients lie on a rational grid.
-
-    The twist-commutation constraints are solved exactly first, giving a
-    basis B_k of the matrices commuting with the twists (of every matrix
-    when no twist is checked).  The residuals `verify_operator` finds at
-    X(c) = sum_k c_k B_k are compiled once (`CompiledSystem`), and a
-    depth-first walk runs c over the grid (`linalg.grid_walk`), testing each
-    as soon as its last coefficient is bound.  The X(c) that survive are
-    returned in row-major order of their entries.  Completeness is claimed
-    only relative to the grid.
-    """
+    """The operators X(c) with c on a rational grid (`grid_points` over the
+    residuals `verify_operator` finds), in row-major order of their entries.
+    Completeness is claimed only relative to the grid."""
     frame = _resolve(kind, context, strict_twist)
-    rows, cols = frame.shape
-    if max(rows, cols) > 3:
+    if max(frame.shape) > 3:
         raise ValueError("grid solving is limited to dimensions <= 3")
-    if _context_parameters(context):
+    if context.used_parameters():
         raise ValueError("grid solving needs a parameter-free context; specialize first")
-    n_unknowns = rows * cols
-    twists = [twist.to_fraction_rows() for twist in frame.twists]
-    equations = linalg.intertwiner_equations(*twists) if twists else []
-    basis = linalg.nullspace(equations, ncols=n_unknowns)
-    names, symbolic = span_matrix(basis, rows, cols)
-    report = verify_operator(kind, context, symbolic, strict_twist=strict_twist)
-    system = CompiledSystem(report.entries, names)
-    found = linalg.grid_walk(len(basis), grid, system.vanishes_at)
-    return [
-        LinearMap.from_fractions([point[r * cols : (r + 1) * cols] for r in range(rows)])
-        for point in sorted(linalg.combination(basis, c, n_unknowns) for c in found)
-    ]
+    check = lambda matrix: verify_operator(kind, context, matrix, strict_twist=strict_twist)
+    points = sorted(grid_points(frame.twists, frame.shape, check, grid))
+    return [LinearMap.from_fractions(rows) for rows in points]
 
 
 def family_membership(family: LinearMap, candidate: LinearMap):

@@ -56,6 +56,8 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
+from .linalg import _exact
+
 Monomial = tuple
 
 ScalarLike = Union[int, Fraction]
@@ -79,14 +81,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
-
-
-def _exact(value: ScalarLike) -> Fraction:
-    """An int or Fraction as a Fraction; a float is refused, since it would
-    carry its binary rounding (0.1 is 3602879701896397/36028797018963968)."""
-    if not isinstance(value, (int, Fraction)):
-        raise TypeError(f"expected an int or Fraction, got {type(value).__name__} {value!r}")
-    return Fraction(value)
 
 
 def _mono_key(mono: Monomial):
@@ -144,7 +138,7 @@ class Polynomial:
     @staticmethod
     def constant(value: ScalarLike) -> "Polynomial":
         """Made without `__init__`'s sort: one term or none is canonical."""
-        poly, value = object.__new__(Polynomial), _exact(value)
+        poly, value = object.__new__(Polynomial), Fraction(_exact(value))
         object.__setattr__(poly, "terms", (((), value),) if value else ())
         return poly
 
@@ -243,7 +237,7 @@ class Polynomial:
         """Substitute rational values for a subset of parameters."""
         if not bindings:
             return self
-        values = {name: _exact(v) for name, v in bindings.items()}
+        values = {name: Fraction(_exact(v)) for name, v in bindings.items()}
         out = []
         for mono, coeff in self.terms:
             kept = []

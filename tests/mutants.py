@@ -130,13 +130,6 @@ MUTANTS = [
         "tests": ["tests/test_packed_monomials.py"],
     },
     {
-        "name": "the plan cache is keyed by template ids only",
-        "file": "src/homsplit/axioms.py",
-        "old": "    key = templates\n",
-        "new": "    key = tuple(template.id for template in templates)\n",
-        "tests": ["tests/test_packed_monomials.py"],
-    },
-    {
         "name": "the row-indexed op kernel drops its last row",
         "file": "src/homsplit/axioms.py",
         "old": "rows = [tuple(row.items()) for row in rows]",
@@ -172,8 +165,8 @@ MUTANTS = [
     {
         "name": "the iso search drops its det != 0 test",
         "file": "src/homsplit/morphisms.py",
-        "old": "if allowed.issuperset(point) and linalg.determinant(rows) != 0:",
-        "new": "if allowed.issuperset(point):",
+        "old": "if all(allowed.issuperset(row) for row in rows) and linalg.determinant(rows) != 0:",
+        "new": "if all(allowed.issuperset(row) for row in rows):",
         "tests": ["tests/test_morphisms.py"],
     },
     {
@@ -218,12 +211,44 @@ MUTANTS = [
     {
         "name": "the iso search takes the first-column echelon basis",
         "file": "src/homsplit/morphisms.py",
-        "old": (
-            "    reversed_basis = linalg.nullspace([row[::-1] for row in equations], ncols=n * n)\n"
-            "    basis = [vector[::-1] for vector in reversed(reversed_basis)]\n"
-        ),
-        "new": "    basis = linalg.nullspace(equations, ncols=n * n)\n",
+        "old": "grid_points(twists, shape, check, grid, row_major=True)",
+        "new": "grid_points(twists, shape, check, grid, row_major=False)",
         "tests": ["tests/test_grid_search.py"],
+    },
+    {
+        "name": "the grid routine takes the last-column echelon basis whatever row_major says",
+        "file": "src/homsplit/operators.py",
+        "old": "    if row_major:\n",
+        "new": "    if True:\n",
+        "tests": ["tests/test_grid_search.py"],
+    },
+    {
+        "name": "the iso search keeps a point with an entry off the grid",
+        "file": "src/homsplit/morphisms.py",
+        "old": "if all(allowed.issuperset(row) for row in rows) and linalg.determinant(rows) != 0:",
+        "new": "if linalg.determinant(rows) != 0:",
+        "tests": ["tests/test_grid_search.py"],
+    },
+    {
+        "name": "the construct table forwards --force to an algebra-only construction",
+        "file": "src/homsplit/cli.py",
+        "old": 'forced = {"force": args.force} if set(shapes) != {"algebra"} else {}',
+        "new": 'forced = {"force": args.force}',
+        "tests": ["tests/test_cli.py"],
+    },
+    {
+        "name": "the precondition refusal refuses a forced build",
+        "file": "src/homsplit/constructions.py",
+        "old": "    if not precondition.ok and not force:\n",
+        "new": "    if not precondition.ok:\n",
+        "tests": ["tests/test_cli.py", "tests/test_constructions.py"],
+    },
+    {
+        "name": "the representation check reads the parameters of its base only",
+        "file": "src/homsplit/model.py",
+        "old": "for name in sorted(self.used_parameters() - known):",
+        "new": "for name in sorted(self.base.used_parameters() - known):",
+        "tests": ["tests/test_model.py"],
     },
     {
         "name": "the compiled system files each equation one level too early",

@@ -1,10 +1,12 @@
 """The grid searches against the candidate-by-candidate enumerators of the
 oracle.
 
-`solve_operators_grid` and `brute_force_iso_search` compile their equations
-over the coefficients c of a basis of the twist-commutation subspace and walk
-c depth-first over the grid (`linalg.grid_walk`), testing each equation as
-soon as its last coefficient is bound.  `oracle.grid_operator_solutions` and
+`solve_operators_grid` and `brute_force_iso_search` take their candidates
+from the one routine `operators.grid_points`: it compiles the equations over
+the coefficients c of a basis of the twist-commutation subspace (the
+last-column echelon basis for iso, `row_major`) and walks c depth-first over
+the grid (`linalg.grid_walk`), testing each equation as soon as its last
+coefficient is bound.  `oracle.grid_operator_solutions` and
 `oracle.first_grid_isomorphism` visit every candidate in plain Fractions and
 check it in full.  Solution lists must agree in content and order, and the
 first isomorphism must be the same matrix.  The searches return what the
@@ -263,3 +265,25 @@ def test_fractional_basis_reaches_the_system_as_grid_values(monkeypatch):
         assert seen and all(type(v) is int and v in GRID for point in seen for v in point)
         halves.append(sum(rows[0][1].denominator == 2 for rows in solutions))
     assert halves == [6, 0]  # every commuting grid combination, then a pruned system
+
+
+def test_a_declared_unused_parameter_leaves_solve_op_and_iso_as_they_are(tmp_path, capsys):
+    # solve-op, emit-system and iso test the parameters a context uses: one
+    # the algebra declares and never uses changes no answer
+    from homsplit.cli import main
+    from homsplit.files import algebra_to_dict, write_json
+
+    d6 = load_algebra(CORPUS_ROOT / "dim3" / "D6.json")
+    declared = AlgebraBundle(d6.kind, d6.dim, dict(d6.ops), d6.twist, ("a",))
+    expected = solve_operators_grid(d6, "averaging_quadri", GRID)
+    assert expected
+    assert solve_operators_grid(declared, "averaging_quadri", GRID) == expected
+    payloads = []
+    for name, algebra in (("plain", d6), ("declared", declared)):
+        path = tmp_path / f"{name}.json"
+        write_json(path, algebra_to_dict(algebra))
+        assert main(["solve-op", str(path), "--kind", "averaging_quadri", "--grid=-1..1"]) == 0
+        summary, _, text = capsys.readouterr().out.partition("\n")
+        payloads.append((summary, json.loads(text)["solutions"]))
+    assert payloads[0] == payloads[1]
+    assert brute_force_iso_search(declared, d6, GRID) == brute_force_iso_search(d6, d6, GRID)

@@ -202,6 +202,35 @@ def test_validate_flags_undeclared_parameter():
     )
 
 
+def test_validate_flags_an_undeclared_parameter_in_the_actions_or_beta():
+    base = deta()  # declares b and eta
+    rep = RepresentationBundle.adjoint(base)
+    assert rep.validate().ok
+    q_action = BilinearOp.square(3, [(1, 1, 2, P("q + eta"))])
+    q_beta = LinearMap.from_strings([["q", "0", "0"], ["0", "1", "0"], ["0", "0", "b"]])
+    for bad in (
+        RepresentationBundle(base, 3, {**rep.actions, "prec_l": q_action}, rep.module_twist),
+        RepresentationBundle(base, 3, rep.actions, q_beta),
+    ):
+        templates = [v.template for v in bad.validate().entries]
+        assert templates == ["structure.undeclared-parameter:q"]
+        data = representation_to_dict(bad)
+        assert representation_from_dict(data).validate().entries == bad.validate().entries
+        data["parameters"].append("q")
+        assert representation_from_dict(data).validate().ok
+    # an action file is checked through its representation, and a name the
+    # acted twist (the module twist) uses is flagged once
+    action = ActionBundle.adjoint(base)
+    acted = AlgebraBundle("dendriform", 3, action.acted.ops, q_beta, base.parameters)
+    for bad in (
+        ActionBundle(base, base, {**action.actions, "succ_r": q_action}),
+        ActionBundle(base, acted, action.actions),
+    ):
+        templates = [v.template for v in bad.validate().entries]
+        assert templates == ["structure.undeclared-parameter:q"]
+        assert action_from_dict(action_to_dict(bad)).validate().entries == bad.validate().entries
+
+
 # -- file formats ---------------------------------------------------------------
 
 def test_algebra_dict_roundtrip():

@@ -172,7 +172,8 @@ def test_factories_return_fresh_lists_that_checks_do_not_share():
 def test_the_plan_cache_is_bounded():
     mu = BilinearOp.square(1, [(1, 1, 1, P("2"))])
     dims, ops = {"D": 1}, {"mu": mu}
-    limit = axioms._PLAN_LIMIT
+    limit = 64
+    assert axioms._plan.cache_info().maxsize == limit
     for n in range(limit + 5):
         # mu(x, x) = n x fails at every n but 2
         template = Template(f"t{n}", (("x", "D"),), Op("mu", Var("x"), Var("x")),
@@ -180,4 +181,4 @@ def test_the_plan_cache_is_bounded():
         maps = {"zero": LinearMap.from_fractions([[Fraction(0)]])}
         report = evaluate_templates([template], dims, ops, maps)
         assert report.ok == (n == 2)
-        assert len(axioms._PLANS) <= limit
+        assert axioms._plan.cache_info().currsize <= limit
