@@ -8,8 +8,7 @@ all declared parameters.  Violations carry the basis witness with the
 coordinate index appended, and the residual polynomial.
 
 Chained equalities (a = b = c) are split pairwise as first=second (".a") and
-first=third (".b"); the implied second=third (".c") templates are available
-behind `include_implied` for cross-checking only.
+first=third (".b"); the implied second=third is not checked.
 
 Template id conventions: "dend.1"-"dend.3", "assoc.1", "dias.4"-"dias.8"
 (numbered as in the source equations), "quadri.Hq1.a" etc., "tri.assoc" and
@@ -78,6 +77,7 @@ from .poly import IntegerForm, Polynomial, max_exponent
 from .report import Report, scaled_violation
 
 SQ15_READINGS = ("literal", "symmetric")
+SQ15_DEFAULT = "literal"
 
 
 # ---------------------------------------------------------------------------
@@ -627,34 +627,32 @@ def dendriform_templates(prec="prec", succ="succ", prefix="dend") -> list:
     ]
 
 
-def associative_templates(mu="mu", prefix="assoc") -> list:
+def associative_templates() -> list:
     ax, az = App("alpha", _X), App("alpha", _Z)
     return [
-        _t(f"{prefix}.1", Op(mu, ax, Op(mu, _Y, _Z)), Op(mu, Op(mu, _X, _Y), az))
+        _t("assoc.1", Op("mu", ax, Op("mu", _Y, _Z)), Op("mu", Op("mu", _X, _Y), az))
     ]
 
 
-def diassociative_templates(dashv="dashv", vdash="vdash", prefix="dias") -> list:
+def diassociative_templates() -> list:
     ax, az = App("alpha", _X), App("alpha", _Z)
+    dashv, vdash = "dashv", "vdash"
     left = lambda op1, op2: Op(op2, Op(op1, _X, _Y), az)
     right = lambda op1, op2: Op(op1, ax, Op(op2, _Y, _Z))
     return [
-        _t(f"{prefix}.4", left(dashv, dashv), right(dashv, dashv)),
-        _t(f"{prefix}.5", left(dashv, dashv), right(dashv, vdash)),
-        _t(f"{prefix}.6", left(vdash, dashv), right(vdash, dashv)),
-        _t(f"{prefix}.7", left(dashv, vdash), right(vdash, vdash)),
-        _t(f"{prefix}.8", left(vdash, vdash), right(vdash, vdash)),
+        _t("dias.4", left(dashv, dashv), right(dashv, dashv)),
+        _t("dias.5", left(dashv, dashv), right(dashv, vdash)),
+        _t("dias.6", left(vdash, dashv), right(vdash, dashv)),
+        _t("dias.7", left(dashv, vdash), right(vdash, vdash)),
+        _t("dias.8", left(vdash, vdash), right(vdash, vdash)),
     ]
 
 
-def _chain(tid: str, first, second, third, include_implied: bool) -> list:
-    out = [_t(f"{tid}.a", first, second), _t(f"{tid}.b", first, third)]
-    if include_implied:
-        out.append(_t(f"{tid}.c", second, third))
-    return out
+def _chain(tid: str, first, second, third) -> list:
+    return [_t(f"{tid}.a", first, second), _t(f"{tid}.b", first, third)]
 
 
-def quadri_templates(include_implied: bool = False) -> list:
+def quadri_templates() -> list:
     pv, pd, sv, sd = "prec_vdash", "prec_dashv", "succ_vdash", "succ_dashv"
     x, y, z = _X, _Y, _Z
     ax, az = App("alpha", x), App("alpha", z)
@@ -664,28 +662,24 @@ def quadri_templates(include_implied: bool = False) -> list:
         Op(pv, Op(pv, x, y), az),
         Op(pv, Op(pd, x, y), az),
         Op(pv, ax, S(Op(pv, y, z), Op(sv, y, z))),
-        include_implied,
     )
     ts += _chain(
         "quadri.Hq2",
         Op(pv, Op(sv, x, y), az),
         Op(pv, Op(sd, x, y), az),
         Op(sv, ax, Op(pv, y, z)),
-        include_implied,
     )
     ts += _chain(
         "quadri.Hq3",
         Op(sv, ax, Op(sv, y, z)),
         Op(sv, S(Op(pv, x, y), Op(sv, x, y)), az),
         Op(sv, S(Op(pd, x, y), Op(sd, x, y)), az),
-        include_implied,
     )
     ts += _chain(
         "quadri.Hq4",
         Op(sv, ax, Op(sv, y, z)),
         Op(sv, S(Op(pd, x, y), Op(sv, x, y)), az),
         Op(sv, S(Op(pv, x, y), Op(sd, x, y)), az),
-        include_implied,
     )
     ts.append(
         _t(
@@ -707,28 +701,24 @@ def quadri_templates(include_implied: bool = False) -> list:
         Op(pd, Op(pd, x, y), az),
         Op(pd, ax, S(Op(pv, y, z), Op(sv, y, z))),
         Op(pd, ax, S(Op(pd, y, z), Op(sd, y, z))),
-        include_implied,
     )
     ts += _chain(
         "quadri.Hq9",
         Op(pd, Op(pd, x, y), az),
         Op(pd, ax, S(Op(pv, y, z), Op(sd, y, z))),
         Op(pd, ax, S(Op(pd, y, z), Op(sv, y, z))),
-        include_implied,
     )
     ts += _chain(
         "quadri.Hq10",
         Op(pd, Op(sd, x, y), az),
         Op(sd, ax, Op(pv, y, z)),
         Op(sd, ax, Op(pd, y, z)),
-        include_implied,
     )
     ts += _chain(
         "quadri.Hq11",
         Op(sd, ax, Op(sv, y, z)),
         Op(sd, ax, Op(sd, y, z)),
         Op(sd, S(Op(pd, x, y), Op(sd, x, y)), az),
-        include_implied,
     )
     return ts
 
@@ -737,7 +727,7 @@ def triassociative_templates() -> list:
     perp = "perp"
     x, y, z = _X, _Y, _Z
     ax, az = App("alpha", x), App("alpha", z)
-    ts = diassociative_templates(prefix="dias")
+    ts = diassociative_templates()
     ts.append(
         _t("tri.assoc", Op(perp, ax, Op(perp, y, z)), Op(perp, Op(perp, x, y), az))
     )
@@ -751,7 +741,7 @@ def triassociative_templates() -> list:
     return ts
 
 
-def six_templates(sq15: str = "literal", include_implied: bool = False) -> list:
+def six_templates(sq15: str = SQ15_DEFAULT) -> list:
     if sq15 not in SQ15_READINGS:
         raise ValueError(f"sq15 must be one of {SQ15_READINGS}")
     pv, pd, sv, sd = "prec_vdash", "prec_dashv", "succ_vdash", "succ_dashv"
@@ -759,7 +749,7 @@ def six_templates(sq15: str = "literal", include_implied: bool = False) -> list:
     x, y, z = _X, _Y, _Z
     ax, az = App("alpha", x), App("alpha", z)
     ts = dendriform_templates(prec=pp, succ=sp, prefix="six.dend")
-    ts += quadri_templates(include_implied=include_implied)
+    ts += quadri_templates()
     ts += [
         _t("six.sq1", Op(pp, Op(pv, x, y), az), Op(pv, ax, S(Op(pp, y, z), Op(sp, y, z)))),
         _t("six.sq2", Op(pp, Op(sv, x, y), az), Op(sv, ax, Op(pp, y, z))),
@@ -776,35 +766,30 @@ def six_templates(sq15: str = "literal", include_implied: bool = False) -> list:
         Op(pv, Op(pp, x, y), az),
         Op(pv, Op(pv, x, y), az),
         Op(pv, Op(pd, x, y), az),
-        include_implied,
     )
     ts += _chain(
         "six.sq11",
         Op(pv, Op(sp, x, y), az),
         Op(pv, Op(sv, x, y), az),
         Op(pv, Op(sd, x, y), az),
-        include_implied,
     )
     ts += _chain(
         "six.sq12",
         Op(sv, Op(pp, x, y), az),
         Op(sv, Op(pv, x, y), az),
         Op(sv, Op(pd, x, y), az),
-        include_implied,
     )
     ts += _chain(
         "six.sq13",
         Op(sv, Op(sp, x, y), az),
         Op(sv, Op(sv, x, y), az),
         Op(sv, Op(sd, x, y), az),
-        include_implied,
     )
     ts += _chain(
         "six.sq14",
         Op(pd, ax, Op(pp, y, z)),
         Op(pd, ax, Op(pv, y, z)),
         Op(pd, ax, Op(pd, y, z)),
-        include_implied,
     )
     rhs_op = pd if sq15 == "literal" else sd
     ts += _chain(
@@ -812,21 +797,18 @@ def six_templates(sq15: str = "literal", include_implied: bool = False) -> list:
         Op(sd, ax, Op(pp, y, z)),
         Op(rhs_op, ax, Op(pv, y, z)),
         Op(rhs_op, ax, Op(pd, y, z)),
-        include_implied,
     )
     ts += _chain(
         "six.sq16",
         Op(sd, ax, Op(sp, y, z)),
         Op(sd, ax, Op(sv, y, z)),
         Op(sd, ax, Op(sd, y, z)),
-        include_implied,
     )
     ts += _chain(
         "six.sq17",
         Op(pd, ax, Op(sp, y, z)),
         Op(pd, ax, Op(sv, y, z)),
         Op(pd, ax, Op(sd, y, z)),
-        include_implied,
     )
     return ts
 
@@ -1112,9 +1094,9 @@ def check_diassociative(bundle: AlgebraBundle) -> Report:
     return _run(bundle, _frozen(diassociative_templates))
 
 
-def check_quadri(bundle: AlgebraBundle, include_implied: bool = False) -> Report:
+def check_quadri(bundle: AlgebraBundle) -> Report:
     _require_kind(bundle, "quadri_dendriform")
-    return _run(bundle, _frozen(quadri_templates, include_implied))
+    return _run(bundle, _frozen(quadri_templates))
 
 
 def check_triassociative(bundle: AlgebraBundle) -> Report:
@@ -1122,11 +1104,9 @@ def check_triassociative(bundle: AlgebraBundle) -> Report:
     return _run(bundle, _frozen(triassociative_templates))
 
 
-def check_six(
-    bundle: AlgebraBundle, sq15: str = "literal", include_implied: bool = False
-) -> Report:
+def check_six(bundle: AlgebraBundle, sq15: str = SQ15_DEFAULT) -> Report:
     _require_kind(bundle, "six_dendriform")
-    return _run(bundle, _frozen(six_templates, sq15, include_implied))
+    return _run(bundle, _frozen(six_templates, sq15))
 
 
 def check_representation(rep: RepresentationBundle) -> Report:
@@ -1186,7 +1166,7 @@ _KIND_CHECKERS = {
 }
 
 
-def check_kind(bundle: AlgebraBundle, sq15: str = "literal") -> Report:
+def check_kind(bundle: AlgebraBundle, sq15: str = SQ15_DEFAULT) -> Report:
     """Dispatch to the axiom checker matching the bundle's kind tag."""
     checker = _KIND_CHECKERS.get(bundle.kind)
     if checker is None:

@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import constructions, corpus, morphisms, operators
 from .axioms import (
+    SQ15_DEFAULT,
     SQ15_READINGS,
     check_action,
     check_kind,
@@ -152,6 +153,10 @@ def _cmd_check(args) -> int:
 def _cmd_construct(args) -> int:
     name = args.name
     build, shapes = CONSTRUCTIONS[name]
+    if len(args.inputs) > len(shapes):
+        raise corpus.CorpusError(
+            f"construct {name} takes {len(shapes)} input file(s), got {len(args.inputs)}"
+        )
     paths = iter(args.inputs)
     inputs = [_load_input(name, shape, next(paths, None)) for shape in shapes]
     forced = {"force": args.force} if set(shapes) != {"algebra"} else {}
@@ -298,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sq15",
         choices=SQ15_READINGS,
-        default=corpus.SQ15_DEFAULT,
+        default=SQ15_DEFAULT,
         help="reading of the ambiguous six-dendriform identity sq15",
     )
     add_report(p)
@@ -365,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="batch-verify the bundled corpus")
     p.add_argument("action", choices=["verify-all", "list"])
     p.add_argument("--corpus", help="corpus root directory (default: bundled)")
-    p.add_argument("--sq15", choices=SQ15_READINGS, default=corpus.SQ15_DEFAULT)
+    p.add_argument("--sq15", choices=SQ15_READINGS, default=SQ15_DEFAULT)
     p.add_argument(
         "--discrepancies", help="write the discrepancy summary markdown to this path"
     )

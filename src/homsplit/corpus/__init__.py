@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..axioms import check_kind, check_multiplicative
+from ..axioms import SQ15_DEFAULT, check_kind, check_multiplicative
 from ..files import (
     action_from_dict,
     algebra_from_dict,
@@ -37,8 +37,6 @@ from ..operators import verify_operator
 from ..report import Report, Violation
 
 CORPUS_ROOT = Path(__file__).parent
-
-SQ15_DEFAULT = "literal"
 
 _OPTIONAL_TEXTS = ("algebra", "notes", "imaginary_unit")
 
@@ -223,10 +221,10 @@ def discrepancies_markdown(report: dict) -> str:
         f"{len(bad)} of {report['summary']['total']} entries disagree with their expectation."
     )
     lines.append("")
-    twist_only = sum(
-        1 for r in bad
-        if r["violations"] and all(v["template"].endswith(".twist") for v in r["violations"])
+    fails_only_twist = lambda r: r["violations"] and all(
+        v["template"].endswith(".twist") for v in r["violations"]
     )
+    twist_only = sum(1 for r in bad if fails_only_twist(r))
     if twist_only:
         lines.append(
             f"{twist_only} of them fail only the twist-commutation condition "
@@ -244,7 +242,7 @@ def discrepancies_markdown(report: dict) -> str:
         )
         if r.get("notes"):
             lines.append(f"- notes: {r['notes']}")
-        if r["violations"] and all(v["template"].endswith(".twist") for v in r["violations"]):
+        if fails_only_twist(r):
             lines.append("- all residuals come from twist commutation with the structure map")
         violations = r["violations"]
         if violations:

@@ -101,19 +101,19 @@ def _tensor_to_json(op: BilinearOp) -> list:
     ]
 
 
-def _check_keys(data: dict, allowed: set, required: set, what: str) -> None:
+def _check_keys(data: dict, keys: set, what: str) -> None:
     if not isinstance(data, dict):
         raise ModelError(f"{what}: expected a JSON object")
-    extra = set(data) - allowed
+    extra = set(data) - keys
     if extra:
         raise ModelError(f"{what}: unexpected key(s) {sorted(extra)}")
-    missing = required - set(data)
+    missing = keys - set(data)
     if missing:
         raise ModelError(f"{what}: missing key(s) {sorted(missing)}")
 
 
 def algebra_from_dict(data: dict) -> AlgebraBundle:
-    _check_keys(data, ALGEBRA_KEYS, ALGEBRA_KEYS, "algebra file")
+    _check_keys(data, ALGEBRA_KEYS, "algebra file")
     if not isinstance(data["kind"], str):
         raise ModelError("algebra file: kind must be a string")
     dim = data["dimension"]
@@ -149,7 +149,7 @@ def algebra_to_dict(bundle: AlgebraBundle) -> dict:
 
 
 def representation_from_dict(data: dict) -> RepresentationBundle:
-    _check_keys(data, REPRESENTATION_KEYS, REPRESENTATION_KEYS, "representation file")
+    _check_keys(data, REPRESENTATION_KEYS, "representation file")
     base = algebra_from_dict({k: data[k] for k in ALGEBRA_KEYS})
     return _representation_parts(data, base)
 
@@ -185,7 +185,7 @@ def representation_to_dict(rep: RepresentationBundle) -> dict:
 
 
 def action_from_dict(data: dict) -> ActionBundle:
-    _check_keys(data, ACTION_KEYS, ACTION_KEYS, "action file")
+    _check_keys(data, ACTION_KEYS, "action file")
     rep = _representation_parts(
         data, algebra_from_dict({k: data[k] for k in ALGEBRA_KEYS})
     )
@@ -216,7 +216,7 @@ def action_to_dict(action: ActionBundle) -> dict:
 
 
 def operator_from_dict(data: dict) -> tuple:
-    _check_keys(data, OPERATOR_KEYS, OPERATOR_KEYS, "operator file")
+    _check_keys(data, OPERATOR_KEYS, "operator file")
     kind = data["kind"]
     if not isinstance(kind, str) or kind not in OPERATOR_KINDS:
         raise ModelError(

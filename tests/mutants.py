@@ -278,6 +278,33 @@ MUTANTS = [
         "new": "    ]\n",
         "tests": ["tests/test_twist_reports.py"],
     },
+    {
+        "name": "_chain emits the second=third template again",
+        "file": "src/homsplit/axioms.py",
+        "old": "    return [_t(f\"{tid}.a\", first, second), _t(f\"{tid}.b\", first, third)]\n",
+        "new": (
+            "    return [_t(f\"{tid}.a\", first, second), _t(f\"{tid}.b\", first, third),\n"
+            "            _t(f\"{tid}.c\", second, third)]\n"
+        ),
+        "tests": ["tests/test_axioms.py"],
+    },
+    {
+        "name": "construct accepts extra inputs",
+        "file": "src/homsplit/cli.py",
+        "old": "    if len(args.inputs) > len(shapes):\n",
+        "new": "    if False:\n",
+        "tests": ["tests/test_cli.py"],
+    },
+    {
+        "name": "the annihilator drops right products",
+        "file": "src/homsplit/morphisms.py",
+        "old": (
+            "                equations.append([table.get((j, i, k), zero) "
+            "for i in range(1, n + 1)])\n"
+        ),
+        "new": "",
+        "tests": ["tests/test_morphisms.py"],
+    },
 ]
 
 # Edits that change the code but not what it computes, with the reason; they
@@ -301,7 +328,8 @@ def copy_tree(target: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for part in ("src", "tests"):
         shutil.copytree(ROOT / part, target / part, ignore=ignore)
-    shutil.copy(ROOT / "pyproject.toml", target / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy(ROOT / name, target / name)
 
 
 def run_tests(tree: Path, tests: list) -> bool:

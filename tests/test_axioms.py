@@ -160,19 +160,30 @@ def test_hemi_of_adjoint_zero_dendriform_passes():
 
 def test_quadri_template_count():
     assert len(quadri_templates()) == 19
-    assert len(quadri_templates(include_implied=True)) == 27
+
+
+def _implied_templates(templates) -> list:
+    """The second=third template ".c" of every chain split into ".a"/".b"."""
+    by_id = {t.id: t for t in templates}
+    return [
+        Template(a.id[:-2] + ".c", a.variables, a.rhs, by_id[a.id[:-2] + ".b"].rhs)
+        for a in templates
+        if a.id.endswith(".a")
+    ]
 
 
 def test_chain_splitting_consistency_on_random_instances():
     # (first=second and first=third) implies second=third, checked via the
     # implied ".c" templates on random parameter-free quadri instances.
+    implied = _implied_templates(quadri_templates())
+    assert len(implied) == 8
     rng = random.Random(99)
     checked = 0
     for _ in range(40):
         base = dendriform_pool(rng, 1, dim=2)[0]
         hemi = hemi_semidirect(RepresentationBundle.adjoint(base))
         full = evaluate_templates(
-            quadri_templates(include_implied=True),
+            quadri_templates() + implied,
             {"D": hemi.dim}, dict(hemi.ops), {"alpha": hemi.twist},
         )
         split = {v.template for v in full.entries}

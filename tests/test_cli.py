@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +66,25 @@ def test_construct_writes_provenance_header(tmp_path, capsys):
     assert data["kind"] == "diassociative"
     # the constructed file is checkable
     assert main(["check", str(out)]) == 0
+
+
+def test_construct_refuses_more_inputs_than_it_takes(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    missing = tmp_path / "nonexistent.json"
+    argv = ["construct", "sum-dias", corpus_path("dim2/D1.json"), str(missing), "-o", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: construct sum-dias takes 1 input file(s), got 2\n"
+    assert not out.exists()
+    d1 = corpus_path("dim2/D1.json")
+    assert main(["construct", "dsum", d1, d1, d1, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: construct dsum takes 2 input file(s), got 3\n"
+    assert not out.exists()
+    # fewer inputs keep their own message
+    assert main(["construct", "dsum", d1, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: construct dsum: missing input file(s)\n"
+    assert not out.exists()
 
 
 def test_construct_quotient_refuses_with_report(tmp_path, capsys):
@@ -230,6 +251,37 @@ def test_help_documents_spec_flags():
     for sub in ("check", "construct", "verify-op", "solve-op", "emit-system",
                 "fingerprint", "iso", "corpus"):
         assert sub in helps[0]
+
+
+def _readme_synopsis() -> dict:
+    """{subcommand: its synopsis text} from the README's command-line block,
+    continuation lines included and comment lines left out."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    synopsis, sub = {}, None
+    for line in block.splitlines():
+        if line.startswith("homsplit "):
+            sub = line.split()[1]
+            synopsis[sub] = synopsis.get(sub, "") + " " + line
+        elif sub and not line.lstrip().startswith("#"):
+            synopsis[sub] += " " + line
+    return synopsis
+
+
+def test_readme_synopsis_names_every_long_option():
+    synopsis = _readme_synopsis()
+    parser = build_parser()
+    for action in parser._subparsers._group_actions:
+        for name, sub in action.choices.items():
+            for option in sub._actions:
+                longs = [o for o in option.option_strings if o.startswith("--")]
+                if not longs or "--help" in longs:
+                    continue
+                # an option counts as documented under any of its spellings
+                assert any(
+                    re.search(rf"(?<![\w-]){re.escape(o)}(?![\w-])", synopsis[name])
+                    for o in option.option_strings
+                ), (name, longs)
 
 
 def test_boolean_dimension_exits_two(tmp_path, capsys):

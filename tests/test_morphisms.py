@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rich_dendriform, zero_bundle
+from helpers import bundle, rich_dendriform, zero_bundle
 from homsplit.corpus import CORPUS_ROOT, load_algebra
 from homsplit.model import LinearMap
 from homsplit.morphisms import (
@@ -45,6 +45,15 @@ def test_fingerprint_zero_algebra():
     assert all(d == 0 for _, d in fp.op_span_dims)
     assert fp.twist_rank == 3  # identity twist
     assert fp.annihilator_dim == 3
+
+
+def test_fingerprint_annihilator_needs_left_and_right_products():
+    # e1 . e2 = e1: x . y = 0 for all y forces x1 = 0, y . x = 0 forces x2 = 0,
+    # so either side alone leaves a line and both leave nothing
+    one_product = bundle("associative", 2, (), [["1", "0"], ["0", "1"]], mu=[(1, 2, 1, 1)])
+    fp = fingerprint(one_product)
+    assert fp.annihilator_dim == 0
+    assert fp.op_span_dims == (("mu", 1),)
 
 
 def test_fingerprint_dim2_entries():
