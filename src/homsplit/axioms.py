@@ -533,10 +533,15 @@ def _difference(a: dict, a_factor: int, b: dict, b_factor: int) -> dict:
     return out
 
 
-def _violations(step: tuple, tables: list, same_names: bool, dims: dict, form) -> list:
+def _violations(
+    step: tuple, tables: list, same_names: bool, dims: dict, form, residuals: dict,
+    witnesses: dict,
+) -> list:
     """The violations of the template of the plan step `step`, whose sides
     have the tabulations `tables[lhs]` and `tables[rhs]`; see
-    `evaluate_templates`."""
+    `evaluate_templates`.  `residuals` and `witnesses` hold those made so far
+    in the call: {scale: {the set of a residual's terms: its `scaled`
+    tuple}} and {witness: itself}."""
     template, _, lhs, rhs, lhs_spreader, rhs_spreader, _ = step
     (lhs_scale, lhs_dim, lhs), (rhs_scale, rhs_dim, rhs) = tables[lhs], tables[rhs]
     if lhs_dim != rhs_dim:
@@ -552,6 +557,7 @@ def _violations(step: tuple, tables: list, same_names: bool, dims: dict, form) -
     lhs_factor, rhs_factor = scale // lhs_scale, scale // rhs_scale
     same = lhs_factor == rhs_factor
     tid = template.id
+    shared = residuals.setdefault(scale, {})
     entries = []
     for combo in sorted(lhs.keys() | rhs.keys()):
         left, right = lhs.get(combo, zero), rhs.get(combo, zero)
@@ -562,7 +568,13 @@ def _violations(step: tuple, tables: list, same_names: bool, dims: dict, form) -
                 continue
             residual = _difference(a, lhs_factor, b, rhs_factor)
             if residual:
-                entries.append(scaled_violation(tid, (*combo, coord), (form, residual, scale)))
+                key = frozenset(residual.items())
+                scaled = shared.get(key)
+                if scaled is None:
+                    scaled = shared[key] = form, residual, scale
+                witness = (*combo, coord)
+                witness = witnesses.setdefault(witness, witness)
+                entries.append(scaled_violation(tid, witness, scaled))
     return entries
 
 
@@ -577,19 +589,26 @@ def evaluate_templates(templates, dims: dict, ops: dict, maps: dict) -> Report:
     on both sides and passes.  With L = lcm(sL, sR), a coordinate passes when
     lhs * (L / sL) == rhs * (L / sR) as integer dicts; a nonzero difference
     is kept as its integer dict over L, and the Violation builds the
-    Polynomial or its text on demand.  Subterm tables are shared across the
-    templates of one call and dropped after the last template that reads them.
+    Polynomial or its text on demand.  All violations of one call with equal
+    residual terms and scale share one `scaled` tuple, and equal witnesses
+    share one tuple, so a dense failing check holds each distinct residual
+    once.  Subterm tables are shared across the templates of one call and
+    dropped after the last template that reads them.
     """
     plan = _plan(tuple(templates))
     compiled = _Compiled(ops, maps, plan.nodes)
     code, free = plan.code, plan.free
     tables: list = [None] * len(code)
     entries = []
+    residuals: dict = {}
+    witnesses: dict = {}
     for step in plan.steps:
         _, new, lhs, rhs, _, _, expired = step
         for slot in new:
             tables[slot] = _tabulate(code[slot], tables, dims, compiled)
-        entries += _violations(step, tables, free[lhs] == free[rhs], dims, compiled.form)
+        entries += _violations(
+            step, tables, free[lhs] == free[rhs], dims, compiled.form, residuals, witnesses
+        )
         for slot in expired:
             tables[slot] = None
     return Report(entries)

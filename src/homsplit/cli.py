@@ -4,7 +4,8 @@ Subcommands: check, construct (dispatched by the one table `CONSTRUCTIONS`),
 verify-op, solve-op and iso (both walk `operators.grid_points`), emit-system,
 fingerprint, corpus.  Output is machine-first (JSON reports, stable key
 order) with a one-line human summary on stdout.  Every JSON payload is
-written once, by `files.json_text`.
+serialized once, by `files.json_text`, or in chunks by `files.json_stream`
+when it goes to a report file or stdout.
 
 Exit codes: 0 all pass; 1 violations or discrepancies found; 2 input error.
 """
@@ -12,6 +13,7 @@ Exit codes: 0 all pass; 1 violations or discrepancies found; 2 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from fractions import Fraction
@@ -30,6 +32,7 @@ from .files import (
     OPERATOR_KINDS,
     algebra_to_dict,
     classify_file,
+    json_stream,
     json_text,
     matrix_rows,
     read_json,
@@ -44,20 +47,30 @@ def _dump(data: dict) -> str:
     return json_text(data)
 
 
-def _write_report(path, text: str) -> None:
-    Path(path).write_text(text + "\n", encoding="utf-8")
+def _write_report(payload: dict, streams: list) -> None:
+    """Write the JSON text of `payload` and a newline to each of `streams`,
+    serializing it once: each chunk goes to every stream as it is made."""
+    writes = [stream.write for stream in streams]
+
+    def write(chunk: str) -> None:
+        for stream_write in writes:
+            stream_write(chunk)
+
+    json_stream(payload, write)
+    write("\n")
 
 
 def _publish(args, payload: dict, summary: str | None = None, show: bool = True) -> None:
-    """Write `payload` to the --report path, print `summary`, then print the
-    payload itself if `show`; the JSON text is serialized once for both."""
-    text = _dump(payload) if args.report or show else None
-    if args.report:
-        _write_report(args.report, text)
-    if summary is not None:
-        print(summary)
-    if show:
-        print(text)
+    """Print `summary`, then write `payload` to the --report path and, if
+    `show`, to stdout, in one streamed serialization.  The report file is
+    opened first, so that a path that cannot be opened prints nothing."""
+    report = open(args.report, "w", encoding="utf-8") if args.report else None
+    with report or contextlib.nullcontext():
+        if summary is not None:
+            print(summary)
+        streams = ([report] if report else []) + ([sys.stdout] if show else [])
+        if streams:
+            _write_report(payload, streams)
 
 
 # construct name -> (construction, its input files in order: "algebra",
@@ -258,10 +271,14 @@ def _cmd_iso(args) -> int:
 def _cmd_corpus(args) -> int:
     root = Path(args.corpus) if args.corpus else None
     if args.action == "list":
+        given = [f"--{name}" for name in ("report", "discrepancies", "sq15")
+                 if getattr(args, name) is not None]
+        if given:
+            raise corpus.CorpusError(f"corpus list does not take {', '.join(given)}")
         for entry in corpus.list_entries(root):
             print(f"{entry['id']:32} {entry['type']:8} {entry['path']}")
         return 0
-    report = corpus.corpus_verify_all(root=root, sq15=args.sq15)
+    report = corpus.corpus_verify_all(root=root, sq15=args.sq15 or SQ15_DEFAULT)
     if args.report:
         Path(args.report).write_text(corpus.report_to_json(report), encoding="utf-8")
     if args.discrepancies:
@@ -370,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="batch-verify the bundled corpus")
     p.add_argument("action", choices=["verify-all", "list"])
     p.add_argument("--corpus", help="corpus root directory (default: bundled)")
-    p.add_argument("--sq15", choices=SQ15_READINGS, default=SQ15_DEFAULT)
+    # no default here, so that `corpus list` can refuse the option
+    p.add_argument("--sq15", choices=SQ15_READINGS)
     p.add_argument(
         "--discrepancies", help="write the discrepancy summary markdown to this path"
     )

@@ -234,6 +234,18 @@ def operator_to_dict(kind: str, matrix: LinearMap) -> dict:
 
 _ROW_KEYS = frozenset({"residual", "template", "witness"})
 _INTS = frozenset({int})
+#: the pieces of text a stream holds before it passes them on as one chunk
+_CHUNK_PIECES = 1024
+
+
+class _Pieces(list):
+    """The pieces of a streamed text not yet passed on to `write`."""
+
+    __slots__ = ("write",)
+
+    def flush(self) -> None:
+        self.write("".join(self))
+        self.clear()
 
 
 def json_text(data) -> str:
@@ -242,23 +254,35 @@ def json_text(data) -> str:
     bool, None and `Violation`s; anything else, floats included, raises
     TypeError.  A `Violation` is written as its row, `to_dict()`.
 
-    Every report, corpus report and written file goes through here.  Strings
-    are escaped by json's own `encode_basestring_ascii`.  A list of ints and a
-    violation row (a dict of residual and template strings and a non-empty
-    witness of ints) are each written as one piece.  In a list of
-    `Violation`s, which is how the CLI hands over its reports, each row is
-    written straight from the violation, with no row dict: the text of each
-    template and of each witness is made once per list, and each distinct
-    residual text once per `IntegerForm`.
+    Every report, corpus report and written file goes through here or through
+    `json_stream`, which writes the same text in chunks.  Strings are escaped
+    by json's own `encode_basestring_ascii`.  A list of ints and a violation
+    row (a dict of residual and template strings and a non-empty witness of
+    ints) are each written as one piece.  In a list of `Violation`s, which is
+    how the CLI hands over its reports, each row is written straight from the
+    violation, with no row dict: the text of each template and of each
+    witness is made once per list, and the first line of a row, which holds
+    the residual, once per shared residual (the `scaled` tuple that the
+    violations of one evaluation share, see `axioms.evaluate_templates`).
     """
-    out: list = []
+    chunks: list = []
+    json_stream(data, chunks.append)
+    return "".join(chunks)
+
+
+def json_stream(data, write) -> None:
+    """Pass `json_text(data)` to `write` in chunks of rows as they are made,
+    so that the whole text is never held at once."""
+    out = _Pieces()
+    out.write = write
     _write(data, "\n", out)
-    return "".join(out)
+    out.flush()
 
 
-def _write(value, newline: str, out: list) -> None:
+def _write(value, newline: str, out: _Pieces) -> None:
     """Append the text of `value`; `newline` is a newline plus the
-    indentation of the line `value` starts on."""
+    indentation of the line `value` starts on.  A list passes the pieces on
+    between its items once they are `_CHUNK_PIECES` or more."""
     if isinstance(value, str):
         out.append(_quote(value))
     elif value is None:
@@ -300,7 +324,12 @@ def _write(value, newline: str, out: list) -> None:
         separator = "[" + inner
         templates: dict = {}  # template -> its row line
         witnesses: dict = {}  # witness -> its row lines, or "" unless non-empty ints
+        # the id of a violation's `scaled` tuple, or of the violation itself
+        # when it holds a Polynomial residual -> the row's first line
+        heads: dict = {}
         for item in value:
+            if len(out) >= _CHUNK_PIECES:
+                out.flush()
             out.append(separator)
             separator = "," + inner
             if type(item) is Violation:
@@ -318,7 +347,11 @@ def _write(value, newline: str, out: list) -> None:
                 template = templates.get(item.template)
                 if template is None:
                     template = templates[item.template] = row_template + _quote(item.template)
-                out.append(row_head + _quote(item.residual_text()) + template + tail)
+                key = id(item.scaled or item)
+                head = heads.get(key)
+                if head is None:
+                    head = heads[key] = row_head + _quote(item.residual_text())
+                out.append(head + template + tail)
                 continue
             if type(item) is dict and item.keys() == _ROW_KEYS:
                 residual, template, witness = item["residual"], item["template"], item["witness"]
@@ -362,10 +395,13 @@ def read_json(path) -> dict:
 
 
 def write_json(path, data: dict, header: str | None = None) -> None:
-    body = json_text(data) + "\n"
-    if header:
-        body = f"// {header}\n" + body
-    Path(path).write_text(body, encoding="utf-8")
+    """Write `data` to `path` as `json_text` and a newline, after a "// "
+    comment line if `header` is given; the text is streamed (`json_stream`)."""
+    with open(path, "w", encoding="utf-8") as handle:
+        if header:
+            handle.write(f"// {header}\n")
+        json_stream(data, handle.write)
+        handle.write("\n")
 
 
 def classify_file(data: dict) -> str:

@@ -25,8 +25,7 @@ denominators.  A packed monomial is one int holding each exponent in a bit
 field wide enough for `degree`, so that multiplying monomials is adding ints.
 `IntegerForm.polynomial` turns such a dict over L back into a canonical
 Polynomial.  `IntegerForm.text` writes the same polynomial's text straight
-from the ints, once per distinct dict and scale; it and `Polynomial.__str__`
-share one formatter (`_format`).  `CompiledSystem` compiles the residuals of a
+from the ints; it and `Polynomial.__str__` share one formatter (`_format`).  `CompiledSystem` compiles the residuals of a
 symbolic report from those integer dicts, without making a Polynomial.
 
 A bare rational literal ("1", "-1/2"), which is most of a structure-constant
@@ -337,7 +336,6 @@ class IntegerForm:
         self._position = {name: index for index, name in enumerate(self.order)}
         self._monomials: dict = {}
         self._labels: dict = {}
-        self._texts: dict = {}
 
     def pack(self, exponents: Sequence[int]) -> int:
         """The packed monomial with `exponents`, one per name of `order`."""
@@ -389,12 +387,7 @@ class IntegerForm:
 
     def text(self, terms: Mapping, scale: int) -> str:
         """str(self.polynomial(terms, scale)), from the ints: each coefficient
-        is reduced by its gcd with `scale`, and no Fraction or Polynomial is made.
-        The text of each distinct (terms, scale) is computed once and kept."""
-        key = tuple(terms.items()), scale
-        text = self._texts.get(key)
-        if text is not None:
-            return text
+        is reduced by its gcd with `scale`, and no Fraction or Polynomial is made."""
         labels = self._labels
         out = []
         for packed, coeff in terms.items():
@@ -405,11 +398,10 @@ class IntegerForm:
             divisor = math.gcd(coeff, scale)
             out.append((label, coeff // divisor, scale // divisor))
         out.sort()
-        text = self._texts[key] = _format(
+        return _format(
             (mono_text, numerator, denominator)
             for (_, mono_text), numerator, denominator in out
         )
-        return text
 
 
 class CompiledSystem:
@@ -424,7 +416,8 @@ class CompiledSystem:
     Each term is stored as (coefficient, factors), the factors being the
     positions in `unknowns` of its names, looked up by name and repeated by
     multiplicity (t11*t23^2 over t11..t33 is (0, 5, 5)); each distinct
-    monomial of a form is decoded once.  Equations with the same integer
+    monomial of a form is decoded once, and a `scaled` tuple that several
+    violations share is compiled once.  Equations with the same integer
     terms are kept once, in the order of their first violation, under their
     level: the number of leading unknowns they need (0 for a constant).
     """
@@ -433,8 +426,13 @@ class CompiledSystem:
         position = {name: index for index, name in enumerate(unknowns)}
         forms: dict = {}  # form -> {packed monomial: factors}
         equations: dict = {}
+        compiled: set = set()  # the ids of the `scaled` tuples compiled so far
         for violation in violations:
-            form, terms, _ = violation.scaled
+            scaled = violation.scaled
+            if id(scaled) in compiled:
+                continue
+            compiled.add(id(scaled))
+            form, terms, _ = scaled
             known = forms.setdefault(form, {})
             equation = []
             for packed, coeff in terms.items():

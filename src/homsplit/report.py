@@ -5,12 +5,18 @@ Each violation names the identity template that failed, the basis-index
 witness where it failed (with the coordinate index appended), and the
 residual polynomial (lhs - rhs at that coordinate).  Residuals from the
 template engine are lazy: a violation keeps the integer residual, writes its
-text from the integers and builds the Polynomial on first access.
+text from the integers and builds the Polynomial on first access.  The
+violations of one evaluation share their residuals: all those with equal
+integer terms and scale hold one `scaled` tuple, and equal witnesses one
+tuple, so a dense failing report holds each distinct residual once.
 
 A violation's row is {"residual", "template", "witness"} (`to_dict`).
 `Report.to_dict` lists the row dicts; `Report.payload` lists the violations
 themselves, which `files.json_text` writes as the same row text without
-making a dict per violation, as the CLI does for its reports.
+making a dict per violation, and the first line of a row once per shared
+residual.  The CLI streams its reports (`files.json_stream`): the text goes
+to the report file and stdout in chunks as it is made, and is never held
+whole.
 """
 
 from __future__ import annotations

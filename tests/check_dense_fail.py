@@ -2,9 +2,10 @@
 
 For each n, a fresh interpreter builds `helpers.dense_six(random.Random(5),
 n)`, checks it under the symmetric sq15 reading (`check_kind`) and writes the
-report as the CLI does (`files.json_text` of `Report.payload()`).  It prints
-one line per n: the violation count, the evaluation and writing seconds, the
-peak RSS of that interpreter and the sha256 of the report text.  Each n runs
+report as the CLI does, streamed in chunks (`files.json_stream` of
+`Report.payload()`), into a sha256 of the chunks.  It prints one line per n:
+the violation count, the evaluation and writing seconds, the peak RSS of that
+interpreter and the sha256 of the report text.  Each n runs
 in its own process, so that the peak RSS of one does not hide the next.  It
 needs only the standard library, and pytest does not collect it:
 
@@ -33,19 +34,20 @@ def measure(n: int) -> str:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from helpers import dense_six
     from homsplit.axioms import check_kind
-    from homsplit.files import json_text
+    from homsplit.files import json_stream
 
     bundle = dense_six(random.Random(5), n)
     start = time.perf_counter()
     report = check_kind(bundle, sq15="symmetric")
     evaluated = time.perf_counter()
-    text = json_text(report.payload())
+    digest = hashlib.sha256()
+    json_stream(report.payload(), lambda chunk: digest.update(chunk.encode("utf-8")))
     written = time.perf_counter()
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return (
         f"n={n} violations={len(report.entries)} evaluation_s={evaluated - start:.2f} "
-        f"json_text_s={written - evaluated:.2f} peak_rss_mb={peak_mb:.0f} sha256={digest}"
+        f"write_s={written - evaluated:.2f} peak_rss_mb={peak_mb:.0f} "
+        f"sha256={digest.hexdigest()}"
     )
 
 

@@ -1,8 +1,8 @@
 """Compare homsplit's JSON writer with json.dumps on the payloads it writes.
 
 `files.json_text` must equal `json.dumps(data, indent=2, sort_keys=True)` byte
-for byte, and the escaping it borrows from the `json` module belongs to the
-interpreter.  This script needs only the standard library, so it runs under
+for byte, and so must the chunks that `files.json_stream` passes on, joined;
+the escaping they borrow from the `json` module belongs to the interpreter.  This script needs only the standard library, so it runs under
 every supported Python, with or without pytest:
 
     python tests/check_json_writer.py
@@ -36,7 +36,7 @@ from homsplit.corpus import (  # noqa: E402
     load_algebra,
     load_operator,
 )
-from homsplit.files import algebra_to_dict, json_text  # noqa: E402
+from homsplit.files import algebra_to_dict, json_stream, json_text  # noqa: E402
 from homsplit.morphisms import fingerprint  # noqa: E402
 from homsplit.operators import verify_operator  # noqa: E402
 
@@ -93,7 +93,12 @@ def main() -> int:
         if json_text(data) != expected:
             print(f"{name}: the writer differs from json.dumps")
             return 1
-        print(f"{name}: identical ({len(expected)} characters)")
+        chunks: list = []
+        json_stream(data, chunks.append)
+        if "".join(chunks) != expected:
+            print(f"{name}: the streamed chunks differ from json.dumps")
+            return 1
+        print(f"{name}: identical ({len(expected)} characters, {len(chunks)} chunk(s))")
     return 0
 
 

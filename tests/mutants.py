@@ -42,11 +42,25 @@ MUTANTS = [
         "tests": ["tests/test_sparse_engine.py"],
     },
     {
-        "name": "the residual text cache ignores the scale",
-        "file": "src/homsplit/poly.py",
-        "old": "key = tuple(terms.items()), scale",
-        "new": "key = tuple(terms.items())",
-        "tests": ["tests/test_sparse_engine.py", "tests/test_residuals.py"],
+        "name": "intern key omits the scale",
+        "file": "src/homsplit/axioms.py",
+        "old": "key = frozenset(residual.items()), scale",
+        "new": "key = frozenset(residual.items())",
+        "tests": ["tests/test_sparse_engine.py"],
+    },
+    {
+        "name": "row-head cache keyed by template",
+        "file": "src/homsplit/files.py",
+        "old": "key = id(item.scaled or item)",
+        "new": "key = item.template",
+        "tests": ["tests/test_json_writer.py"],
+    },
+    {
+        "name": "stream drops its last flush",
+        "file": "src/homsplit/files.py",
+        "old": '    _write(data, "\\n", out)\n    out.flush()\n',
+        "new": '    _write(data, "\\n", out)\n',
+        "tests": ["tests/test_json_writer.py", "tests/test_cli.py"],
     },
     {
         "name": "the writer caches witness text by template",

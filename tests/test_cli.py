@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from pathlib import Path
 
@@ -508,13 +509,14 @@ def test_failing_check_report_prints_the_report_text_and_serializes_once(
     from homsplit import cli
 
     calls = []
-    original = cli._dump
+    original = cli.json_stream
 
-    def counted(data):
+    def counted(data, write):
         calls.append(data)
-        return original(data)
+        return original(data, write)
 
-    monkeypatch.setattr(cli, "_dump", counted)
+    monkeypatch.setattr(cli, "json_stream", counted)
+    monkeypatch.setattr(cli, "_dump", lambda data: pytest.fail("the report text was built"))
     report_path = tmp_path / "report.json"
     code = main(["check", corpus_path("dim2/D4.json"), "--multiplicative",
                  "--report", str(report_path)])
@@ -523,6 +525,57 @@ def test_failing_check_report_prints_the_report_text_and_serializes_once(
     assert summary.endswith("violation(s))") and "fail" in summary
     assert rest == report_path.read_text(encoding="utf-8")
     assert len(calls) == 1
+
+
+def test_streamed_report_equals_the_report_text_on_stdout_and_in_the_file(tmp_path, capsys):
+    """A dense failing report, streamed in many chunks, is byte for byte the
+    writer's text plus a newline, on stdout after the summary line and in the
+    report file alike."""
+    from homsplit.axioms import check_kind, check_multiplicative
+    from homsplit.files import algebra_to_dict, json_text
+
+    from helpers import dense_six, rows
+
+    bundle = dense_six(random.Random(5), 4)
+    source, report_path = tmp_path / "dense.json", tmp_path / "report.json"
+    write_json(source, algebra_to_dict(bundle))
+    assert main(["check", str(source), "--multiplicative", "--report", str(report_path)]) == 1
+    summary, _, rest = capsys.readouterr().out.partition("\n")
+    payload = {
+        "file": str(source),
+        "check": check_kind(bundle).payload(),
+        "multiplicative": check_multiplicative(bundle).payload(),
+    }
+    assert summary == f"{source}: fail (7241 violation(s))"
+    assert len(payload["check"]["entries"]) == 7241
+    text = json_text(payload) + "\n"
+    assert text == json.dumps(rows(payload), indent=2, sort_keys=True) + "\n"
+    assert rest == text
+    assert report_path.read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("entry", ["dim2/D1.json", "dim2/D4.json"], ids=["pass", "fail"])
+def test_report_path_in_a_missing_directory_exits_two_with_nothing_on_stdout(
+    tmp_path, capsys, entry
+):
+    report_path = tmp_path / "missing" / "report.json"
+    assert main(["check", corpus_path(entry), "--report", str(report_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and str(report_path) in err
+    assert not report_path.parent.exists()
+
+
+@pytest.mark.parametrize("options", [
+    ["--report", "R"], ["--discrepancies", "D"], ["--sq15", "literal"],
+    ["--report", "R", "--discrepancies", "D", "--sq15", "symmetric"],
+], ids=["report", "discrepancies", "sq15", "all"])
+def test_corpus_list_refuses_the_options_of_verify_all(tmp_path, capsys, options):
+    argv = [str(tmp_path / arg) if arg in ("R", "D") else arg for arg in options]
+    assert main(["corpus", "list", *argv]) == 2
+    out, err = capsys.readouterr()
+    named = [arg for arg in options if arg.startswith("--")]
+    assert out == "" and err == f"error: corpus list does not take {', '.join(named)}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["solve-op", "iso"])

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_bundle, random_op
+from helpers import dense_six, random_bundle, random_op
 from oracle import (
     closure_violations,
     dendriform_violations,
@@ -34,6 +34,7 @@ from homsplit.axioms import (
     Var,
     check_dendriform,
     check_homomorphism,
+    check_kind,
     check_multiplicative,
     check_quadri,
     evaluate_templates,
@@ -223,7 +224,7 @@ def column(linear: LinearMap, conv, j: int) -> list:
     return [conv(row[j - 1]) for row in linear.entries]
 
 
-def test_residual_text_is_kept_per_terms_and_scale():
+def test_residual_text_depends_on_terms_and_scale():
     form = IntegerForm(("p",), 1)
     p, one = form.pack((1,)), form.pack((0,))
     terms = {p: 3, one: -2}
@@ -231,3 +232,38 @@ def test_residual_text_is_kept_per_terms_and_scale():
     assert form.text(terms, 2) == "-1 + 3/2*p"
     assert form.text(dict(terms), 1) == "-2 + 3*p"
     assert form.text({p: 3, one: -2}, 6) == "-1/3 + 1/2*p"
+
+
+def test_a_dense_check_holds_each_distinct_residual_and_witness_once():
+    """Equal (residual terms, scale) share one `scaled` tuple, and equal
+    witnesses one tuple.  Terms are compared as sets: 216 of the 975 residuals
+    are made with their terms in more than one order."""
+    entries = check_kind(dense_six(random.Random(5), 4), sq15="symmetric").entries
+    by_residual, by_witness = {}, {}
+    for v in entries:
+        _, terms, scale = v.scaled
+        assert by_residual.setdefault((frozenset(terms.items()), scale), v.scaled) is v.scaled
+        assert by_witness.setdefault(v.witness, v.witness) is v.witness
+    assert len(entries) == 7236 and len(by_residual) == 975 and len(by_witness) == 4**4
+
+
+def test_equal_terms_over_different_scales_share_nothing():
+    """The same terms over scales s and 2s are two residuals: template "b"
+    is template "a" under the map h = I/2, whose integer form is I over 2."""
+    m = dense_six(random.Random(5), 3).op("prec_dashv")
+    xy, yx = Op("m", Var("x"), Var("y")), Op("m", Var("y"), Var("x"))
+    variables = (("x", "D"), ("y", "D"))
+    templates = [
+        Template("a", variables, xy, yx),
+        Template("b", variables, App("h", xy), App("h", yx)),
+    ]
+    half = LinearMap.from_fractions([[Fraction(i == j, 2) for j in range(3)] for i in range(3)])
+    report = evaluate_templates(templates, {"D": 3}, {"m": m}, {"h": half})
+    a = {v.witness: v for v in report.entries if v.template == "a"}
+    b = {v.witness: v for v in report.entries if v.template == "b"}
+    assert a and a.keys() == b.keys()
+    for witness, va in a.items():
+        vb = b[witness]
+        assert va.scaled[1] == vb.scaled[1] and 2 * va.scaled[2] == vb.scaled[2]
+        assert va.scaled is not vb.scaled and va.witness is vb.witness
+        assert vb.residual_text() == str(va.residual * Fraction(1, 2))
