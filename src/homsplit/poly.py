@@ -25,8 +25,9 @@ denominators.  A packed monomial is one int holding each exponent in a bit
 field wide enough for `degree`, so that multiplying monomials is adding ints.
 `IntegerForm.polynomial` turns such a dict over L back into a canonical
 Polynomial.  `IntegerForm.text` writes the same polynomial's text straight
-from the ints; it and `Polynomial.__str__` share one formatter (`_format`).  `CompiledSystem` compiles the residuals of a
-symbolic report from those integer dicts, without making a Polynomial.
+from the ints; it and `Polynomial.__str__` share one formatter (`_format`).
+`CompiledSystem` compiles the residuals of a symbolic report from those
+integer dicts, without making a Polynomial.
 
 A bare rational literal ("1", "-1/2"), which is most of a structure-constant
 file, is read by `Polynomial.parse` without the tokenizer; any other text,
@@ -426,12 +427,13 @@ class CompiledSystem:
         position = {name: index for index, name in enumerate(unknowns)}
         forms: dict = {}  # form -> {packed monomial: factors}
         equations: dict = {}
-        compiled: set = set()  # the ids of the `scaled` tuples compiled so far
+        # id -> each `scaled` tuple compiled so far, held so that its id stays its own
+        compiled: dict = {}
         for violation in violations:
             scaled = violation.scaled
             if id(scaled) in compiled:
                 continue
-            compiled.add(id(scaled))
+            compiled[id(scaled)] = scaled
             form, terms, _ = scaled
             known = forms.setdefault(form, {})
             equation = []

@@ -44,8 +44,8 @@ MUTANTS = [
     {
         "name": "intern key omits the scale",
         "file": "src/homsplit/axioms.py",
-        "old": "key = frozenset(residual.items()), scale",
-        "new": "key = frozenset(residual.items())",
+        "old": "shared = residuals.setdefault(scale, {})",
+        "new": "shared = residuals.setdefault(None, {})",
         "tests": ["tests/test_sparse_engine.py"],
     },
     {
