@@ -43,8 +43,12 @@ from .poly import ParseError
 from .report import PreconditionError
 
 
-def _dump(data: dict) -> str:
-    return json_text(data)
+def _dump(data) -> str:
+    """The JSON text of the payload `data`; a str is a chunk of a report that
+    `_write_report` streams, and is its own text.  Every report text the CLI
+    makes passes through here once, whole or chunk by chunk, so that a
+    profile can count it."""
+    return data if type(data) is str else json_text(data)
 
 
 def _write_report(payload: dict, streams: list) -> None:
@@ -53,11 +57,13 @@ def _write_report(payload: dict, streams: list) -> None:
     writes = [stream.write for stream in streams]
 
     def write(chunk: str) -> None:
+        chunk = _dump(chunk)
         for stream_write in writes:
             stream_write(chunk)
 
     json_stream(payload, write)
-    write("\n")
+    for stream_write in writes:
+        stream_write("\n")
 
 
 def _publish(args, payload: dict, summary: str | None = None, show: bool = True) -> None:

@@ -168,7 +168,7 @@ def verify_entry(entry: dict, root=None, sq15: str = SQ15_DEFAULT, algebras=None
     else:
         raise CorpusError(f"unknown corpus entry type {entry['type']!r}")
     record["verdict"] = report.status
-    record["violations"] = [v.to_dict() for v in report.entries]
+    record["violations"] = report.to_dict()["entries"]
     record["agreement"] = report.status == entry["expected"]["verdict"]
     record["discrepancy"] = not record["agreement"]
     return record

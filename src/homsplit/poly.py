@@ -417,8 +417,7 @@ class CompiledSystem:
     Each term is stored as (coefficient, factors), the factors being the
     positions in `unknowns` of its names, looked up by name and repeated by
     multiplicity (t11*t23^2 over t11..t33 is (0, 5, 5)); each distinct
-    monomial of a form is decoded once, and a `scaled` tuple that several
-    violations share is compiled once.  Equations with the same integer
+    monomial of a form is decoded once.  Equations with the same integer
     terms are kept once, in the order of their first violation, under their
     level: the number of leading unknowns they need (0 for a constant).
     """
@@ -427,14 +426,8 @@ class CompiledSystem:
         position = {name: index for index, name in enumerate(unknowns)}
         forms: dict = {}  # form -> {packed monomial: factors}
         equations: dict = {}
-        # id -> each `scaled` tuple compiled so far, held so that its id stays its own
-        compiled: dict = {}
         for violation in violations:
-            scaled = violation.scaled
-            if id(scaled) in compiled:
-                continue
-            compiled[id(scaled)] = scaled
-            form, terms, _ = scaled
+            form, terms, _ = violation.scaled
             known = forms.setdefault(form, {})
             equation = []
             for packed, coeff in terms.items():

@@ -11,12 +11,12 @@ integer terms and scale hold one `scaled` tuple, and equal witnesses one
 tuple, so a dense failing report holds each distinct residual once.
 
 A violation's row is {"residual", "template", "witness"} (`to_dict`).
-`Report.to_dict` lists the row dicts; `Report.payload` lists the violations
-themselves, which `files.json_text` writes as the same row text without
-making a dict per violation, and the first line of a row once per shared
-residual.  The CLI streams its reports (`files.json_stream`): the text goes
-to the report file and stdout in chunks as it is made, and is never held
-whole.
+`Report.to_dict` lists the row dicts, making the text of each shared
+residual once; `Report.payload` lists the violations themselves, which
+`files.json_text` writes as the same row text without making a dict per
+violation, and the first line of a row once per shared residual.  The CLI
+streams its reports (`files.json_stream`): the text goes to the report
+file and stdout in chunks as it is made, and is never held whole.
 """
 
 from __future__ import annotations
@@ -59,11 +59,12 @@ class Violation:
         form, terms, scale = self.scaled
         return form.text(terms, scale)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, residual: str | None = None) -> dict:
+        """The row; `residual`, if given, is the residual's text."""
         return {
             "template": self.template,
             "witness": list(self.witness),
-            "residual": self.residual_text(),
+            "residual": self.residual_text() if residual is None else residual,
         }
 
     def __repr__(self) -> str:
@@ -117,10 +118,17 @@ class Report:
         return {v.template for v in self.entries}
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "entries": [v.to_dict() for v in self.entries],
-        }
+        """The status and the row of each violation; the text of a residual
+        that several violations share (their `scaled` tuple) is made once."""
+        texts: dict = {}  # id of a `scaled` tuple, or of a violation -> residual text
+        entries = []
+        for v in self.entries:
+            key = id(v.scaled or v)
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = v.residual_text()
+            entries.append(v.to_dict(text))
+        return {"status": self.status, "entries": entries}
 
     def payload(self) -> dict:
         """`to_dict()` with the violations themselves as its entries, for

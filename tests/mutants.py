@@ -56,6 +56,13 @@ MUTANTS = [
         "tests": ["tests/test_json_writer.py"],
     },
     {
+        "name": "report row text cache keyed by template",
+        "file": "src/homsplit/report.py",
+        "old": "key = id(v.scaled or v)",
+        "new": "key = v.template",
+        "tests": ["tests/test_sparse_engine.py", "tests/test_corpus.py"],
+    },
+    {
         "name": "stream drops its last flush",
         "file": "src/homsplit/files.py",
         "old": '    _write(data, "\\n", out)\n    out.flush()\n',

@@ -515,8 +515,16 @@ def test_failing_check_report_prints_the_report_text_and_serializes_once(
         calls.append(data)
         return original(data, write)
 
+    chunks = []
+    dump = cli._dump
+
+    def chunk_only(data):
+        assert type(data) is str, "the report text was built from the payload"
+        chunks.append(data)
+        return dump(data)
+
     monkeypatch.setattr(cli, "json_stream", counted)
-    monkeypatch.setattr(cli, "_dump", lambda data: pytest.fail("the report text was built"))
+    monkeypatch.setattr(cli, "_dump", chunk_only)
     report_path = tmp_path / "report.json"
     code = main(["check", corpus_path("dim2/D4.json"), "--multiplicative",
                  "--report", str(report_path)])
@@ -525,6 +533,8 @@ def test_failing_check_report_prints_the_report_text_and_serializes_once(
     assert summary.endswith("violation(s))") and "fail" in summary
     assert rest == report_path.read_text(encoding="utf-8")
     assert len(calls) == 1
+    # each chunk passes through `_dump` once, though it goes to two streams
+    assert "".join(chunks) + "\n" == rest
 
 
 def test_streamed_report_equals_the_report_text_on_stdout_and_in_the_file(tmp_path, capsys):

@@ -267,3 +267,20 @@ def test_equal_terms_over_different_scales_share_nothing():
         assert va.scaled[1] == vb.scaled[1] and 2 * va.scaled[2] == vb.scaled[2]
         assert va.scaled is not vb.scaled and va.witness is vb.witness
         assert vb.residual_text() == str(va.residual * Fraction(1, 2))
+
+
+def test_report_rows_make_each_shared_residual_text_once(monkeypatch):
+    """`Report.to_dict` writes the rows `Violation.to_dict` writes, and
+    formats the text of each shared residual once."""
+    report = check_kind(dense_six(random.Random(5), 3))
+    expected = [v.to_dict() for v in report.entries]
+    texts = []
+    text = IntegerForm.text
+
+    def counted(self, terms, scale):
+        texts.append(scale)
+        return text(self, terms, scale)
+
+    monkeypatch.setattr(IntegerForm, "text", counted)
+    assert report.to_dict() == {"status": "fail", "entries": expected}
+    assert len(texts) == len({id(v.scaled) for v in report.entries}) < len(expected)
