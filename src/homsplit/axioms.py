@@ -39,8 +39,6 @@ and of those only the pairs whose nonzero coordinates meet a structure
 constant; a map application or a sum keeps only the entries that do not come
 out zero.  A template whose two tables and scales are equal passes outright,
 and otherwise only the tuples present on either side are compared.
-`tabulate` exposes one table, with the zero vector at every missing tuple, so
-that constructions build induced products from expressions as well.
 
 Tables hold exact integers.  Each call converts every op and map it uses once
 (`poly.IntegerForm`) into sparse {packed monomial: int} entries over the
@@ -56,8 +54,7 @@ two sides of a template may have different scales (`mult.*` applies alpha
 once on one side and twice on the other), so a coordinate passes when
 lhs * (L / sL) == rhs * (L / sR) as integer dicts, with L = lcm(sL, sR).  A
 nonzero residual stays the integer dict over L in its Violation, which builds
-the canonical Polynomial only on demand; `tabulate` converts its table back
-to Polynomial vectors.
+the canonical Polynomial only on demand.
 
 The sq15 identity mixes two operations across its sides in the source; both
 the literal reading and the symmetrized one are implemented, selectable via
@@ -73,7 +70,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .model import ActionBundle, AlgebraBundle, KIND_OPS, LinearMap, RepresentationBundle
-from .poly import IntegerForm, Polynomial, max_exponent
+from .poly import IntegerForm, max_exponent
 from .report import Report, scaled_violation
 
 SQ15_READINGS = ("literal", "symmetric")
@@ -495,28 +492,6 @@ def _tabulate(code: tuple, tables: list, dims: dict, compiled: _Compiled) -> tup
         if any(total := apply(*[term.get(combo) for term in spread]))
     }
     return scale, dim, table
-
-
-def tabulate(expr, variables, dims: dict, ops: dict, maps: dict) -> dict:
-    """{basis tuple: vector of `expr`} over every tuple of basis indices of
-    `variables` ((placeholder, space), ...), keyed in `variables` order; the
-    coordinates are Polynomials, and a tuple where `expr` is zero gets the
-    zero vector."""
-    plan = _Plan(())
-    slot = plan.slot(expr, tuple(sorted(variables)), set())
-    compiled = _Compiled(ops, maps, _nodes(expr))
-    tables: list = []
-    for code in plan.code:
-        tables.append(_tabulate(code, tables, dims, compiled))
-    scale, dim, table = tables[slot]
-    vectors = {
-        combo: tuple(compiled.form.polynomial(coord, scale) for coord in vector)
-        for combo, vector in table.items()
-    }
-    zero = (Polynomial.zero(),) * dim
-    at = _projector([name for name, _ in variables], plan.free[slot])
-    ranges = [range(1, dims[space] + 1) for _, space in variables]
-    return {combo: vectors.get(at(combo), zero) for combo in itertools.product(*ranges)}
 
 
 def _difference(a: dict, a_factor: int, b: dict, b_factor: int) -> dict:

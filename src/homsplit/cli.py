@@ -29,7 +29,6 @@ from .axioms import (
     check_representation,
 )
 from .files import (
-    OPERATOR_KINDS,
     algebra_to_dict,
     classify_file,
     json_stream,
@@ -106,7 +105,7 @@ def _load_input(name: str, shape: str, path):
     of an operator file whose kind is `shape`."""
     if path is None:
         raise corpus.CorpusError(f"construct {name}: missing input file(s)")
-    if shape not in OPERATOR_KINDS:
+    if shape not in operators.OPERATOR_KINDS:
         return getattr(corpus, f"load_{shape}")(path)
     kind, matrix = corpus.load_operator(path)
     if kind != shape:
@@ -190,6 +189,11 @@ def _cmd_construct(args) -> int:
             print(f"{name} refused: preconditions failed", file=sys.stderr)
             print(_dump(out.report.payload()), file=sys.stderr)
             return 1
+        if not out.bundle.dim:
+            raise corpus.CorpusError(
+                f"construct {name}: I_D is all of D, so the quotient has dimension 0, "
+                "which no algebra file can hold"
+            )
         out = out.bundle
     header = f"construct {name} " + " ".join(str(p) for p in args.inputs)
     write_json(args.output, algebra_to_dict(out), header=header)
@@ -356,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-op", help="enumerate operator solutions over a rational grid")
     p.add_argument("context")
-    p.add_argument("--kind", required=True, choices=sorted(OPERATOR_KINDS))
+    p.add_argument("--kind", required=True, choices=sorted(operators.OPERATOR_KINDS))
     p.add_argument("--grid", default="-2..2", help="integer range lo..hi (default -2..2)")
     p.add_argument(
         "--denominators", default="1", help="comma-separated denominators (default 1)"

@@ -1,12 +1,16 @@
 """Structure-producing procedures: splittings, products, quotients, and
 operator-induced algebras.
 
-Every induced product is an `axioms` expression over named operations and
-maps, tabulated by the template engine (`induced_op`): the averaging operator
-is the map "H", a change of basis "S", the inclusion of the complement basis
-of D/I_D "C".  The quotient by I_D is checked by templates in which reduction
-modulo I_D is the linear map "R" (`quotient_closure_templates` and its
-neighbours in `axioms`), so no construction evaluates a basis loop of its own.
+Every value a construction reads is the set of residuals of an identity
+lhs = rhs over named operations and maps, from one call of the template
+engine (`_residuals`): the averaging operator is the map "H", a change of
+basis "S", the inclusion of the complement basis of D/I_D "C".  An induced
+product (`induced_op`) and the quotient twist are the residuals of expr = 0,
+0 being the zero map "0" into the output space, and the generators of I_D
+those of dashv = vdash.  The quotient by I_D is checked by templates in which
+reduction modulo I_D is the linear map "R" (`quotient_closure_templates` and
+its neighbours in `axioms`), so no construction evaluates a basis loop of its
+own.
 
 Constructions whose validity rests on a precondition (a representation being
 valid, an operator verifying) check it first and refuse with the offending
@@ -25,6 +29,7 @@ from .axioms import (
     App,
     Op,
     S,
+    Template,
     Var,
     _require_kind,
     check_action,
@@ -32,26 +37,34 @@ from .axioms import (
     evaluate_templates,
     perp_compat_templates,
     quotient_closure_templates,
-    tabulate,
 )
 from .linalg import reduction_matrix, rref
 from .model import ActionBundle, AlgebraBundle, BilinearOp, LinearMap, RepresentationBundle
+from .poly import Polynomial
 from .report import PreconditionError, Report
 
 _X, _Y = Var("x"), Var("y")
 
 
+def _residuals(lhs, rhs, variables: tuple, dims: dict, ops: dict, maps: dict) -> list:
+    """(*witness, residual) for each violation of `lhs` = `rhs` over every
+    tuple of basis indices of `variables` ((placeholder, space), ...), from
+    one `evaluate_templates` call: the witness is the tuple in `variables`
+    order with the coordinate appended, and the residual the Polynomial
+    lhs - rhs there."""
+    report = evaluate_templates((Template("", variables, lhs, rhs),), dims, ops, maps)
+    return [(*v.witness, v.residual) for v in report.entries]
+
+
 def induced_op(expr, spaces: tuple, dims: dict, ops: dict, maps: dict) -> BilinearOp:
-    """The tensor e_i, e_j -> `expr` at x = e_i, y = e_j, tabulated by the
-    template engine; `spaces` names the spaces of x, y and the output."""
+    """The tensor e_i, e_j -> `expr` at x = e_i, y = e_j: the residuals of
+    `expr` = 0; `spaces` names the spaces of x, y and the output."""
     left, right, out = spaces
-    table = tabulate(expr, (("x", left), ("y", right)), dims, ops, maps)
-    return BilinearOp.from_entries(dims[left], dims[right], dims[out], [
-        (i, j, k, poly)
-        for (i, j), vec in table.items()
-        for k, poly in enumerate(vec, start=1)
-        if poly
-    ])
+    zero = LinearMap.zero(dims[out], dims[left])
+    entries = _residuals(
+        expr, App("0", _X), (("x", left), ("y", right)), dims, ops, {**maps, "0": zero}
+    )
+    return BilinearOp.from_entries(dims[left], dims[right], dims[out], entries)
 
 
 def _shift_entries(op: BilinearOp, di: int, dj: int, dk: int):
@@ -233,18 +246,19 @@ def _require_parameter_free(bundle) -> None:
 
 
 def ideal_ID(bundle: AlgebraBundle) -> Subspace:
-    """Span of all dashv-flavored minus vdash-flavored products."""
+    """Span of all dashv-flavored minus vdash-flavored products: the
+    residuals of x flavor_dashv y = x flavor_vdash y, one generator per
+    (flavor, x, y).  RREF is unique, so the order of the generators does not
+    matter."""
     _require_kind(bundle, "quadri_dendriform")
     _require_parameter_free(bundle)
     dims, ops, xy = {"D": bundle.dim}, dict(bundle.ops), (("x", "D"), ("y", "D"))
-    generators = []
+    generators: dict = {}
     for flavor in ("prec", "succ"):
-        dashv = tabulate(Op(f"{flavor}_dashv", _X, _Y), xy, dims, ops, {})
-        vdash = tabulate(Op(f"{flavor}_vdash", _X, _Y), xy, dims, ops, {})
-        generators += [
-            [(a - b).as_fraction() for a, b in zip(dashv[key], vdash[key])] for key in dashv
-        ]
-    return Subspace.from_spanning(bundle.dim, generators)
+        dashv, vdash = (Op(f"{flavor}_{side}", _X, _Y) for side in ("dashv", "vdash"))
+        for i, j, k, residual in _residuals(dashv, vdash, xy, dims, ops, {}):
+            generators.setdefault((flavor, i, j), [0] * bundle.dim)[k - 1] = residual.as_fraction()
+    return Subspace.from_spanning(bundle.dim, generators.values())
 
 
 def _complement_inclusion(dim: int, complement: tuple) -> LinearMap:
@@ -298,16 +312,17 @@ def quotient_dendriform(bundle: AlgebraBundle) -> QuotientResult:
         induced_op(App("P", Op(f"{flavor}_vdash", cx, cy)), ("Q", "Q", "Q"), dims, ops, maps)
         for flavor in ("prec", "succ")
     )
-    columns = tabulate(App("P", App("alpha", App("C", _X))), (("x", "Q"),), dims, ops, maps)
-    twist = LinearMap(
-        qdim, qdim, tuple(tuple(columns[(s,)][r] for s in range(1, qdim + 1)) for r in range(qdim))
-    )
+    maps["0"] = LinearMap.zero(qdim, qdim)
+    twist = [[Polynomial.zero()] * qdim for _ in range(qdim)]
+    image = App("P", App("alpha", App("C", _X)))
+    for s, r, entry in _residuals(image, App("0", _X), (("x", "Q"),), dims, ops, maps):
+        twist[r - 1][s - 1] = entry  # coordinate r of the image of e_s
 
     quotient = AlgebraBundle(
         kind="dendriform",
         dim=qdim,
         ops={"prec": prec, "succ": succ},
-        twist=twist,
+        twist=LinearMap.from_rows(twist),
         parameters=(),
     )
     return QuotientResult(

@@ -32,6 +32,7 @@ from .model import (
     RepresentationBundle,
     action_shapes,
 )
+from .operators import OPERATOR_KINDS
 from .poly import ParseError, Polynomial
 from .report import Violation
 
@@ -39,14 +40,6 @@ ALGEBRA_KEYS = {"kind", "dimension", "parameters", "alpha", "ops"}
 REPRESENTATION_KEYS = ALGEBRA_KEYS | {"module_dimension", "beta", "actions"}
 ACTION_KEYS = REPRESENTATION_KEYS | {"acted_ops"}
 OPERATOR_KEYS = {"kind", "matrix"}
-
-OPERATOR_KINDS = {
-    "averaging_assoc",
-    "rota_baxter",
-    "relative_averaging",
-    "homomorphic_relative_averaging",
-    "averaging_quadri",
-}
 
 
 def _parse_poly(text, where: str) -> Polynomial:

@@ -61,6 +61,7 @@ _OPERATORS = {
 _OPERATORS["relative_averaging"] = _OPERATORS["homomorphic_relative_averaging"] = (
     "ravg", None, lambda names: relative_averaging_templates()
 )
+OPERATOR_KINDS = frozenset(_OPERATORS)
 
 
 def _operator_templates(kind: str, names: tuple, twist: bool) -> list:

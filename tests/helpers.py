@@ -5,7 +5,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from homsplit.axioms import check_associative, check_dendriform
+from homsplit.axioms import (
+    App,
+    Template,
+    Var,
+    check_associative,
+    check_dendriform,
+    evaluate_templates,
+)
 from homsplit.model import (
     KIND_OPS,
     ActionBundle,
@@ -25,6 +32,18 @@ COEFFS = [
 ]
 
 VALUES = [Fraction(-1), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)]
+
+
+def expression_values(expr, variables, dim_out: int, dims, ops, maps) -> dict:
+    """{(*basis tuple in `variables` order, coordinate): Polynomial} over the
+    nonzero coordinates of `expr`: the residuals of `expr` = 0 from one
+    `evaluate_templates` call, 0 being the zero map "0" from the space of the
+    first placeholder, as the constructions read their values."""
+    first, space = variables[0]
+    zero = LinearMap.zero(dim_out, dims[space])
+    template = Template("value", tuple(variables), expr, App("0", Var(first)))
+    report = evaluate_templates([template], dims, ops, {**maps, "0": zero})
+    return {v.witness: v.residual for v in report.entries}
 
 
 def bundle(kind, dim, params, alpha_rows, **ops) -> AlgebraBundle:

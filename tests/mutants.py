@@ -326,6 +326,27 @@ MUTANTS = [
         "new": "",
         "tests": ["tests/test_morphisms.py"],
     },
+    {
+        "name": "ideal generators keyed without their flavor",
+        "file": "src/homsplit/constructions.py",
+        "old": "generators.setdefault((flavor, i, j), [0] * bundle.dim)",
+        "new": "generators.setdefault((i, j), [0] * bundle.dim)",
+        "tests": ["tests/test_oracle_constructions.py", "tests/test_constructions.py"],
+    },
+    {
+        "name": "quotient twist read untransposed",
+        "file": "src/homsplit/constructions.py",
+        "old": "twist[r - 1][s - 1] = entry",
+        "new": "twist[s - 1][r - 1] = entry",
+        "tests": ["tests/test_oracle_constructions.py", "tests/test_constructions.py"],
+    },
+    {
+        "name": "the zero map of expr = 0 sized from the output space on both sides",
+        "file": "src/homsplit/constructions.py",
+        "old": "zero = LinearMap.zero(dims[out], dims[left])",
+        "new": "zero = LinearMap.zero(dims[out], dims[out])",
+        "tests": ["tests/test_oracle_constructions.py", "tests/test_constructions.py"],
+    },
 ]
 
 # Edits that change the code but not what it computes, with the reason; they

@@ -99,7 +99,7 @@ QUADRI_FOLDERS = ("dim2/", "dim3/", "controls/")
 
 CONSTRUCT_SHA256 = {
     "sum-dias": "4893e04a030af0a23a3828cf1d39ac4de65b5beb3f48add3572156d8d0d20b96",
-    "quotient": "35fcf5bca78d6b8ec6ed259aa45557cfdb266f1b976d7741809c37e1da4639b9",
+    "quotient": "a8b3d929438b58a65b31af2bfe53f61c07931d8a8415ea6f4832badb27e8588e",
     "dsum": "072c3e5a4b55c6575f2ce2c99aae7c8006ae0c2df0d9dd88aeaea0f4b16ca44c",
     "hemi": "60995330e509663fbd3185331f9100e43eef0f9392ec7e2c21fd8d0246989302",
     "semidirect": "59d16f1843ba1bb0f3fa622c783d75ac4a33f1aaa5dfa9ce626728f0eb105707",
@@ -217,18 +217,22 @@ def run_construct(tmp_path, name, files, force, capsys):
 
 def test_construct_outputs_and_refusals_are_byte_identical(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    digests, codes = {}, {}
+    digests, codes, input_errors = {}, {}, []
     for name, files, force in construct_cases():
         code, data, out, err = run_construct(tmp_path, name, files, force, capsys)
         codes.setdefault(name, set()).add(code)
+        if code == 2:
+            input_errors.append((name, *files))
         record = json.dumps([name, sorted(files), force, code, data.decode(), out, err])
         digests.setdefault(name, hashlib.sha256()).update(record.encode("utf-8"))
-    # every precondition is exercised both ways; the splittings and dsum always build
+    # every precondition is exercised both ways; the splittings and dsum always build;
+    # dim2.D4 at all ones has I_D = D, and its zero-dimensional quotient is refused
     assert codes == {
-        "sum-dias": {0}, "dsum": {0}, "quotient": {0, 1}, "hemi": {0, 1},
+        "sum-dias": {0}, "dsum": {0}, "quotient": {0, 1, 2}, "hemi": {0, 1},
         "semidirect": {0, 1}, "avg-dias": {0, 1}, "rb-dias": {0, 1},
         "ravg-quadri": {0, 1}, "havg-six": {0, 1},
     }
+    assert input_errors == [("quotient", "dim2.D4.1.json")]
     assert {name: d.hexdigest() for name, d in digests.items()} == CONSTRUCT_SHA256
 
 

@@ -106,6 +106,26 @@ def test_construct_quotient_refuses_with_report(tmp_path, capsys):
     assert "quotient.closure.twist" in capsys.readouterr().err
 
 
+def test_construct_quotient_refuses_a_zero_dimensional_quotient(tmp_path, capsys):
+    """prec_dashv(e1, e1) = e1 and every other product zero make I_D all of
+    D; a file of dimension 0 could not be read back, so none is written."""
+    spec_path, out = tmp_path / "q.json", tmp_path / "quot.json"
+    ops = {name: [] for name in ("prec_vdash", "prec_dashv", "succ_vdash", "succ_dashv")}
+    ops["prec_dashv"] = [{"i": 1, "j": 1, "k": 1, "c": "1"}]
+    write_json(spec_path, {
+        "kind": "quadri_dendriform", "dimension": 1, "parameters": [],
+        "alpha": [["1"]], "ops": ops,
+    })
+    assert main(["construct", "quotient", str(spec_path), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: construct quotient: I_D is all of D, so the quotient has dimension 0, "
+        "which no algebra file can hold\n"
+    )
+    assert not out.exists()
+
+
 def test_verify_op_exit_codes(capsys):
     assert main([
         "verify-op", corpus_path("dim2/D3_literal.json"),

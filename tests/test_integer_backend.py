@@ -1,14 +1,15 @@
 """The integer backend of the template engine: engine vs independent oracle.
 
-`axioms.evaluate_templates` and `axioms.tabulate` scale every op and map by the
-least common multiple of its own denominators, carry the scales through the
-subterm tables and compare the two sides of a template as integer dicts.  These
-tests reach the cases the corpus and the benchmark inputs do not: sums whose
-terms carry different scales, fractional twists and morphisms, templates that
-apply a map a different number of times on each side, parameter names whose
-string order differs from their numeric suffix, and entries of high degree.
-Each compares the full (template, witness, residual text) sets with
-`oracle.py` in Fraction mode and, on symbolic inputs, in sympy mode.
+`axioms.evaluate_templates`, which every checker and construction calls, scales
+every op and map by the least common multiple of its own denominators, carries
+the scales through the subterm tables and compares the two sides of a template
+as integer dicts.  These tests reach the cases the corpus and the benchmark
+inputs do not: sums whose terms carry different scales, fractional twists and
+morphisms, templates that apply a map a different number of times on each
+side, parameter names whose string order differs from their numeric suffix,
+and entries of high degree.  Each compares the full (template, witness,
+residual text) sets with `oracle.py` in Fraction mode and, on symbolic inputs,
+in sympy mode.
 """
 
 from fractions import Fraction

@@ -1,7 +1,8 @@
 """Constructions: engine vs independent oracle.
 
 The engine side is `homsplit.constructions` and `morphisms.push_forward`,
-which tabulate expressions and evaluate the quotient templates; the oracle side
+which read every value as the residuals of an identity from
+`axioms.evaluate_templates` and evaluate the quotient templates; the oracle side
 is the coordinate transcription in `oracle.py`.  Tensors, witness sets and
 residuals are compared in Fraction mode on parameter-free inputs and in sympy
 mode on symbolic ones.

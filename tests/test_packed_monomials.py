@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import near_valid_six
+from helpers import expression_values, near_valid_six
 from oracle import dendriform_violations, multiplicative_violations, quadri_violations
 from test_residuals import assert_lazy_residuals
 from homsplit import axioms
@@ -35,7 +35,6 @@ from homsplit.axioms import (
     evaluate_templates,
     quadri_templates,
     six_templates,
-    tabulate,
 )
 from homsplit.model import KIND_OPS, AlgebraBundle, BilinearOp, LinearMap
 from homsplit.poly import IntegerForm, Polynomial
@@ -95,20 +94,21 @@ def test_exponents_at_the_bound_never_carry(k):
     assert_lazy_residuals(mult, multiplicative_violations(bundle, "sympy", residuals=True))
 
 
-def test_tabulate_sizes_its_fields_from_the_expression():
+def test_expression_values_size_their_fields_from_the_expression():
     """Three twists, or a product of two twisted vectors with a p*q constant,
     reach p^3*q^3 from entries of degree one in each parameter: with three
-    Op and App nodes the fields are 2 bits wide, and 3 = 0b11 fills them."""
+    Op and App nodes the fields are 2 bits wide, and 3 = 0b11 fills them.
+    The values are the nonzero coordinates, keyed (*basis tuple, coordinate)."""
     alpha = LinearMap.from_rows([[P("p*q"), P("1")], [P("0"), P("1")]])
     cube = App("alpha", App("alpha", App("alpha", Var("x"))))
-    table = tabulate(cube, (("x", "D"),), {"D": 2}, {}, {"alpha": alpha})
-    assert table == {(1,): (P("p^3*q^3"), P("0")), (2,): (P("p^2*q^2 + p*q + 1"), P("1"))}
+    values = expression_values(cube, (("x", "D"),), 2, {"D": 2}, {}, {"alpha": alpha})
+    assert values == {(1, 1): P("p^3*q^3"), (2, 1): P("p^2*q^2 + p*q + 1"), (2, 2): P("1")}
     square = Op("mu", App("alpha", Var("x")), App("alpha", Var("y")))
     mu = BilinearOp.square(2, [(1, 2, 1, P("p*q"))])
-    table = tabulate(square, (("x", "D"), ("y", "D")), {"D": 2}, {"mu": mu}, {"alpha": alpha})
-    assert table[1, 1] == (P("0"), P("0"))
-    assert table[1, 2] == (P("p^2*q^2"), P("0"))
-    assert table[2, 2] == (P("p*q"), P("0"))
+    values = expression_values(
+        square, (("x", "D"), ("y", "D")), 2, {"D": 2}, {"mu": mu}, {"alpha": alpha}
+    )
+    assert values == {(1, 2, 1): P("p^2*q^2"), (2, 2, 1): P("p*q")}
 
 
 def test_scaled_refuses_an_exponent_above_its_field():

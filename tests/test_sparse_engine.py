@@ -5,8 +5,9 @@ where its vector is nonzero; a missing key is the zero vector.  These tests
 reach the cases where that matters: a tuple where one side of a template is
 zero and the other is not (the key on one side only), sums whose terms
 cancel, maps with zero columns that drop entries, templates whose two sides
-have different placeholders, and `tabulate`, which fills every missing tuple
-with a zero vector.  Each compares the engine with `oracle.py`.
+have different placeholders, and the value of an expression read as the
+residuals of expr = 0, as the constructions read it.  Each compares the
+engine with `oracle.py`.
 """
 
 import random
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import dense_six, random_bundle, random_op
+from helpers import dense_six, expression_values, random_bundle, random_op
 from oracle import (
     closure_violations,
     dendriform_violations,
@@ -39,7 +40,6 @@ from homsplit.axioms import (
     check_quadri,
     evaluate_templates,
     quotient_closure_templates,
-    tabulate,
 )
 from homsplit.constructions import quotient_dendriform
 from homsplit.model import AlgebraBundle, BilinearOp, LinearMap
@@ -175,11 +175,12 @@ def test_a_template_whose_sides_differ_in_dimension_is_refused():
         evaluate_templates([template], {"A": 1}, {}, {"F": F, "G": G})
 
 
-def test_tabulate_fills_missing_tuples_with_zero_vectors_of_the_output_dimension():
+def test_expression_values_match_the_oracle_on_every_tuple():
     """f: A x B -> C with dimensions 2, 3, 4; its products at (1, 2) and
     (2, 3) have a zero first coordinate.  G: A -> C makes a sum over terms
     with different placeholders, and K: A -> B a product whose two factors
-    share the placeholder x and lack y."""
+    share the placeholder x and lack y.  A coordinate missing from the values
+    is zero."""
     f = BilinearOp.from_entries(2, 3, 4, [
         (1, 2, 3, P("p")), (1, 2, 4, P("-1")), (2, 3, 2, P("1/2")), (2, 1, 1, P("2")),
     ])
@@ -199,16 +200,15 @@ def test_tabulate_fills_missing_tuples_with_zero_vectors_of_the_output_dimension
          ]),
     ]
     for expr, expected in cases:
-        table = tabulate(expr, variables, dims, {"f": f}, {"G": G, "K": K})
-        assert list(table) == [(j, i) for j in range(1, 4) for i in range(1, 3)]
+        values = expression_values(expr, variables, 4, dims, {"f": f}, {"G": G, "K": K})
+        assert all(1 <= j <= 3 and 1 <= i <= 2 and 1 <= k <= 4 for j, i, k in values)
         zero = 0
-        for (j, i), vector in table.items():
-            want = expected(i, j)
-            assert len(vector) == 4
-            assert all(is_zero(conv(got) - value) for got, value in zip(vector, want))
-            if all(is_zero(value) for value in want):
-                zero += 1
-                assert vector == (Polynomial.zero(),) * 4
+        for j in range(1, 4):
+            for i in range(1, 3):
+                want = expected(i, j)
+                got = [values.get((j, i, k), Polynomial.zero()) for k in range(1, 5)]
+                assert all(is_zero(conv(g) - value) for g, value in zip(got, want))
+                zero += all(is_zero(value) for value in want)
         assert zero
 
 
