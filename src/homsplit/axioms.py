@@ -33,12 +33,16 @@ template drops, the placeholder names of every subterm and the projectors
 between their index tuples) is an evaluation plan, made once per template set
 and kept across calls (`_Plan`).  Tables are sparse: a table holds only the
 basis tuples where the subterm's vector is nonzero, and a missing key is the
-zero vector.  A placeholder's table is full; an op multiplies only the present
-entries of its two factors, since a product is zero wherever either factor is,
-and of those only the pairs whose nonzero coordinates meet a structure
-constant; a map application or a sum keeps only the entries that do not come
-out zero.  A template whose two tables and scales are equal passes outright,
-and otherwise only the tuples present on either side are compared.
+zero vector, and a vector holds only its nonzero coordinates, as {coordinate
+index: coordinate}, a missing index being zero.  A placeholder's table is full.
+An op walks, for each nonzero coordinate x_i of a left entry, only the
+structure constants c_ij* of row i, and meets each with the right entries that
+agree with it on their shared placeholders and have y_j nonzero, so every
+product it forms meets a structure constant; a map application or a sum keeps
+only the entries that do not come out zero.  A template whose two tables and
+scales are equal passes outright, and otherwise only the tuples present on
+either side are compared, and of those only the coordinates present on either
+side.
 
 Tables hold exact integers.  Each call converts every op and map it uses once
 (`poly.IntegerForm`) into sparse {packed monomial: int} entries over the
@@ -160,18 +164,22 @@ def _projector(names, sub):
 
 
 # ---------------------------------------------------------------------------
-# the integer backend: every vector coordinate is a dict {packed monomial: int}
+# the integer backend: a vector is a dict {coordinate index: coordinate} of its
+# nonzero coordinates, and a coordinate is a dict {packed monomial: int}
 
-_ZERO: dict = {}  # the zero coordinate; shared, so never mutated
+_ZERO: dict = {}  # the zero vector and the zero coordinate; shared, so never mutated
 
 
-def _vector(out: dict, dim: int) -> tuple:
-    """The vector with the accumulated coordinates {index: dict}, whose zero
-    coefficients are dropped, and zero elsewhere."""
-    vector = [_ZERO] * dim
+def _vector(out: dict) -> dict:
+    """The vector of the accumulated coordinates {index: dict}, without zero
+    coefficients and without the coordinates that cancelled to zero."""
+    vector = {}
     for k, acc in out.items():
-        vector[k] = acc if 0 not in acc.values() else {m: c for m, c in acc.items() if c}
-    return tuple(vector)
+        if 0 in acc.values():
+            acc = {m: c for m, c in acc.items() if c}
+        if acc:
+            vector[k] = acc
+    return vector
 
 
 def _accumulate(acc: dict, terms, factor_terms, constant) -> None:
@@ -200,7 +208,8 @@ class _Compiled:
     largest exponent of any entry, which is the `degree` the form holds
     without carrying.  Each op and map is converted on first use, scaled by
     the least common multiple of its own coefficient denominators, and kept
-    as (scale, dims, kernel, ...).
+    as (scale, dims, kernel): an op's kernel is the data `_join` walks, a
+    map's a function of a vector.
     """
 
     def __init__(self, ops: dict, maps: dict, nodes: int):
@@ -216,10 +225,6 @@ class _Compiled:
         self.kernels: dict = {}
 
     @staticmethod
-    def basis(dim: int, index: int) -> tuple:
-        return _vector({index: {0: 1}}, dim)
-
-    @staticmethod
     def _factor(terms: dict) -> tuple:
         """(terms, None), or (None, c) for the constant polynomial c."""
         if len(terms) == 1 and 0 in terms:
@@ -227,43 +232,18 @@ class _Compiled:
         return tuple(terms.items()), None
 
     def op(self, name: str) -> tuple:
-        """(scale, dims, kernel, reach).  The kernel reads the constants of
-        each row i of the left factor, {j: [(k, terms, constant), ...]}, only
-        where x_i is nonzero, and adds x_i y_j times a constant target inline;
-        `reach[i]` sets bit j for each j of a constant c_ij* (see `_join`)."""
+        """(scale, dims, rows), the structure constants by row of the left
+        factor: `rows[i]` = ((j, targets), ...) over the j of the constants
+        c_ij*, `targets` = ((k, terms, constant), ...) being those constants
+        as `_factor` writes them (0-based indices)."""
         if ("op", name) not in self.kernels:
             op = self.ops[name]
             scale, values = self.form.scaled(poly for _, poly in op.constants)
             rows = [{} for _ in range(op.dim_left)]
             for ((i, j, k), _), terms in zip(op.constants, values):
                 rows[i - 1].setdefault(j - 1, []).append((k - 1, *self._factor(terms)))
-            reach = [sum(1 << j for j in row) for row in rows]
-            rows = [tuple(row.items()) for row in rows]
-            dim_out = op.dim_out
-
-            def apply(x, y):
-                out = {}
-                for xi, row in zip(x, rows):
-                    if not xi:
-                        continue
-                    xi = xi.items()
-                    for j, targets in row:
-                        yj = y[j]
-                        if not yj:
-                            continue
-                        xy = [(m1 + m2, c1 * c2) for m1, c1 in xi for m2, c2 in yj.items()]
-                        for k, terms, constant in targets:
-                            acc = out.get(k)
-                            if acc is None:
-                                acc = out[k] = {}
-                            if constant is None:
-                                _accumulate(acc, xy, terms, None)
-                            else:
-                                for mono, coeff in xy:
-                                    acc[mono] = acc.get(mono, 0) + coeff * constant
-                return _vector(out, dim_out)
-
-            self.kernels["op", name] = scale, (op.dim_left, op.dim_right, dim_out), apply, reach
+            rows = tuple(tuple(row.items()) for row in rows)
+            self.kernels["op", name] = scale, (op.dim_left, op.dim_right, op.dim_out), rows
         return self.kernels["op", name]
 
     def map(self, name: str) -> tuple:
@@ -275,35 +255,17 @@ class _Compiled:
                 if terms:
                     row, col = divmod(index, linear.dim_in)
                     columns[col].append((row, *self._factor(terms)))
-            dim_out = linear.dim_out
 
             def apply(v):
                 out = {}
-                for vj, column in zip(v, columns):
-                    if vj:
-                        items = vj.items()
-                        for row, terms, constant in column:
-                            _accumulate(out.setdefault(row, {}), items, terms, constant)
-                return _vector(out, dim_out)
+                for j, vj in v.items():
+                    items = vj.items()
+                    for row, terms, constant in columns[j]:
+                        _accumulate(out.setdefault(row, {}), items, terms, constant)
+                return _vector(out)
 
-            self.kernels["map", name] = scale, (linear.dim_in, dim_out), apply
+            self.kernels["map", name] = scale, (linear.dim_in, linear.dim_out), apply
         return self.kernels["map", name]
-
-
-def _sum_kernel(factors: list, dim: int):
-    """Coordinatewise sum of the term vectors, each times its integer factor;
-    a term given as None is zero."""
-
-    def apply(*vectors):
-        out = {}
-        for factor, vector in zip(factors, vectors):
-            if vector is not None:
-                for k, coord in enumerate(vector):
-                    if coord:
-                        _accumulate(out.setdefault(k, {}), coord.items(), None, factor)
-        return _vector(out, dim)
-
-    return apply
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +303,13 @@ class _Plan:
     placeholder to its space, so a subterm shared by several templates over
     the same spaces is tabulated once.  `code[slot]` is the instruction that
     tabulates it from the slots of its children, which come first, with the
-    projectors its op join or sum needs, and `free[slot]` its sorted
-    placeholder names.  `steps` holds, per template in order: the template,
-    the range of slots it tabulates first, the slots of its two sides with
-    the spreaders that re-key them by its witness order, and the slots it
-    uses last, whose tables are dropped after it.  `nodes` is the largest
-    number of Op and App nodes on a template side (see `_Compiled`).
+    projectors its op join or sum needs (and an op's shared placeholder
+    names), and `free[slot]` its sorted placeholder names.  `steps` holds,
+    per template in order: the template, the range of slots it tabulates
+    first, the slots of its two sides with the spreaders that re-key them by
+    its witness order, and the slots it uses last, whose tables are dropped
+    after it.  `nodes` is the largest number of Op and App nodes on a
+    template side (see `_Compiled`).
     """
 
     def __init__(self, templates: tuple):
@@ -392,7 +355,7 @@ class _Plan:
                 (free_a, free_b) = (self.free[child] for child in children)
                 shared = tuple(name for name in free_b if name in free_a)
                 code = (
-                    _OP, *children, expr.op_name,
+                    _OP, *children, expr.op_name, shared,
                     _projector(free_a, shared), _projector(free_b, shared),
                     _projector(free_a + free_b, free),
                 )
@@ -412,86 +375,123 @@ def _plan(templates: tuple) -> _Plan:
     return _Plan(templates)
 
 
-def _join(a: dict, b: dict, apply, reach, at_a, at_b, pick) -> dict:
-    """The sparse table of an op over the sparse tables of its two factors.
+def _index(b: dict, at_b) -> dict:
+    """The right factor `b` of an op, indexed for `_join`: {its entries'
+    shared placeholder group `at_b(key)`: {j: [(key, y_j items), ...]}},
+    each entry filed under each of its nonzero coordinates y_j."""
+    index: dict = {}
+    for key, vector in b.items():
+        group = index.setdefault(at_b(key), {})
+        for j, yj in vector.items():
+            group.setdefault(j, []).append((key, yj.items()))
+    return index
 
-    A product is zero wherever either factor is, so only pairs of present
-    entries that agree on their shared placeholders (`at_a`, `at_b`) are
-    multiplied, and a product that comes out zero is dropped.  x op y is also
-    zero unless some constant c_ijk meets an x_i and a y_j that are nonzero:
-    `reach[i]` sets bit j for each j of a constant c_ij*, and a pair is
-    multiplied only when its bits meet."""
-    groups: dict = {}
-    for key_b, vector_b in b.items():
-        support = 0
-        for j, coord in enumerate(vector_b):
-            if coord:
-                support |= 1 << j
-        groups.setdefault(at_b(key_b), []).append((key_b, vector_b, support))
+
+def _join(a: dict, index: dict, rows: tuple, at_a, pick) -> dict:
+    """The sparse table of an op over the table `a` of its left factor and
+    the `_index` of its right one, its kernel being `rows` (`_Compiled.op`).
+
+    A product is zero wherever either factor is, and x op y is the sum of
+    c_ijk x_i y_j e_k over the structure constants, so for each nonzero x_i
+    of a left entry the join walks only the constants of row i, and each
+    (j, targets) only with the right entries of the left entry's group whose
+    y_j is nonzero: every product it forms meets a structure constant.  The
+    products of one left entry are made into vectors before the next left
+    entry starts, and a product that comes out zero is dropped."""
     table = {}
     for key_a, vector_a in a.items():
-        bits = 0
-        for coord, row in zip(vector_a, reach):
-            if coord:
-                bits |= row
-        for key_b, vector_b, support in groups.get(at_a(key_a), ()):
-            if bits & support:
-                product = apply(vector_a, vector_b)
-                if any(product):
-                    table[pick(key_a + key_b)] = product
+        group = index.get(at_a(key_a))
+        if group is None:
+            continue
+        out: dict = {}
+        for i, xi in vector_a.items():
+            xi = xi.items()
+            for j, targets in rows[i]:
+                right = group.get(j)
+                if right is None:
+                    continue
+                for key_b, yj in right:
+                    xy = [(m1 + m2, c1 * c2) for m1, c1 in xi for m2, c2 in yj]
+                    accs = out.get(key_b)
+                    if accs is None:
+                        accs = out[key_b] = {}
+                    for k, terms, constant in targets:
+                        acc = accs.get(k)
+                        if acc is None:
+                            acc = accs[k] = {}
+                        if constant is None:
+                            _accumulate(acc, xy, terms, None)
+                        else:
+                            for mono, coeff in xy:
+                                acc[mono] = acc.get(mono, 0) + coeff * constant
+        for key_b, accs in out.items():
+            product = _vector(accs)
+            if product:
+                table[pick(key_a + key_b)] = product
     return table
 
 
 def _tabulate(code: tuple, tables: list, dims: dict, compiled: _Compiled) -> tuple:
     """(scale, dimension, {basis indices of the slot's names: integer
-    vector}) of the instruction `code` (see `_Plan`) over the tables of its
-    children; the value of the subterm is the vector / scale.
+    vector}, {shared names: `_index`}) of the instruction `code` (see
+    `_Plan`) over the tables of its children; the value of the subterm is
+    the vector / scale.
 
     Tables are sparse: they hold only the basis tuples where the vector is
-    nonzero, and a missing key is the zero vector.  A placeholder's table is
-    full (every basis vector), an op or map application keeps the entries it
-    does not send to zero, an op multiplies only present entries of its two
-    factors, and a sum runs over the union of its terms' keys.  A subterm's
-    scale is its own op or map scale times its children's scales; a sum
-    takes the least common multiple of its terms'.
+    nonzero, and a missing key is the zero vector; a vector holds only its
+    nonzero coordinates.  A placeholder's table is full (every basis vector),
+    an op or map application keeps the entries it does not send to zero, an
+    op multiplies only present coordinates of present entries of its two
+    factors that meet a structure constant (`_join`), and a sum runs over the
+    union of its terms' keys.  The index of a right factor is built once per
+    call and set of shared names, and kept with its table (the last element,
+    filled as the ops that read it are tabulated).  A subterm's scale is its
+    own op or map scale times its children's scales; a sum takes the least
+    common multiple of its terms'.
     """
     kind = code[0]
     if kind == _VAR:
         dim = dims[code[1]]
-        return 1, dim, {(i,): compiled.basis(dim, i - 1) for i in range(1, dim + 1)}
+        return 1, dim, {(i,): {i - 1: {0: 1}} for i in range(1, dim + 1)}, {}
     if kind == _APP:
         _, child, name = code
-        scale, child_dim, vectors = tables[child]
+        scale, child_dim, vectors, _ = tables[child]
         own, (dim_in, dim), apply = compiled.map(name)
         if child_dim != dim_in:
             raise ValueError(f"map expects dimension {dim_in}, got vector of length {child_dim}")
-        table = {combo: image for combo, vector in vectors.items() if any(image := apply(vector))}
-        return own * scale, dim, table
+        table = {combo: image for combo, vector in vectors.items() if (image := apply(vector))}
+        return own * scale, dim, table, {}
     if kind == _OP:
-        _, left, right, name, at_a, at_b, pick = code
-        (scale_a, dim_a, a), (scale_b, dim_b, b) = tables[left], tables[right]
-        own, (dim_left, dim_right, dim), apply, reach = compiled.op(name)
+        _, left, right, name, shared, at_a, at_b, pick = code
+        (scale_a, dim_a, a, _), (scale_b, dim_b, b, indexes) = tables[left], tables[right]
+        own, (dim_left, dim_right, dim), rows = compiled.op(name)
         if (dim_a, dim_b) != (dim_left, dim_right):
             raise ValueError(
                 f"operation expects {dim_left} x {dim_right}, got {dim_a} x {dim_b}"
             )
-        return own * scale_a * scale_b, dim, _join(a, b, apply, reach, at_a, at_b, pick)
+        index = indexes.get(shared)
+        if index is None:
+            index = indexes[shared] = _index(b, at_b)
+        return own * scale_a * scale_b, dim, _join(a, index, rows, at_a, pick), {}
     _, children, spreaders = code
     terms = [tables[child] for child in children]
     dim = terms[0][1]
-    if any(term_dim != dim for _, term_dim, _ in terms):
+    if any(term_dim != dim for _, term_dim, _, _ in terms):
         raise ValueError("vector dimension mismatch")
-    scale = math.lcm(*(term_scale for term_scale, _, _ in terms))
-    apply = _sum_kernel([scale // term_scale for term_scale, _, _ in terms], dim)
+    scale = math.lcm(*(term_scale for term_scale, _, _, _ in terms))
+    factors = [scale // term_scale for term_scale, _, _, _ in terms]
     spread = [
-        _spread(table, spreader, dims) for (_, _, table), spreader in zip(terms, spreaders)
+        _spread(table, spreader, dims) for (_, _, table, _), spreader in zip(terms, spreaders)
     ]
-    table = {
-        combo: total
-        for combo in set().union(*spread)
-        if any(total := apply(*[term.get(combo) for term in spread]))
-    }
-    return scale, dim, table
+    table = {}
+    for combo in set().union(*spread):
+        out: dict = {}
+        for factor, term in zip(factors, spread):
+            for k, coord in term.get(combo, _ZERO).items():
+                _accumulate(out.setdefault(k, {}), coord.items(), None, factor)
+        if total := _vector(out):
+            table[combo] = total
+    return scale, dim, table, {}
 
 
 def _difference(a: dict, a_factor: int, b: dict, b_factor: int) -> dict:
@@ -518,7 +518,7 @@ def _violations(
     in the call: {scale: {the set of a residual's terms: its `scaled`
     tuple}} and {witness: itself}."""
     template, _, lhs, rhs, lhs_spreader, rhs_spreader, _ = step
-    (lhs_scale, lhs_dim, lhs), (rhs_scale, rhs_dim, rhs) = tables[lhs], tables[rhs]
+    (lhs_scale, lhs_dim, lhs, _), (rhs_scale, rhs_dim, rhs, _) = tables[lhs], tables[rhs]
     if lhs_dim != rhs_dim:
         raise ValueError(
             f"template {template.id}: the sides have dimensions {lhs_dim} and {rhs_dim}"
@@ -526,8 +526,6 @@ def _violations(
     if lhs_scale == rhs_scale and same_names and lhs == rhs:
         return []
     lhs, rhs = _spread(lhs, lhs_spreader, dims), _spread(rhs, rhs_spreader, dims)
-    zero = (_ZERO,) * lhs_dim
-    coords = range(1, lhs_dim + 1)
     scale = math.lcm(lhs_scale, rhs_scale)
     lhs_factor, rhs_factor = scale // lhs_scale, scale // rhs_scale
     same = lhs_factor == rhs_factor
@@ -535,10 +533,11 @@ def _violations(
     shared = residuals.setdefault(scale, {})
     entries = []
     for combo in sorted(lhs.keys() | rhs.keys()):
-        left, right = lhs.get(combo, zero), rhs.get(combo, zero)
+        left, right = lhs.get(combo, _ZERO), rhs.get(combo, _ZERO)
         if same and left == right:
             continue
-        for coord, a, b in zip(coords, left, right):
+        for k in sorted(left.keys() | right.keys()):
+            a, b = left.get(k, _ZERO), right.get(k, _ZERO)
             if a == b and (same or not a):
                 continue
             residual = _difference(a, lhs_factor, b, rhs_factor)
@@ -547,7 +546,7 @@ def _violations(
                 scaled = shared.get(key)
                 if scaled is None:
                     scaled = shared[key] = form, residual, scale
-                witness = (*combo, coord)
+                witness = (*combo, k + 1)
                 witness = witnesses.setdefault(witness, witness)
                 entries.append(scaled_violation(tid, witness, scaled))
     return entries
@@ -560,8 +559,9 @@ def evaluate_templates(templates, dims: dict, ops: dict, maps: dict) -> Report:
     (`_Plan`), kept across calls.  Both sides are tabulated as sparse integer
     tables with scales sL and sR.  A template whose two tables and scales are
     equal passes outright.  Else the tuples where either side is nonzero are
-    visited, a missing side being the zero vector; every other tuple is zero
-    on both sides and passes.  With L = lcm(sL, sR), a coordinate passes when
+    visited, a missing side being the zero vector, and at each the coordinates
+    where either side is nonzero; every other coordinate is zero on both sides
+    and passes.  With L = lcm(sL, sR), a coordinate passes when
     lhs * (L / sL) == rhs * (L / sR) as integer dicts; a nonzero difference
     is kept as its integer dict over L, and the Violation builds the
     Polynomial or its text on demand.  All violations of one call with equal

@@ -2,9 +2,9 @@
 
 Each mutant is one exact-string edit of a file under `src/homsplit`, which
 must match exactly once, and the test files that should fail with it.  The
-script copies `src` and `tests` to a temporary directory, runs the named test
-files there once unmutated (they must pass), then applies each mutant to a
-fresh copy and runs its test files.  A mutant whose tests still pass
+script copies the files the tests read (`copy_tree`) to a temporary
+directory, runs the named test files there once unmutated (they must pass),
+then applies each mutant to a fresh copy and runs its test files.  A mutant whose tests still pass
 survived.  It needs only the standard library and the test dependencies, and
 pytest does not collect it:
 
@@ -37,8 +37,37 @@ MUTANTS = [
     {
         "name": "the op join keeps a product only when its first coordinate is nonzero",
         "file": "src/homsplit/axioms.py",
-        "old": "                if any(product):\n",
-        "new": "                if product[0]:\n",
+        "old": "            if product:\n",
+        "new": "            if 0 in product:\n",
+        "tests": ["tests/test_sparse_engine.py"],
+    },
+    {
+        "name": "the right index files an entry under its first nonzero coordinate only",
+        "file": "src/homsplit/axioms.py",
+        "old": "for j, yj in vector.items():",
+        "new": "for j, yj in list(vector.items())[:1]:",
+        "tests": ["tests/test_sparse_engine.py"],
+    },
+    {
+        "name": "the index cache is keyed by slot without its shared names",
+        "file": "src/homsplit/axioms.py",
+        "old": (
+            "        index = indexes.get(shared)\n"
+            "        if index is None:\n"
+            "            index = indexes[shared] = _index(b, at_b)\n"
+        ),
+        "new": (
+            "        index = indexes.get(None)\n"
+            "        if index is None:\n"
+            "            index = indexes[None] = _index(b, at_b)\n"
+        ),
+        "tests": ["tests/test_sparse_engine.py"],
+    },
+    {
+        "name": "a finalized vector keeps a coordinate that cancelled to {}",
+        "file": "src/homsplit/axioms.py",
+        "old": "        if acc:\n            vector[k] = acc\n",
+        "new": "        vector[k] = acc\n",
         "tests": ["tests/test_sparse_engine.py"],
     },
     {
@@ -153,15 +182,15 @@ MUTANTS = [
     {
         "name": "the row-indexed op kernel drops its last row",
         "file": "src/homsplit/axioms.py",
-        "old": "rows = [tuple(row.items()) for row in rows]",
-        "new": "rows = [tuple(row.items()) for row in rows[:-1]]",
+        "old": "rows = tuple(tuple(row.items()) for row in rows)",
+        "new": "rows = tuple(tuple(row.items()) for row in rows[:-1]) + ((),)",
         "tests": ["tests/test_sparse_engine.py"],
     },
     {
-        "name": "the join prefilter keeps only the last nonzero coordinate of the right factor",
+        "name": "the op join walks only the last nonzero coordinate of each left entry",
         "file": "src/homsplit/axioms.py",
-        "old": "support |= 1 << j",
-        "new": "support = 1 << j",
+        "old": "for i, xi in vector_a.items():",
+        "new": "for i, xi in list(vector_a.items())[-1:]:",
         "tests": ["tests/test_sparse_engine.py"],
     },
     {
@@ -347,18 +376,18 @@ MUTANTS = [
         "new": "zero = LinearMap.zero(dims[out], dims[out])",
         "tests": ["tests/test_oracle_constructions.py", "tests/test_constructions.py"],
     },
+    {
+        "name": "the direct sum puts the twist of its second summand first",
+        "file": "src/homsplit/constructions.py",
+        "old": "twist=LinearMap.block_diag(a.twist, b.twist),",
+        "new": "twist=LinearMap.block_diag(b.twist, a.twist),",
+        "tests": ["tests/test_byte_identity.py"],
+    },
 ]
 
 # Edits that change the code but not what it computes, with the reason; they
 # are listed so that nobody spends time trying to kill them, and are not run.
 EQUIVALENT = [
-    {
-        "name": "the op join multiplies every pair of present entries, with no support prefilter",
-        "reason": (
-            "a pair the prefilter skips has no structure constant c_ijk with x_i and "
-            "y_j both nonzero, so its product is the zero vector, which the join drops"
-        ),
-    },
     {
         "name": "quotient.perp-compat is checked against dashv instead of vdash",
         "reason": "dashv - vdash lies in I_D, so both readings give the same conditions",
@@ -367,10 +396,14 @@ EQUIVALENT = [
 
 
 def copy_tree(target: Path) -> None:
+    """Copy what the tests read: the package, the tests, the demos that
+    `test_demos.py` runs, the pytest configuration, the README whose command
+    synopsis `test_cli.py` reads and the committed `DISCREPANCIES.md` that
+    `test_byte_identity.py` and `test_acceptance.py` compare with."""
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-    for part in ("src", "tests"):
+    for part in ("src", "tests", "demos"):
         shutil.copytree(ROOT / part, target / part, ignore=ignore)
-    for name in ("pyproject.toml", "README.md"):
+    for name in ("pyproject.toml", "README.md", "DISCREPANCIES.md"):
         shutil.copy(ROOT / name, target / name)
 
 

@@ -391,6 +391,42 @@ def operator_violations(
     raise ValueError(kind)
 
 
+def template_violations(templates, dims: dict, ops: dict, maps: dict, mode: str) -> set:
+    """(template, witness, residual text) of templates of `homsplit.axioms`,
+    each side evaluated at every basis tuple by the dense tree walk below.
+    It reads the engine's own transcription of the identities, so it checks
+    the engine's evaluation (tables, joins, scales), not the transcription."""
+    conv, is_zero = scalar_tools(mode, *ops.values(), *maps.values())
+    tables = {name: (_table(op, conv), op.dim_out) for name, op in ops.items()}
+    matrices = {name: _matrix(linear, conv) for name, linear in maps.items()}
+
+    def value(expr, point: dict) -> list:
+        kind = type(expr).__name__
+        if kind == "Var":
+            return point[expr.name]
+        if kind == "App":
+            return _map(matrices[expr.map_name], value(expr.arg, point))
+        if kind == "Op":
+            table, nout = tables[expr.op_name]
+            return _apply(table, value(expr.left, point), value(expr.right, point), nout)
+        terms = [value(term, point) for term in expr.terms]
+        return [sum(coords) for coords in zip(*terms)]
+
+    found = {}
+    for template in templates:
+        bases = [_basis(dims[space]) for _, space in template.variables]
+        for combo in itertools.product(*(range(1, len(basis) + 1) for basis in bases)):
+            point = {
+                name: basis[i - 1]
+                for (name, _), basis, i in zip(template.variables, bases, combo)
+            }
+            lhs, rhs = value(template.lhs, point), value(template.rhs, point)
+            for coord, (a, b) in enumerate(zip(lhs, rhs), start=1):
+                if not is_zero(a - b):
+                    found[template.id, (*combo, coord)] = a - b
+    return _found(found, residuals=True)
+
+
 def engine_violation_set(report) -> set:
     return {(v.template, v.witness) for v in report.entries}
 

@@ -7,13 +7,19 @@ zero and the other is not (the key on one side only), sums whose terms
 cancel, maps with zero columns that drop entries, templates whose two sides
 have different placeholders, and the value of an expression read as the
 residuals of expr = 0, as the constructions read it.  Each compares the
-engine with `oracle.py`.
+engine with `oracle.py`.  A vector holds only its nonzero coordinates too:
+random sparse six-dendriform instances, whose op joins meet right factors
+with several nonzero coordinates and products that cancel, are compared with
+the oracle's dense evaluation of the same templates, and the tables of a
+check are held to that sparse form.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import dense_six, expression_values, random_bundle, random_op
 from oracle import (
@@ -26,23 +32,28 @@ from oracle import (
     quotient_oracle,
     residual_text,
     scalar_tools,
+    template_violations,
 )
+from homsplit import axioms
 from homsplit.axioms import (
     App,
     Op,
     S,
     Template,
     Var,
+    _children,
     check_dendriform,
     check_homomorphism,
     check_kind,
     check_multiplicative,
     check_quadri,
     evaluate_templates,
+    multiplicative_templates,
     quotient_closure_templates,
+    six_templates,
 )
 from homsplit.constructions import quotient_dendriform
-from homsplit.model import AlgebraBundle, BilinearOp, LinearMap
+from homsplit.model import KIND_OPS, AlgebraBundle, BilinearOp, LinearMap
 from homsplit.poly import IntegerForm, Polynomial
 
 P = Polynomial.parse
@@ -284,3 +295,119 @@ def test_report_rows_make_each_shared_residual_text_once(monkeypatch):
     monkeypatch.setattr(IntegerForm, "text", counted)
     assert report.to_dict() == {"status": "fail", "entries": expected}
     assert len(texts) == len({id(v.scaled) for v in report.entries}) < len(expected)
+
+
+SIX_OPS = tuple(sorted(KIND_OPS["six_dendriform"]))
+SCALARS = ("1", "-1", "2", "-1/2", "p", "-p", "2*p")
+
+
+def nested(expr) -> set:
+    """The (outer, inner) op names of the subterms x outer (y inner z) of `expr`."""
+    found = {(expr.op_name, expr.right.op_name)} if (
+        isinstance(expr, Op) and isinstance(expr.right, Op)
+    ) else set()
+    return found.union(*map(nested, _children(expr)))
+
+
+NESTED = sorted(set().union(*(
+    nested(side) for template in six_templates() for side in (template.lhs, template.rhs)
+)))
+
+
+@st.composite
+def sparse_six(draw):
+    """(templates, dims, ops, maps) of a random sparse six-dendriform instance
+    of dimension 2-4 in the parameter p, checked under a random sq15 reading
+    and for multiplicativity.  Planted in every instance: y A z = c e_k + e_l
+    at (a, b), a right factor with two nonzero coordinates, and x B (y A z) at
+    (i, a, b), a subterm of a six template, whose coordinate m cancels (B_ikm
+    = 1, B_ilm = -c); and a twist with at least one zero column."""
+    dim = draw(st.integers(2, 4))
+    index = st.integers(1, dim)
+    scalar = st.sampled_from(SCALARS)
+    entries = {
+        name: draw(st.lists(st.tuples(index, index, index, scalar), max_size=dim + 1))
+        for name in SIX_OPS
+    }
+    outer, inner = draw(st.sampled_from(NESTED))
+    a, b, i, m = (draw(index) for _ in range(4))
+    k, l = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+    c = draw(scalar)
+    planted = [(inner, (a, b, k), c), (inner, (a, b, l), "1"),
+               (outer, (i, k, m), "1"), (outer, (i, l, m), f"-({c})")]
+    assume(len({(name, key) for name, key, _ in planted}) == len(planted))
+    ops = {}
+    for name in SIX_OPS:
+        keys = {key for op_name, key, _ in planted if op_name == name}
+        chosen = [e for e in entries[name] if e[:3] not in keys]
+        chosen += [(*key, value) for op_name, key, value in planted if op_name == name]
+        ops[name] = square(dim, chosen)
+    zero = draw(st.sets(index, min_size=1, max_size=dim - 1))
+    twist = [[draw(st.sampled_from(("0",) + SCALARS)) if col not in zero else "0"
+              for col in range(1, dim + 1)] for _ in range(dim)]
+    sq15 = draw(st.sampled_from(("literal", "symmetric")))
+    templates = six_templates(sq15) + multiplicative_templates(SIX_OPS)
+    return templates, {"D": dim}, ops, {"alpha": LinearMap.from_strings(twist)}
+
+
+@settings(derandomize=True, max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(sparse_six())
+def test_random_sparse_six_instances_agree_with_the_oracle(case):
+    templates, dims, ops, maps = case
+    report = evaluate_templates(templates, dims, ops, maps)
+    assert engine_residual_set(report) == template_violations(
+        templates, dims, ops, maps, "sympy"
+    )
+
+
+def test_a_right_factor_indexed_under_two_sets_of_shared_names():
+    """The table of y is the right factor of x mu y and x nu y, which share
+    no placeholder with it, and of y mu y and y nu y, which share y: one
+    table, indexed once for each set of shared names."""
+    rng = random.Random(3)
+    ops = {name: random_op(rng, 3, 3, 3, 6) for name in ("mu", "nu")}
+    x, y = Var("x"), Var("y")
+    xy = (("x", "D"), ("y", "D"))
+    templates = [
+        Template("a", xy, Op("mu", x, y), Op("nu", x, y)),
+        Template("b", xy, Op("mu", y, y), Op("nu", y, y)),
+    ]
+    report = evaluate_templates(templates, {"D": 3}, ops, {})
+    expected = template_violations(templates, {"D": 3}, ops, {}, "fraction")
+    assert engine_residual_set(report) == expected
+    assert {template for template, _, _ in expected} == {"a", "b"}
+
+
+def tables_of(templates, dims, ops, maps) -> list:
+    """The (scale, dimension, table, indexes) of every slot of the plan of
+    `templates`, tabulated as `evaluate_templates` does but none dropped."""
+    plan = axioms._plan(tuple(templates))
+    compiled = axioms._Compiled(ops, maps, plan.nodes)
+    tables = []
+    for code in plan.code:
+        tables.append(axioms._tabulate(code, tables, dims, compiled))
+    return tables
+
+
+def test_tables_hold_only_nonzero_entries_coordinates_and_coefficients():
+    """A table keeps no zero vector, a vector no zero coordinate and a
+    coordinate no zero coefficient, so that equal values compare equal.  In
+    x B (y A z), y A z = p e1 + e2 at (1, 1) and B_112 = 1, B_122 = -p, so
+    the second coordinate of x B (y A z) cancels at (1, 1, 1); A + B is zero
+    at (2, 2) and alpha kills e1, so that a sum and a map come out zero too."""
+    A = square(2, [(1, 1, 1, "p"), (1, 1, 2, "1"), (2, 2, 1, "1")])
+    B = square(2, [(1, 1, 2, "1"), (1, 2, 2, "-p"), (1, 2, 1, "1"), (2, 2, 1, "-1")])
+    alpha = LinearMap.from_strings([["0", "1"], ["0", "0"]])
+    x, y, z = Var("x"), Var("y"), Var("z")
+    xyz = (("x", "D"), ("y", "D"), ("z", "D"))
+    templates = [
+        Template("t", xyz, Op("B", x, Op("A", y, z)), App("alpha", Op("A", x, y))),
+        Template("u", xyz[:2], S(Op("A", x, y), Op("B", x, y)), App("alpha", x)),
+    ]
+    tables = tables_of(templates, {"D": 2}, {"A": A, "B": B}, {"alpha": alpha})
+    nested = tables[axioms._plan(tuple(templates))._slots[templates[0].lhs, xyz]][2]
+    assert nested[1, 1, 1] == {0: {0: 1}}
+    for _, _, table, _ in tables:
+        for vector in table.values():
+            assert vector and all(coord and all(coord.values()) for coord in vector.values())
