@@ -32,17 +32,15 @@ alone (the distinct subterms, the order they are tabulated in, the tables each
 template drops, the placeholder names of every subterm and the projectors
 between their index tuples) is an evaluation plan, made once per template set
 and kept across calls (`_Plan`).  Tables are sparse: a table holds only the
-basis tuples where the subterm's vector is nonzero, and a missing key is the
-zero vector, and a vector holds only its nonzero coordinates, as {coordinate
-index: coordinate}, a missing index being zero.  A placeholder's table is full.
-An op walks, for each nonzero coordinate x_i of a left entry, only the
-structure constants c_ij* of row i, and meets each with the right entries that
-agree with it on their shared placeholders and have y_j nonzero, so every
-product it forms meets a structure constant; a map application or a sum keeps
-only the entries that do not come out zero.  A template whose two tables and
-scales are equal passes outright, and otherwise only the tuples present on
-either side are compared, and of those only the coordinates present on either
-side.
+basis tuples where the subterm's vector is nonzero, and a vector only its
+nonzero coordinates, as {index: coordinate}; a missing key or index is zero.
+A placeholder's table is full.  An op walks, from each nonzero x_i of a left
+entry, only the structure constants c_ij* of row i, each with the right
+entries that agree with it on their shared placeholders and have y_j nonzero,
+so every product it forms meets a structure constant; a map application or a
+sum keeps only the entries that do not come out zero.  A template whose two
+tables and scales are equal passes outright, and otherwise only the
+coordinates present on either side are compared.
 
 Tables hold exact integers.  Each call converts every op and map it uses once
 (`poly.IntegerForm`) into sparse {packed monomial: int} entries over the
@@ -388,16 +386,14 @@ def _index(b: dict, at_b) -> dict:
 
 
 def _join(a: dict, index: dict, rows: tuple, at_a, pick) -> dict:
-    """The sparse table of an op over the table `a` of its left factor and
-    the `_index` of its right one, its kernel being `rows` (`_Compiled.op`).
+    """The sparse table of an op with kernel `rows` (`_Compiled.op`) over
+    the table `a` of its left factor and the `_index` of its right one.
 
-    A product is zero wherever either factor is, and x op y is the sum of
-    c_ijk x_i y_j e_k over the structure constants, so for each nonzero x_i
-    of a left entry the join walks only the constants of row i, and each
-    (j, targets) only with the right entries of the left entry's group whose
-    y_j is nonzero: every product it forms meets a structure constant.  The
-    products of one left entry are made into vectors before the next left
-    entry starts, and a product that comes out zero is dropped."""
+    x op y is the sum of c_ijk x_i y_j e_k, so for each nonzero x_i of a left
+    entry the join walks only row i, and each (j, targets) only with the
+    right entries of the left entry's group whose y_j is nonzero.  The
+    products of one left entry are made into vectors, a zero one dropped,
+    before the next left entry starts."""
     table = {}
     for key_a, vector_a in a.items():
         group = index.get(at_a(key_a))
@@ -437,17 +433,14 @@ def _tabulate(code: tuple, tables: list, dims: dict, compiled: _Compiled) -> tup
     `_Plan`) over the tables of its children; the value of the subterm is
     the vector / scale.
 
-    Tables are sparse: they hold only the basis tuples where the vector is
-    nonzero, and a missing key is the zero vector; a vector holds only its
-    nonzero coordinates.  A placeholder's table is full (every basis vector),
-    an op or map application keeps the entries it does not send to zero, an
-    op multiplies only present coordinates of present entries of its two
-    factors that meet a structure constant (`_join`), and a sum runs over the
-    union of its terms' keys.  The index of a right factor is built once per
-    call and set of shared names, and kept with its table (the last element,
-    filled as the ops that read it are tabulated).  A subterm's scale is its
-    own op or map scale times its children's scales; a sum takes the least
-    common multiple of its terms'.
+    Tables and vectors are sparse (see the module docstring).  A
+    placeholder's table is full, an op or map application keeps the entries
+    it does not send to zero, an op multiplies only present coordinates that
+    meet a structure constant (`_join`), and a sum runs over the union of its
+    terms' keys.  An op builds the index of its right factor once per call
+    and set of shared names, and keeps it with that table, which drops it.
+    A subterm's scale is its own op or map scale times its children's
+    scales; a sum takes the least common multiple of its terms'.
     """
     kind = code[0]
     if kind == _VAR:
