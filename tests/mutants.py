@@ -4,9 +4,9 @@ Each mutant is one exact-string edit of a file under `src/homsplit`, which
 must match exactly once, and the test files that should fail with it.  The
 script copies the files the tests read (`copy_tree`) to a temporary
 directory, runs the named test files there once unmutated (they must pass),
-then applies each mutant to a fresh copy and runs its test files.  A mutant whose tests still pass
-survived.  It needs only the standard library and the test dependencies, and
-pytest does not collect it:
+then applies each mutant to a fresh copy and runs its test files.  A mutant
+whose tests still pass survived.  It needs only the standard library and the
+test dependencies, and pytest does not collect it:
 
     python tests/mutants.py
 

@@ -10,7 +10,10 @@ expressions for symbolic ones (sympy is a fully independent arithmetic
 engine, so engine/oracle agreement checks two disjoint code paths).
 
 The violation functions return (template, witness) sets, or with
-`residuals=True` (template, witness, residual text) sets.  The residual text
+`residuals=True` (template, witness, residual text) sets.  One of them,
+`template_violations`, evaluates any template set of the engine by a dense
+walk of its expression trees: it checks the engine's evaluation against the
+same transcription, where the others also check the transcription.  The residual text
 is the oracle's own value written in homsplit's canonical polynomial form
 (`residual_text`); only that printing is shared with the engine.
 """

@@ -302,9 +302,11 @@ SCALARS = ("1", "-1", "2", "-1/2", "p", "-p", "2*p")
 
 
 def nested(expr) -> set:
-    """The (outer, inner) op names of the subterms x outer (y inner z) of `expr`."""
-    found = {(expr.op_name, expr.right.op_name)} if (
-        isinstance(expr, Op) and isinstance(expr.right, Op)
+    """The (outer, inner) op names of the subterms u outer (y inner z) of
+    `expr`, y and z being placeholders."""
+    right = getattr(expr, "right", None)
+    found = {(expr.op_name, right.op_name)} if isinstance(right, Op) and all(
+        isinstance(factor, Var) for factor in (right.left, right.right)
     ) else set()
     return found.union(*map(nested, _children(expr)))
 
@@ -318,33 +320,40 @@ NESTED = sorted(set().union(*(
 def sparse_six(draw):
     """(templates, dims, ops, maps) of a random sparse six-dendriform instance
     of dimension 2-4 in the parameter p, checked under a random sq15 reading
-    and for multiplicativity.  Planted in every instance: y A z = c e_k + e_l
-    at (a, b), a right factor with two nonzero coordinates, and x B (y A z) at
-    (i, a, b), a subterm of a six template, whose coordinate m cancels (B_ikm
-    = 1, B_ilm = -c); and a twist with at least one zero column."""
+    and for multiplicativity, with a twist that has at least one zero column.
+
+    Planted in every instance, for a subterm u B (y A z) of a six template:
+    y A z = c e_k + e_l at (a, b), a right factor with two nonzero
+    coordinates, and B_ikm = 1, B_ilm = -c, the only constants B_*km and
+    B_*lm, so coordinate m of u B (y A z) cancels at every u, while the twist
+    sends some e_x to a vector whose coordinate i is 1."""
     dim = draw(st.integers(2, 4))
     index = st.integers(1, dim)
     scalar = st.sampled_from(SCALARS)
-    entries = {
-        name: draw(st.lists(st.tuples(index, index, index, scalar), max_size=dim + 1))
-        for name in SIX_OPS
-    }
     outer, inner = draw(st.sampled_from(NESTED))
     a, b, i, m = (draw(index) for _ in range(4))
     k, l = draw(st.lists(index, min_size=2, max_size=2, unique=True))
     c = draw(scalar)
-    planted = [(inner, (a, b, k), c), (inner, (a, b, l), "1"),
-               (outer, (i, k, m), "1"), (outer, (i, l, m), f"-({c})")]
-    assume(len({(name, key) for name, key, _ in planted}) == len(planted))
+    planted: dict = {}
+    planted.setdefault(inner, []).extend([(a, b, k, c), (a, b, l, "1")])
+    planted.setdefault(outer, []).extend([(i, k, m, "1"), (i, l, m, f"-({c})")])
+    assume(len({(name, e[:3]) for name, es in planted.items() for e in es}) == 4)
     ops = {}
     for name in SIX_OPS:
-        keys = {key for op_name, key, _ in planted if op_name == name}
-        chosen = [e for e in entries[name] if e[:3] not in keys]
-        chosen += [(*key, value) for op_name, key, value in planted if op_name == name]
-        ops[name] = square(dim, chosen)
+        entries = draw(st.lists(st.tuples(index, index, index, scalar), max_size=dim + 1))
+        entries = [
+            e for e in entries
+            if not (name == inner and e[:2] == (a, b))
+            and not (name == outer and e[1:3] in {(k, m), (l, m)})
+        ]
+        ops[name] = square(dim, entries + planted.get(name, []))
+    right = {key[2] for key, _ in ops[inner].constants if key[:2] == (a, b)}
+    meeting = {key for key, _ in ops[outer].constants if key[1:] in {(k, m), (l, m)}}
+    assume(right == {k, l} and meeting == {(i, k, m), (i, l, m)})
     zero = draw(st.sets(index, min_size=1, max_size=dim - 1))
     twist = [[draw(st.sampled_from(("0",) + SCALARS)) if col not in zero else "0"
               for col in range(1, dim + 1)] for _ in range(dim)]
+    twist[i - 1][min(set(range(1, dim + 1)) - zero) - 1] = "1"
     sq15 = draw(st.sampled_from(("literal", "symmetric")))
     templates = six_templates(sq15) + multiplicative_templates(SIX_OPS)
     return templates, {"D": dim}, ops, {"alpha": LinearMap.from_strings(twist)}
