@@ -7,13 +7,24 @@ that each coordinate of lhs - rhs be the zero polynomial, symbolically in
 all declared parameters.  Violations carry the basis witness with the
 coordinate index appended, and the residual polynomial.
 
-Chained equalities (a = b = c) are split pairwise as first=second (".a") and
+The eight fixed identity sets (dendriform, associative, diassociative,
+quadri, triassociative, six, representation, action) are text, one line per
+identity in the paper's notation, parsed on first use (`_identities`):
+
+    quadri.Hq1: (x pv y) pv a(z) = (x pd y) pv a(z) = a(x) pv (y pv z + y sv z)
+
+A side is a sum of terms, a term being a placeholder, a sum in
+parentheses, a map applied to one, or two of these around one op.  Ops and maps are
+written by their aliases in one table, `_ALIASES` ("pv" is prec_vdash, "-|"
+dashv, "a" alpha, "am" alpha_m), and x, y, z range over the algebra "D", m,
+u, v, w over the module "M".  The witness order of a template is the order
+in which its placeholders first appear, read from the left of its lhs.  A
+chained equality a = b = c is split pairwise as first=second (".a") and
 first=third (".b"); the implied second=third is not checked.
 
-Template id conventions: "dend.1"-"dend.3", "assoc.1", "dias.4"-"dias.8"
-(numbered as in the source equations), "quadri.Hq1.a" etc., "tri.assoc" and
-"tri.mixed.1"-"tri.mixed.5", "six.dend.*" / "six.sq1"-"six.sq17",
-"rep.I.1"-"rep.III.3", "act.13"-"act.21", "mult.<op>".
+Template ids are the line ids ("dias.4"-"dias.8" are numbered as in the
+source equations), and "six.dend.*" are the "dend" lines read over prec_perp
+and succ_perp; the per-op factories, which stay Python trees, give "mult.<op>".
 
 Operators, morphisms and graphs are named maps in the same templates ("H",
 "T", "G"): "avg.mu.a"/"avg.mu.b", "rb.<op>", "ravg.<op>.l"/"ravg.<op>.r",
@@ -60,7 +71,8 @@ the canonical Polynomial only on demand.
 
 The sq15 identity mixes two operations across its sides in the source; both
 the literal reading and the symmetrized one are implemented, selectable via
-`sq15="literal"` (default) or `sq15="symmetric"`.
+`sq15="literal"` (default) or `sq15="symmetric"`, which bind the alias "r15"
+of its two right sides to "pd" or to "sd".
 """
 
 from __future__ import annotations
@@ -68,6 +80,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -585,350 +598,213 @@ def evaluate_templates(templates, dims: dict, ops: dict, maps: dict) -> Report:
 # ---------------------------------------------------------------------------
 # template sets
 
-_X, _Y, _Z = Var("x"), Var("y"), Var("z")
-_DDD = (("x", "D"), ("y", "D"), ("z", "D"))
+# The eight fixed identity sets, one line per identity (see the module
+# docstring); a set is the lines whose id starts with its name and a dot.
+_IDENTITIES = """
+dend.1: a(x) p (y p z + y s z) = (x p y) p a(z)
+dend.2: a(x) s (y p z) = (x s y) p a(z)
+dend.3: a(x) s (y s z) = (x p y + x s y) s a(z)
+assoc.1: a(x) mu (y mu z) = (x mu y) mu a(z)
+dias.4: (x -| y) -| a(z) = a(x) -| (y -| z)
+dias.5: (x -| y) -| a(z) = a(x) -| (y |- z)
+dias.6: (x |- y) -| a(z) = a(x) |- (y -| z)
+dias.7: (x -| y) |- a(z) = a(x) |- (y |- z)
+dias.8: (x |- y) |- a(z) = a(x) |- (y |- z)
+tri.assoc: a(x) _|_ (y _|_ z) = (x _|_ y) _|_ a(z)
+tri.mixed.1: (x -| y) -| a(z) = a(x) -| (y _|_ z)
+tri.mixed.2: (x |- y) _|_ a(z) = a(x) |- (y _|_ z)
+tri.mixed.3: (x _|_ y) -| a(z) = a(x) _|_ (y -| z)
+tri.mixed.4: (x _|_ y) |- a(z) = a(x) |- (y |- z)
+tri.mixed.5: (x -| y) _|_ a(z) = a(x) _|_ (y |- z)
+quadri.Hq1: (x pv y) pv a(z) = (x pd y) pv a(z) = a(x) pv (y pv z + y sv z)
+quadri.Hq2: (x sv y) pv a(z) = (x sd y) pv a(z) = a(x) sv (y pv z)
+quadri.Hq3: a(x) sv (y sv z) = (x pv y + x sv y) sv a(z) = (x pd y + x sd y) sv a(z)
+quadri.Hq4: a(x) sv (y sv z) = (x pd y + x sv y) sv a(z) = (x pv y + x sd y) sv a(z)
+quadri.Hq5: (x pv y) pd a(z) = a(x) pv (y pd z + y sd z)
+quadri.Hq6: (x sv y) pd a(z) = a(x) sv (y pd z)
+quadri.Hq7: a(x) sv (y sd z) = (x pv y + x sv y) sd a(z)
+quadri.Hq8: (x pd y) pd a(z) = a(x) pd (y pv z + y sv z) = a(x) pd (y pd z + y sd z)
+quadri.Hq9: (x pd y) pd a(z) = a(x) pd (y pv z + y sd z) = a(x) pd (y pd z + y sv z)
+quadri.Hq10: (x sd y) pd a(z) = a(x) sd (y pv z) = a(x) sd (y pd z)
+quadri.Hq11: a(x) sd (y sv z) = a(x) sd (y sd z) = (x pd y + x sd y) sd a(z)
+six.sq1: (x pv y) pp a(z) = a(x) pv (y pp z + y sp z)
+six.sq2: (x sv y) pp a(z) = a(x) sv (y pp z)
+six.sq3: a(x) sv (y sp z) = (x pv y + x sv y) sp a(z)
+six.sq4: (x pd y) pp a(z) = a(x) pp (y pv z + y sv z)
+six.sq5: (x sd y) pp a(z) = a(x) sp (y pv z)
+six.sq6: a(x) sp (y sv z) = (x pd y + x sd y) sp a(z)
+six.sq7: (x pp y) pd a(z) = a(x) pp (y pd z + y sd z)
+six.sq8: (x sp y) pd a(z) = a(x) sp (y pd z)
+six.sq9: a(x) sp (y sd z) = (x pp y + x sp y) sd a(z)
+six.sq10: (x pp y) pv a(z) = (x pv y) pv a(z) = (x pd y) pv a(z)
+six.sq11: (x sp y) pv a(z) = (x sv y) pv a(z) = (x sd y) pv a(z)
+six.sq12: (x pp y) sv a(z) = (x pv y) sv a(z) = (x pd y) sv a(z)
+six.sq13: (x sp y) sv a(z) = (x sv y) sv a(z) = (x sd y) sv a(z)
+six.sq14: a(x) pd (y pp z) = a(x) pd (y pv z) = a(x) pd (y pd z)
+six.sq15: a(x) sd (y pp z) = a(x) r15 (y pv z) = a(x) r15 (y pd z)
+six.sq16: a(x) sd (y sp z) = a(x) sd (y sv z) = a(x) sd (y sd z)
+six.sq17: a(x) pd (y sp z) = a(x) pd (y sv z) = a(x) pd (y sd z)
+rep.I.1: (x p y) p_l b(m) = a(x) p_l (y p_l m + y s_l m)
+rep.I.2: (x s y) p_l b(m) = a(x) s_l (y p_l m)
+rep.I.3: a(x) s_l (y s_l m) = (x p y + x s y) s_l b(m)
+rep.II.1: b(m) p_r (x p y + x s y) = (m p_r x) p_r a(y)
+rep.II.2: b(m) s_r (x p y) = (m s_r x) p_r a(y)
+rep.II.3: (m p_r x + m s_r x) s_r a(y) = b(m) s_r (x s y)
+rep.III.1: (x p_l m) p_r a(y) = a(x) p_l (m p_r y + m s_r y)
+rep.III.2: (x s_l m) p_r a(y) = a(x) s_l (m p_r y)
+rep.III.3: (x p_l m + x s_l m) s_r a(y) = a(x) s_l (m s_r y)
+act.13: (x p_l v) p_m am(w) = a(x) p_l (v p_m w + v s_m w)
+act.14: (x s_l v) p_m am(w) = a(x) s_l (v p_m w)
+act.15: a(x) s_l (v s_m w) = (x p_l v + x s_l v) s_m am(w)
+act.16: (u p_r y) p_m am(w) = am(u) p_m (y p_l w + y s_l w)
+act.17: (u s_r y) p_m am(w) = am(u) s_m (y p_l w)
+act.18: am(u) s_m (y s_l w) = (u p_r y + u s_r y) s_m am(w)
+act.19: (u p_m v) p_r a(z) = am(u) p_m (v p_r z + v s_r z)
+act.20: (u s_m v) p_r a(z) = am(u) s_m (v p_r z)
+act.21: (u p_m v + u s_m v) s_r a(z) = am(u) s_m (v s_r z)
+"""
+# The op and map names of the text, by alias: an alias between two operands
+# is an op, one before a parenthesis a map.  "-|", "|-" and "_|_" stand for
+# the paper's dashv, vdash and perp, and "p_l" for its prec with subscript l.
+_ALIASES = {
+    "p": "prec", "s": "succ", "mu": "mu", "-|": "dashv", "|-": "vdash", "_|_": "perp",
+    "pv": "prec_vdash", "pd": "prec_dashv", "sv": "succ_vdash", "sd": "succ_dashv",
+    "pp": "prec_perp", "sp": "succ_perp", "p_l": "prec_l", "s_l": "succ_l",
+    "p_r": "prec_r", "s_r": "succ_r", "p_m": "prec_m", "s_m": "succ_m",
+    "a": "alpha", "b": "beta", "am": "alpha_m",
+}
+# The space of each placeholder: the algebra "D" or the module "M".
+_SPACES = {"x": "D", "y": "D", "z": "D", "m": "M", "u": "M", "v": "M", "w": "M"}
+_TOKEN = re.compile(r"[()+]|[^\s()+]+")
 
 
-def _t(tid: str, lhs, rhs, variables=_DDD) -> Template:
-    return Template(tid, variables, lhs, rhs)
+def _side(tid: str, text: str, aliases: dict, seen: dict):
+    """The tree of `text`, one side of the identity `tid`: a sum of terms,
+    a term being an operand or two operands around an op, an operand a
+    placeholder, a sum in parentheses or a map applied to one.  Each
+    placeholder met for the first time goes into `seen` with its space."""
+    tokens = ["", *reversed(_TOKEN.findall(text))]  # popped from the end; "" ends
+
+    def fail(why: str):
+        raise ValueError(f"identity {tid}: {why} in {text.strip()!r}")
+
+    def alias(token: str) -> str:
+        if token not in aliases:
+            fail(f"unknown alias {token!r}")
+        return aliases[token]
+
+    def operand():
+        if tokens[-1] in ("+", ")", ""):
+            fail("missing operand")
+        token = tokens.pop()
+        if token == "(":
+            inner = expr()
+            if tokens.pop() != ")":
+                fail("missing ')'")
+            return inner
+        if tokens[-1] == "(":
+            return App(alias(token), operand())
+        if token not in _SPACES:
+            fail(f"unknown placeholder {token!r}")
+        seen.setdefault(token, _SPACES[token])
+        return Var(token)
+
+    def term():
+        left = operand()
+        if tokens[-1] in ("+", ")", ""):
+            return left
+        return Op(alias(tokens.pop()), left, operand())
+
+    def expr():
+        terms = [term()]
+        while tokens[-1] == "+":
+            tokens.pop()
+            terms.append(term())
+        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+
+    tree = expr()
+    if tokens != [""]:
+        fail(f"unexpected {tokens[-1]!r}")
+    return tree
 
 
-def dendriform_templates(prec="prec", succ="succ", prefix="dend") -> list:
-    ax, az = App("alpha", _X), App("alpha", _Z)
-    return [
-        _t(
-            f"{prefix}.1",
-            Op(prec, ax, S(Op(prec, _Y, _Z), Op(succ, _Y, _Z))),
-            Op(prec, Op(prec, _X, _Y), az),
-        ),
-        _t(
-            f"{prefix}.2",
-            Op(succ, ax, Op(prec, _Y, _Z)),
-            Op(prec, Op(succ, _X, _Y), az),
-        ),
-        _t(
-            f"{prefix}.3",
-            Op(succ, ax, Op(succ, _Y, _Z)),
-            Op(succ, S(Op(prec, _X, _Y), Op(succ, _X, _Y)), az),
-        ),
-    ]
+def _parse(lines, prefix: str, aliases: dict) -> tuple:
+    """The templates of the identity lines `lines`, each `id: lhs = rhs` or a
+    chain `id: first = second = third`, which gives "id.a" (first = second)
+    and "id.b" (first = third).  The witness order is the order in which the
+    placeholders first appear, read from the left.  Each id gets `prefix`."""
+    templates = []
+    for line in lines:
+        tid, colon, text = line.partition(":")
+        tid = prefix + tid.strip()
+        if not colon:
+            raise ValueError(f"identity {tid}: no ':' after the id")
+        seen: dict = {}
+        first, *rest = [_side(tid, side, aliases, seen) for side in text.split("=")]
+        if len(rest) not in (1, 2):
+            raise ValueError(f"identity {tid}: {len(rest)} '=' where 1 or 2 are allowed")
+        variables = tuple(seen.items())
+        suffixes = [""] if len(rest) == 1 else [".a", ".b"]
+        templates += [Template(tid + s, variables, first, side) for s, side in zip(suffixes, rest)]
+    return tuple(templates)
+
+
+@functools.cache
+def _identities(name: str, prefix: str = "", **bound) -> tuple:
+    """The templates of the set `name` of `_IDENTITIES`, parsed once per
+    process, with `prefix` before each id and each alias key of `bound` read
+    as the alias it is bound to."""
+    lines = [line for line in _IDENTITIES.splitlines() if line.startswith(f"{name}.")]
+    aliases = {**_ALIASES, **{key: _ALIASES[value] for key, value in bound.items()}}
+    return _parse(lines, prefix, aliases)
+
+
+def dendriform_templates() -> list:
+    return list(_identities("dend"))
 
 
 def associative_templates() -> list:
-    ax, az = App("alpha", _X), App("alpha", _Z)
-    return [
-        _t("assoc.1", Op("mu", ax, Op("mu", _Y, _Z)), Op("mu", Op("mu", _X, _Y), az))
-    ]
+    return list(_identities("assoc"))
 
 
 def diassociative_templates() -> list:
-    ax, az = App("alpha", _X), App("alpha", _Z)
-    dashv, vdash = "dashv", "vdash"
-    left = lambda op1, op2: Op(op2, Op(op1, _X, _Y), az)
-    right = lambda op1, op2: Op(op1, ax, Op(op2, _Y, _Z))
-    return [
-        _t("dias.4", left(dashv, dashv), right(dashv, dashv)),
-        _t("dias.5", left(dashv, dashv), right(dashv, vdash)),
-        _t("dias.6", left(vdash, dashv), right(vdash, dashv)),
-        _t("dias.7", left(dashv, vdash), right(vdash, vdash)),
-        _t("dias.8", left(vdash, vdash), right(vdash, vdash)),
-    ]
-
-
-def _chain(tid: str, first, second, third) -> list:
-    return [_t(f"{tid}.a", first, second), _t(f"{tid}.b", first, third)]
+    return list(_identities("dias"))
 
 
 def quadri_templates() -> list:
-    pv, pd, sv, sd = "prec_vdash", "prec_dashv", "succ_vdash", "succ_dashv"
-    x, y, z = _X, _Y, _Z
-    ax, az = App("alpha", x), App("alpha", z)
-    ts: list = []
-    ts += _chain(
-        "quadri.Hq1",
-        Op(pv, Op(pv, x, y), az),
-        Op(pv, Op(pd, x, y), az),
-        Op(pv, ax, S(Op(pv, y, z), Op(sv, y, z))),
-    )
-    ts += _chain(
-        "quadri.Hq2",
-        Op(pv, Op(sv, x, y), az),
-        Op(pv, Op(sd, x, y), az),
-        Op(sv, ax, Op(pv, y, z)),
-    )
-    ts += _chain(
-        "quadri.Hq3",
-        Op(sv, ax, Op(sv, y, z)),
-        Op(sv, S(Op(pv, x, y), Op(sv, x, y)), az),
-        Op(sv, S(Op(pd, x, y), Op(sd, x, y)), az),
-    )
-    ts += _chain(
-        "quadri.Hq4",
-        Op(sv, ax, Op(sv, y, z)),
-        Op(sv, S(Op(pd, x, y), Op(sv, x, y)), az),
-        Op(sv, S(Op(pv, x, y), Op(sd, x, y)), az),
-    )
-    ts.append(
-        _t(
-            "quadri.Hq5",
-            Op(pd, Op(pv, x, y), az),
-            Op(pv, ax, S(Op(pd, y, z), Op(sd, y, z))),
-        )
-    )
-    ts.append(_t("quadri.Hq6", Op(pd, Op(sv, x, y), az), Op(sv, ax, Op(pd, y, z))))
-    ts.append(
-        _t(
-            "quadri.Hq7",
-            Op(sv, ax, Op(sd, y, z)),
-            Op(sd, S(Op(pv, x, y), Op(sv, x, y)), az),
-        )
-    )
-    ts += _chain(
-        "quadri.Hq8",
-        Op(pd, Op(pd, x, y), az),
-        Op(pd, ax, S(Op(pv, y, z), Op(sv, y, z))),
-        Op(pd, ax, S(Op(pd, y, z), Op(sd, y, z))),
-    )
-    ts += _chain(
-        "quadri.Hq9",
-        Op(pd, Op(pd, x, y), az),
-        Op(pd, ax, S(Op(pv, y, z), Op(sd, y, z))),
-        Op(pd, ax, S(Op(pd, y, z), Op(sv, y, z))),
-    )
-    ts += _chain(
-        "quadri.Hq10",
-        Op(pd, Op(sd, x, y), az),
-        Op(sd, ax, Op(pv, y, z)),
-        Op(sd, ax, Op(pd, y, z)),
-    )
-    ts += _chain(
-        "quadri.Hq11",
-        Op(sd, ax, Op(sv, y, z)),
-        Op(sd, ax, Op(sd, y, z)),
-        Op(sd, S(Op(pd, x, y), Op(sd, x, y)), az),
-    )
-    return ts
+    return list(_identities("quadri"))
 
 
 def triassociative_templates() -> list:
-    perp = "perp"
-    x, y, z = _X, _Y, _Z
-    ax, az = App("alpha", x), App("alpha", z)
-    ts = diassociative_templates()
-    ts.append(
-        _t("tri.assoc", Op(perp, ax, Op(perp, y, z)), Op(perp, Op(perp, x, y), az))
-    )
-    ts += [
-        _t("tri.mixed.1", Op("dashv", Op("dashv", x, y), az), Op("dashv", ax, Op(perp, y, z))),
-        _t("tri.mixed.2", Op(perp, Op("vdash", x, y), az), Op("vdash", ax, Op(perp, y, z))),
-        _t("tri.mixed.3", Op("dashv", Op(perp, x, y), az), Op(perp, ax, Op("dashv", y, z))),
-        _t("tri.mixed.4", Op("vdash", Op(perp, x, y), az), Op("vdash", ax, Op("vdash", y, z))),
-        _t("tri.mixed.5", Op(perp, Op("dashv", x, y), az), Op(perp, ax, Op("vdash", y, z))),
-    ]
-    return ts
+    return list(_identities("dias") + _identities("tri"))
 
 
 def six_templates(sq15: str = SQ15_DEFAULT) -> list:
+    """The dendriform identities of the perp ops ("six.dend.*"), the quadri
+    ones and sq1-sq17, the alias "r15" of sq15 being "pd" in its literal
+    reading and "sd" in its symmetric one."""
     if sq15 not in SQ15_READINGS:
         raise ValueError(f"sq15 must be one of {SQ15_READINGS}")
-    pv, pd, sv, sd = "prec_vdash", "prec_dashv", "succ_vdash", "succ_dashv"
-    pp, sp = "prec_perp", "succ_perp"
-    x, y, z = _X, _Y, _Z
-    ax, az = App("alpha", x), App("alpha", z)
-    ts = dendriform_templates(prec=pp, succ=sp, prefix="six.dend")
-    ts += quadri_templates()
-    ts += [
-        _t("six.sq1", Op(pp, Op(pv, x, y), az), Op(pv, ax, S(Op(pp, y, z), Op(sp, y, z)))),
-        _t("six.sq2", Op(pp, Op(sv, x, y), az), Op(sv, ax, Op(pp, y, z))),
-        _t("six.sq3", Op(sv, ax, Op(sp, y, z)), Op(sp, S(Op(pv, x, y), Op(sv, x, y)), az)),
-        _t("six.sq4", Op(pp, Op(pd, x, y), az), Op(pp, ax, S(Op(pv, y, z), Op(sv, y, z)))),
-        _t("six.sq5", Op(pp, Op(sd, x, y), az), Op(sp, ax, Op(pv, y, z))),
-        _t("six.sq6", Op(sp, ax, Op(sv, y, z)), Op(sp, S(Op(pd, x, y), Op(sd, x, y)), az)),
-        _t("six.sq7", Op(pd, Op(pp, x, y), az), Op(pp, ax, S(Op(pd, y, z), Op(sd, y, z)))),
-        _t("six.sq8", Op(pd, Op(sp, x, y), az), Op(sp, ax, Op(pd, y, z))),
-        _t("six.sq9", Op(sp, ax, Op(sd, y, z)), Op(sd, S(Op(pp, x, y), Op(sp, x, y)), az)),
-    ]
-    ts += _chain(
-        "six.sq10",
-        Op(pv, Op(pp, x, y), az),
-        Op(pv, Op(pv, x, y), az),
-        Op(pv, Op(pd, x, y), az),
+    return list(
+        _identities("dend", "six.", p="pp", s="sp")
+        + _identities("quadri")
+        + _identities("six", r15="pd" if sq15 == "literal" else "sd")
     )
-    ts += _chain(
-        "six.sq11",
-        Op(pv, Op(sp, x, y), az),
-        Op(pv, Op(sv, x, y), az),
-        Op(pv, Op(sd, x, y), az),
-    )
-    ts += _chain(
-        "six.sq12",
-        Op(sv, Op(pp, x, y), az),
-        Op(sv, Op(pv, x, y), az),
-        Op(sv, Op(pd, x, y), az),
-    )
-    ts += _chain(
-        "six.sq13",
-        Op(sv, Op(sp, x, y), az),
-        Op(sv, Op(sv, x, y), az),
-        Op(sv, Op(sd, x, y), az),
-    )
-    ts += _chain(
-        "six.sq14",
-        Op(pd, ax, Op(pp, y, z)),
-        Op(pd, ax, Op(pv, y, z)),
-        Op(pd, ax, Op(pd, y, z)),
-    )
-    rhs_op = pd if sq15 == "literal" else sd
-    ts += _chain(
-        "six.sq15",
-        Op(sd, ax, Op(pp, y, z)),
-        Op(rhs_op, ax, Op(pv, y, z)),
-        Op(rhs_op, ax, Op(pd, y, z)),
-    )
-    ts += _chain(
-        "six.sq16",
-        Op(sd, ax, Op(sp, y, z)),
-        Op(sd, ax, Op(sv, y, z)),
-        Op(sd, ax, Op(sd, y, z)),
-    )
-    ts += _chain(
-        "six.sq17",
-        Op(pd, ax, Op(sp, y, z)),
-        Op(pd, ax, Op(sv, y, z)),
-        Op(pd, ax, Op(sd, y, z)),
-    )
-    return ts
 
 
 def representation_templates() -> list:
-    x, y, m = Var("x"), Var("y"), Var("m")
-    ax, ay = App("alpha", x), App("alpha", y)
-    bm = App("beta", m)
-    ddm = (("x", "D"), ("y", "D"), ("m", "M"))
-    mdd = (("m", "M"), ("x", "D"), ("y", "D"))
-    dmd = (("x", "D"), ("m", "M"), ("y", "D"))
-    return [
-        _t(
-            "rep.I.1",
-            Op("prec_l", Op("prec", x, y), bm),
-            Op("prec_l", ax, S(Op("prec_l", y, m), Op("succ_l", y, m))),
-            ddm,
-        ),
-        _t(
-            "rep.I.2",
-            Op("prec_l", Op("succ", x, y), bm),
-            Op("succ_l", ax, Op("prec_l", y, m)),
-            ddm,
-        ),
-        _t(
-            "rep.I.3",
-            Op("succ_l", ax, Op("succ_l", y, m)),
-            Op("succ_l", S(Op("prec", x, y), Op("succ", x, y)), bm),
-            ddm,
-        ),
-        _t(
-            "rep.II.1",
-            Op("prec_r", bm, S(Op("prec", x, y), Op("succ", x, y))),
-            Op("prec_r", Op("prec_r", m, x), ay),
-            mdd,
-        ),
-        _t(
-            "rep.II.2",
-            Op("succ_r", bm, Op("prec", x, y)),
-            Op("prec_r", Op("succ_r", m, x), ay),
-            mdd,
-        ),
-        _t(
-            "rep.II.3",
-            Op("succ_r", S(Op("prec_r", m, x), Op("succ_r", m, x)), ay),
-            Op("succ_r", bm, Op("succ", x, y)),
-            mdd,
-        ),
-        _t(
-            "rep.III.1",
-            Op("prec_r", Op("prec_l", x, m), ay),
-            Op("prec_l", ax, S(Op("prec_r", m, y), Op("succ_r", m, y))),
-            dmd,
-        ),
-        _t(
-            "rep.III.2",
-            Op("prec_r", Op("succ_l", x, m), ay),
-            Op("succ_l", ax, Op("prec_r", m, y)),
-            dmd,
-        ),
-        _t(
-            "rep.III.3",
-            Op("succ_r", S(Op("prec_l", x, m), Op("succ_l", x, m)), ay),
-            Op("succ_l", ax, Op("succ_r", m, y)),
-            dmd,
-        ),
-    ]
+    return list(_identities("rep"))
 
 
 def action_templates() -> list:
-    x, y, z = _X, _Y, _Z
-    u, v, w = Var("u"), Var("v"), Var("w")
-    ax = App("alpha", x)
-    dmm = (("x", "D"), ("v", "M"), ("w", "M"))
-    mdm = (("u", "M"), ("y", "D"), ("w", "M"))
-    mmd = (("u", "M"), ("v", "M"), ("z", "D"))
-    am = lambda e: App("alpha_m", e)
-    return [
-        _t(
-            "act.13",
-            Op("prec_m", Op("prec_l", x, v), am(w)),
-            Op("prec_l", ax, S(Op("prec_m", v, w), Op("succ_m", v, w))),
-            dmm,
-        ),
-        _t(
-            "act.14",
-            Op("prec_m", Op("succ_l", x, v), am(w)),
-            Op("succ_l", ax, Op("prec_m", v, w)),
-            dmm,
-        ),
-        _t(
-            "act.15",
-            Op("succ_l", ax, Op("succ_m", v, w)),
-            Op("succ_m", S(Op("prec_l", x, v), Op("succ_l", x, v)), am(w)),
-            dmm,
-        ),
-        _t(
-            "act.16",
-            Op("prec_m", Op("prec_r", u, y), am(w)),
-            Op("prec_m", am(u), S(Op("prec_l", y, w), Op("succ_l", y, w))),
-            mdm,
-        ),
-        _t(
-            "act.17",
-            Op("prec_m", Op("succ_r", u, y), am(w)),
-            Op("succ_m", am(u), Op("prec_l", y, w)),
-            mdm,
-        ),
-        _t(
-            "act.18",
-            Op("succ_m", am(u), Op("succ_l", y, w)),
-            Op("succ_m", S(Op("prec_r", u, y), Op("succ_r", u, y)), am(w)),
-            mdm,
-        ),
-        _t(
-            "act.19",
-            Op("prec_r", Op("prec_m", u, v), App("alpha", z)),
-            Op("prec_m", am(u), S(Op("prec_r", v, z), Op("succ_r", v, z))),
-            mmd,
-        ),
-        _t(
-            "act.20",
-            Op("prec_r", Op("succ_m", u, v), App("alpha", z)),
-            Op("succ_m", am(u), Op("prec_r", v, z)),
-            mmd,
-        ),
-        _t(
-            "act.21",
-            Op("succ_r", S(Op("prec_m", u, v), Op("succ_m", u, v)), App("alpha", z)),
-            Op("succ_m", am(u), Op("succ_r", v, z)),
-            mmd,
-        ),
-    ]
+    return list(_identities("act"))
+
+
+_X, _Y = Var("x"), Var("y")
+
+
+def _t(tid: str, lhs, rhs, variables: tuple) -> Template:
+    return Template(tid, variables, lhs, rhs)
 
 
 _XY = (("x", "D"), ("y", "D"))

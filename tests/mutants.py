@@ -329,14 +329,52 @@ MUTANTS = [
         "tests": ["tests/test_twist_reports.py"],
     },
     {
-        "name": "_chain emits the second=third template again",
+        "name": "the chain split emits the second=third template again",
         "file": "src/homsplit/axioms.py",
-        "old": "    return [_t(f\"{tid}.a\", first, second), _t(f\"{tid}.b\", first, third)]\n",
+        "old": "for s, side in zip(suffixes, rest)]\n",
         "new": (
-            "    return [_t(f\"{tid}.a\", first, second), _t(f\"{tid}.b\", first, third),\n"
-            "            _t(f\"{tid}.c\", second, third)]\n"
+            "for s, side in zip(suffixes, rest)]\n"
+            "        templates += [Template(tid + \".c\", variables, *rest)] if rest[1:] else []\n"
         ),
         "tests": ["tests/test_axioms.py"],
+    },
+    {
+        "name": "quadri.Hq5 swaps its aliases pv and pd",
+        "file": "src/homsplit/axioms.py",
+        "old": "quadri.Hq5: (x pv y) pd a(z)",
+        "new": "quadri.Hq5: (x pd y) pv a(z)",
+        "tests": ["tests/test_sparse_engine.py", "tests/test_identity_text.py"],
+    },
+    {
+        "name": "the parser reverses the witness order",
+        "file": "src/homsplit/axioms.py",
+        "old": "variables = tuple(seen.items())",
+        "new": "variables = tuple(seen.items())[::-1]",
+        "tests": ["tests/test_identity_text.py"],
+    },
+    {
+        "name": "the parser drops the last term of a sum",
+        "file": "src/homsplit/axioms.py",
+        "old": "else Sum(tuple(terms))",
+        "new": "else Sum(tuple(terms[:-1]))",
+        "tests": ["tests/test_sparse_engine.py", "tests/test_identity_text.py"],
+    },
+    {
+        "name": "the parser looks an unknown alias up unchecked",
+        "file": "src/homsplit/axioms.py",
+        "old": (
+            "        if token not in aliases:\n"
+            "            fail(f\"unknown alias {token!r}\")\n"
+        ),
+        "new": "",
+        "tests": ["tests/test_identity_text.py"],
+    },
+    {
+        "name": "the parser drops a fourth side",
+        "file": "src/homsplit/axioms.py",
+        "old": "        if len(rest) not in (1, 2):\n",
+        "new": "        if not rest:\n",
+        "tests": ["tests/test_identity_text.py"],
     },
     {
         "name": "construct accepts extra inputs",
