@@ -45,13 +45,19 @@ between their index tuples) is an evaluation plan, made once per template set
 and kept across calls (`_Plan`).  Tables are sparse: a table holds only the
 basis tuples where the subterm's vector is nonzero, and a vector only its
 nonzero coordinates, as {index: coordinate}; a missing key or index is zero.
-A placeholder's table is full.  An op walks, from each nonzero x_i of a left
-entry, only the structure constants c_ij* of row i, each with the right
-entries that agree with it on their shared placeholders and have y_j nonzero,
-so every product it forms meets a structure constant; a map application or a
-sum keeps only the entries that do not come out zero.  A template whose two
-tables and scales are equal passes outright, and otherwise only the
-coordinates present on either side are compared.
+A placeholder's table is full.  Two shapes need no evaluation: the table of
+x op y over two distinct placeholders is the op's own structure constants,
+{(i, j): {k: c_ijk}} (keyed (j, i) when y's name sorts first), and the table
+of f(x) of a placeholder is the columns of f, {(j,): {i: f_ij}}; each is read
+from the converted op or map once per call and shared by every subterm that
+reads it (`_Compiled.pairs`, `_Compiled.columns`).  Any other op walks, from
+each nonzero x_i of a left entry, only the structure constants c_ij* of row
+i, each with the right entries that agree with it on their shared
+placeholders and have y_j nonzero, so every product it forms meets a
+structure constant; any other map application, and a sum, keeps only the
+entries that do not come out zero.  A template whose two tables and scales
+are equal passes outright, and otherwise only the coordinates present on
+either side are compared.
 
 Tables hold exact integers.  Each call converts every op and map it uses once
 (`poly.IntegerForm`) into sparse {packed monomial: int} entries over the
@@ -84,7 +90,9 @@ import re
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .model import ActionBundle, AlgebraBundle, KIND_OPS, LinearMap, RepresentationBundle
+from .model import (
+    ActionBundle, AlgebraBundle, BilinearOp, KIND_OPS, LinearMap, RepresentationBundle,
+)
 from .poly import IntegerForm, max_exponent
 from .report import Report, scaled_violation
 
@@ -206,6 +214,18 @@ def _accumulate(acc: dict, terms, factor_terms, constant) -> None:
             acc[mono] = acc.get(mono, 0) + c1 * c2
 
 
+def _facts(value) -> tuple:
+    """(parameters, largest exponent) of an op or map, worked out once per
+    object and kept on it, as `_hash_once` keeps a node's hash."""
+    if "_facts" not in value.__dict__:
+        polys = (
+            [poly for _, poly in value.constants] if isinstance(value, BilinearOp)
+            else [cell for row in value.entries for cell in row]
+        )
+        value.__dict__["_facts"] = value.parameters(), max_exponent(polys)
+    return value.__dict__["_facts"]
+
+
 class _Compiled:
     """The ops and maps of one call as scaled integer tensors and matrices.
 
@@ -217,23 +237,26 @@ class _Compiled:
     op and map on its side, a sum keeps the exponents of its terms and a
     residual difference adds none, so no exponent exceeds `nodes` times the
     largest exponent of any entry, which is the `degree` the form holds
-    without carrying.  Each op and map is converted on first use, scaled by
+    without carrying.  The parameters and largest exponent of each op and
+    map are kept on the object (`_facts`), so a later call does not work
+    them out again.  Each op and map is converted on first use, scaled by
     the least common multiple of its own coefficient denominators, and kept
     as (scale, dims, kernel): an op's kernel is the data `_join` walks, a
-    map's a function of a vector.
+    map's a function of a vector.  The converted values themselves are kept
+    too (`values`), and read directly, without a join or a map application,
+    by the tables of x op y over two distinct placeholders (`pairs`) and of
+    f(x) of a placeholder (`columns`).
     """
 
     def __init__(self, ops: dict, maps: dict, nodes: int):
         self.ops, self.maps = ops, maps
-        exponent = max_exponent(itertools.chain(
-            (poly for op in ops.values() for _, poly in op.constants),
-            (cell for linear in maps.values() for row in linear.entries for cell in row),
-        ))
-        self.form = IntegerForm(sorted(set().union(
-            *(op.parameters() for op in ops.values()),
-            *(linear.parameters() for linear in maps.values()),
-        )), nodes * exponent)
+        facts = [_facts(value) for value in itertools.chain(ops.values(), maps.values())]
+        self.form = IntegerForm(
+            sorted(set().union(*(names for names, _ in facts))),
+            nodes * max((exponent for _, exponent in facts), default=0),
+        )
         self.kernels: dict = {}
+        self.values: dict = {}
 
     @staticmethod
     def _factor(terms: dict) -> tuple:
@@ -255,6 +278,7 @@ class _Compiled:
                 rows[i - 1].setdefault(j - 1, []).append((k - 1, *self._factor(terms)))
             rows = tuple(tuple(row.items()) for row in rows)
             self.kernels["op", name] = scale, (op.dim_left, op.dim_right, op.dim_out), rows
+            self.values["op", name] = values
         return self.kernels["op", name]
 
     def map(self, name: str) -> tuple:
@@ -276,13 +300,50 @@ class _Compiled:
                 return _vector(out)
 
             self.kernels["map", name] = scale, (linear.dim_in, linear.dim_out), apply
+            self.values["map", name] = values
         return self.kernels["map", name]
+
+    def pairs(self, name: str, flip: bool) -> dict:
+        """The table of x op y for two distinct placeholders, {(i, j): {k - 1:
+        c_ijk}}, keyed (j, i) when `flip` (y's name sorts first), over the
+        scale of `op`.  Built on first use; every slot that reads it shares it."""
+        if ("pairs", name, flip) not in self.kernels:
+            self.op(name)
+            table: dict = {}
+            for ((i, j, k), _), terms in zip(self.ops[name].constants, self.values["op", name]):
+                if terms:
+                    table.setdefault((j, i) if flip else (i, j), {})[k - 1] = terms
+            self.kernels["pairs", name, flip] = table
+        return self.kernels["pairs", name, flip]
+
+    def columns(self, name: str) -> dict:
+        """The table of f(x) for a placeholder x, {(j,): {i - 1: f_ij}}, over
+        the scale of the map f; built and shared as `pairs` is."""
+        if ("columns", name) not in self.kernels:
+            self.map(name)
+            dim_in, values = self.maps[name].dim_in, self.values["map", name]
+            table: dict = {}
+            for j in range(dim_in):
+                column = {index // dim_in: terms for index in range(j, len(values), dim_in)
+                          if (terms := values[index])}
+                if column:
+                    table[(j + 1,)] = column
+            self.kernels["columns", name] = table
+        return self.kernels["columns", name]
 
 
 # ---------------------------------------------------------------------------
 # evaluation plans
 
-_VAR, _APP, _OP, _SUM = range(4)
+_VAR, _APP, _OP, _SUM, _PAIR, _COLUMNS = range(6)
+
+
+def _pair(expr) -> bool:
+    """Is `expr` x op y over two distinct placeholders?"""
+    return (
+        isinstance(expr, Op) and isinstance(expr.left, Var) and isinstance(expr.right, Var)
+        and expr.left != expr.right
+    )
 
 
 def _spreader(free: tuple, names: tuple, spaces: dict):
@@ -315,7 +376,12 @@ class _Plan:
     the same spaces is tabulated once.  `code[slot]` is the instruction that
     tabulates it from the slots of its children, which come first, with the
     projectors its op join or sum needs (and an op's shared placeholder
-    names), and `free[slot]` its sorted placeholder names.  `steps` holds,
+    names), and `free[slot]` its sorted placeholder names.  Two instructions
+    have no children and read a call's converted kernels directly: `_PAIR`
+    (op name, the spaces of x and y, and whether y's name sorts first) for x
+    op y over two distinct placeholders, and `_COLUMNS` (map name and space)
+    for f(x) of a placeholder; every other shape, x op x included, is joined
+    or applied.  `steps` holds,
     per template in order: the template, the range of slots it tabulates
     first, the slots of its two sides with the spreaders that re-key them by
     its witness order, and the slots it uses last, whose tables are dropped
@@ -356,23 +422,30 @@ class _Plan:
         key = expr, scope
         slot = self._slots.get(key)
         if slot is None:
-            children = [self.slot(child, scope, used) for child in _children(expr)]
-            free = tuple(sorted(set().union(*(self.free[child] for child in children))))
+            spaces = dict(scope)
             if isinstance(expr, Var):
-                free, code = (expr.name,), (_VAR, dict(scope)[expr.name])
-            elif isinstance(expr, App):
-                code = _APP, children[0], expr.map_name
-            elif isinstance(expr, Op):
-                (free_a, free_b) = (self.free[child] for child in children)
-                shared = tuple(name for name in free_b if name in free_a)
-                code = (
-                    _OP, *children, expr.op_name, shared,
-                    _projector(free_a, shared), _projector(free_b, shared),
-                    _projector(free_a + free_b, free),
-                )
+                free, code = (expr.name,), (_VAR, spaces[expr.name])
+            elif isinstance(expr, App) and isinstance(expr.arg, Var):
+                free, code = (expr.arg.name,), (_COLUMNS, expr.map_name, spaces[expr.arg.name])
+            elif _pair(expr):
+                a, b = expr.left.name, expr.right.name
+                free = tuple(sorted((a, b)))
+                code = _PAIR, expr.op_name, spaces[a], spaces[b], b < a
             else:
-                spaces = dict(scope)
-                code = _SUM, children, [_spreader(self.free[c], free, spaces) for c in children]
+                children = [self.slot(child, scope, used) for child in _children(expr)]
+                free = tuple(sorted(set().union(*(self.free[child] for child in children))))
+                if isinstance(expr, App):
+                    code = _APP, children[0], expr.map_name
+                elif isinstance(expr, Op):
+                    (free_a, free_b) = (self.free[child] for child in children)
+                    shared = tuple(name for name in free_b if name in free_a)
+                    code = (
+                        _OP, *children, expr.op_name, shared,
+                        _projector(free_a, shared), _projector(free_b, shared),
+                        _projector(free_a + free_b, free),
+                    )
+                else:
+                    code = _SUM, children, [_spreader(self.free[c], free, spaces) for c in children]
             slot = self._slots[key] = len(self.code)
             self.code.append(code)
             self.free.append(free)
@@ -447,10 +520,12 @@ def _tabulate(code: tuple, tables: list, dims: dict, compiled: _Compiled) -> tup
     the vector / scale.
 
     Tables and vectors are sparse (see the module docstring).  A
-    placeholder's table is full, an op or map application keeps the entries
-    it does not send to zero, an op multiplies only present coordinates that
-    meet a structure constant (`_join`), and a sum runs over the union of its
-    terms' keys.  An op builds the index of its right factor once per call
+    placeholder's table is full, x op y and f(x) of placeholders are the
+    shared tables of `_Compiled.pairs` and `_Compiled.columns` (with a fresh
+    index dict per slot, since the slots differ in their names), any other
+    op or map application keeps the entries it does not send to zero, an op
+    multiplies only present coordinates that meet a structure constant
+    (`_join`), and a sum runs over the union of its terms' keys.  An op builds the index of its right factor once per call
     and set of shared names, and keeps it with that table, which drops it.
     A subterm's scale is its own op or map scale times its children's
     scales; a sum takes the least common multiple of its terms'.
@@ -459,22 +534,34 @@ def _tabulate(code: tuple, tables: list, dims: dict, compiled: _Compiled) -> tup
     if kind == _VAR:
         dim = dims[code[1]]
         return 1, dim, {(i,): {i - 1: {0: 1}} for i in range(1, dim + 1)}, {}
-    if kind == _APP:
-        _, child, name = code
-        scale, child_dim, vectors, _ = tables[child]
+    if kind in (_APP, _COLUMNS):
+        if kind == _APP:
+            _, child, name = code
+            scale, child_dim, vectors, _ = tables[child]
+        else:
+            _, name, space = code
+            scale, child_dim = 1, dims[space]
         own, (dim_in, dim), apply = compiled.map(name)
         if child_dim != dim_in:
             raise ValueError(f"map expects dimension {dim_in}, got vector of length {child_dim}")
+        if kind == _COLUMNS:
+            return own, dim, compiled.columns(name), {}
         table = {combo: image for combo, vector in vectors.items() if (image := apply(vector))}
         return own * scale, dim, table, {}
-    if kind == _OP:
-        _, left, right, name, shared, at_a, at_b, pick = code
-        (scale_a, dim_a, a, _), (scale_b, dim_b, b, indexes) = tables[left], tables[right]
+    if kind in (_OP, _PAIR):
+        if kind == _OP:
+            _, left, right, name, shared, at_a, at_b, pick = code
+            (scale_a, dim_a, a, _), (scale_b, dim_b, b, indexes) = tables[left], tables[right]
+        else:
+            _, name, space_a, space_b, flip = code
+            dim_a, dim_b = dims[space_a], dims[space_b]
         own, (dim_left, dim_right, dim), rows = compiled.op(name)
         if (dim_a, dim_b) != (dim_left, dim_right):
             raise ValueError(
                 f"operation expects {dim_left} x {dim_right}, got {dim_a} x {dim_b}"
             )
+        if kind == _PAIR:
+            return own, dim, compiled.pairs(name, flip), {}
         index = indexes.get(shared)
         if index is None:
             index = indexes[shared] = _index(b, at_b)

@@ -140,14 +140,21 @@ def _reduce_report(report: Report, unit: str) -> Report:
 
 
 def verify_entry(entry: dict, root=None, sq15: str = SQ15_DEFAULT, algebras=None) -> dict:
-    """Verify one manifest entry; returns its deterministic report record."""
+    """Verify one manifest entry; returns its deterministic report record.
+
+    `algebras` maps algebra entry ids to bundles already loaded; an algebra
+    entry found there, or the algebra an operator entry names, is taken from
+    it instead of read again, so `corpus_verify_all` reads each file once."""
     root = Path(root) if root else CORPUS_ROOT
     record = {
         key: entry[key] for key in ("id", "type", "path", "source", "expected", "notes")
         if key in entry
     }
     if entry["type"] == "algebra":
-        bundle = load_algebra(root / entry["path"])
+        if algebras is not None and entry["id"] in algebras:
+            bundle = algebras[entry["id"]]
+        else:
+            bundle = load_algebra(root / entry["path"])
         record["kind"] = bundle.kind
         report = check_kind(bundle, sq15=sq15)
         record["multiplicative"] = check_multiplicative(bundle).status
@@ -175,7 +182,10 @@ def verify_entry(entry: dict, root=None, sq15: str = SQ15_DEFAULT, algebras=None
 
 
 def corpus_verify_all(root=None, sq15: str = SQ15_DEFAULT) -> dict:
-    """Run every corpus entry through its checker/verifier; deterministic."""
+    """Run every corpus entry through its checker/verifier; deterministic.
+
+    The manifest and each payload file are read once: the algebras first,
+    then each entry, which takes its algebra from them (`verify_entry`)."""
     root = Path(root) if root else CORPUS_ROOT
     entries = list_entries(root)
     algebras = {}

@@ -15,6 +15,7 @@ never a proof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -52,16 +53,19 @@ def fingerprint(bundle: AlgebraBundle) -> Fingerprint:
     if bundle.used_parameters():
         raise ValueError("fingerprints are defined for parameter-free bundles only")
     n = bundle.dim
-    zero = Fraction(0)
     op_dims = []
     all_rows = []
     # annihilator: x with x op y = y op x = 0 for every op and basis y
     equations = []
     for name in sorted(bundle.ops):
-        table = {key: c.as_fraction() for key, c in bundle.op(name).constants}
+        # the constants times the lcm of their denominators, as ints: scaling
+        # every row of an op by one positive int changes no rank
+        constants = [(key, c.as_fraction()) for key, c in bundle.op(name).constants]
+        scale = math.lcm(*(value.denominator for _, value in constants))
+        table = {key: value.numerator * (scale // value.denominator) for key, value in constants}
         # row (i, j) holds the coordinates of e_i op e_j
         rows = [
-            [table.get((i, j, k), zero) for k in range(1, n + 1)]
+            [table.get((i, j, k), 0) for k in range(1, n + 1)]
             for i in range(1, n + 1)
             for j in range(1, n + 1)
         ]
@@ -69,8 +73,8 @@ def fingerprint(bundle: AlgebraBundle) -> Fingerprint:
         all_rows.extend(rows)
         for j in range(1, n + 1):
             for k in range(1, n + 1):
-                equations.append([table.get((i, j, k), zero) for i in range(1, n + 1)])
-                equations.append([table.get((j, i, k), zero) for i in range(1, n + 1)])
+                equations.append([table.get((i, j, k), 0) for i in range(1, n + 1)])
+                equations.append([table.get((j, i, k), 0) for i in range(1, n + 1)])
     twist_rows = bundle.twist.to_fraction_rows()
     return Fingerprint(
         op_span_dims=tuple(op_dims),

@@ -168,9 +168,30 @@ MUTANTS = [
     {
         "name": "the packed fields are sized from the largest exponent without the node count",
         "file": "src/homsplit/axioms.py",
-        "old": ")), nodes * exponent)",
-        "new": ")), exponent)",
+        "old": "nodes * max((exponent for _, exponent in facts), default=0),",
+        "new": "max((exponent for _, exponent in facts), default=0),",
         "tests": ["tests/test_packed_monomials.py"],
+    },
+    {
+        "name": "the per-object facts report exponent 0, so the fields come out too narrow",
+        "file": "src/homsplit/axioms.py",
+        "old": "value.parameters(), max_exponent(polys)",
+        "new": "value.parameters(), 0",
+        "tests": ["tests/test_packed_monomials.py"],
+    },
+    {
+        "name": "the pair table of x op y ignores the flip",
+        "file": "src/homsplit/axioms.py",
+        "old": "table.setdefault((j, i) if flip else (i, j), {})[k - 1] = terms",
+        "new": "table.setdefault((i, j), {})[k - 1] = terms",
+        "tests": ["tests/test_sparse_engine.py"],
+    },
+    {
+        "name": "the column table of f(x) drops its last nonzero column",
+        "file": "src/homsplit/axioms.py",
+        "old": '            self.kernels["columns", name] = table\n',
+        "new": '            self.kernels["columns", name] = dict(list(table.items())[:-1])\n',
+        "tests": ["tests/test_sparse_engine.py"],
     },
     {
         "name": "IntegerForm.scaled packs an exponent above its field",
@@ -387,7 +408,7 @@ MUTANTS = [
         "name": "the annihilator drops right products",
         "file": "src/homsplit/morphisms.py",
         "old": (
-            "                equations.append([table.get((j, i, k), zero) "
+            "                equations.append([table.get((j, i, k), 0) "
             "for i in range(1, n + 1)])\n"
         ),
         "new": "",

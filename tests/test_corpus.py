@@ -166,3 +166,28 @@ def test_loader_annotations_resolve():
     }
     for loader, bundle_class in expected.items():
         assert typing.get_type_hints(loader)["return"] is bundle_class
+
+
+def test_verify_all_reads_each_corpus_file_once(monkeypatch, tmp_path):
+    """One `corpus verify-all` reads the manifest and every payload file
+    exactly once: each algebra entry takes the bundle loaded for the
+    operator entries instead of reading its file again."""
+    from collections import Counter
+    from pathlib import Path
+
+    from homsplit import corpus
+    from homsplit.cli import main
+
+    files = {(CORPUS_ROOT / "manifest.json").resolve()}
+    files |= {(CORPUS_ROOT / e["path"]).resolve() for e in list_entries()}
+    reads = Counter()
+    read_json = corpus.read_json
+
+    def counted(path):
+        reads[Path(path).resolve()] += 1
+        return read_json(path)
+
+    monkeypatch.setattr(corpus, "read_json", counted)
+    assert main(["corpus", "verify-all", "--report", str(tmp_path / "report.json")]) in (0, 1)
+    assert set(reads) == files and len(files) == 67
+    assert {path: count for path, count in reads.items() if count != 1} == {}

@@ -25,7 +25,9 @@ from helpers import associative_pool, random_action, sec2_diassociative, zero_bu
 from oracle import first_grid_isomorphism, grid_operator_solutions
 from homsplit.corpus import CORPUS_ROOT, load_algebra
 from homsplit.model import AlgebraBundle, BilinearOp, LinearMap, RepresentationBundle
-from homsplit.morphisms import brute_force_iso_search, push_forward, verify_isomorphism
+from homsplit.morphisms import (
+    brute_force_iso_search, fingerprint, push_forward, verify_isomorphism,
+)
 from homsplit.operators import solve_operators_grid, verify_operator
 from homsplit.poly import CompiledSystem, IntegerForm, Polynomial
 
@@ -248,6 +250,18 @@ def test_d13_walk_visits_the_pinned_node_count(monkeypatch):
         "335379cee1620b6cc6397e95487fc5201b582a595f9a310e0765c4a367669cd4"
     )
     assert len(seen) == 100906
+
+
+def test_fingerprints_of_the_corpus_contexts_are_pinned():
+    # the digest of the fingerprints of all 25 contexts, recorded when the
+    # fingerprint tables were still Fractions: building them as ints over one
+    # lcm per op scales whole rows, which changes no rank
+    prints = {label: fingerprint(context).to_dict() for label, context in corpus_contexts()}
+    text = json.dumps(prints, sort_keys=True)
+    assert len(prints) == 25
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3f656c7141062c39a69b9874ce548e270b071cadee5aafdcea646d246683795f"
+    )
 
 
 def test_fractional_basis_reaches_the_system_as_grid_values(monkeypatch):

@@ -371,19 +371,20 @@ def test_random_sparse_six_instances_agree_with_the_oracle(case):
 
 
 def test_a_right_factor_indexed_under_two_sets_of_shared_names():
-    """The table of y is the right factor of x mu y and x nu y, which share
-    no placeholder with it, and of y mu y and y nu y, which share y: one
-    table, indexed once for each set of shared names."""
+    """The table of y is the right factor of a(x) mu y and a(x) nu y, which
+    share no placeholder with it, and of y mu y and y nu y, which share y:
+    one table, indexed once for each set of shared names."""
     rng = random.Random(3)
     ops = {name: random_op(rng, 3, 3, 3, 6) for name in ("mu", "nu")}
-    x, y = Var("x"), Var("y")
+    maps = {"a": LinearMap.from_fractions([[1, 0, 2], [0, -1, 0], [1, 1, 0]])}
+    x, y = App("a", Var("x")), Var("y")
     xy = (("x", "D"), ("y", "D"))
     templates = [
         Template("a", xy, Op("mu", x, y), Op("nu", x, y)),
         Template("b", xy, Op("mu", y, y), Op("nu", y, y)),
     ]
-    report = evaluate_templates(templates, {"D": 3}, ops, {})
-    expected = template_violations(templates, {"D": 3}, ops, {}, "fraction")
+    report = evaluate_templates(templates, {"D": 3}, ops, maps)
+    expected = template_violations(templates, {"D": 3}, ops, maps, "fraction")
     assert engine_residual_set(report) == expected
     assert {template for template, _, _ in expected} == {"a", "b"}
 
@@ -420,3 +421,105 @@ def test_tables_hold_only_nonzero_entries_coordinates_and_coefficients():
     for _, _, table, _ in tables:
         for vector in table.values():
             assert vector and all(coord and all(coord.values()) for coord in vector.values())
+
+
+# -- tables read straight from the structure constants ---------------------------
+
+
+def tensor(rng, dim_left: int, dim_right: int, dim_out: int, count: int) -> BilinearOp:
+    return BilinearOp.from_entries(dim_left, dim_right, dim_out, [
+        (rng.randrange(1, dim_left + 1), rng.randrange(1, dim_right + 1),
+         rng.randrange(1, dim_out + 1), P(rng.choice(SCALARS)))
+        for _ in range(count)
+    ])
+
+
+def matrix(rng, dim_out: int, dim_in: int) -> LinearMap:
+    return LinearMap.from_strings(
+        [[rng.choice(("0",) + SCALARS) for _ in range(dim_in)] for _ in range(dim_out)]
+    )
+
+
+@pytest.mark.parametrize("base_dim, module_dim", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("seed", range(3))
+def test_flipped_pairs_of_representations_and_actions_agree_with_the_oracle(
+    seed, base_dim, module_dim
+):
+    """x p_l m and y p_l m (rep.*), x p_l v and y p_l w (act.*): the right
+    placeholder's name sorts first, so their tables are keyed (m, x), over a
+    base and a module of different dimensions."""
+    rng = random.Random(seed)
+    b, m = base_dim, module_dim
+    shapes = {"prec": (b, b, b), "succ": (b, b, b), "prec_l": (b, m, m), "succ_l": (b, m, m),
+              "prec_r": (m, b, m), "succ_r": (m, b, m), "prec_m": (m, m, m), "succ_m": (m, m, m)}
+    ops = {name: tensor(rng, *shape, 2 * b * m) for name, shape in shapes.items()}
+    maps = {"alpha": matrix(rng, b, b), "beta": matrix(rng, m, m), "alpha_m": matrix(rng, m, m)}
+    dims = {"D": b, "M": m}
+    for templates in (axioms.representation_templates(), axioms.action_templates()):
+        flipped = {
+            (code[1], code[-1]) for code in axioms._plan(tuple(templates)).code
+            if code[0] == axioms._PAIR
+        }
+        assert {("prec_l", True), ("succ_l", True), ("prec_r", False)} <= flipped
+        report = evaluate_templates(templates, dims, ops, maps)
+        assert engine_residual_set(report) == template_violations(
+            templates, dims, ops, maps, "sympy"
+        )
+
+
+def test_x_op_y_and_y_op_z_read_one_shared_table():
+    """In Hq1, x pv y and y pv z are two slots over different placeholders:
+    both read one pair table, each slot with its own right-factor indexes,
+    and a(x), a(z) one column table."""
+    rng = random.Random(7)
+    ops = {name: tensor(rng, 3, 3, 3, 8) for name in KIND_OPS["quadri_dendriform"]}
+    maps = {"alpha": matrix(rng, 3, 3)}
+    templates = axioms.quadri_templates()
+    plan = axioms._plan(tuple(templates))
+    tables = tables_of(templates, {"D": 3}, ops, maps)
+    x, y, z = Var("x"), Var("y"), Var("z")
+    xyz = (("x", "D"), ("y", "D"), ("z", "D"))
+    xy, yz = (plan._slots[Op("prec_vdash", *pair), xyz] for pair in ((x, y), (y, z)))
+    ax, az = (plan._slots[App("alpha", v), xyz] for v in (x, z))
+    assert plan.code[xy][0] == axioms._PAIR and plan.code[ax][0] == axioms._COLUMNS
+    assert tables[xy][2] is tables[yz][2] and tables[xy][3] is not tables[yz][3]
+    assert tables[ax][2] is tables[az][2] and tables[ax][3] is not tables[az][3]
+    report = evaluate_templates(templates, {"D": 3}, ops, maps)
+    assert engine_residual_set(report) == template_violations(
+        templates, {"D": 3}, ops, maps, "sympy"
+    )
+
+
+def test_the_same_bundle_checked_twice_gives_equal_reports():
+    """The tables a call shares are its own: a second check of the same
+    bundle in the same process reports the same, and both match the oracle."""
+    bundle = dense_six(random.Random(11), 3)
+    first, second = (check_kind(bundle).to_dict() for _ in range(2))
+    assert first == second and first["status"] == "fail"
+    assert check_multiplicative(bundle).to_dict() == check_multiplicative(bundle).to_dict()
+    templates = six_templates()
+    ops, maps = dict(bundle.ops), {"alpha": bundle.twist}
+    assert engine_residual_set(check_kind(bundle)) == template_violations(
+        templates, {"D": 3}, ops, maps, "sympy"
+    )
+
+
+def test_a_dimension_mismatch_reads_as_on_the_join_and_apply_path():
+    """x f y and f(x) of placeholders raise the text that a(x) f y and f(a(x))
+    raise, a being the identity, when the space is not the one f expects."""
+    f = square(2, [(1, 2, 1, "1")])
+    F = LinearMap.from_fractions([[1, 0], [0, 1]])
+    identity = LinearMap.identity(3)
+    x, y = Var("x"), Var("y")
+    ax = App("a", x)
+    xy = (("x", "D"), ("y", "D"))
+    cases = [
+        (Op("f", x, y), Op("f", ax, y), "operation expects 2 x 2, got 3 x 3"),
+        (App("F", x), App("F", ax), "map expects dimension 2, got vector of length 3"),
+    ]
+    for direct, joined, text in cases:
+        for expr in (direct, joined):
+            template = Template("t", xy, expr, expr)
+            with pytest.raises(ValueError) as raised:
+                evaluate_templates([template], {"D": 3}, {"f": f}, {"F": F, "a": identity})
+            assert str(raised.value) == text
