@@ -338,14 +338,6 @@ class _Compiled:
 _VAR, _APP, _OP, _SUM, _PAIR, _COLUMNS = range(6)
 
 
-def _pair(expr) -> bool:
-    """Is `expr` x op y over two distinct placeholders?"""
-    return (
-        isinstance(expr, Op) and isinstance(expr.left, Var) and isinstance(expr.right, Var)
-        and expr.left != expr.right
-    )
-
-
 def _spreader(free: tuple, names: tuple, spaces: dict):
     """How `_spread` re-keys a table over `free` by tuples over `names`, which
     hold every name of `free`: None when they are equal, else (the spaces of
@@ -378,14 +370,13 @@ class _Plan:
     projectors its op join or sum needs (and an op's shared placeholder
     names), and `free[slot]` its sorted placeholder names.  Two instructions
     have no children and read a call's converted kernels directly: `_PAIR`
-    (op name, the spaces of x and y, and whether y's name sorts first) for x
-    op y over two distinct placeholders, and `_COLUMNS` (map name and space)
+    (op name, the spaces of x and y, and whether y's name sorts first) for
+    x op y over two distinct placeholders, and `_COLUMNS` (map name, space)
     for f(x) of a placeholder; every other shape, x op x included, is joined
-    or applied.  `steps` holds,
-    per template in order: the template, the range of slots it tabulates
-    first, the slots of its two sides with the spreaders that re-key them by
-    its witness order, and the slots it uses last, whose tables are dropped
-    after it.  `nodes` is the largest number of Op and App nodes on a
+    or applied.  `steps` holds, per template in order: the template, the
+    range of slots it tabulates first, the slots of its two sides with the
+    spreaders that re-key them by its witness order, and the slots it uses
+    last, whose tables are dropped after it.  `nodes` is the largest number of Op and App nodes on a
     template side (see `_Compiled`).
     """
 
@@ -427,7 +418,8 @@ class _Plan:
                 free, code = (expr.name,), (_VAR, spaces[expr.name])
             elif isinstance(expr, App) and isinstance(expr.arg, Var):
                 free, code = (expr.arg.name,), (_COLUMNS, expr.map_name, spaces[expr.arg.name])
-            elif _pair(expr):
+            elif (isinstance(expr, Op) and isinstance(expr.left, Var)
+                  and isinstance(expr.right, Var) and expr.left != expr.right):
                 a, b = expr.left.name, expr.right.name
                 free = tuple(sorted((a, b)))
                 code = _PAIR, expr.op_name, spaces[a], spaces[b], b < a
@@ -525,10 +517,11 @@ def _tabulate(code: tuple, tables: list, dims: dict, compiled: _Compiled) -> tup
     index dict per slot, since the slots differ in their names), any other
     op or map application keeps the entries it does not send to zero, an op
     multiplies only present coordinates that meet a structure constant
-    (`_join`), and a sum runs over the union of its terms' keys.  An op builds the index of its right factor once per call
-    and set of shared names, and keeps it with that table, which drops it.
-    A subterm's scale is its own op or map scale times its children's
-    scales; a sum takes the least common multiple of its terms'.
+    (`_join`), and a sum runs over the union of its terms' keys.  An op
+    builds the index of its right factor once per call and set of shared
+    names, and keeps it with that table, which drops it.  A subterm's scale
+    is its own op or map scale times its children's scales; a sum takes the
+    least common multiple of its terms'.
     """
     kind = code[0]
     if kind == _VAR:
