@@ -321,14 +321,12 @@ class _Compiled:
         the scale of the map f; built and shared as `pairs` is."""
         if ("columns", name) not in self.kernels:
             self.map(name)
-            dim_in, values = self.maps[name].dim_in, self.values["map", name]
             table: dict = {}
-            for j in range(dim_in):
-                column = {index // dim_in: terms for index in range(j, len(values), dim_in)
-                          if (terms := values[index])}
-                if column:
-                    table[(j + 1,)] = column
-            self.kernels["columns", name] = table
+            for index, terms in enumerate(self.values["map", name]):
+                if terms:
+                    row, col = divmod(index, self.maps[name].dim_in)
+                    table.setdefault((col + 1,), {})[row] = terms
+            self.kernels["columns", name] = dict(sorted(table.items()))
         return self.kernels["columns", name]
 
 

@@ -189,8 +189,8 @@ MUTANTS = [
     {
         "name": "the column table of f(x) drops its last nonzero column",
         "file": "src/homsplit/axioms.py",
-        "old": '            self.kernels["columns", name] = table\n',
-        "new": '            self.kernels["columns", name] = dict(list(table.items())[:-1])\n',
+        "old": 'self.kernels["columns", name] = dict(sorted(table.items()))',
+        "new": 'self.kernels["columns", name] = dict(sorted(table.items())[:-1])',
         "tests": ["tests/test_sparse_engine.py"],
     },
     {
