@@ -7,34 +7,45 @@ that each coordinate of lhs - rhs be the zero polynomial, symbolically in
 all declared parameters.  Violations carry the basis witness with the
 coordinate index appended, and the residual polynomial.
 
-The eight fixed identity sets (dendriform, associative, diassociative,
-quadri, triassociative, six, representation, action) are text, one line per
-identity in the paper's notation, parsed on first use (`_identities`):
+Every identity set is text, one line per identity in the paper's notation,
+parsed on first use (`_identities`):
 
     quadri.Hq1: (x pv y) pv a(z) = (x pd y) pv a(z) = a(x) pv (y pv z + y sv z)
+    qavg.{op}: H(x) op H(y) = H(H(x) op y) = H(x op H(y))
 
 A side is a sum of terms, a term being a placeholder, a sum in
-parentheses, a map applied to one, or two of these around one op.  Ops and maps are
-written by their aliases in one table, `_ALIASES` ("pv" is prec_vdash, "-|"
-dashv, "a" alpha, "am" alpha_m), and x, y, z range over the algebra "D", m,
-u, v, w over the module "M".  The witness order of a template is the order
-in which its placeholders first appear, read from the left of its lhs.  A
-chained equality a = b = c is split pairwise as first=second (".a") and
-first=third (".b"); the implied second=third is not checked.
+parentheses, a map applied to one, or two of these around one op.  Ops and
+maps are written by their aliases in one table, `_ALIASES` ("pv" is
+prec_vdash, "-|" dashv, "a" alpha, "am" alpha_m; an operator, morphism or
+graph map such as "H", "T", "G" is its own alias).  Each placeholder has
+one space (`_SPACES`):
+
+    x y z     "D", the algebra
+    m u v w   "M", the module
+    p q       "P", the domain of a graph
+    n         "I", the basis of an ideal
+
+The witness order of a template is the order in which its placeholders
+first appear, read from the left of its lhs.  A chained equality a = b = c
+is split pairwise as first=second (".a") and first=third (".b"); the implied
+second=third is not checked.  A line whose id holds "{op}" is read once for
+each op name a set is read over, with "{op}" and the alias "op" standing for
+that name and "op'" for the name with a prime (the target's op in
+"hom.{op}"); for each op all such lines come first, in order, then the set's
+other lines.  A set with per-op lines read over no op is refused.
 
 Template ids are the line ids ("dias.4"-"dias.8" are numbered as in the
 source equations), and "six.dend.*" are the "dend" lines read over prec_perp
-and succ_perp; the per-op factories, which stay Python trees, give "mult.<op>".
-
-Operators, morphisms and graphs are named maps in the same templates ("H",
-"T", "G"): "avg.mu.a"/"avg.mu.b", "rb.<op>", "ravg.<op>.l"/"ravg.<op>.r",
-"qavg.<op>.a"/"qavg.<op>.b", "hom.<op>" and "graph.<op>"/"graph.twist".
-The quotient by the ideal I_D is checked the same way, with reduction modulo
-I_D as the map "R": "quotient.closure.left/right.<op>",
-"quotient.closure.twist" and "quotient.perp-compat.<flavor>".
-Twist commutation X o alpha = alpha' o X ("avg.twist", "rb.twist",
-"ravg.twist", "qavg.twist", "hom.twist") is a template too, over the
-transposed maps (`twist_template`), so that it is witnessed by (row, col).
+and succ_perp.  Operators, morphisms and graphs are named maps ("H", "T",
+"G"): "avg.mu.a"/"avg.mu.b", "rb.<op>", "ravg.<op>.l"/"ravg.<op>.r",
+"qavg.<op>.a"/"qavg.<op>.b", "hom.<op>", "mult.<op>" and
+"graph.<op>"/"graph.twist".  The quotient by the ideal I_D is checked the
+same way, with reduction modulo I_D as the map "R":
+"quotient.closure.left/right.<op>", "quotient.closure.twist" and
+"quotient.perp-compat.<flavor>".  Twist commutation X o alpha = alpha' o X
+("avg.twist", "rb.twist", "ravg.twist", "qavg.twist", "hom.twist") is the
+one template written in Python, over the transposed maps (`twist_template`),
+so that it is witnessed by (row, col).
 
 The evaluator tabulates each distinct subterm once per basis tuple of its own
 placeholders and shares the tables across the templates of one call that bind
@@ -676,8 +687,9 @@ def evaluate_templates(templates, dims: dict, ops: dict, maps: dict) -> Report:
 # ---------------------------------------------------------------------------
 # template sets
 
-# The eight fixed identity sets, one line per identity (see the module
-# docstring); a set is the lines whose id starts with its name and a dot.
+# The identity sets, one line per identity (see the module docstring); a set
+# is the lines whose id starts with its name and a dot, and a line whose id
+# holds "{op}" is read once per op name.
 _IDENTITIES = """
 dend.1: a(x) p (y p z + y s z) = (x p y) p a(z)
 dend.2: a(x) s (y p z) = (x s y) p a(z)
@@ -740,6 +752,22 @@ act.18: am(u) s_m (y s_l w) = (u p_r y + u s_r y) s_m am(w)
 act.19: (u p_m v) p_r a(z) = am(u) p_m (v p_r z + v s_r z)
 act.20: (u s_m v) p_r a(z) = am(u) s_m (v p_r z)
 act.21: (u p_m v + u s_m v) s_r a(z) = am(u) s_m (v s_r z)
+avg.mu: H(x) mu H(y) = H(x mu H(y)) = H(H(x) mu y)
+rb.{op}: H(x) op H(y) = H(H(x) op y + x op H(y))
+qavg.{op}: H(x) op H(y) = H(H(x) op y) = H(x op H(y))
+ravg.prec.l: H(u) p H(v) = H(H(u) p_l v)
+ravg.prec.r: H(u) p H(v) = H(u p_r H(v))
+ravg.succ.l: H(u) s H(v) = H(H(u) s_l v)
+ravg.succ.r: H(u) s H(v) = H(u s_r H(v))
+hom.{op}: T(x op y) = T(x) op' T(y)
+mult.{op}: a(x op y) = a(x) op a(y)
+graph.{op}: image(G(p) op G(q)) = X(domain(G(p) op G(q)))
+graph.twist: image(a(G(p))) = X(domain(a(G(p))))
+quotient.closure.left.{op}: R(x op W(n)) = Z(n)
+quotient.closure.right.{op}: R(W(n) op x) = Z(n)
+quotient.closure.twist: R(a(W(n))) = Z(n)
+quotient.perp-compat.prec: R(x pp y) = R(x pv y)
+quotient.perp-compat.succ: R(x sp y) = R(x sv y)
 """
 # The op and map names of the text, by alias: an alias between two operands
 # is an op, one before a parenthesis a map.  "-|", "|-" and "_|_" stand for
@@ -750,9 +778,13 @@ _ALIASES = {
     "pp": "prec_perp", "sp": "succ_perp", "p_l": "prec_l", "s_l": "succ_l",
     "p_r": "prec_r", "s_r": "succ_r", "p_m": "prec_m", "s_m": "succ_m",
     "a": "alpha", "b": "beta", "am": "alpha_m",
+    **{name: name for name in ("H", "T", "G", "X", "R", "W", "Z", "image", "domain")},
 }
-# The space of each placeholder: the algebra "D" or the module "M".
-_SPACES = {"x": "D", "y": "D", "z": "D", "m": "M", "u": "M", "v": "M", "w": "M"}
+# The space of each placeholder (see the table in the module docstring).
+_SPACES = {
+    "x": "D", "y": "D", "z": "D", "m": "M", "u": "M", "v": "M", "w": "M",
+    "p": "P", "q": "P", "n": "I",
+}
 _TOKEN = re.compile(r"[()+]|[^\s()+]+")
 
 
@@ -828,13 +860,24 @@ def _parse(lines, prefix: str, aliases: dict) -> tuple:
 
 
 @functools.cache
-def _identities(name: str, prefix: str = "", **bound) -> tuple:
+def _identities(name: str, prefix: str = "", ops: tuple = (), **bound) -> tuple:
     """The templates of the set `name` of `_IDENTITIES`, parsed once per
     process, with `prefix` before each id and each alias key of `bound` read
-    as the alias it is bound to."""
+    as the alias it is bound to.  The lines whose id holds "{op}" come first,
+    all of them for each name of `ops` in turn, with "op" read as that name
+    and "op'" as the name with a prime; the other lines follow."""
     lines = [line for line in _IDENTITIES.splitlines() if line.startswith(f"{name}.")]
+    if not lines:
+        raise ValueError(f"identity set {name} has no lines")
+    per_op = [line for line in lines if "{op}" in line]
+    if per_op and not ops:
+        raise ValueError(f"identity set {name} has per-op lines and no op to read them over")
     aliases = {**_ALIASES, **{key: _ALIASES[value] for key, value in bound.items()}}
-    return _parse(lines, prefix, aliases)
+    templates = ()
+    for op in ops:
+        expanded = [line.replace("{op}", op) for line in per_op]
+        templates += _parse(expanded, prefix, {**aliases, "op": op, "op'": op + "'"})
+    return templates + _parse([line for line in lines if line not in per_op], prefix, aliases)
 
 
 def dendriform_templates() -> list:
@@ -878,60 +921,14 @@ def action_templates() -> list:
     return list(_identities("act"))
 
 
-_X, _Y = Var("x"), Var("y")
-
-
-def _t(tid: str, lhs, rhs, variables: tuple) -> Template:
-    return Template(tid, variables, lhs, rhs)
-
-
-_XY = (("x", "D"), ("y", "D"))
-
-
-def averaging_templates(prefix: str, names, swap: bool = False) -> list:
-    """Hx op Hy = H(Hx op y) (".a") = H(x op Hy) (".b"), per operation, for
-    the operator map "H"; `swap` exchanges the two suffixes."""
-    hx, hy = App("H", _X), App("H", _Y)
-    ts = []
-    for name in names:
-        left, right = App("H", Op(name, hx, _Y)), App("H", Op(name, _X, hy))
-        a, b = (right, left) if swap else (left, right)
-        lhs = Op(name, hx, hy)
-        ts += [_t(f"{prefix}.{name}.a", lhs, a, _XY), _t(f"{prefix}.{name}.b", lhs, b, _XY)]
-    return ts
-
-
-def rota_baxter_templates(names) -> list:
-    """Rx op Ry = R(Rx op y + x op Ry), per operation, for R the map "H"."""
-    rx, ry = App("H", _X), App("H", _Y)
-    rhs = lambda name: App("H", S(Op(name, rx, _Y), Op(name, _X, ry)))
-    return [_t(f"rb.{name}", Op(name, rx, ry), rhs(name), _XY) for name in names]
-
-
-def relative_averaging_templates() -> list:
-    """Tu op Tv = T(Tu op_l v) (".l") = T(u op_r Tv) (".r") for op = prec, succ,
-    for T the map "H" from the module M (where u, v range) into the base."""
-    u, v = Var("u"), Var("v")
-    tu, tv = App("H", u), App("H", v)
-    uv = (("u", "M"), ("v", "M"))
-    ts = []
-    for name in ("prec", "succ"):
-        lhs = Op(name, tu, tv)
-        ts += [
-            _t(f"ravg.{name}.l", lhs, App("H", Op(f"{name}_l", tu, v)), uv),
-            _t(f"ravg.{name}.r", lhs, App("H", Op(f"{name}_r", u, tv)), uv),
-        ]
-    return ts
-
-
 def twist_template(prefix: str, name: str, space: str = "D") -> Template:
     """Twist commutation X o inner = outer o X for the map X named `name`,
     with x over the rows of X (`space`): transposed, inner^T(X^T x) =
     X^T(outer^T x), so that coordinate c at x = e_r is the entry (r, c) of
     X inner - outer X, witnessed by (r, c).  The maps are `twist_maps`."""
-    xt = f"{name}^T"
-    lhs, rhs = App("inner^T", App(xt, _X)), App(xt, App("outer^T", _X))
-    return _t(f"{prefix}.twist", lhs, rhs, (("x", space),))
+    xt, x = f"{name}^T", Var("x")
+    lhs, rhs = App("inner^T", App(xt, x)), App(xt, App("outer^T", x))
+    return Template(f"{prefix}.twist", (("x", space),), lhs, rhs)
 
 
 def twist_maps(name: str, linear: LinearMap, inner: LinearMap, outer: LinearMap) -> dict:
@@ -941,58 +938,17 @@ def twist_maps(name: str, linear: LinearMap, inner: LinearMap, outer: LinearMap)
 
 
 def homomorphism_templates(names) -> list:
-    """T(x op y) = Tx op' Ty, per operation, op' being the target's op, and
-    twist commutation, with x over the target ("D'")."""
-    tx, ty = App("T", _X), App("T", _Y)
-    return [
-        _t(f"hom.{name}", App("T", Op(name, _X, _Y)), Op(name + "'", tx, ty), _XY)
-        for name in names
-    ] + [twist_template("hom", "T", "D'")]
+    """The "hom.<op>" lines per operation, and twist commutation with x over
+    the target ("D'")."""
+    return [*_identities("hom", ops=tuple(names)), twist_template("hom", "T", "D'")]
 
 
 def multiplicative_templates(names) -> list:
-    """alpha(x op y) = alpha(x) op alpha(y), per operation."""
-    ax, ay = App("alpha", _X), App("alpha", _Y)
-    return [
-        _t(f"mult.{name}", App("alpha", Op(name, _X, _Y)), Op(name, ax, ay), _XY) for name in names
-    ]
-
-
-def graph_templates(names) -> list:
-    """Closure of the graph of X: P -> Q, embedded by G into a container,
-    under each operation and the twist: the "image" part of a product of
-    graph vectors is X applied to its "domain" part."""
-    u, v = App("G", Var("u")), App("G", Var("v"))
-    residual = lambda w: (App("image", w), App("X", App("domain", w)))
-    ts = [_t(f"graph.{name}", *residual(Op(name, u, v)), (("u", "P"), ("v", "P"))) for name in names]
-    ts.append(_t("graph.twist", *residual(App("alpha", u)), (("u", "P"),)))
-    return ts
+    return list(_identities("mult", ops=tuple(names)))
 
 
 def quotient_closure_templates(names) -> list:
-    """Closure of the ideal I_D, included by "W" from the space "I" of its
-    basis, under each operation on both sides and under the twist: "R",
-    reduction modulo I_D, sends each product to zero ("Z" is a zero map)."""
-    x, w = Var("x"), App("W", Var("w"))
-    zero = App("Z", Var("w"))
-    xw, wx = (("x", "D"), ("w", "I")), (("w", "I"), ("x", "D"))
-    ts = []
-    for name in names:
-        ts += [
-            _t(f"quotient.closure.left.{name}", App("R", Op(name, x, w)), zero, xw),
-            _t(f"quotient.closure.right.{name}", App("R", Op(name, w, x)), zero, wx),
-        ]
-    ts.append(_t("quotient.closure.twist", App("R", App("alpha", w)), zero, (("w", "I"),)))
-    return ts
-
-
-def perp_compat_templates() -> list:
-    """The perp operations agree with the vdash-flavored ones modulo I_D."""
-    return [
-        _t(f"quotient.perp-compat.{flavor}",
-           App("R", Op(f"{flavor}_perp", _X, _Y)), App("R", Op(f"{flavor}_vdash", _X, _Y)), _XY)
-        for flavor in ("prec", "succ")
-    ]
+    return list(_identities("quotient.closure", ops=tuple(names)))
 
 
 # ---------------------------------------------------------------------------

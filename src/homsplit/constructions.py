@@ -8,9 +8,8 @@ basis "S", the inclusion of the complement basis of D/I_D "C".  An induced
 product (`induced_op`) and the quotient twist are the residuals of expr = 0,
 0 being the zero map "0" into the output space, and the generators of I_D
 those of dashv = vdash.  The quotient by I_D is checked by templates in which
-reduction modulo I_D is the linear map "R" (`quotient_closure_templates` and
-its neighbours in `axioms`), so no construction evaluates a basis loop of its
-own.
+reduction modulo I_D is the linear map "R" (the "quotient.*" identities of
+`axioms`), so no construction evaluates a basis loop of its own.
 
 Constructions whose validity rests on a precondition (a representation being
 valid, an operator verifying) check it first and refuse with the offending
@@ -31,12 +30,11 @@ from .axioms import (
     S,
     Template,
     Var,
+    _identities,
     _require_kind,
     check_action,
     check_representation,
     evaluate_templates,
-    perp_compat_templates,
-    quotient_closure_templates,
 )
 from .linalg import reduction_matrix, rref
 from .model import ActionBundle, AlgebraBundle, BilinearOp, LinearMap, RepresentationBundle
@@ -67,8 +65,14 @@ def induced_op(expr, spaces: tuple, dims: dict, ops: dict, maps: dict) -> Biline
     return BilinearOp.from_entries(dims[left], dims[right], dims[out], entries)
 
 
-def _shift_entries(op: BilinearOp, di: int, dj: int, dk: int):
-    return [(i + di, j + dj, k + dk, c) for (i, j, k), c in op.constants]
+def _block_op(n: int, *blocks) -> BilinearOp:
+    """The op on an n-dimensional space whose constants are those of each
+    block (op, (di, dj, dk)), moved by its offsets."""
+    entries = [
+        (i + di, j + dj, k + dk, c)
+        for op, (di, dj, dk) in blocks for (i, j, k), c in op.constants
+    ]
+    return BilinearOp.from_entries(n, n, n, entries)
 
 
 def _declared(*param_sources) -> tuple:
@@ -131,12 +135,7 @@ def direct_sum_quadri(a: AlgebraBundle, b: AlgebraBundle) -> AlgebraBundle:
     for bundle in (a, b):
         _require_kind(bundle, "quadri_dendriform")
     d, n = a.dim, a.dim + b.dim
-    ops = {
-        name: BilinearOp.from_entries(
-            n, n, n, _shift_entries(a.op(name), 0, 0, 0) + _shift_entries(b.op(name), d, d, d)
-        )
-        for name in a.ops
-    }
+    ops = {name: _block_op(n, (a.op(name), (0, 0, 0)), (b.op(name), (d, d, d))) for name in a.ops}
     return AlgebraBundle(
         kind="quadri_dendriform",
         dim=n,
@@ -157,21 +156,16 @@ def hemi_semidirect(rep: RepresentationBundle, force: bool = False) -> AlgebraBu
     _refuse_unless(check_representation(rep), force, "representation does not verify")
     d, m = rep.base.dim, rep.module_dim
     n = d + m
-
-    def build(base_op: BilinearOp, act: BilinearOp, shift: tuple) -> BilinearOp:
-        entries = _shift_entries(base_op, 0, 0, 0) + _shift_entries(act, *shift)
-        return BilinearOp.from_entries(n, n, n, entries)
-
-    prec, succ = rep.base.op("prec"), rep.base.op("succ")
+    prec, succ = ((rep.base.op(name), (0, 0, 0)) for name in ("prec", "succ"))
     left, right = (0, d, d), (d, 0, d)  # D x M -> M and M x D -> M
     return AlgebraBundle(
         kind="quadri_dendriform",
         dim=n,
         ops={
-            "prec_vdash": build(prec, rep.action("prec_l"), left),
-            "prec_dashv": build(prec, rep.action("prec_r"), right),
-            "succ_vdash": build(succ, rep.action("succ_l"), left),
-            "succ_dashv": build(succ, rep.action("succ_r"), right),
+            "prec_vdash": _block_op(n, prec, (rep.action("prec_l"), left)),
+            "prec_dashv": _block_op(n, prec, (rep.action("prec_r"), right)),
+            "succ_vdash": _block_op(n, succ, (rep.action("succ_l"), left)),
+            "succ_dashv": _block_op(n, succ, (rep.action("succ_r"), right)),
         },
         twist=LinearMap.block_diag(rep.base.twist, rep.module_twist),
         parameters=_declared(rep.base.parameters, rep.used_parameters()),
@@ -187,18 +181,17 @@ def semidirect_dendriform(action: ActionBundle, force: bool = False) -> AlgebraB
     _refuse_unless(check_action(action), force, "action does not verify")
     d, m = action.acting.dim, action.acted.dim
     n = d + m
-
-    def build(which: str) -> BilinearOp:
-        entries = _shift_entries(action.acting.op(which), 0, 0, 0)
-        entries += _shift_entries(action.actions[f"{which}_l"], 0, d, d)
-        entries += _shift_entries(action.actions[f"{which}_r"], d, 0, d)
-        entries += _shift_entries(action.acted.op(which), d, d, d)
-        return BilinearOp.from_entries(n, n, n, entries)
-
+    ops = {
+        which: _block_op(
+            n, (action.acting.op(which), (0, 0, 0)), (action.actions[f"{which}_l"], (0, d, d)),
+            (action.actions[f"{which}_r"], (d, 0, d)), (action.acted.op(which), (d, d, d)),
+        )
+        for which in ("prec", "succ")
+    }
     return AlgebraBundle(
         kind="dendriform",
         dim=n,
-        ops={"prec": build("prec"), "succ": build("succ")},
+        ops=ops,
         twist=LinearMap.block_diag(action.acting.twist, action.acted.twist),
         parameters=_declared(action.acting.parameters, action.used_parameters()),
     )
@@ -303,7 +296,8 @@ def quotient_dendriform(bundle: AlgebraBundle) -> QuotientResult:
         "C": _complement_inclusion(dim, complement),
         "P": projection,
     }
-    report = evaluate_templates(quotient_closure_templates(sorted(bundle.ops)), dims, ops, maps)
+    closure = _identities("quotient.closure", ops=tuple(sorted(bundle.ops)))
+    report = evaluate_templates(closure, dims, ops, maps)
     if not report.ok:
         return QuotientResult(ok=False, ideal=ideal, report=report)
 
@@ -495,7 +489,7 @@ def six_embedding(bundle: AlgebraBundle) -> EmbeddingResult:
     if not quotient.ok:
         return EmbeddingResult(ok=False, quotient=quotient, report=quotient.report)
     report = evaluate_templates(
-        perp_compat_templates(),
+        _identities("quotient.perp-compat"),
         {"D": bundle.dim},
         dict(bundle.ops),
         {"R": quotient.ideal.reduction()},

@@ -139,35 +139,27 @@ def _reduce_report(report: Report, unit: str) -> Report:
     return Report(reduced)
 
 
-def verify_entry(entry: dict, root=None, sq15: str = SQ15_DEFAULT, algebras=None) -> dict:
+def verify_entry(entry: dict, algebras: dict, root=None, sq15: str = SQ15_DEFAULT) -> dict:
     """Verify one manifest entry; returns its deterministic report record.
 
-    `algebras` maps algebra entry ids to bundles already loaded; an algebra
-    entry found there, or the algebra an operator entry names, is taken from
-    it instead of read again, so `corpus_verify_all` reads each file once."""
+    `algebras` maps algebra entry ids to the bundles `corpus_verify_all` has
+    loaded; an algebra entry, and the algebra an operator entry names, are
+    taken from it, so each file is read once."""
     root = Path(root) if root else CORPUS_ROOT
     record = {
         key: entry[key] for key in ("id", "type", "path", "source", "expected", "notes")
         if key in entry
     }
     if entry["type"] == "algebra":
-        if algebras is not None and entry["id"] in algebras:
-            bundle = algebras[entry["id"]]
-        else:
-            bundle = load_algebra(root / entry["path"])
+        bundle = algebras[entry["id"]]
         record["kind"] = bundle.kind
         report = check_kind(bundle, sq15=sq15)
         record["multiplicative"] = check_multiplicative(bundle).status
     elif entry["type"] == "operator":
         kind, matrix = load_operator(root / entry["path"])
         record["operator_kind"] = kind
-        record["algebra"] = algebra = entry["algebra"]
-        if algebras is None or algebra not in algebras:
-            paths = {e["id"]: e["path"] for e in load_manifest(root)["entries"]}
-            context = load_algebra(root / paths[algebra])
-        else:
-            context = algebras[algebra]
-        report = verify_operator(kind, context, matrix)
+        record["algebra"] = entry["algebra"]
+        report = verify_operator(kind, algebras[entry["algebra"]], matrix)
         unit = entry.get("imaginary_unit")
         if unit:
             record["imaginary_unit"] = unit
@@ -192,10 +184,7 @@ def corpus_verify_all(root=None, sq15: str = SQ15_DEFAULT) -> dict:
     for entry in entries:
         if entry["type"] == "algebra":
             algebras[entry["id"]] = load_algebra(root / entry["path"])
-    records = [
-        verify_entry(entry, root=root, sq15=sq15, algebras=algebras)
-        for entry in entries
-    ]
+    records = [verify_entry(entry, algebras, root=root, sq15=sq15) for entry in entries]
     discrepancies = [r["id"] for r in records if r["discrepancy"]]
     summary = {
         "total": len(records),

@@ -138,8 +138,12 @@ class LinearMap:
         return LinearMap.from_rows(rows)
 
     def transpose(self) -> "LinearMap":
-        columns = tuple(tuple(row[c] for row in self.entries) for c in range(self.dim_in))
-        return LinearMap(self.dim_in, self.dim_out, columns)
+        """The transposed map, made once and kept on the object, as
+        `axioms._facts` keeps an op's or map's facts."""
+        if "_transpose" not in self.__dict__:
+            columns = tuple(tuple(row[c] for row in self.entries) for c in range(self.dim_in))
+            self.__dict__["_transpose"] = LinearMap(self.dim_in, self.dim_out, columns)
+        return self.__dict__["_transpose"]
 
     def specialize(self, bindings: Mapping) -> "LinearMap":
         return LinearMap.from_rows(

@@ -16,11 +16,13 @@ exact symbolic residuals):
                                   notion undefined; this is the documented
                                   interpretation)
 
-Each identity is an `axioms` template in which the operator is the named map
-"H", and one call of `axioms.evaluate_templates` checks them all, twist
-commutation included (`axioms.twist_template`, over the transposed maps);
-the homomorphic kind adds the one call of `axioms.check_homomorphism`.
-Graph closure is checked the same way (templates "graph.*").
+Each kind reads one identity set of the `axioms` text ("avg", "rb", "qavg"
+or "ravg", `_OPERATORS`), in which the operator is the map "H"; the "rb" and
+"qavg" lines are read once per op of the context.  One call of
+`axioms.evaluate_templates` checks the set, twist commutation included
+(`axioms.twist_template`, over the transposed maps); the homomorphic kind
+adds the one call of `axioms.check_homomorphism`.  Graph closure is checked
+the same way (the "graph" set, with the graph's domain as the space "P").
 Both grid searches, `solve_operators_grid` and
 `morphisms.brute_force_iso_search`, walk the one routine `grid_points`.
 """
@@ -33,13 +35,10 @@ from fractions import Fraction
 from . import linalg
 from .axioms import (
     _frozen,
+    _identities,
     _require_kind,
-    averaging_templates,
     check_homomorphism,
     evaluate_templates,
-    graph_templates,
-    relative_averaging_templates,
-    rota_baxter_templates,
     twist_maps,
     twist_template,
 )
@@ -48,26 +47,22 @@ from .model import span_matrix, unknown_matrix
 from .poly import CompiledSystem
 from .report import Report
 
-# operator kind -> (template prefix, algebra kind or None for a module, templates)
+# operator kind -> (identity set, algebra kind or None for a module)
 _OPERATORS = {
-    "averaging_assoc": (
-        "avg", "associative", lambda names: averaging_templates("avg", names, swap=True)
-    ),
-    "rota_baxter": ("rb", "diassociative", rota_baxter_templates),
-    "averaging_quadri": (
-        "qavg", "quadri_dendriform", lambda names: averaging_templates("qavg", names)
-    ),
+    "averaging_assoc": ("avg", "associative"),
+    "rota_baxter": ("rb", "diassociative"),
+    "averaging_quadri": ("qavg", "quadri_dendriform"),
+    "relative_averaging": ("ravg", None),
+    "homomorphic_relative_averaging": ("ravg", None),
 }
-_OPERATORS["relative_averaging"] = _OPERATORS["homomorphic_relative_averaging"] = (
-    "ravg", None, lambda names: relative_averaging_templates()
-)
 OPERATOR_KINDS = frozenset(_OPERATORS)
 
 
 def _operator_templates(kind: str, names: tuple, twist: bool) -> list:
-    """The templates of an operator kind, with twist commutation when `twist`."""
-    prefix, _, templates = _OPERATORS[kind]
-    return templates(names) + ([twist_template(prefix, "H")] if twist else [])
+    """The templates of an operator kind over the ops `names`, with twist
+    commutation when `twist`."""
+    prefix = _OPERATORS[kind][0]
+    return list(_identities(prefix, ops=names)) + ([twist_template(prefix, "H")] if twist else [])
 
 
 @dataclass(frozen=True)
@@ -195,7 +190,7 @@ def graph_is_subalgebra(
         "image": LinearMap.from_rows(image),
         "domain": LinearMap.from_rows(domain),
     }
-    templates = _frozen(graph_templates, tuple(sorted(container.ops)))
+    templates = _identities("graph", ops=tuple(sorted(container.ops)))
     report = evaluate_templates(templates, {"P": domain_dim}, dict(container.ops), maps)
     return report.ok, report
 

@@ -244,8 +244,8 @@ MUTANTS = [
         "name": "the twist template runs without the transposes, witnessed by (col, row)",
         "file": "src/homsplit/axioms.py",
         "old": (
-            '    lhs, rhs = App("inner^T", App(xt, _X)), App(xt, App("outer^T", _X))\n'
-            '    return _t(f"{prefix}.twist", lhs, rhs, (("x", space),))\n'
+            '    lhs, rhs = App("inner^T", App(xt, x)), App(xt, App("outer^T", x))\n'
+            '    return Template(f"{prefix}.twist", (("x", space),), lhs, rhs)\n'
             "\n"
             "\n"
             "def twist_maps(name: str, linear: LinearMap, inner: LinearMap, outer: LinearMap)"
@@ -255,8 +255,8 @@ MUTANTS = [
             "    return {key: matrix.transpose() for key, matrix in maps.items()}\n"
         ),
         "new": (
-            '    lhs, rhs = App(xt, App("inner^T", _X)), App("outer^T", App(xt, _X))\n'
-            '    return _t(f"{prefix}.twist", lhs, rhs, (("x", space),))\n'
+            '    lhs, rhs = App(xt, App("inner^T", x)), App("outer^T", App(xt, x))\n'
+            '    return Template(f"{prefix}.twist", (("x", space),), lhs, rhs)\n'
             "\n"
             "\n"
             "def twist_maps(name: str, linear: LinearMap, inner: LinearMap, outer: LinearMap)"
@@ -345,9 +345,23 @@ MUTANTS = [
     {
         "name": "check_homomorphism drops hom.twist",
         "file": "src/homsplit/axioms.py",
-        "old": "    ] + [twist_template(\"hom\", \"T\", \"D'\")]\n",
-        "new": "    ]\n",
+        "old": '    return [*_identities("hom", ops=tuple(names)), twist_template("hom", "T", "D\'")]\n',
+        "new": '    return list(_identities("hom", ops=tuple(names)))\n',
         "tests": ["tests/test_twist_reports.py"],
+    },
+    {
+        "name": "the per-op lines read op' as op",
+        "file": "src/homsplit/axioms.py",
+        "old": "\"op'\": op + \"'\"",
+        "new": "\"op'\": op",
+        "tests": ["tests/test_morphisms.py"],
+    },
+    {
+        "name": "the per-op expansion drops its last op",
+        "file": "src/homsplit/axioms.py",
+        "old": "    for op in ops:\n",
+        "new": "    for op in ops[:-1]:\n",
+        "tests": ["tests/test_grid_search.py"],
     },
     {
         "name": "the chain split emits the second=third template again",

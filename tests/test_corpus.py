@@ -148,7 +148,7 @@ def test_load_errors(tmp_path):
 def test_verify_entry_single():
     manifest = load_manifest()
     entry = next(e for e in manifest["entries"] if e["id"] == "dim2.D1")
-    record = verify_entry(entry)
+    record = verify_entry(entry, {"dim2.D1": load_algebra(CORPUS_ROOT / entry["path"])})
     assert record["verdict"] == "pass"
     assert record["kind"] == "quadri_dendriform"
 

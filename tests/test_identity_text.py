@@ -1,5 +1,5 @@
-"""The fixed identity sets are text that `axioms._parse` reads: pinned
-outputs of every template factory, and the lines the parser refuses."""
+"""The identity sets are text that `axioms._parse` reads: pinned outputs of
+every template factory and operator set, and the lines the parser refuses."""
 
 import hashlib
 import subprocess
@@ -7,12 +7,14 @@ import sys
 
 import pytest
 
-from homsplit import axioms
+from homsplit import axioms, operators
 from homsplit.model import KIND_OPS
 
 # sha256 of repr() of each factory's output, recorded from the Python trees
 # the text replaced; a drift in an id, a witness order, an op or map name or
-# the shape of a tree changes them.
+# the shape of a tree changes them.  The graph and quotient closure sets were
+# recorded from the text: the trees named their placeholders u, v over "P"
+# and w over "I", which the text names p, q and n.
 PINNED = {
     "dendriform": "3299f432db3573b772a9259c919d77a6b48cd599fd649ff99be32bc3c97d41b1",
     "associative": "76e8db25965907d53fb2ed58e3804912546aa30c1aee92d7b01804bde5d43041",
@@ -35,10 +37,44 @@ PINNED = {
     "hom.six_dendriform": "313c8fa60ae5ce050f19cc23cde4401922e1d42adc9d6c237f09bc660c24a8c1",
     "mult.triassociative": "5159a9239dca373790d84d1cd2b79f3fde04f8248d25366dc99210d4980a2626",
     "hom.triassociative": "df6c0cd61cfbc532ec92bd6ecc46a6002d5add06b0ffa90c9cb71618ab9f00f1",
+    "avg": "69b987b37ea95d6118ac2c54df6bf138b66057b9cbe35ab3c0d56b63c3816687",
+    "avg.twist": "700b6f1bd3e50f17563104cda29b964be1ac437af57f8b3a192dbd572128fd14",
+    "rb": "61500f105f534a067850e63ca9a26d208c3979d9d7b15806d7bbb75c267d6a9f",
+    "rb.twist": "22ec1e82b7b4ce1b1be85344e4474c1e5ceec3f4b178914b526dc7297d0d4b98",
+    "qavg": "fc377d76817b7745f6d246afe922049ada0c5a5f6db9d86d9272ecfe5e7ed962",
+    "qavg.twist": "c03947d1abdde2eba88b11c19f8b2ebe0ae95da2bf8036d73213c51dfa2a0a13",
+    "ravg": "0a611083cc8c24ddeef2d7396a6cbe030948dcb048b8870d42c6c4811375a3fe",
+    "ravg.twist": "f71f5299212671b5511018262d18130c51562e1a0deedd42b2dd919231160312",
+    "perp-compat": "6c4a46b8491e8cd5941459f0507e34dfeaa87eb22a010fd3f77410c83efb589a",
+    "graph.associative": "28485408637bc5a9fd6d05e289ecaedf280e047cfce3bea1dccefaf6548bf2da",
+    "quotient.closure.associative":
+        "15e6b0e8c33880b21a861d1faf3b4a741fab218fc76b8f08fc16cc0718815c86",
+    "graph.dendriform": "c8da461cb65f401570285ba65e16b08be3bd3b43b51a910b423b2b5f301e0613",
+    "quotient.closure.dendriform":
+        "e26d42e6c53ac19ca4a990cc4a4171e8902081ea71f6ef208899a11333a2100a",
+    "graph.diassociative": "f2d67d15d5712e03c50fcfb6587ecb442d1f45b23da97f70789055db5f805247",
+    "quotient.closure.diassociative":
+        "445d7e89c89d23a38b13679fbe8d028b524f2ed859550e00f08a32e9d1072715",
+    "graph.triassociative": "060f5a47167ac6aa572d1b9ac8b58f712945637687ee2275518b06a3bb0b35ce",
+    "quotient.closure.triassociative":
+        "193bd4ce7334135033fc730fb71e5f1dc9fac7922c3012d7f3fd5604214eac1e",
+    "graph.quadri_dendriform": "5df08e925b6ae7f22ea3c32cedc79a81759051a703bafc123c1685b9e249c038",
+    "quotient.closure.quadri_dendriform":
+        "a77ad2230f4e5d275fb444ec11ce775482d40d781472e442067f3bc360ac6d51",
+    "graph.six_dendriform": "d546f334e730bb55dc6220c9f85951bcf5e4b295c2ced723765b3a71e4eeb7c7",
+    "quotient.closure.six_dendriform":
+        "353ea1b0f4edafff48d80b7d6a83e2a22c2e51d1ab4a34bab6a7b9105c1187c3",
 }
 
 FIXED = ("dendriform", "associative", "diassociative", "quadri", "triassociative",
          "representation", "action")
+# identity set -> (operator kind, the op names its context gives)
+OPERATOR_SETS = {
+    "avg": ("averaging_assoc", ("mu",)),
+    "rb": ("rota_baxter", tuple(sorted(KIND_OPS["diassociative"]))),
+    "qavg": ("averaging_quadri", tuple(sorted(KIND_OPS["quadri_dendriform"]))),
+    "ravg": ("relative_averaging", ()),
+}
 
 
 def _outputs() -> dict:
@@ -49,6 +85,12 @@ def _outputs() -> dict:
         names = tuple(sorted(ops))
         outputs[f"mult.{kind}"] = axioms.multiplicative_templates(names)
         outputs[f"hom.{kind}"] = axioms.homomorphism_templates(names)
+        outputs[f"graph.{kind}"] = list(axioms._identities("graph", ops=names))
+        outputs[f"quotient.closure.{kind}"] = axioms.quotient_closure_templates(names)
+    for name, (kind, names) in OPERATOR_SETS.items():
+        outputs[name] = operators._operator_templates(kind, names, False)
+        outputs[f"{name}.twist"] = operators._operator_templates(kind, names, True)
+    outputs["perp-compat"] = list(axioms._identities("quotient.perp-compat"))
     return outputs
 
 
@@ -88,3 +130,27 @@ def test_the_parser_refuses_a_bad_line_naming_its_id(line, message):
     with pytest.raises(ValueError, match=rf"^identity {tid.replace('.', '[.]')}.*{message}"):
         axioms._parse(["assoc.1: a(x) mu (y mu z) = (x mu y) mu a(z)", line], "", axioms._ALIASES)
 
+
+
+@pytest.mark.parametrize("name", ["qavg", "mult", "graph", "quotient.closure"])
+def test_a_set_with_per_op_lines_read_over_no_op_is_refused(name):
+    with pytest.raises(ValueError, match=rf"^identity set {name.replace('.', '[.]')} has per-op"):
+        axioms._identities.__wrapped__(name)
+
+
+def test_a_set_with_no_lines_is_refused():
+    with pytest.raises(ValueError, match="^identity set avgg has no lines"):
+        axioms._identities.__wrapped__("avgg", ops=("mu",))
+
+
+def test_an_unknown_alias_in_a_per_op_line_names_the_expanded_id(monkeypatch):
+    monkeypatch.setattr(axioms, "_IDENTITIES", "qavg.{op}: H(x) op c(y) = H(x op y)\n")
+    with pytest.raises(ValueError, match=r"^identity qavg[.]prec_vdash: unknown alias 'c'"):
+        axioms._identities.__wrapped__("qavg", ops=("prec_vdash", "succ_vdash"))
+
+
+def test_per_op_lines_are_read_op_by_op_with_the_prime_on_op_prime():
+    templates = axioms._identities("hom", ops=("prec", "succ"))
+    assert [t.id for t in templates] == ["hom.prec", "hom.succ"]
+    assert templates[1].rhs == axioms.Op("succ'", axioms.App("T", axioms.Var("x")),
+                                         axioms.App("T", axioms.Var("y")))

@@ -103,6 +103,13 @@ def test_map_transpose_swaps_rows_and_columns_at_every_shape():
     assert LinearMap.zero(2, 0).transpose() == LinearMap.zero(0, 2)
 
 
+def test_map_transpose_is_made_once_and_kept_out_of_equality():
+    m = LinearMap.from_strings([["1", "a"], ["0", "b"]])
+    fresh = LinearMap.from_strings([["1", "a"], ["0", "b"]])
+    assert m.transpose() is m.transpose()
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+
+
 def test_zero_map_keeps_its_shape_without_rows():
     assert (LinearMap.zero(0, 2).dim_out, LinearMap.zero(0, 2).dim_in) == (0, 2)
     assert LinearMap.zero(0, 2) != LinearMap.zero(0, 0)
