@@ -432,6 +432,23 @@ def test_the_hostile_manifests_differ_from_a_valid_one(tmp_path, capsys):
     assert "2 entries: 1 pass, 1 fail, 0 discrepancies" in capsys.readouterr().out
 
 
+
+@pytest.mark.parametrize("shape", ["representation", "action"])
+def test_check_runs_on_a_representation_or_action_file(tmp_path, capsys, shape):
+    adjoint, to_dict = {
+        "representation": (RepresentationBundle.adjoint, representation_to_dict),
+        "action": (ActionBundle.adjoint, action_to_dict),
+    }[shape]
+    data = to_dict(adjoint(load_algebra(DETA)))
+    write_json(tmp_path / "ok.json", data)
+    assert main(["check", str(tmp_path / "ok.json")]) == 0
+    assert capsys.readouterr().out.endswith("ok.json: pass (0 violation(s))\n")
+    data["actions"]["prec_l"].append({"i": 1, "j": 1, "k": 1, "c": "1"})
+    write_json(tmp_path / "bad.json", data)
+    assert main(["check", str(tmp_path / "bad.json")]) == 1
+    out = capsys.readouterr().out
+    assert "bad.json: fail" in out and json.loads(out.split("\n", 1)[1])["check"]["status"] == "fail"
+
 def test_iso_with_equal_fingerprints_computes_each_fingerprint_once(monkeypatch, capsys):
     from homsplit import morphisms
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -237,6 +238,58 @@ def test_validate_flags_an_undeclared_parameter_in_the_actions_or_beta():
         assert templates == ["structure.undeclared-parameter:q"]
         assert action_from_dict(action_to_dict(bad)).validate().entries == bad.validate().entries
 
+
+
+def _one_fault_bundles() -> dict:
+    """One bundle per structural flag, each with a single fault, and the flag
+    list its `validate` gives."""
+    base = deta()  # declares b and eta
+    rep = RepresentationBundle.adjoint(base)
+    zero = BilinearOp.zero_square(3)
+    dias = zero_bundle("diassociative", 3, ["dashv", "vdash"])
+    acted = AlgebraBundle("associative", 3, {"mu": zero}, base.twist, base.parameters)
+    without_succ_r = {name: op for name, op in rep.actions.items() if name != "succ_r"}
+    return {
+        "missing-op": (AlgebraBundle("dendriform", 3, {"prec": base.op("prec")}, base.twist,
+                                     base.parameters), ["structure.missing-op:succ"]),
+        "twist-dim": (AlgebraBundle("dendriform", 3, base.ops, LinearMap.identity(2),
+                                    base.parameters), ["structure.twist-dim"]),
+        "op-dim": (AlgebraBundle("dendriform", 3, {**base.ops, "succ": BilinearOp.zero_square(2)},
+                                 base.twist, base.parameters), ["structure.op-dim:succ"]),
+        "unknown-kind": (AlgebraBundle("dendri", 3, base.ops, base.twist, base.parameters),
+                         ["structure.unknown-kind:dendri"]),
+        "representation-base-kind": (
+            RepresentationBundle(dias, 3, dict.fromkeys(rep.actions, zero), LinearMap.identity(3)),
+            ["structure.representation-base-kind"],
+        ),
+        "missing-action": (RepresentationBundle(base, 3, without_succ_r, rep.module_twist),
+                           ["structure.missing-action:succ_r"]),
+        "action-dim": (
+            RepresentationBundle(base, 3, {**rep.actions, "prec_r": BilinearOp(2, 3, 3, ())},
+                                 rep.module_twist),
+            ["structure.action-dim:prec_r"],
+        ),
+        "module-twist-dim": (RepresentationBundle(base, 3, rep.actions, LinearMap.identity(2)),
+                             ["structure.module-twist-dim"]),
+        "acted-kind": (ActionBundle(base, acted, rep.actions), ["structure.acted-kind"]),
+    }
+
+
+@pytest.mark.parametrize("flag", list(_one_fault_bundles()))
+def test_validate_gives_each_structural_flag_alone_on_a_one_fault_bundle(flag):
+    bad, expected = _one_fault_bundles()[flag]
+    assert [v.template for v in bad.validate().entries] == expected
+
+
+def test_a_specialized_representation_or_action_is_the_adjoint_of_the_specialized_algebra():
+    base = deta()
+    for bindings in ({}, {"eta": 2}, {"b": Fraction(1, 2), "eta": Fraction(-3)}):
+        special = base.specialize(bindings)
+        for adjoint in (RepresentationBundle.adjoint, ActionBundle.adjoint):
+            assert adjoint(base).specialize(bindings) == adjoint(special)
+            assert adjoint(base).specialize(bindings).used_parameters() == {"b", "eta"} - set(bindings)
+        with pytest.raises(ValueError, match="undeclared parameter 'q'"):
+            RepresentationBundle.adjoint(base).specialize({"q": 1})
 
 # -- file formats ---------------------------------------------------------------
 
