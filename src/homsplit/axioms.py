@@ -896,21 +896,31 @@ def quadri_templates() -> list:
     return list(_identities("quadri"))
 
 
+@functools.cache
+def _triassociative() -> tuple:
+    return _identities("dias") + _identities("tri")
+
+
 def triassociative_templates() -> list:
-    return list(_identities("dias") + _identities("tri"))
+    return list(_triassociative())
+
+
+@functools.cache
+def _six(sq15: str) -> tuple:
+    if sq15 not in SQ15_READINGS:
+        raise ValueError(f"sq15 must be one of {SQ15_READINGS}")
+    return (
+        _identities("dend", "six.", p="pp", s="sp")
+        + _identities("quadri")
+        + _identities("six", r15="pd" if sq15 == "literal" else "sd")
+    )
 
 
 def six_templates(sq15: str = SQ15_DEFAULT) -> list:
     """The dendriform identities of the perp ops ("six.dend.*"), the quadri
     ones and sq1-sq17, the alias "r15" of sq15 being "pd" in its literal
     reading and "sd" in its symmetric one."""
-    if sq15 not in SQ15_READINGS:
-        raise ValueError(f"sq15 must be one of {SQ15_READINGS}")
-    return list(
-        _identities("dend", "six.", p="pp", s="sp")
-        + _identities("quadri")
-        + _identities("six", r15="pd" if sq15 == "literal" else "sd")
-    )
+    return list(_six(sq15))
 
 
 def representation_templates() -> list:
@@ -937,10 +947,15 @@ def twist_maps(name: str, linear: LinearMap, inner: LinearMap, outer: LinearMap)
     return {key: matrix.transpose() for key, matrix in maps.items()}
 
 
-def homomorphism_templates(names) -> list:
+@functools.cache
+def _homomorphism(names: tuple) -> tuple:
     """The "hom.<op>" lines per operation, and twist commutation with x over
     the target ("D'")."""
-    return [*_identities("hom", ops=tuple(names)), twist_template("hom", "T", "D'")]
+    return (*_identities("hom", ops=names), twist_template("hom", "T", "D'"))
+
+
+def homomorphism_templates(names) -> list:
+    return list(_homomorphism(tuple(names)))
 
 
 def multiplicative_templates(names) -> list:
@@ -962,77 +977,51 @@ def _require_kind(bundle: AlgebraBundle, kind: str) -> None:
         raise ValueError(f"expected {article} {kind} bundle, got {got!r}")
 
 
-@functools.cache
-def _frozen(factory, *args) -> tuple:
-    """`factory(*args)` as a tuple, built once per process.  The checkers
-    pass the same tuple on every call, so `_plan` finds its plan at once; the
-    public factories still return a fresh list on every call."""
-    return tuple(factory(*args))
-
-
-def _run(bundle: AlgebraBundle, templates: tuple) -> Report:
-    return evaluate_templates(
-        templates, {"D": bundle.dim}, dict(bundle.ops), {"alpha": bundle.twist}
-    )
+def _run(bundle: AlgebraBundle, kind: str, templates: tuple) -> Report:
+    _require_kind(bundle, kind)
+    return evaluate_templates(templates, *bundle.parts())
 
 
 def check_dendriform(bundle: AlgebraBundle) -> Report:
-    _require_kind(bundle, "dendriform")
-    return _run(bundle, _frozen(dendriform_templates))
+    return _run(bundle, "dendriform", _identities("dend"))
 
 
 def check_associative(bundle: AlgebraBundle) -> Report:
-    _require_kind(bundle, "associative")
-    return _run(bundle, _frozen(associative_templates))
+    return _run(bundle, "associative", _identities("assoc"))
 
 
 def check_diassociative(bundle: AlgebraBundle) -> Report:
-    _require_kind(bundle, "diassociative")
-    return _run(bundle, _frozen(diassociative_templates))
+    return _run(bundle, "diassociative", _identities("dias"))
 
 
 def check_quadri(bundle: AlgebraBundle) -> Report:
-    _require_kind(bundle, "quadri_dendriform")
-    return _run(bundle, _frozen(quadri_templates))
+    return _run(bundle, "quadri_dendriform", _identities("quadri"))
 
 
 def check_triassociative(bundle: AlgebraBundle) -> Report:
-    _require_kind(bundle, "triassociative")
-    return _run(bundle, _frozen(triassociative_templates))
+    return _run(bundle, "triassociative", _triassociative())
 
 
 def check_six(bundle: AlgebraBundle, sq15: str = SQ15_DEFAULT) -> Report:
-    _require_kind(bundle, "six_dendriform")
-    return _run(bundle, _frozen(six_templates, sq15))
+    return _run(bundle, "six_dendriform", _six(sq15))
 
 
 def check_representation(rep: RepresentationBundle) -> Report:
     _require_kind(rep.base, "dendriform")
-    dims = {"D": rep.base.dim, "M": rep.module_dim}
-    ops = dict(rep.base.ops)
-    ops.update(rep.actions)
-    maps = {"alpha": rep.base.twist, "beta": rep.module_twist}
-    return evaluate_templates(_frozen(representation_templates), dims, ops, maps)
+    return evaluate_templates(_identities("rep"), *rep.parts())
 
 
 def check_action(action: ActionBundle) -> Report:
     _require_kind(action.acting, "dendriform")
     _require_kind(action.acted, "dendriform")
     rep_report = check_representation(action.representation())
-    dims = {"D": action.acting.dim, "M": action.acted.dim}
-    ops = dict(action.acting.ops)
-    ops.update(action.actions)
-    ops["prec_m"] = action.acted.op("prec")
-    ops["succ_m"] = action.acted.op("succ")
-    maps = {"alpha": action.acting.twist, "alpha_m": action.acted.twist}
-    act_report = evaluate_templates(_frozen(action_templates), dims, ops, maps)
-    return rep_report.merged(act_report)
+    return rep_report.merged(evaluate_templates(_identities("act"), *action.parts()))
 
 
 def check_multiplicative(bundle: AlgebraBundle) -> Report:
     if bundle.kind not in KIND_OPS:
         raise ValueError(f"unknown kind {bundle.kind!r}")
-    return _run(bundle, _frozen(multiplicative_templates, tuple(sorted(bundle.ops))))
+    return evaluate_templates(_identities("mult", ops=tuple(sorted(bundle.ops))), *bundle.parts())
 
 
 def check_homomorphism(
@@ -1049,7 +1038,7 @@ def check_homomorphism(
     ops = {name: source.op(name) for name in names}
     ops.update({name + "'": target.op(name) for name in names})
     maps = {"T": linear, **twist_maps("T", linear, source.twist, target.twist)}
-    templates = _frozen(homomorphism_templates, tuple(names))
+    templates = _homomorphism(tuple(names))
     return evaluate_templates(templates, {"D": source.dim, "D'": target.dim}, ops, maps)
 
 

@@ -4,16 +4,23 @@ An algebra lives on a based vector space: each binary operation is a sparse
 dim x dim x dim tensor of polynomials (e_i op e_j = sum_k c[i,j,k] e_k, with
 1-based indices matching the tables' e_1, e_2, e_3), and the twist map alpha
 is a polynomial matrix.  A bundle packages one algebra's kind tag, named
-operations, twist, and declared parameter names.
+operations, twist, and declared parameter names; a representation adds a
+module M with four actions and its twist beta, an action the algebra acted on.
+Each bundle's `parts()` are (spaces, ops, maps) under the names the identity
+text of `axioms` uses: D, its ops and alpha; D, M, the base ops, the actions,
+alpha and beta; D, M, the acting ops, the actions, the acted ops as prec_m and
+succ_m, alpha and alpha_m.  `used_parameters` (the union over the parts) and
+`specialize` (over the dataclass fields) are written once (`_Bundle`).
 
 Nothing here checks axioms; `validate()` checks only structural invariants
-(op-name set vs kind, index ranges, parameter declarations).  Axiom checking
-lives in `axioms`.
+(op-name set vs kind, shapes, index ranges, parameter declarations), with one
+tensor check for the algebra's ops and the actions (`_check_tensor`).  Axiom
+checking lives in `axioms`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Mapping
 
 from .poly import Polynomial
@@ -305,12 +312,39 @@ class BilinearOp:
 # bundles
 
 
-def _parameters(*parts) -> frozenset:
-    return frozenset().union(*(part.parameters() for part in parts))
+def _check_tensor(flag, dim_flag: str, name: str, op: BilinearOp, shape: tuple) -> bool:
+    """Flag the tensor `name` with `dim_flag` when its shape is not `shape`, else
+    each constant outside it with "structure.index-range"; True if the shape holds."""
+    if (op.dim_left, op.dim_right, op.dim_out) != shape:
+        flag(f"{dim_flag}:{name}")
+        return False
+    for key, _ in op.constants:
+        if not all(1 <= v <= dim for v, dim in zip(key, shape)):
+            flag(f"structure.index-range:{name}", key)
+    return True
+
+
+class _Bundle:
+    """What the three bundles share, written over their fields and their
+    `parts()`: (spaces, ops, maps) under the names the identity text uses."""
+
+    def used_parameters(self) -> frozenset:
+        _, ops, maps = self.parts()
+        return frozenset().union(*(part.parameters() for part in (*ops.values(), *maps.values())))
+
+    def specialize(self, bindings: Mapping):
+        """The bundle with each op, map and bundle in its fields specialized."""
+
+        def special(value):
+            if isinstance(value, dict):
+                return {name: item.specialize(bindings) for name, item in value.items()}
+            return value.specialize(bindings) if hasattr(value, "specialize") else value
+
+        return replace(self, **{f.name: special(getattr(self, f.name)) for f in fields(self)})
 
 
 @dataclass(frozen=True, eq=True)
-class AlgebraBundle:
+class AlgebraBundle(_Bundle):
     kind: str
     dim: int
     ops: dict  # op name -> BilinearOp
@@ -320,20 +354,16 @@ class AlgebraBundle:
     def op(self, name: str) -> BilinearOp:
         return self.ops[name]
 
-    def used_parameters(self) -> frozenset:
-        return _parameters(self.twist, *self.ops.values())
+    def parts(self) -> tuple:
+        return {"D": self.dim}, dict(self.ops), {"alpha": self.twist}
 
     def specialize(self, bindings: Mapping) -> "AlgebraBundle":
+        """Refuses an undeclared name and declares the bound names no more."""
         for name in bindings:
             if name not in self.parameters:
                 raise ValueError(f"binding undeclared parameter {name!r}")
-        return AlgebraBundle(
-            kind=self.kind,
-            dim=self.dim,
-            ops={name: op.specialize(bindings) for name, op in self.ops.items()},
-            twist=self.twist.specialize(bindings),
-            parameters=tuple(p for p in self.parameters if p not in bindings),
-        )
+        kept = tuple(p for p in self.parameters if p not in bindings)
+        return replace(super().specialize(bindings), parameters=kept)
 
     def validate(self) -> Report:
         entries = []
@@ -351,23 +381,18 @@ class AlgebraBundle:
             flag(f"structure.missing-op:{name}")
         if (self.twist.dim_out, self.twist.dim_in) != (self.dim, self.dim):
             flag("structure.twist-dim")
-        used = set(self.twist.parameters())
-        for name in sorted(set(self.ops) & required):
-            op = self.ops[name]
-            if (op.dim_left, op.dim_right, op.dim_out) != (self.dim,) * 3:
-                flag(f"structure.op-dim:{name}")
-                continue
-            for (i, j, k), poly in op.constants:
-                if not all(1 <= v <= self.dim for v in (i, j, k)):
-                    flag(f"structure.index-range:{name}", (i, j, k))
-                used |= poly.parameters()
+        shaped = [
+            op for name, op in sorted(self.ops.items()) if name in required
+            and _check_tensor(flag, "structure.op-dim", name, op, (self.dim,) * 3)
+        ]
+        used = frozenset().union(*(part.parameters() for part in (self.twist, *shaped)))
         for name in sorted(used - set(self.parameters)):
             flag(f"structure.undeclared-parameter:{name}")
         return Report(entries)
 
 
 @dataclass(frozen=True, eq=True)
-class RepresentationBundle:
+class RepresentationBundle(_Bundle):
     """A module over a dendriform algebra: four action tensors plus beta."""
 
     base: AlgebraBundle
@@ -379,47 +404,32 @@ class RepresentationBundle:
     def adjoint(bundle: AlgebraBundle) -> "RepresentationBundle":
         if bundle.kind != "dendriform":
             raise ValueError("adjoint representation needs a dendriform bundle")
-        return RepresentationBundle(
-            base=bundle,
-            module_dim=bundle.dim,
-            actions={
-                "prec_l": bundle.op("prec"),
-                "succ_l": bundle.op("succ"),
-                "prec_r": bundle.op("prec"),
-                "succ_r": bundle.op("succ"),
-            },
-            module_twist=bundle.twist,
-        )
+        prec, succ = bundle.op("prec"), bundle.op("succ")
+        actions = dict(zip(ACTION_NAMES, (prec, succ, prec, succ)))
+        return RepresentationBundle(bundle, bundle.dim, actions, bundle.twist)
 
     def action(self, name: str) -> BilinearOp:
         return self.actions[name]
 
-    def used_parameters(self) -> frozenset:
-        return self.base.used_parameters() | _parameters(self.module_twist, *self.actions.values())
-
-    def specialize(self, bindings: Mapping) -> "RepresentationBundle":
-        return RepresentationBundle(
-            base=self.base.specialize(bindings),
-            module_dim=self.module_dim,
-            actions={n: op.specialize(bindings) for n, op in self.actions.items()},
-            module_twist=self.module_twist.specialize(bindings),
-        )
+    def parts(self) -> tuple:
+        spaces = {"D": self.base.dim, "M": self.module_dim}
+        maps = {"alpha": self.base.twist, "beta": self.module_twist}
+        return spaces, {**self.base.ops, **self.actions}, maps
 
     def validate(self) -> Report:
         entries = list(self.base.validate().entries)
 
-        def flag(template: str):
-            entries.append(Violation(template, (), Polynomial.zero()))
+        def flag(template: str, witness: tuple = ()):
+            entries.append(Violation(template, witness, Polynomial.zero()))
 
         if self.base.kind != "dendriform":
             flag("structure.representation-base-kind")
         m = self.module_dim
         for name, shape in action_shapes(self.base.dim, m).items():
-            op = self.actions.get(name)
-            if op is None:
+            if name not in self.actions:
                 flag(f"structure.missing-action:{name}")
-            elif (op.dim_left, op.dim_right, op.dim_out) != shape:
-                flag(f"structure.action-dim:{name}")
+            else:
+                _check_tensor(flag, "structure.action-dim", name, self.actions[name], shape)
         if (self.module_twist.dim_out, self.module_twist.dim_in) != (m, m):
             flag("structure.module-twist-dim")
         # the names the base's own ops and twist use are flagged by the base
@@ -430,7 +440,7 @@ class RepresentationBundle:
 
 
 @dataclass(frozen=True, eq=True)
-class ActionBundle:
+class ActionBundle(_Bundle):
     """A dendriform algebra acting on another dendriform algebra.
 
     `acted` lives on the module space; its twist doubles as the module twist
@@ -447,22 +457,12 @@ class ActionBundle:
         return ActionBundle(acting=bundle, acted=bundle, actions=rep.actions)
 
     def representation(self) -> RepresentationBundle:
-        return RepresentationBundle(
-            base=self.acting,
-            module_dim=self.acted.dim,
-            actions=self.actions,
-            module_twist=self.acted.twist,
-        )
+        return RepresentationBundle(self.acting, self.acted.dim, self.actions, self.acted.twist)
 
-    def used_parameters(self) -> frozenset:
-        return self.representation().used_parameters() | self.acted.used_parameters()
-
-    def specialize(self, bindings: Mapping) -> "ActionBundle":
-        return ActionBundle(
-            acting=self.acting.specialize(bindings),
-            acted=self.acted.specialize(bindings),
-            actions={n: op.specialize(bindings) for n, op in self.actions.items()},
-        )
+    def parts(self) -> tuple:
+        spaces, ops, _ = self.representation().parts()
+        ops.update((f"{name}_m", op) for name, op in self.acted.ops.items())
+        return spaces, ops, {"alpha": self.acting.twist, "alpha_m": self.acted.twist}
 
     def validate(self) -> Report:
         entries = self.representation().validate().entries

@@ -29,12 +29,12 @@ Both grid searches, `solve_operators_grid` and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .axioms import (
-    _frozen,
     _identities,
     _require_kind,
     check_homomorphism,
@@ -58,21 +58,22 @@ _OPERATORS = {
 OPERATOR_KINDS = frozenset(_OPERATORS)
 
 
-def _operator_templates(kind: str, names: tuple, twist: bool) -> list:
+@functools.cache
+def _operator_templates(kind: str, names: tuple, twist: bool) -> tuple:
     """The templates of an operator kind over the ops `names`, with twist
     commutation when `twist`."""
     prefix = _OPERATORS[kind][0]
-    return list(_identities(prefix, ops=names)) + ([twist_template(prefix, "H")] if twist else [])
+    return _identities(prefix, ops=names) + ((twist_template(prefix, "H"),) if twist else ())
 
 
 @dataclass(frozen=True)
 class _Frame:
-    """What an operator kind acts on: the templates with their spaces, ops
-    and twists, and the matrix shape (rows, cols) the operator must have."""
+    """What an operator kind acts on: the templates with the parts of the
+    context (spaces, ops and maps), the twists, and the matrix shape (rows,
+    cols) the operator must have."""
 
     templates: tuple
-    dims: dict
-    ops: dict
+    parts: tuple  # (spaces, ops, maps) of the context
     shape: tuple
     shape_error: str
     twists: tuple = ()  # (domain twist, codomain twist) when commutation is checked
@@ -88,11 +89,9 @@ def _resolve(kind: str, context, strict_twist: bool = False) -> _Frame:
     required = _OPERATORS[kind][1]
     if required:
         _require_kind(context, required)
-        dim = context.dim
-        names = tuple(sorted(context.ops))
         return _Frame(
-            _frozen(_operator_templates, kind, names, twist), {"D": dim}, dict(context.ops),
-            (dim, dim), "operator matrix shape does not match the algebra",
+            _operator_templates(kind, tuple(sorted(context.ops)), twist), context.parts(),
+            (context.dim, context.dim), "operator matrix shape does not match the algebra",
             (context.twist, context.twist) if twist else (),
         )
     homomorphism = ()
@@ -108,12 +107,12 @@ def _resolve(kind: str, context, strict_twist: bool = False) -> _Frame:
         context = RepresentationBundle.adjoint(context)
     if not isinstance(context, RepresentationBundle):
         raise ValueError(f"{kind} needs an algebra, representation or action context")
-    base = context.base
-    ops = {"prec": base.op("prec"), "succ": base.op("succ"), **context.actions}
+    _require_kind(context.base, "dendriform")
     return _Frame(
-        _frozen(_operator_templates, kind, (), twist), {"D": base.dim, "M": context.module_dim},
-        ops, (base.dim, context.module_dim), "operator must map the module into the base algebra",
-        (context.module_twist, base.twist), homomorphism,
+        _operator_templates(kind, (), twist), context.parts(),
+        (context.base.dim, context.module_dim),
+        "operator must map the module into the base algebra",
+        (context.module_twist, context.base.twist), homomorphism,
     )
 
 
@@ -122,10 +121,11 @@ def verify_operator(kind: str, context, matrix: LinearMap, strict_twist: bool = 
     frame = _resolve(kind, context, strict_twist)
     if (matrix.dim_out, matrix.dim_in) != frame.shape:
         raise ValueError(frame.shape_error)
-    maps = {"H": matrix}
+    dims, ops, maps = frame.parts
+    maps = {**maps, "H": matrix}
     if frame.twists:
         maps.update(twist_maps("H", matrix, *frame.twists))
-    report = evaluate_templates(frame.templates, frame.dims, frame.ops, maps)
+    report = evaluate_templates(frame.templates, dims, ops, maps)
     if frame.homomorphism:
         report = report.merged(check_homomorphism("dendriform", matrix, *frame.homomorphism))
     return report

@@ -266,10 +266,10 @@ MUTANTS = [
         "tests": ["tests/test_twist_reports.py"],
     },
     {
-        "name": "the frozen operator template set is keyed without the strict_twist flag",
+        "name": "the cached operator template set is keyed without the strict_twist flag",
         "file": "src/homsplit/operators.py",
-        "old": "_frozen(_operator_templates, kind, names, twist)",
-        "new": '_frozen(_operator_templates, kind, names, kind != "averaging_assoc")',
+        "old": "_operator_templates(kind, tuple(sorted(context.ops)), twist)",
+        "new": '_operator_templates(kind, tuple(sorted(context.ops)), kind != "averaging_assoc")',
         "tests": ["tests/test_twist_reports.py"],
     },
     {

@@ -88,8 +88,8 @@ def _outputs() -> dict:
         outputs[f"graph.{kind}"] = list(axioms._identities("graph", ops=names))
         outputs[f"quotient.closure.{kind}"] = axioms.quotient_closure_templates(names)
     for name, (kind, names) in OPERATOR_SETS.items():
-        outputs[name] = operators._operator_templates(kind, names, False)
-        outputs[f"{name}.twist"] = operators._operator_templates(kind, names, True)
+        outputs[name] = list(operators._operator_templates(kind, names, False))
+        outputs[f"{name}.twist"] = list(operators._operator_templates(kind, names, True))
     outputs["perp-compat"] = list(axioms._identities("quotient.perp-compat"))
     return outputs
 
