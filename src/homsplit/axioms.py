@@ -905,10 +905,14 @@ def triassociative_templates() -> list:
     return list(_triassociative())
 
 
-@functools.cache
-def _six(sq15: str) -> tuple:
+def _require_sq15(sq15: str) -> None:
     if sq15 not in SQ15_READINGS:
         raise ValueError(f"sq15 must be one of {SQ15_READINGS}")
+
+
+@functools.cache
+def _six(sq15: str) -> tuple:
+    _require_sq15(sq15)
     return (
         _identities("dend", "six.", p="pp", s="sp")
         + _identities("quadri")
@@ -1053,7 +1057,8 @@ _KIND_CHECKERS = {
 
 
 def check_kind(bundle: AlgebraBundle, sq15: str = SQ15_DEFAULT) -> Report:
-    """Dispatch to the axiom checker matching the bundle's kind tag."""
+    """Dispatch to the axiom checker of the bundle's kind; refuse an unknown sq15."""
+    _require_sq15(sq15)
     checker = _KIND_CHECKERS.get(bundle.kind)
     if checker is None:
         raise ValueError(f"unknown kind {bundle.kind!r}")

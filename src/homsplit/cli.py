@@ -158,6 +158,8 @@ def _cmd_check(args) -> int:
         report = check_kind(context, sq15=args.sq15)
         if args.multiplicative:
             extra["multiplicative"] = check_multiplicative(context).payload()
+    elif args.multiplicative:
+        raise corpus.CorpusError(f"check --multiplicative takes an algebra file, not {args.file}")
     elif isinstance(context, ActionBundle):
         report = check_action(context)
     else:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..axioms import SQ15_DEFAULT, check_kind, check_multiplicative
+from ..axioms import SQ15_DEFAULT, _require_sq15, check_kind, check_multiplicative
 from ..files import (
     action_from_dict,
     algebra_from_dict,
@@ -177,7 +177,9 @@ def corpus_verify_all(root=None, sq15: str = SQ15_DEFAULT) -> dict:
     """Run every corpus entry through its checker/verifier; deterministic.
 
     The manifest and each payload file are read once: the algebras first,
-    then each entry, which takes its algebra from them (`verify_entry`)."""
+    then each entry, which takes its algebra from them (`verify_entry`).  An
+    unknown sq15 is refused before anything is read."""
+    _require_sq15(sq15)
     root = Path(root) if root else CORPUS_ROOT
     entries = list_entries(root)
     algebras = {}

@@ -345,8 +345,8 @@ MUTANTS = [
     {
         "name": "check_homomorphism drops hom.twist",
         "file": "src/homsplit/axioms.py",
-        "old": '    return [*_identities("hom", ops=tuple(names)), twist_template("hom", "T", "D\'")]\n',
-        "new": '    return list(_identities("hom", ops=tuple(names)))\n',
+        "old": '    return (*_identities("hom", ops=names), twist_template("hom", "T", "D\'"))\n',
+        "new": '    return _identities("hom", ops=names)\n',
         "tests": ["tests/test_twist_reports.py"],
     },
     {
@@ -455,6 +455,29 @@ MUTANTS = [
         "old": "twist=LinearMap.block_diag(a.twist, b.twist),",
         "new": "twist=LinearMap.block_diag(b.twist, a.twist),",
         "tests": ["tests/test_byte_identity.py"],
+    },
+    {
+        "name": "the tensor check skips the actions",
+        "file": "src/homsplit/model.py",
+        "old": '_check_tensor(flag, "structure.action-dim", name, self.actions[name], shape)',
+        "new": "None",
+        "tests": ["tests/test_cli.py"],
+    },
+    {
+        "name": "used_parameters leaves out the maps",
+        "file": "src/homsplit/model.py",
+        "old": "(*ops.values(), *maps.values())",
+        "new": "(*ops.values(),)",
+        "tests": ["tests/test_model.py"],
+    },
+    {
+        "name": "specialize leaves a nested bundle unspecialized",
+        "file": "src/homsplit/model.py",
+        "old": 'value.specialize(bindings) if hasattr(value, "specialize") else value',
+        "new": (
+            "value.specialize(bindings) if isinstance(value, (BilinearOp, LinearMap)) else value"
+        ),
+        "tests": ["tests/test_model.py"],
     },
 ]
 

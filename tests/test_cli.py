@@ -9,7 +9,7 @@ from homsplit import cli
 from homsplit.cli import build_parser, main
 from homsplit.corpus import CORPUS_ROOT, load_algebra
 from homsplit.files import action_to_dict, read_json, representation_to_dict, write_json
-from homsplit.model import ActionBundle, RepresentationBundle
+from homsplit.model import ACTION_NAMES, ActionBundle, RepresentationBundle
 
 
 def corpus_path(rel: str) -> str:
@@ -344,6 +344,21 @@ def test_oversized_power_cell_exits_two(tmp_path, capsys):
 DETA = CORPUS_ROOT / "sec2" / "dendriform_Deta.json"
 DIAS = CORPUS_ROOT / "sec2" / "diassociative_D.json"
 RB = CORPUS_ROOT / "operators" / "sec2_rb_family1.json"
+# file shape -> (the adjoint bundle of an algebra, its file dict)
+ADJOINT = {
+    "representation": (RepresentationBundle.adjoint, representation_to_dict),
+    "action": (ActionBundle.adjoint, action_to_dict),
+}
+
+
+def _adjoint_file(shape: str, action: str = "", *ijk) -> dict:
+    """The adjoint representation or action file of DETA, with the entry
+    e_i `action` e_j = e_k added when an action is named."""
+    adjoint, to_dict = ADJOINT[shape]
+    data = to_dict(adjoint(load_algebra(DETA)))
+    if action:
+        data["actions"][action].append(dict(zip("ijkc", (*ijk, "1"))))
+    return data
 
 
 def _manifest(drop=(), **changes) -> dict:
@@ -368,6 +383,11 @@ HOSTILE_FILES = {
         representation_to_dict(RepresentationBundle.adjoint(load_algebra(DETA))), kind=[]
     ),
     "action-kind": lambda: dict(action_to_dict(ActionBundle.adjoint(load_algebra(DETA))), kind=[]),
+    # action entries outside the spaces (DETA has dimension 3)
+    "representation-prec_l-i0": lambda: _adjoint_file("representation", "prec_l", 0, 1, 1),
+    "representation-prec_l-i-1": lambda: _adjoint_file("representation", "prec_l", -1, 1, 1),
+    "representation-prec_l-k4": lambda: _adjoint_file("representation", "prec_l", 1, 1, 4),
+    "action-succ_r-i-1": lambda: _adjoint_file("action", "succ_r", -1, 1, 1),
     "operator-kind": lambda: {"kind": {"rota_baxter": True}, "matrix": [["0"]]},
     "deep": None,  # a list nested 200,000 deep
     "manifest-list": lambda: [],
@@ -384,6 +404,11 @@ HOSTILE_FILES = {
     "manifest-unknown-algebra": lambda: _manifest(algebra="y"),
     "manifest-operator-as-algebra": lambda: _manifest(algebra="x"),
 }
+
+def _outside(name: str) -> list:
+    """The action a hostile file of that name has an entry outside the spaces of."""
+    return [action for action in ACTION_NAMES if f"-{action}-" in name]
+
 
 # argv with BAD for the hostile file, CORPUS for its directory, OUT for an output
 # path, and DETA, DIAS and RB for valid dendriform, diassociative and operator files
@@ -403,6 +428,10 @@ HOSTILE_CASES = [
     ("action-kind", ["check", "BAD"]),
     ("action-kind", ["construct", "semidirect", "BAD", "-o", "OUT"]),
     ("action-kind", ["verify-op", "BAD", "RB"]),
+    *[(name, argv) for name in HOSTILE_FILES if _outside(name) for argv in (
+        ["check", "BAD"], ["verify-op", "BAD", "RB"],
+        ["construct", "hemi" if name.startswith("rep") else "semidirect", "BAD", "-o", "OUT"],
+    )],
     *[(name, ["corpus", action, "--corpus", "CORPUS"])
       for name in HOSTILE_FILES if name.startswith(("manifest", "deep"))
       for action in ("verify-all", "list")],
@@ -423,6 +452,8 @@ def test_hostile_file_exits_two_with_an_error_line(tmp_path, capsys, name, argv)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
+    for action in _outside(name):  # refused for the entry, not for a later finding
+        assert f"structure.index-range:{action} @" in err
 
 
 def test_the_hostile_manifests_differ_from_a_valid_one(tmp_path, capsys):
@@ -433,13 +464,9 @@ def test_the_hostile_manifests_differ_from_a_valid_one(tmp_path, capsys):
 
 
 
-@pytest.mark.parametrize("shape", ["representation", "action"])
+@pytest.mark.parametrize("shape", list(ADJOINT))
 def test_check_runs_on_a_representation_or_action_file(tmp_path, capsys, shape):
-    adjoint, to_dict = {
-        "representation": (RepresentationBundle.adjoint, representation_to_dict),
-        "action": (ActionBundle.adjoint, action_to_dict),
-    }[shape]
-    data = to_dict(adjoint(load_algebra(DETA)))
+    data = _adjoint_file(shape)
     write_json(tmp_path / "ok.json", data)
     assert main(["check", str(tmp_path / "ok.json")]) == 0
     assert capsys.readouterr().out.endswith("ok.json: pass (0 violation(s))\n")
@@ -447,7 +474,18 @@ def test_check_runs_on_a_representation_or_action_file(tmp_path, capsys, shape):
     write_json(tmp_path / "bad.json", data)
     assert main(["check", str(tmp_path / "bad.json")]) == 1
     out = capsys.readouterr().out
-    assert "bad.json: fail" in out and json.loads(out.split("\n", 1)[1])["check"]["status"] == "fail"
+    summary, payload = out.split("\n", 1)
+    assert "bad.json: fail" in summary and json.loads(payload)["check"]["status"] == "fail"
+
+
+@pytest.mark.parametrize("shape", list(ADJOINT))
+def test_check_refuses_multiplicative_on_a_representation_or_action_file(tmp_path, capsys, shape):
+    path = tmp_path / f"{shape}.json"
+    write_json(path, _adjoint_file(shape))
+    assert main(["check", str(path), "--multiplicative"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: check --multiplicative takes an algebra file, not {path}\n"
 
 def test_iso_with_equal_fingerprints_computes_each_fingerprint_once(monkeypatch, capsys):
     from homsplit import morphisms

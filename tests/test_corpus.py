@@ -1,5 +1,8 @@
 import pytest
 
+from helpers import zero_bundle
+from homsplit import corpus
+from homsplit.axioms import check_kind
 from homsplit.corpus import (
     CORPUS_ROOT,
     CorpusError,
@@ -12,6 +15,7 @@ from homsplit.corpus import (
     report_to_json,
     verify_entry,
 )
+from homsplit.model import KIND_OPS
 
 
 def test_manifest_transcription_completeness():
@@ -191,3 +195,13 @@ def test_verify_all_reads_each_corpus_file_once(monkeypatch, tmp_path):
     assert main(["corpus", "verify-all", "--report", str(tmp_path / "report.json")]) in (0, 1)
     assert set(reads) == files and len(files) == 67
     assert {path: count for path, count in reads.items() if count != 1} == {}
+
+
+def test_an_unknown_sq15_is_refused_for_every_kind_and_before_any_corpus_entry(monkeypatch):
+    for kind, ops in KIND_OPS.items():
+        with pytest.raises(ValueError, match=r"^sq15 must be one of \('literal', 'symmetric'\)$"):
+            check_kind(zero_bundle(kind, 2, ops), sq15="bogus")
+    monkeypatch.setattr(corpus, "list_entries", lambda root: pytest.fail("the manifest was read"))
+    monkeypatch.setattr(corpus, "verify_entry", lambda *args, **kw: pytest.fail("verified"))
+    with pytest.raises(ValueError, match="^sq15 must be one of"):
+        corpus_verify_all(sq15="bogus")

@@ -286,8 +286,9 @@ def test_a_specialized_representation_or_action_is_the_adjoint_of_the_specialize
     for bindings in ({}, {"eta": 2}, {"b": Fraction(1, 2), "eta": Fraction(-3)}):
         special = base.specialize(bindings)
         for adjoint in (RepresentationBundle.adjoint, ActionBundle.adjoint):
-            assert adjoint(base).specialize(bindings) == adjoint(special)
-            assert adjoint(base).specialize(bindings).used_parameters() == {"b", "eta"} - set(bindings)
+            specialized = adjoint(base).specialize(bindings)
+            assert specialized == adjoint(special)
+            assert specialized.used_parameters() == {"b", "eta"} - set(bindings)
         with pytest.raises(ValueError, match="undeclared parameter 'q'"):
             RepresentationBundle.adjoint(base).specialize({"q": 1})
 
