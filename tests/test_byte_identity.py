@@ -16,17 +16,25 @@ from pathlib import Path
 import pytest
 
 from homsplit.cli import main
-from homsplit.constructions import quadri_embedding, quotient_dendriform, six_embedding
+from homsplit.constructions import (
+    averaging_induced_diassociative,
+    quadri_embedding,
+    quotient_dendriform,
+    rota_baxter_induced,
+    six_embedding,
+)
 from homsplit.corpus import CORPUS_ROOT, list_entries, load_algebra
 from homsplit.files import (
     action_to_dict,
     algebra_to_dict,
+    json_text,
     operator_to_dict,
     representation_to_dict,
     write_json,
 )
 from homsplit.model import ActionBundle, AlgebraBundle, BilinearOp, LinearMap, RepresentationBundle
-from homsplit.operators import emit_operator_system
+from homsplit.morphisms import push_forward
+from homsplit.operators import emit_operator_system, graph_is_subalgebra
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -315,3 +323,69 @@ def test_quotient_and_embedding_results_are_byte_identical():
         for name, records in results.items()
     }
     assert digests == CONSTRUCTION_RESULT_SHA256
+
+
+# -- push_forward, graph closure, and twists with a parameter no op uses ------------
+#
+# Recorded before the constructions, `push_forward` and `graph_is_subalgebra` took
+# their operands from the bundles' `parts()`, which hands the engine every op and map
+# of a bundle, the twist included.
+
+PUSH_FORWARD_SHA256 = "abd00373ac4bd21a06dc89f3cac742d3d5a8188c31ce5eee26f4fd1e5bd88d38"
+GRAPH_CLOSURE_SHA256 = "973d5024d421eb14e6ded7d2c5b9066c1af558f28a87dfdab14a9149b15a90c8"
+TWIST_PARAMETER_SHA256 = {
+    "avg-dias": "138234663cc509eb9703a072c5bb23a3afaa39316671eb9e36026b9bb1cc92d5",
+    "rb-dias": "fee4d9b7465d9a50838e413090fcf643649bb52eab768b90611c7c5445489556",
+    "push_forward": "dac1027536f3bc36356db428a999b61f2d261e9cd5be01ef7d6242e94d36a54c",
+}
+
+# invertible changes of basis, among them a permutation and one with a fraction
+BASIS_CHANGES = {
+    2: (matrix("1 1", "0 1"), matrix("0 1", "1 0"), matrix("2 0", "1 -1/3")),
+    3: (matrix("1 1 0", "0 1 0", "0 0 1"), matrix("0 0 1", "-1 0 1", "0 -1 -1"),
+        matrix("1/2 0 1", "0 1 0", "-1 0 1")),
+}
+
+
+def algebra_digest(bundles) -> str:
+    return sha256(json.dumps([algebra_to_dict(b) for b in bundles]).encode("utf-8"))
+
+
+def test_push_forward_outputs_are_byte_identical():
+    moved = [
+        push_forward(algebra, S)
+        for _, path in quadri_contexts() for algebra in (corpus_algebra(path),)
+        for S in BASIS_CHANGES[algebra.dim]
+    ]
+    assert algebra_digest(moved) == PUSH_FORWARD_SHA256
+
+
+def test_graph_closure_reports_are_byte_identical():
+    from test_operators import graph_closure_cases
+
+    digest = hashlib.sha256()
+    for container, linear, direction in graph_closure_cases():
+        _, report = graph_is_subalgebra(container, linear, direction=direction)
+        digest.update(json_text(report.payload()).encode("utf-8"))
+    assert digest.hexdigest() == GRAPH_CLOSURE_SHA256
+
+
+def test_constructions_on_a_twist_with_a_parameter_no_op_uses_are_byte_identical():
+    """The twist diag(q, 1, 1) declares q, which none of the ops reads."""
+    twist = matrix("q 0 0", "0 1 0", "0 0 1")
+    deta = corpus_algebra("sec2/dendriform_Deta.json")
+    mu = deta.op("prec").add(deta.op("succ"))
+    params = (*deta.parameters, "q")
+    associative = AlgebraBundle("associative", 3, {"mu": mu}, twist, params)
+    dias = corpus_algebra("sec2/diassociative_D.json")
+    dias = AlgebraBundle("diassociative", 3, dias.ops, twist, ("q",))
+    operators = (matrix("1 0 0", "0 1 0", "0 0 1"), matrix("1 0 0", "0 0 0", "0 0 0"),
+                 matrix("0 0 0", "0 1 0", "0 0 0"), matrix("2 0 0", "0 2 0", "0 0 2"))
+    digests = {
+        "avg-dias": algebra_digest(averaging_induced_diassociative(associative, H, force=True)
+                                   for H in operators),
+        "rb-dias": algebra_digest(rota_baxter_induced(dias, R, force=True) for R in operators),
+        "push_forward": algebra_digest(push_forward(algebra, S) for algebra in (associative, dias)
+                                       for S in BASIS_CHANGES[3]),
+    }
+    assert digests == TWIST_PARAMETER_SHA256

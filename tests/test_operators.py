@@ -13,9 +13,10 @@ from helpers import (
     substitute,
     zero_bundle,
 )
-from homsplit.axioms import check_diassociative
+from homsplit.axioms import check_diassociative, check_homomorphism
 from homsplit.constructions import (
     averaging_induced_diassociative,
+    direct_sum_quadri,
     hemi_semidirect,
     rota_baxter_induced,
 )
@@ -135,6 +136,41 @@ def test_averaging_quadri_examples():
 
 # -- graph characterization -------------------------------------------------------
 
+# a one-entry perturbation of the identity, which breaks the graph of rich_dendriform
+T_BAD = LinearMap.from_strings(
+    [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "1", "0", "1"]]
+)
+SKEW = LinearMap.from_strings([["1", "0"], ["0", "-1"]])
+
+
+def random_graph_cases():
+    """(representation, T) of 200 seeded draws over a pool of dim-2 dendriform algebras."""
+    rng = random.Random(777)
+    pool = dendriform_pool(rng, 12, dim=2)
+    for _ in range(200):
+        rep = RepresentationBundle.adjoint(rng.choice(pool))
+        T = rand_matrix(rng, 2, 2, GRID3) if rng.random() < 0.7 else (
+            LinearMap.zero(2, 2) if rng.random() < 0.5 else LinearMap.identity(2)
+        )
+        yield rep, T
+
+
+def graph_closure_cases() -> list:
+    """(container, matrix, direction) of every graph closure case of the tests below."""
+    zero_rep = RepresentationBundle.adjoint(zero_bundle("dendriform", 2, ("prec", "succ")))
+    rich = hemi_semidirect(RepresentationBundle.adjoint(rich_dendriform()))
+    D = load_algebra(CORPUS_ROOT / "dim2" / "D1.json").specialize({"a": 1})
+    dsum = direct_sum_quadri(D, D)
+    return [
+        (hemi_semidirect(zero_rep), LinearMap.zero(2, 2), "module_to_base"),
+        (rich, LinearMap.identity(4), "module_to_base"),
+        (rich, T_BAD, "module_to_base"),
+        *((hemi_semidirect(rep), T, "module_to_base") for rep, T in random_graph_cases()),
+        (dsum, LinearMap.identity(2), "base_to_module"),
+        (dsum, SKEW, "base_to_module"),
+    ]
+
+
 def test_graph_biconditional_examples():
     zero_dend = zero_bundle("dendriform", 2, ("prec", "succ"))
     rep = RepresentationBundle.adjoint(zero_dend)
@@ -148,50 +184,32 @@ def test_graph_biconditional_examples():
     ok, _ = graph_is_subalgebra(container, T)
     assert ok == verify_relative_averaging(rep, T).ok
     # perturbed operator: one entry changed breaks the graph with a witness
-    T_bad = LinearMap.from_strings(
-        [["1", "0", "0", "0"], ["0", "1", "0", "0"],
-         ["0", "0", "1", "0"], ["0", "1", "0", "1"]]
-    )
-    ok_graph, report = graph_is_subalgebra(container, T_bad)
-    assert ok_graph == verify_relative_averaging(rep, T_bad).ok
+    ok_graph, report = graph_is_subalgebra(container, T_BAD)
+    assert ok_graph == verify_relative_averaging(rep, T_BAD).ok
     assert not ok_graph
     assert report.entries
 
 
 def test_graph_biconditional_random_agreement():
-    rng = random.Random(777)
-    agreements = 0
+    cases = list(random_graph_cases())
     passes = 0
-    pool = dendriform_pool(rng, 12, dim=2)
-    for _ in range(200):
-        base = rng.choice(pool)
-        rep = RepresentationBundle.adjoint(base)
-        container = hemi_semidirect(rep)
-        T = rand_matrix(rng, 2, 2, GRID3) if rng.random() < 0.7 else (
-            LinearMap.zero(2, 2) if rng.random() < 0.5 else LinearMap.identity(2)
-        )
-        graph_ok, _ = graph_is_subalgebra(container, T)
+    for rep, T in cases:
+        graph_ok, _ = graph_is_subalgebra(hemi_semidirect(rep), T)
         direct_ok = verify_relative_averaging(rep, T).ok
         assert graph_ok == direct_ok
-        agreements += 1
         passes += 1 if direct_ok else 0
-    assert agreements == 200
+    assert len(cases) == 200
     assert passes > 0  # the biconditional was exercised on both sides
 
 
 def test_graph_of_morphism_direction():
     # direct-sum container: the graph of xi is a subalgebra iff xi is a morphism
-    from homsplit.constructions import direct_sum_quadri
-
     D = load_algebra(CORPUS_ROOT / "dim2" / "D1.json").specialize({"a": 1})
     container = direct_sum_quadri(D, D)
     ok, _ = graph_is_subalgebra(container, LinearMap.identity(2), direction="base_to_module")
     assert ok  # identity is a morphism D -> D
-    skew = LinearMap.from_strings([["1", "0"], ["0", "-1"]])
-    ok_skew, _ = graph_is_subalgebra(container, skew, direction="base_to_module")
-    from homsplit.axioms import check_homomorphism
-
-    assert ok_skew == check_homomorphism("quadri_dendriform", skew, D, D).ok
+    ok_skew, _ = graph_is_subalgebra(container, SKEW, direction="base_to_module")
+    assert ok_skew == check_homomorphism("quadri_dendriform", SKEW, D, D).ok
 
 
 # -- equation extraction ------------------------------------------------------------
