@@ -44,23 +44,23 @@ from .report import PreconditionError, Report
 _X, _Y = Var("x"), Var("y")
 
 
-def _residuals(lhs, rhs, variables: tuple, dims: dict, ops: dict, maps: dict) -> list:
+def _residuals(lhs, rhs, variables: tuple, parts: tuple) -> list:
     """(*witness, residual) for each violation of `lhs` = `rhs` over every
     tuple of basis indices of `variables` ((placeholder, space), ...), from
-    one `evaluate_templates` call: the witness is the tuple in `variables`
-    order with the coordinate appended, and the residual the Polynomial
-    lhs - rhs there."""
-    report = evaluate_templates((Template("", variables, lhs, rhs),), dims, ops, maps)
+    one `evaluate_templates` call over `parts` (spaces, ops, maps): the
+    witness is the tuple in `variables` order with the coordinate appended,
+    and the residual the Polynomial lhs - rhs there."""
+    report = evaluate_templates((Template("", variables, lhs, rhs),), *parts)
     return [(*v.witness, v.residual) for v in report.entries]
 
 
-def induced_op(expr, spaces: tuple, dims: dict, ops: dict, maps: dict) -> BilinearOp:
+def induced_op(expr, spaces: tuple, parts: tuple) -> BilinearOp:
     """The tensor e_i, e_j -> `expr` at x = e_i, y = e_j: the residuals of
-    `expr` = 0; `spaces` names the spaces of x, y and the output."""
-    left, right, out = spaces
+    `expr` = 0 over `parts`; `spaces` names the spaces of x, y and the output."""
+    (left, right, out), (dims, ops, maps) = spaces, parts
     zero = LinearMap.zero(dims[out], dims[left])
     entries = _residuals(
-        expr, App("0", _X), (("x", left), ("y", right)), dims, ops, {**maps, "0": zero}
+        expr, App("0", _X), (("x", left), ("y", right)), (dims, ops, {**maps, "0": zero})
     )
     return BilinearOp.from_entries(dims[left], dims[right], dims[out], entries)
 
@@ -245,11 +245,11 @@ def ideal_ID(bundle: AlgebraBundle) -> Subspace:
     matter."""
     _require_kind(bundle, "quadri_dendriform")
     _require_parameter_free(bundle)
-    dims, ops, xy = {"D": bundle.dim}, dict(bundle.ops), (("x", "D"), ("y", "D"))
+    parts, xy = bundle.parts(), (("x", "D"), ("y", "D"))
     generators: dict = {}
     for flavor in ("prec", "succ"):
         dashv, vdash = (Op(f"{flavor}_{side}", _X, _Y) for side in ("dashv", "vdash"))
-        for i, j, k, residual in _residuals(dashv, vdash, xy, dims, ops, {}):
+        for i, j, k, residual in _residuals(dashv, vdash, xy, parts):
             generators.setdefault((flavor, i, j), [0] * bundle.dim)[k - 1] = residual.as_fraction()
     return Subspace.from_spanning(bundle.dim, generators.values())
 
@@ -286,30 +286,25 @@ def quotient_dendriform(bundle: AlgebraBundle) -> QuotientResult:
     qdim = len(complement)
     reduction = ideal.reduction()
     projection = LinearMap(qdim, dim, tuple(reduction.entries[c - 1] for c in complement))
-    dims = {"D": dim, "I": ideal.dim, "Q": qdim}
-    ops = dict(bundle.ops)
-    maps = {
-        "R": reduction,
-        "W": LinearMap.from_fractions([[row[k] for row in ideal.basis] for k in range(dim)]),
-        "Z": LinearMap.zero(dim, ideal.dim),
-        "alpha": bundle.twist,
-        "C": _complement_inclusion(dim, complement),
-        "P": projection,
-    }
+    spanning = LinearMap.from_fractions([[row[k] for row in ideal.basis] for k in range(dim)])
+    parts = bundle.parts_with(
+        {"I": ideal.dim, "Q": qdim}, R=reduction, W=spanning, Z=LinearMap.zero(dim, ideal.dim),
+        C=_complement_inclusion(dim, complement), P=projection,
+    )
     closure = _identities("quotient.closure", ops=tuple(sorted(bundle.ops)))
-    report = evaluate_templates(closure, dims, ops, maps)
+    report = evaluate_templates(closure, *parts)
     if not report.ok:
         return QuotientResult(ok=False, ideal=ideal, report=report)
 
     cx, cy = App("C", _X), App("C", _Y)
     prec, succ = (
-        induced_op(App("P", Op(f"{flavor}_vdash", cx, cy)), ("Q", "Q", "Q"), dims, ops, maps)
+        induced_op(App("P", Op(f"{flavor}_vdash", cx, cy)), ("Q", "Q", "Q"), parts)
         for flavor in ("prec", "succ")
     )
-    maps["0"] = LinearMap.zero(qdim, qdim)
+    parts[2]["0"] = LinearMap.zero(qdim, qdim)
     twist = [[Polynomial.zero()] * qdim for _ in range(qdim)]
     image = App("P", App("alpha", App("C", _X)))
-    for s, r, entry in _residuals(image, App("0", _X), (("x", "Q"),), dims, ops, maps):
+    for s, r, entry in _residuals(image, App("0", _X), (("x", "Q"),), parts):
         twist[r - 1][s - 1] = entry  # coordinate r of the image of e_s
 
     quotient = AlgebraBundle(
@@ -339,13 +334,12 @@ def averaging_induced_diassociative(
     """a dashv b = mu(a, Hb), a vdash b = mu(Ha, b)."""
     precondition = _operators.verify_averaging_assoc(algebra, avg)
     _refuse_unless(precondition, force, "averaging operator does not verify")
-    dim = algebra.dim
-    dims, ops, maps = {"D": dim}, {"mu": algebra.op("mu")}, {"H": avg}
-    dashv = induced_op(Op("mu", _X, App("H", _Y)), ("D", "D", "D"), dims, ops, maps)
-    vdash = induced_op(Op("mu", App("H", _X), _Y), ("D", "D", "D"), dims, ops, maps)
+    parts, square = algebra.parts_with(H=avg), ("D", "D", "D")
+    dashv = induced_op(Op("mu", _X, App("H", _Y)), square, parts)
+    vdash = induced_op(Op("mu", App("H", _X), _Y), square, parts)
     return AlgebraBundle(
         kind="diassociative",
-        dim=dim,
+        dim=algebra.dim,
         ops={"dashv": dashv, "vdash": vdash},
         twist=algebra.twist,
         parameters=_declared(algebra.parameters, avg.parameters()),
@@ -358,24 +352,22 @@ def rota_baxter_induced(
     """x new-dashv y = Rx dashv y + x dashv Ry, and the vdash analogue."""
     precondition = _operators.verify_rota_baxter(algebra, rb)
     _refuse_unless(precondition, force, "Rota-Baxter operator does not verify")
-    dim = algebra.dim
-
-    def induced(name: str) -> BilinearOp:
-        expr = S(Op(name, App("H", _X), _Y), Op(name, _X, App("H", _Y)))
-        return induced_op(expr, ("D", "D", "D"), {"D": dim}, dict(algebra.ops), {"H": rb})
-
+    parts, tx, ty = algebra.parts_with(H=rb), App("H", _X), App("H", _Y)
     return AlgebraBundle(
         kind="diassociative",
-        dim=dim,
-        ops={"dashv": induced("dashv"), "vdash": induced("vdash")},
+        dim=algebra.dim,
+        ops={
+            name: induced_op(S(Op(name, tx, _Y), Op(name, _X, ty)), ("D", "D", "D"), parts)
+            for name in ("dashv", "vdash")
+        },
         twist=algebra.twist,
         parameters=_declared(algebra.parameters, rb.parameters()),
     )
 
 
-def _twisted_actions(actions: dict, avg: LinearMap, module_dim: int) -> dict:
+def _twisted_actions(rep: RepresentationBundle, avg: LinearMap) -> dict:
     """u prec_vdash v = T(u) prec_l v, u prec_dashv v = u prec_r T(v), and
-    the succ pair alike, on the module M."""
+    the succ pair alike, on the module M of `rep`."""
     tx, ty = App("H", _X), App("H", _Y)
     exprs = {
         "prec_vdash": Op("prec_l", tx, _Y),
@@ -383,11 +375,8 @@ def _twisted_actions(actions: dict, avg: LinearMap, module_dim: int) -> dict:
         "succ_vdash": Op("succ_l", tx, _Y),
         "succ_dashv": Op("succ_r", _X, ty),
     }
-    dims, maps = {"M": module_dim}, {"H": avg}
-    return {
-        name: induced_op(expr, ("M", "M", "M"), dims, actions, maps)
-        for name, expr in exprs.items()
-    }
+    parts = rep.parts_with(H=avg)
+    return {name: induced_op(expr, ("M", "M", "M"), parts) for name, expr in exprs.items()}
 
 
 def relative_averaging_induced_quadri(
@@ -399,7 +388,7 @@ def relative_averaging_induced_quadri(
     return AlgebraBundle(
         kind="quadri_dendriform",
         dim=rep.module_dim,
-        ops=_twisted_actions(rep.actions, avg, rep.module_dim),
+        ops=_twisted_actions(rep, avg),
         twist=rep.module_twist,
         parameters=_declared(rep.base.parameters, rep.used_parameters(), avg.parameters()),
     )
@@ -412,7 +401,7 @@ def homomorphic_averaging_induced_six(
     pair, the four T-twisted ops come from the action."""
     precondition = _operators.verify_homomorphic_relative_averaging(action, avg)
     _refuse_unless(precondition, force, "homomorphic relative averaging operator does not verify")
-    ops = _twisted_actions(action.actions, avg, action.acted.dim)
+    ops = _twisted_actions(action.representation(), avg)
     ops["prec_perp"] = action.acted.op("prec")
     ops["succ_perp"] = action.acted.op("succ")
     return AlgebraBundle(
@@ -443,11 +432,11 @@ def _embedding_actions(bundle: AlgebraBundle, complement: tuple) -> dict:
     """Action tensors of D/I_D on D via complement-basis representatives:
     r prec_l x = C(r) prec_vdash x and x prec_r r = x prec_dashv C(r), and
     the succ pair alike."""
-    dims = {"D": bundle.dim, "Q": len(complement)}
-    ops, maps = dict(bundle.ops), {"C": _complement_inclusion(bundle.dim, complement)}
+    inclusion = _complement_inclusion(bundle.dim, complement)
+    parts = bundle.parts_with({"Q": len(complement)}, C=inclusion)
     cx, cy = App("C", _X), App("C", _Y)
-    left = lambda name: induced_op(Op(name, cx, _Y), ("Q", "D", "D"), dims, ops, maps)
-    right = lambda name: induced_op(Op(name, _X, cy), ("D", "Q", "D"), dims, ops, maps)
+    left = lambda name: induced_op(Op(name, cx, _Y), ("Q", "D", "D"), parts)
+    right = lambda name: induced_op(Op(name, _X, cy), ("D", "Q", "D"), parts)
     return {
         "prec_l": left("prec_vdash"),
         "succ_l": left("succ_vdash"),
@@ -488,12 +477,8 @@ def six_embedding(bundle: AlgebraBundle) -> EmbeddingResult:
     quotient = quotient_dendriform(quadri)
     if not quotient.ok:
         return EmbeddingResult(ok=False, quotient=quotient, report=quotient.report)
-    report = evaluate_templates(
-        _identities("quotient.perp-compat"),
-        {"D": bundle.dim},
-        dict(bundle.ops),
-        {"R": quotient.ideal.reduction()},
-    )
+    parts = bundle.parts_with(R=quotient.ideal.reduction())
+    report = evaluate_templates(_identities("quotient.perp-compat"), *parts)
     if not report.ok:
         return EmbeddingResult(ok=False, quotient=quotient, report=report)
     action = ActionBundle(

@@ -332,6 +332,11 @@ class _Bundle:
         _, ops, maps = self.parts()
         return frozenset().union(*(part.parameters() for part in (*ops.values(), *maps.values())))
 
+    def parts_with(self, spaces: Mapping | None = None, **maps) -> tuple:
+        """`parts()` with the `spaces` and `maps` of a construction beside the bundle's own."""
+        own, ops, known = self.parts()
+        return {**own, **(spaces or {})}, ops, {**known, **maps}
+
     def specialize(self, bindings: Mapping):
         """The bundle with each op, map and bundle in its fields specialized."""
 

@@ -94,13 +94,13 @@ def push_forward(bundle: AlgebraBundle, basis_change: LinearMap) -> AlgebraBundl
     if inverse_rows is None:
         raise ValueError("basis change matrix is singular")
     s_inv = LinearMap.from_fractions(inverse_rows)
-    dims, ops, maps = {"D": bundle.dim}, dict(bundle.ops), {"S": basis_change, "Sinv": s_inv}
+    parts = bundle.parts_with(S=basis_change, Sinv=s_inv)
     sx, sy = App("S", Var("x")), App("S", Var("y"))
     return AlgebraBundle(
         kind=bundle.kind,
         dim=bundle.dim,
         ops={
-            name: induced_op(App("Sinv", Op(name, sx, sy)), ("D", "D", "D"), dims, ops, maps)
+            name: induced_op(App("Sinv", Op(name, sx, sy)), ("D", "D", "D"), parts)
             for name in bundle.ops
         },
         twist=s_inv.compose(bundle.twist).compose(basis_change),

@@ -183,15 +183,12 @@ def graph_is_subalgebra(
     else:
         embed = LinearMap.from_rows(identity.entries + matrix.entries)
         domain, image = rows[:domain_dim], rows[domain_dim:]
-    maps = {
-        "G": embed,
-        "X": matrix,
-        "alpha": container.twist,
-        "image": LinearMap.from_rows(image),
-        "domain": LinearMap.from_rows(domain),
-    }
+    parts = container.parts_with(
+        {"P": domain_dim}, G=embed, X=matrix,
+        image=LinearMap.from_rows(image), domain=LinearMap.from_rows(domain),
+    )
     templates = _identities("graph", ops=tuple(sorted(container.ops)))
-    report = evaluate_templates(templates, {"P": domain_dim}, dict(container.ops), maps)
+    report = evaluate_templates(templates, *parts)
     return report.ok, report
 
 

@@ -204,7 +204,7 @@ def test_tabulated_sum_with_mixed_scales(symbolic):
     conv, is_zero = scalar_tools(mode, D, H)
     x, y = Var("x"), Var("y")
     expr = S(Op("dashv", App("H", x), y), Op("vdash", x, y))
-    tensor = induced_op(expr, ("D", "D", "D"), {"D": 3}, dict(D.ops), {"H": H})
+    tensor = induced_op(expr, ("D", "D", "D"), D.parts_with(H=H))
     assert_same_tensor(tensor, twisted_sum_tensor(D, H, mode), conv, is_zero)
     # the Rota-Baxter products Rx op y + x op Ry through induced_op
     R = LinearMap.from_strings([["1/2", "0", "0"], ["0", "1", "0"], ["1/5", "0", "0"]])
