@@ -155,11 +155,12 @@ def _cmd_check(args) -> int:
     context = _load_context(args.file)
     extra = {}
     if isinstance(context, AlgebraBundle):
-        report = check_kind(context, sq15=args.sq15)
+        report = check_kind(context, sq15=args.sq15 or SQ15_DEFAULT)
         if args.multiplicative:
             extra["multiplicative"] = check_multiplicative(context).payload()
-    elif args.multiplicative:
-        raise corpus.CorpusError(f"check --multiplicative takes an algebra file, not {args.file}")
+    elif args.multiplicative or args.sq15:
+        option = "--multiplicative" if args.multiplicative else "--sq15"
+        raise corpus.CorpusError(f"check {option} takes an algebra file, not {args.file}")
     elif isinstance(context, ActionBundle):
         report = check_action(context)
     else:
@@ -329,10 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the opt-in multiplicativity check (never folded into kind checks)",
     )
+    # no default, so that a representation or action file can refuse the option
     p.add_argument(
         "--sq15",
         choices=SQ15_READINGS,
-        default=SQ15_DEFAULT,
         help="reading of the ambiguous six-dendriform identity sq15",
     )
     add_report(p)

@@ -3,8 +3,11 @@ operator-induced algebras.
 
 Every value a construction reads is the set of residuals of an identity
 lhs = rhs over named operations and maps, from one call of the template
-engine (`_residuals`): the averaging operator is the map "H", a change of
-basis "S", the inclusion of the complement basis of D/I_D "C".  An induced
+engine (`_residuals`).  Its operands are its bundle's `parts()` (spaces, ops
+and maps under the names of the identity text, decided in `model`), to which
+`parts_with` adds the construction's own: the averaging operator is the map
+"H", a change of basis "S", the inclusion of the complement basis of D/I_D
+"C".  An induced
 product (`induced_op`) and the quotient twist are the residuals of expr = 0,
 0 being the zero map "0" into the output space, and the generators of I_D
 those of dashv = vdash.  The quotient by I_D is checked by templates in which

@@ -72,7 +72,8 @@ def _load(path, shape: str, data=None):
     if shape != "operator":
         report = loaded.validate()
         if not report.ok:
-            raise CorpusError(f"{path}: structural violations\n{report}", report)
+            flags = ", ".join(sorted({violation.template for violation in report.entries}))
+            raise CorpusError(f"{path}: structural violations: {flags}\n{report}", report)
     return loaded
 
 

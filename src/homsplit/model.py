@@ -9,12 +9,14 @@ module M with four actions and its twist beta, an action the algebra acted on.
 Each bundle's `parts()` are (spaces, ops, maps) under the names the identity
 text of `axioms` uses: D, its ops and alpha; D, M, the base ops, the actions,
 alpha and beta; D, M, the acting ops, the actions, the acted ops as prec_m and
-succ_m, alpha and alpha_m.  `used_parameters` (the union over the parts) and
+succ_m, alpha and alpha_m.  `used_parameters` (the union over the parts),
+`parts_with` (the parts and a construction's own spaces and maps) and
 `specialize` (over the dataclass fields) are written once (`_Bundle`).
 
 Nothing here checks axioms; `validate()` checks only structural invariants
 (op-name set vs kind, shapes, index ranges, parameter declarations), with one
-tensor check for the algebra's ops and the actions (`_check_tensor`).  Axiom
+tensor check for the algebra's ops and the actions (`_check_tensor`); an
+action's flags name its acted ops prec_m and succ_m, as its parts do.  Axiom
 checking lives in `axioms`.
 """
 
@@ -370,7 +372,9 @@ class AlgebraBundle(_Bundle):
         kept = tuple(p for p in self.parameters if p not in bindings)
         return replace(super().specialize(bindings), parameters=kept)
 
-    def validate(self) -> Report:
+    def validate(self, suffix: str = "") -> Report:
+        """The structural flags, each op name in them followed by `suffix`
+        (an action's acted ops are prec_m and succ_m, as its `parts()` names them)."""
         entries = []
 
         def flag(template: str, witness: tuple = ()):
@@ -381,14 +385,14 @@ class AlgebraBundle(_Bundle):
             return Report(entries)
         required = KIND_OPS[self.kind]
         for name in sorted(set(self.ops) - required):
-            flag(f"structure.unexpected-op:{name}")
+            flag(f"structure.unexpected-op:{name}{suffix}")
         for name in sorted(required - set(self.ops)):
-            flag(f"structure.missing-op:{name}")
+            flag(f"structure.missing-op:{name}{suffix}")
         if (self.twist.dim_out, self.twist.dim_in) != (self.dim, self.dim):
             flag("structure.twist-dim")
         shaped = [
             op for name, op in sorted(self.ops.items()) if name in required
-            and _check_tensor(flag, "structure.op-dim", name, op, (self.dim,) * 3)
+            and _check_tensor(flag, "structure.op-dim", name + suffix, op, (self.dim,) * 3)
         ]
         used = frozenset().union(*(part.parameters() for part in (self.twist, *shaped)))
         for name in sorted(used - set(self.parameters)):
@@ -471,9 +475,9 @@ class ActionBundle(_Bundle):
 
     def validate(self) -> Report:
         entries = self.representation().validate().entries
-        reported = set(entries)  # the acted twist is the module twist: flag its names once
-        entries += [violation for violation in self.acted.validate().entries
-                    if violation not in reported]
+        reported = set(entries)  # the acted twist is the module twist: flag it once
+        entries += [violation for violation in self.acted.validate("_m").entries
+                    if violation not in reported and violation.template != "structure.twist-dim"]
         if self.acted.kind != "dendriform":
             entries.append(Violation("structure.acted-kind", (), Polynomial.zero()))
         return Report(entries)

@@ -479,6 +479,34 @@ MUTANTS = [
         ),
         "tests": ["tests/test_model.py"],
     },
+    {
+        "name": "an action flags its acted ops under the acting op names",
+        "file": "src/homsplit/model.py",
+        "old": 'self.acted.validate("_m").entries',
+        "new": "self.acted.validate().entries",
+        "tests": ["tests/test_model.py", "tests/test_cli.py"],
+    },
+    {
+        "name": "check accepts --sq15 on a representation or action file",
+        "file": "src/homsplit/cli.py",
+        "old": "elif args.multiplicative or args.sq15:",
+        "new": "elif args.multiplicative:",
+        "tests": ["tests/test_cli.py"],
+    },
+    {
+        "name": "a structural refusal names no flag on its error line",
+        "file": "src/homsplit/corpus/__init__.py",
+        "old": 'f"{path}: structural violations: {flags}\\n{report}"',
+        "new": 'f"{path}: structural violations\\n{report}"',
+        "tests": ["tests/test_cli.py"],
+    },
+    {
+        "name": "push_forward swaps S and its inverse",
+        "file": "src/homsplit/morphisms.py",
+        "old": "bundle.parts_with(S=basis_change, Sinv=s_inv)",
+        "new": "bundle.parts_with(S=s_inv, Sinv=basis_change)",
+        "tests": ["tests/test_byte_identity.py"],
+    },
 ]
 
 # Edits that change the code but not what it computes, with the reason; they

@@ -3,8 +3,8 @@
 `DISCREPANCIES.md` at the repository root must be what `corpus verify-all`
 writes, and the corpus report JSON, the emitted averaging_quadri systems of
 the dim-2 and dim-3 corpus contexts, the `construct` outputs and refusal
-reports, and the quotient and embedding results must keep their recorded
-SHA-256 digests.  A change that alters any of them on purpose states why and
+reports, the quotient and embedding results, `push_forward` outputs and
+graph closure reports must keep their recorded SHA-256 digests.  A change that alters any of them on purpose states why and
 re-records them.
 """
 

@@ -351,13 +351,16 @@ ADJOINT = {
 }
 
 
-def _adjoint_file(shape: str, action: str = "", *ijk) -> dict:
+def _adjoint_file(shape: str, tensor: str = "", *ijk) -> dict:
     """The adjoint representation or action file of DETA, with the entry
-    e_i `action` e_j = e_k added when an action is named."""
+    e_i `tensor` e_j = e_k added when an action or an acted op (prec_m,
+    succ_m, as the action's `parts()` names them) is named."""
     adjoint, to_dict = ADJOINT[shape]
     data = to_dict(adjoint(load_algebra(DETA)))
-    if action:
-        data["actions"][action].append(dict(zip("ijkc", (*ijk, "1"))))
+    if tensor.endswith("_m"):
+        data["acted_ops"][tensor.removesuffix("_m")].append(dict(zip("ijkc", (*ijk, "1"))))
+    elif tensor:
+        data["actions"][tensor].append(dict(zip("ijkc", (*ijk, "1"))))
     return data
 
 
@@ -388,6 +391,7 @@ HOSTILE_FILES = {
     "representation-prec_l-i-1": lambda: _adjoint_file("representation", "prec_l", -1, 1, 1),
     "representation-prec_l-k4": lambda: _adjoint_file("representation", "prec_l", 1, 1, 4),
     "action-succ_r-i-1": lambda: _adjoint_file("action", "succ_r", -1, 1, 1),
+    "action-prec_m-k4": lambda: _adjoint_file("action", "prec_m", 1, 1, 4),
     "operator-kind": lambda: {"kind": {"rota_baxter": True}, "matrix": [["0"]]},
     "deep": None,  # a list nested 200,000 deep
     "manifest-list": lambda: [],
@@ -406,8 +410,8 @@ HOSTILE_FILES = {
 }
 
 def _outside(name: str) -> list:
-    """The action a hostile file of that name has an entry outside the spaces of."""
-    return [action for action in ACTION_NAMES if f"-{action}-" in name]
+    """The action or acted op a hostile file of that name has an entry outside the spaces of."""
+    return [tensor for tensor in (*ACTION_NAMES, "prec_m") if f"-{tensor}-" in name]
 
 
 # argv with BAD for the hostile file, CORPUS for its directory, OUT for an output
@@ -452,8 +456,10 @@ def test_hostile_file_exits_two_with_an_error_line(tmp_path, capsys, name, argv)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
-    for action in _outside(name):  # refused for the entry, not for a later finding
-        assert f"structure.index-range:{action} @" in err
+    for tensor in _outside(name):  # refused for the entry, not for a later finding
+        flag = f"structure.index-range:{tensor}"
+        assert err.splitlines()[0] == f"error: {bad}: structural violations: {flag}"
+        assert f"{flag} @" in err
 
 
 def test_the_hostile_manifests_differ_from_a_valid_one(tmp_path, capsys):
@@ -486,6 +492,16 @@ def test_check_refuses_multiplicative_on_a_representation_or_action_file(tmp_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: check --multiplicative takes an algebra file, not {path}\n"
+
+
+@pytest.mark.parametrize("shape", list(ADJOINT))
+def test_check_refuses_sq15_on_a_representation_or_action_file(tmp_path, capsys, shape):
+    path = tmp_path / f"{shape}.json"
+    write_json(path, _adjoint_file(shape))
+    assert main(["check", str(path), "--sq15", "symmetric"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: check --sq15 takes an algebra file, not {path}\n"
 
 def test_iso_with_equal_fingerprints_computes_each_fingerprint_once(monkeypatch, capsys):
     from homsplit import morphisms

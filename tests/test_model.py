@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -249,6 +250,10 @@ def _one_fault_bundles() -> dict:
     dias = zero_bundle("diassociative", 3, ["dashv", "vdash"])
     acted = AlgebraBundle("associative", 3, {"mu": zero}, base.twist, base.parameters)
     without_succ_r = {name: op for name, op in rep.actions.items() if name != "succ_r"}
+    # prec with an entry at k = 4; the acted algebra's faults are flagged under
+    # the names of the action's parts()
+    outside = replace(base, ops={**base.ops, "prec": base.op("prec").add(
+        BilinearOp.square(3, [(1, 1, 4, P("1"))]))})
     return {
         "missing-op": (AlgebraBundle("dendriform", 3, {"prec": base.op("prec")}, base.twist,
                                      base.parameters), ["structure.missing-op:succ"]),
@@ -272,6 +277,20 @@ def _one_fault_bundles() -> dict:
         "module-twist-dim": (RepresentationBundle(base, 3, rep.actions, LinearMap.identity(2)),
                              ["structure.module-twist-dim"]),
         "acted-kind": (ActionBundle(base, acted, rep.actions), ["structure.acted-kind"]),
+        "acted-index-range": (ActionBundle(base, outside, rep.actions),
+                              ["structure.index-range:prec_m"]),
+        "acting-and-acted-index-range": (
+            ActionBundle(outside, outside, rep.actions),
+            ["structure.index-range:prec", "structure.index-range:prec_m"],
+        ),
+        "acted-twist-dim": (
+            ActionBundle(base, replace(base, twist=LinearMap.identity(2)), rep.actions),
+            ["structure.module-twist-dim"],
+        ),
+        "acted-missing-op": (
+            ActionBundle(base, replace(base, ops={"prec": base.op("prec")}), rep.actions),
+            ["structure.missing-op:succ_m"],
+        ),
     }
 
 
