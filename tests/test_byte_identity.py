@@ -4,8 +4,8 @@
 writes, and the corpus report JSON, the emitted averaging_quadri systems of
 the dim-2 and dim-3 corpus contexts, the `construct` outputs and refusal
 reports, the quotient and embedding results, `push_forward` outputs and
-graph closure reports must keep their recorded SHA-256 digests.  A change that alters any of them on purpose states why and
-re-records them.
+graph closure reports must keep their recorded SHA-256 digests.  A change
+that alters any of them on purpose states why and re-records them.
 """
 
 import hashlib
@@ -339,7 +339,8 @@ TWIST_PARAMETER_SHA256 = {
     "push_forward": "dac1027536f3bc36356db428a999b61f2d261e9cd5be01ef7d6242e94d36a54c",
 }
 
-# invertible changes of basis, among them a permutation and one with a fraction
+# invertible changes of basis per dimension: a shear, a permutation or a signed
+# matrix, and one with a fraction
 BASIS_CHANGES = {
     2: (matrix("1 1", "0 1"), matrix("0 1", "1 0"), matrix("2 0", "1 -1/3")),
     3: (matrix("1 1 0", "0 1 0", "0 0 1"), matrix("0 0 1", "-1 0 1", "0 -1 -1"),

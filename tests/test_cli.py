@@ -357,10 +357,10 @@ def _adjoint_file(shape: str, tensor: str = "", *ijk) -> dict:
     succ_m, as the action's `parts()` names them) is named."""
     adjoint, to_dict = ADJOINT[shape]
     data = to_dict(adjoint(load_algebra(DETA)))
-    if tensor.endswith("_m"):
-        data["acted_ops"][tensor.removesuffix("_m")].append(dict(zip("ijkc", (*ijk, "1"))))
-    elif tensor:
-        data["actions"][tensor].append(dict(zip("ijkc", (*ijk, "1"))))
+    if tensor:
+        acted = tensor.endswith("_m")
+        table = data["acted_ops"][tensor[:-2]] if acted else data["actions"][tensor]
+        table.append(dict(zip("ijkc", (*ijk, "1"))))
     return data
 
 
@@ -502,6 +502,7 @@ def test_check_refuses_sq15_on_a_representation_or_action_file(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: check --sq15 takes an algebra file, not {path}\n"
+
 
 def test_iso_with_equal_fingerprints_computes_each_fingerprint_once(monkeypatch, capsys):
     from homsplit import morphisms
