@@ -34,6 +34,11 @@ that name and "op'" for the name with a prime (the target's op in
 "hom.{op}"); for each op all such lines come first, in order, then the set's
 other lines.  A set with per-op lines read over no op is refused.
 
+What the constructions build is text too: `_CONSTRUCTIONS` holds one line
+`id: expr` per op or map, such as "avg-dias.dashv: x mu H(y)", parsed with
+rhs None (`constructions.build`).  Only it holds lines with no "=", and a set
+name is looked up there when the identities have no line of it.
+
 Template ids are the line ids ("dias.4"-"dias.8" are numbered as in the
 source equations), and "six.dend.*" are the "dend" lines read over prec_perp
 and succ_perp.  Operators, morphisms and graphs are named maps ("H", "T",
@@ -42,7 +47,8 @@ and succ_perp.  Operators, morphisms and graphs are named maps ("H", "T",
 "graph.<op>"/"graph.twist".  The quotient by the ideal I_D is checked the
 same way, with reduction modulo I_D as the map "R":
 "quotient.closure.left/right.<op>", "quotient.closure.twist" and
-"quotient.perp-compat.<flavor>".  Twist commutation X o alpha = alpha' o X
+"quotient.perp-compat.<flavor>"; the generators of I_D are the residuals of
+"ideal.<flavor>".  Twist commutation X o alpha = alpha' o X
 ("avg.twist", "rb.twist", "ravg.twist", "qavg.twist", "hom.twist") is the
 one template written in Python, over the transposed maps (`twist_template`),
 so that it is witnessed by (row, col).
@@ -768,6 +774,38 @@ quotient.closure.right.{op}: R(W(n) op x) = Z(n)
 quotient.closure.twist: R(a(W(n))) = Z(n)
 quotient.perp-compat.prec: R(x pp y) = R(x pv y)
 quotient.perp-compat.succ: R(x sp y) = R(x sv y)
+ideal.prec: x pd y = x pv y
+ideal.succ: x sd y = x sv y
+"""
+# The construction sets, one line per op or map a construction builds, the
+# expression it is (see the module docstring and `constructions.build`).
+_CONSTRUCTIONS = """
+sum-dias.vdash: x pv y + x sv y
+sum-dias.dashv: x pd y + x sd y
+sum-tri.perp: x pp y + x sp y
+sum-tri.vdash: x pv y + x sv y
+sum-tri.dashv: x pd y + x sd y
+quadri-part.prec_vdash: x pv y
+quadri-part.prec_dashv: x pd y
+quadri-part.succ_vdash: x sv y
+quadri-part.succ_dashv: x sd y
+perp-part.prec: x pp y
+perp-part.succ: x sp y
+avg-dias.dashv: x mu H(y)
+avg-dias.vdash: H(x) mu y
+rb-dias.{op}: H(x) op y + x op H(y)
+ravg-quadri.prec_vdash: H(x) p_l y
+ravg-quadri.prec_dashv: x p_r H(y)
+ravg-quadri.succ_vdash: H(x) s_l y
+ravg-quadri.succ_dashv: x s_r H(y)
+quotient-dend.prec: P(C(x) pv C(y))
+quotient-dend.succ: P(C(x) sv C(y))
+quotient-dend.alpha: P(a(C(x)))
+embed.prec_l: C(x) pv y
+embed.succ_l: C(x) sv y
+embed.prec_r: y pd C(x)
+embed.succ_r: y sd C(x)
+push.{op}: Sinv(S(x) op S(y))
 """
 # The op and map names of the text, by alias: an alias between two operands
 # is an op, one before a parenthesis a map.  "-|", "|-" and "_|_" stand for
@@ -778,7 +816,7 @@ _ALIASES = {
     "pp": "prec_perp", "sp": "succ_perp", "p_l": "prec_l", "s_l": "succ_l",
     "p_r": "prec_r", "s_r": "succ_r", "p_m": "prec_m", "s_m": "succ_m",
     "a": "alpha", "b": "beta", "am": "alpha_m",
-    **{name: name for name in ("H", "T", "G", "X", "R", "W", "Z", "image", "domain")},
+    **{name: name for name in "H T G X R W Z P C S Sinv image domain".split()},
 }
 # The space of each placeholder (see the table in the module docstring).
 _SPACES = {
@@ -838,11 +876,12 @@ def _side(tid: str, text: str, aliases: dict, seen: dict):
     return tree
 
 
-def _parse(lines, prefix: str, aliases: dict) -> tuple:
+def _parse(lines, prefix: str, aliases: dict, built: bool = False) -> tuple:
     """The templates of the identity lines `lines`, each `id: lhs = rhs` or a
     chain `id: first = second = third`, which gives "id.a" (first = second)
-    and "id.b" (first = third).  The witness order is the order in which the
-    placeholders first appear, read from the left.  Each id gets `prefix`."""
+    and "id.b" (first = third), or when `built` of the lines `id: expr`, with
+    rhs None.  The witness order is the order in which the placeholders first
+    appear, read from the left.  Each id gets `prefix`."""
     templates = []
     for line in lines:
         tid, colon, text = line.partition(":")
@@ -851,9 +890,14 @@ def _parse(lines, prefix: str, aliases: dict) -> tuple:
             raise ValueError(f"identity {tid}: no ':' after the id")
         seen: dict = {}
         first, *rest = [_side(tid, side, aliases, seen) for side in text.split("=")]
+        variables = tuple(seen.items())
+        if built:
+            if rest:
+                raise ValueError(f"identity {tid}: {len(rest)} '=' in a construction line")
+            templates.append(Template(tid, variables, first, None))
+            continue
         if len(rest) not in (1, 2):
             raise ValueError(f"identity {tid}: {len(rest)} '=' where 1 or 2 are allowed")
-        variables = tuple(seen.items())
         suffixes = [""] if len(rest) == 1 else [".a", ".b"]
         templates += [Template(tid + s, variables, first, side) for s, side in zip(suffixes, rest)]
     return tuple(templates)
@@ -861,13 +905,17 @@ def _parse(lines, prefix: str, aliases: dict) -> tuple:
 
 @functools.cache
 def _identities(name: str, prefix: str = "", ops: tuple = (), **bound) -> tuple:
-    """The templates of the set `name` of `_IDENTITIES`, parsed once per
-    process, with `prefix` before each id and each alias key of `bound` read
-    as the alias it is bound to.  The lines whose id holds "{op}" come first,
-    all of them for each name of `ops` in turn, with "op" read as that name
-    and "op'" as the name with a prime; the other lines follow."""
-    lines = [line for line in _IDENTITIES.splitlines() if line.startswith(f"{name}.")]
-    if not lines:
+    """The templates of the set `name` of `_IDENTITIES`, or else of
+    `_CONSTRUCTIONS`, parsed once per process, with `prefix` before each id
+    and each alias key of `bound` read as the alias it is bound to.  The
+    lines whose id holds "{op}" come first, all of them for each name of
+    `ops` in turn, with "op" read as that name and "op'" as the name with a
+    prime; the other lines follow."""
+    for built, text in ((False, _IDENTITIES), (True, _CONSTRUCTIONS)):
+        lines = [line for line in text.splitlines() if line.startswith(f"{name}.")]
+        if lines:
+            break
+    else:
         raise ValueError(f"identity set {name} has no lines")
     per_op = [line for line in lines if "{op}" in line]
     if per_op and not ops:
@@ -876,8 +924,9 @@ def _identities(name: str, prefix: str = "", ops: tuple = (), **bound) -> tuple:
     templates = ()
     for op in ops:
         expanded = [line.replace("{op}", op) for line in per_op]
-        templates += _parse(expanded, prefix, {**aliases, "op": op, "op'": op + "'"})
-    return templates + _parse([line for line in lines if line not in per_op], prefix, aliases)
+        templates += _parse(expanded, prefix, {**aliases, "op": op, "op'": op + "'"}, built)
+    rest = [line for line in lines if line not in per_op]
+    return templates + _parse(rest, prefix, aliases, built)
 
 
 def dendriform_templates() -> list:

@@ -1,18 +1,17 @@
 """Structure-producing procedures: splittings, products, quotients, and
 operator-induced algebras.
 
-Every value a construction reads is the set of residuals of an identity
-lhs = rhs over named operations and maps, from one call of the template
-engine (`_residuals`).  Its operands are its bundle's `parts()` (spaces, ops
-and maps under the names of the identity text, decided in `model`), to which
-`parts_with` adds the construction's own: the averaging operator is the map
-"H", a change of basis "S", the inclusion of the complement basis of D/I_D
-"C".  An induced
-product (`induced_op`) and the quotient twist are the residuals of expr = 0,
-0 being the zero map "0" into the output space, and the generators of I_D
-those of dashv = vdash.  The quotient by I_D is checked by templates in which
-reduction modulo I_D is the linear map "R" (the "quotient.*" identities of
-`axioms`), so no construction evaluates a basis loop of its own.
+Each op or map a construction builds is one line of text in the notation of
+the identities (`axioms._CONSTRUCTIONS`), for example
+"avg-dias.dashv: x mu H(y)"; `build` evaluates the lines of one set in one
+call of the template engine, as the residuals of expr = 0(x).  The operands
+are the bundle's `parts()`, to which `parts_with` adds the construction's
+own maps: the operator "H", the change of basis "S" and its inverse "Sinv",
+the inclusion "C" of the complement basis of D/I_D and the projection "P"
+onto it.  The generators of I_D are the residuals of the "ideal.*"
+identities, and the quotient by I_D is checked by the "quotient.*" ones,
+with reduction modulo I_D as the map "R".  The block constructions place
+structure constants (`_block_op`) and evaluate nothing.
 
 Constructions whose validity rests on a precondition (a representation being
 valid, an operator verifying) check it first and refuse with the offending
@@ -24,13 +23,10 @@ possibly wrong data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from . import operators as _operators
 from .axioms import (
     App,
-    Op,
-    S,
     Template,
     Var,
     _identities,
@@ -44,28 +40,38 @@ from .model import ActionBundle, AlgebraBundle, BilinearOp, LinearMap, Represent
 from .poly import Polynomial
 from .report import PreconditionError, Report
 
-_X, _Y = Var("x"), Var("y")
 
-
-def _residuals(lhs, rhs, variables: tuple, parts: tuple) -> list:
-    """(*witness, residual) for each violation of `lhs` = `rhs` over every
-    tuple of basis indices of `variables` ((placeholder, space), ...), from
-    one `evaluate_templates` call over `parts` (spaces, ops, maps): the
-    witness is the tuple in `variables` order with the coordinate appended,
-    and the residual the Polynomial lhs - rhs there."""
-    report = evaluate_templates((Template("", variables, lhs, rhs),), *parts)
-    return [(*v.witness, v.residual) for v in report.entries]
-
-
-def induced_op(expr, spaces: tuple, parts: tuple) -> BilinearOp:
-    """The tensor e_i, e_j -> `expr` at x = e_i, y = e_j: the residuals of
-    `expr` = 0 over `parts`; `spaces` names the spaces of x, y and the output."""
-    (left, right, out), (dims, ops, maps) = spaces, parts
-    zero = LinearMap.zero(dims[out], dims[left])
-    entries = _residuals(
-        expr, App("0", _X), (("x", left), ("y", right)), (dims, ops, {**maps, "0": zero})
-    )
-    return BilinearOp.from_entries(dims[left], dims[right], dims[out], entries)
+def build(name: str, parts: tuple, spaces: tuple, ops: tuple = ()) -> dict:
+    """{the last part of each line id: its op or map} for the construction
+    set `name` (`ops` names its "{op}" lines' ops): the residuals of each
+    line's expr = 0(x) over `parts` (spaces, ops, maps) from one
+    `evaluate_templates` call, 0 being the zero map from the space of x into
+    the output's.  `spaces` names the spaces of x, y and the output.  A line
+    over x and y gives the tensor e_i, e_j -> expr, its factors in the order
+    the line names them; a line over x alone the matrix of x -> expr."""
+    dims, own, maps = parts
+    *inputs, out = spaces
+    bind = dict(zip(("x", "y"), inputs))
+    lines = [
+        Template(t.id, tuple((v, bind[v]) for v, _ in t.variables), t.lhs, App("0", Var("x")))
+        for t in _identities(name, ops=ops)
+    ]
+    zero = LinearMap.zero(dims[out], dims[bind["x"]])
+    values: dict = {line.id: [] for line in lines}
+    for v in evaluate_templates(lines, dims, own, {**maps, "0": zero}).entries:
+        values[v.template].append((*v.witness, v.residual))
+    built = {}
+    for line in lines:
+        shape = [dims[space] for _, space in line.variables] + [dims[out]]
+        key, entries = line.id.rsplit(".", 1)[1], values[line.id]
+        if len(shape) == 3:
+            built[key] = BilinearOp.from_entries(*shape, entries)
+            continue
+        rows = [[Polynomial.zero()] * shape[0] for _ in range(shape[1])]
+        for s, r, entry in entries:
+            rows[r - 1][s - 1] = entry  # coordinate r of the image of e_s
+        built[key] = LinearMap.from_rows(rows)
+    return built
 
 
 def _block_op(n: int, *blocks) -> BilinearOp:
@@ -92,41 +98,32 @@ def _refuse_unless(precondition: Report, force: bool, message: str) -> None:
 # sum-splittings
 
 
-def _regroup(bundle: AlgebraBundle, source: str, kind: str, parts: dict) -> AlgebraBundle:
+def _regroup(bundle: AlgebraBundle, source: str, kind: str, name: str) -> AlgebraBundle:
     """The `kind` bundle on the space, twist and declared parameters of a
-    `source` bundle whose op `name` is the sum of the ops in parts[name]."""
+    `source` bundle whose ops are the lines of the construction set `name`."""
     _require_kind(bundle, source)
-    ops = {name: reduce(BilinearOp.add, map(bundle.op, names)) for name, names in parts.items()}
+    ops = build(name, bundle.parts(), ("D", "D", "D"))
     return AlgebraBundle(kind, bundle.dim, ops, bundle.twist, bundle.parameters)
 
 
 def quadri_to_diassociative(bundle: AlgebraBundle) -> AlgebraBundle:
     """vdash = prec_vdash + succ_vdash, dashv = prec_dashv + succ_dashv."""
-    return _regroup(bundle, "quadri_dendriform", "diassociative", {
-        "vdash": ("prec_vdash", "succ_vdash"), "dashv": ("prec_dashv", "succ_dashv"),
-    })
+    return _regroup(bundle, "quadri_dendriform", "diassociative", "sum-dias")
 
 
 def six_to_triassociative(bundle: AlgebraBundle) -> AlgebraBundle:
     """perp/vdash/dashv as the pairwise sums of the six operations."""
-    return _regroup(bundle, "six_dendriform", "triassociative", {
-        "perp": ("prec_perp", "succ_perp"),
-        "vdash": ("prec_vdash", "succ_vdash"),
-        "dashv": ("prec_dashv", "succ_dashv"),
-    })
+    return _regroup(bundle, "six_dendriform", "triassociative", "sum-tri")
 
 
 def quadri_part(bundle: AlgebraBundle) -> AlgebraBundle:
     """Project a six-dendriform bundle onto its four quadri operations."""
-    names = ("prec_vdash", "prec_dashv", "succ_vdash", "succ_dashv")
-    return _regroup(bundle, "six_dendriform", "quadri_dendriform", {n: (n,) for n in names})
+    return _regroup(bundle, "six_dendriform", "quadri_dendriform", "quadri-part")
 
 
 def perp_part(bundle: AlgebraBundle) -> AlgebraBundle:
     """Project a six-dendriform bundle onto its (prec_perp, succ_perp) pair."""
-    return _regroup(bundle, "six_dendriform", "dendriform", {
-        "prec": ("prec_perp",), "succ": ("succ_perp",),
-    })
+    return _regroup(bundle, "six_dendriform", "dendriform", "perp-part")
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +245,11 @@ def ideal_ID(bundle: AlgebraBundle) -> Subspace:
     matter."""
     _require_kind(bundle, "quadri_dendriform")
     _require_parameter_free(bundle)
-    parts, xy = bundle.parts(), (("x", "D"), ("y", "D"))
     generators: dict = {}
-    for flavor in ("prec", "succ"):
-        dashv, vdash = (Op(f"{flavor}_{side}", _X, _Y) for side in ("dashv", "vdash"))
-        for i, j, k, residual in _residuals(dashv, vdash, xy, parts):
-            generators.setdefault((flavor, i, j), [0] * bundle.dim)[k - 1] = residual.as_fraction()
+    for v in evaluate_templates(_identities("ideal"), *bundle.parts()).entries:
+        i, j, k = v.witness
+        row = generators.setdefault((v.template, i, j), [0] * bundle.dim)
+        row[k - 1] = v.residual.as_fraction()
     return Subspace.from_spanning(bundle.dim, generators.values())
 
 
@@ -298,25 +294,9 @@ def quotient_dendriform(bundle: AlgebraBundle) -> QuotientResult:
     report = evaluate_templates(closure, *parts)
     if not report.ok:
         return QuotientResult(ok=False, ideal=ideal, report=report)
-
-    cx, cy = App("C", _X), App("C", _Y)
-    prec, succ = (
-        induced_op(App("P", Op(f"{flavor}_vdash", cx, cy)), ("Q", "Q", "Q"), parts)
-        for flavor in ("prec", "succ")
-    )
-    parts[2]["0"] = LinearMap.zero(qdim, qdim)
-    twist = [[Polynomial.zero()] * qdim for _ in range(qdim)]
-    image = App("P", App("alpha", App("C", _X)))
-    for s, r, entry in _residuals(image, App("0", _X), (("x", "Q"),), parts):
-        twist[r - 1][s - 1] = entry  # coordinate r of the image of e_s
-
-    quotient = AlgebraBundle(
-        kind="dendriform",
-        dim=qdim,
-        ops={"prec": prec, "succ": succ},
-        twist=LinearMap.from_rows(twist),
-        parameters=(),
-    )
+    ops = build("quotient-dend", parts, ("Q", "Q", "Q"))
+    twist = ops.pop("alpha")
+    quotient = AlgebraBundle(kind="dendriform", dim=qdim, ops=ops, twist=twist, parameters=())
     return QuotientResult(
         ok=True,
         ideal=ideal,
@@ -337,13 +317,10 @@ def averaging_induced_diassociative(
     """a dashv b = mu(a, Hb), a vdash b = mu(Ha, b)."""
     precondition = _operators.verify_averaging_assoc(algebra, avg)
     _refuse_unless(precondition, force, "averaging operator does not verify")
-    parts, square = algebra.parts_with(H=avg), ("D", "D", "D")
-    dashv = induced_op(Op("mu", _X, App("H", _Y)), square, parts)
-    vdash = induced_op(Op("mu", App("H", _X), _Y), square, parts)
     return AlgebraBundle(
         kind="diassociative",
         dim=algebra.dim,
-        ops={"dashv": dashv, "vdash": vdash},
+        ops=build("avg-dias", algebra.parts_with(H=avg), ("D", "D", "D")),
         twist=algebra.twist,
         parameters=_declared(algebra.parameters, avg.parameters()),
     )
@@ -355,14 +332,10 @@ def rota_baxter_induced(
     """x new-dashv y = Rx dashv y + x dashv Ry, and the vdash analogue."""
     precondition = _operators.verify_rota_baxter(algebra, rb)
     _refuse_unless(precondition, force, "Rota-Baxter operator does not verify")
-    parts, tx, ty = algebra.parts_with(H=rb), App("H", _X), App("H", _Y)
     return AlgebraBundle(
         kind="diassociative",
         dim=algebra.dim,
-        ops={
-            name: induced_op(S(Op(name, tx, _Y), Op(name, _X, ty)), ("D", "D", "D"), parts)
-            for name in ("dashv", "vdash")
-        },
+        ops=build("rb-dias", algebra.parts_with(H=rb), ("D", "D", "D"), ("dashv", "vdash")),
         twist=algebra.twist,
         parameters=_declared(algebra.parameters, rb.parameters()),
     )
@@ -371,15 +344,7 @@ def rota_baxter_induced(
 def _twisted_actions(rep: RepresentationBundle, avg: LinearMap) -> dict:
     """u prec_vdash v = T(u) prec_l v, u prec_dashv v = u prec_r T(v), and
     the succ pair alike, on the module M of `rep`."""
-    tx, ty = App("H", _X), App("H", _Y)
-    exprs = {
-        "prec_vdash": Op("prec_l", tx, _Y),
-        "prec_dashv": Op("prec_r", _X, ty),
-        "succ_vdash": Op("succ_l", tx, _Y),
-        "succ_dashv": Op("succ_r", _X, ty),
-    }
-    parts = rep.parts_with(H=avg)
-    return {name: induced_op(expr, ("M", "M", "M"), parts) for name, expr in exprs.items()}
+    return build("ravg-quadri", rep.parts_with(H=avg), ("M", "M", "M"))
 
 
 def relative_averaging_induced_quadri(
@@ -434,18 +399,10 @@ class EmbeddingResult:
 def _embedding_actions(bundle: AlgebraBundle, complement: tuple) -> dict:
     """Action tensors of D/I_D on D via complement-basis representatives:
     r prec_l x = C(r) prec_vdash x and x prec_r r = x prec_dashv C(r), and
-    the succ pair alike."""
+    the succ pair alike; the lines read r as x and x as y."""
     inclusion = _complement_inclusion(bundle.dim, complement)
     parts = bundle.parts_with({"Q": len(complement)}, C=inclusion)
-    cx, cy = App("C", _X), App("C", _Y)
-    left = lambda name: induced_op(Op(name, cx, _Y), ("Q", "D", "D"), parts)
-    right = lambda name: induced_op(Op(name, _X, cy), ("D", "Q", "D"), parts)
-    return {
-        "prec_l": left("prec_vdash"),
-        "succ_l": left("succ_vdash"),
-        "prec_r": right("prec_dashv"),
-        "succ_r": right("succ_dashv"),
-    }
+    return build("embed", parts, ("Q", "D", "D"))
 
 
 def quadri_embedding(bundle: AlgebraBundle) -> EmbeddingResult:

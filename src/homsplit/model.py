@@ -278,20 +278,6 @@ class BilinearOp:
             out[k - 1] = out[k - 1] + xi * yj * coeff
         return tuple(out)
 
-    def add(self, other: "BilinearOp") -> "BilinearOp":
-        if (self.dim_left, self.dim_right, self.dim_out) != (
-            other.dim_left,
-            other.dim_right,
-            other.dim_out,
-        ):
-            raise ValueError("tensor shape mismatch")
-        return BilinearOp.from_entries(
-            self.dim_left,
-            self.dim_right,
-            self.dim_out,
-            [(i, j, k, c) for (i, j, k), c in self.constants + other.constants],
-        )
-
     def specialize(self, bindings: Mapping) -> "BilinearOp":
         return BilinearOp.from_entries(
             self.dim_left,

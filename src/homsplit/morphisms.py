@@ -20,8 +20,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import linalg
-from .axioms import App, Op, Var, check_homomorphism
-from .constructions import induced_op
+from .axioms import check_homomorphism
+from .constructions import build
 from .model import AlgebraBundle, LinearMap
 from .operators import grid_points
 from .poly import Polynomial
@@ -95,14 +95,10 @@ def push_forward(bundle: AlgebraBundle, basis_change: LinearMap) -> AlgebraBundl
         raise ValueError("basis change matrix is singular")
     s_inv = LinearMap.from_fractions(inverse_rows)
     parts = bundle.parts_with(S=basis_change, Sinv=s_inv)
-    sx, sy = App("S", Var("x")), App("S", Var("y"))
     return AlgebraBundle(
         kind=bundle.kind,
         dim=bundle.dim,
-        ops={
-            name: induced_op(App("Sinv", Op(name, sx, sy)), ("D", "D", "D"), parts)
-            for name in bundle.ops
-        },
+        ops=build("push", parts, ("D", "D", "D"), tuple(sorted(bundle.ops))),
         twist=s_inv.compose(bundle.twist).compose(basis_change),
         parameters=bundle.parameters,
     )

@@ -431,23 +431,23 @@ MUTANTS = [
     {
         "name": "ideal generators keyed without their flavor",
         "file": "src/homsplit/constructions.py",
-        "old": "generators.setdefault((flavor, i, j), [0] * bundle.dim)",
+        "old": "generators.setdefault((v.template, i, j), [0] * bundle.dim)",
         "new": "generators.setdefault((i, j), [0] * bundle.dim)",
-        "tests": ["tests/test_oracle_constructions.py", "tests/test_constructions.py"],
+        "tests": ["tests/test_byte_identity.py"],
     },
     {
         "name": "quotient twist read untransposed",
         "file": "src/homsplit/constructions.py",
-        "old": "twist[r - 1][s - 1] = entry",
-        "new": "twist[s - 1][r - 1] = entry",
-        "tests": ["tests/test_oracle_constructions.py", "tests/test_constructions.py"],
+        "old": "rows[r - 1][s - 1] = entry",
+        "new": "rows[s - 1][r - 1] = entry",
+        "tests": ["tests/test_byte_identity.py"],
     },
     {
         "name": "the zero map of expr = 0 sized from the output space on both sides",
         "file": "src/homsplit/constructions.py",
-        "old": "zero = LinearMap.zero(dims[out], dims[left])",
+        "old": 'zero = LinearMap.zero(dims[out], dims[bind["x"]])',
         "new": "zero = LinearMap.zero(dims[out], dims[out])",
-        "tests": ["tests/test_oracle_constructions.py", "tests/test_constructions.py"],
+        "tests": ["tests/test_byte_identity.py"],
     },
     {
         "name": "the direct sum puts the twist of its second summand first",
@@ -506,6 +506,20 @@ MUTANTS = [
         "old": "bundle.parts_with(S=basis_change, Sinv=s_inv)",
         "new": "bundle.parts_with(S=s_inv, Sinv=basis_change)",
         "tests": ["tests/test_byte_identity.py"],
+    },
+    {
+        "name": "avg-dias.dashv applies H to the left operand",
+        "file": "src/homsplit/axioms.py",
+        "old": "avg-dias.dashv: x mu H(y)\n",
+        "new": "avg-dias.dashv: H(x) mu y\n",
+        "tests": ["tests/test_byte_identity.py"],
+    },
+    {
+        "name": "sum-dias.dashv reads prec_vdash for prec_dashv",
+        "file": "src/homsplit/axioms.py",
+        "old": "sum-dias.dashv: x pd y + x sd y",
+        "new": "sum-dias.dashv: x pv y + x sd y",
+        "tests": ["tests/test_constructions.py"],
     },
 ]
 

@@ -7,6 +7,7 @@ from helpers import (
     deta,
     dendriform_pool,
     flip_one_constant,
+    op_sum,
     rich_dendriform,
     sec2_diassociative,
     six_from_pair,
@@ -283,7 +284,7 @@ def test_adjoint_representation_matches_dendriform_verdict():
     assert check_representation(RepresentationBundle.adjoint(D)).ok == check_dendriform(D).ok
     # and for a perturbed, failing instance the verdicts stay aligned
     ops = dict(D.ops)
-    ops["prec"] = BilinearOp.square(3, [(1, 1, 1, P("1"))]).add(D.op("prec"))
+    ops["prec"] = op_sum(BilinearOp.square(3, [(1, 1, 1, P("1"))]), D.op("prec"))
     bad = AlgebraBundle("dendriform", 3, ops, D.twist, D.parameters)
     assert check_representation(RepresentationBundle.adjoint(bad)).ok == check_dendriform(bad).ok
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import op_sum
 from homsplit.cli import main
 from homsplit.constructions import (
     averaging_induced_diassociative,
@@ -146,7 +147,7 @@ def deta_inputs():
     bad_rep = RepresentationBundle(rep.base, rep.module_dim, rep.actions, identity)
     bad_acted = AlgebraBundle("dendriform", deta.dim, deta.ops, identity, deta.parameters)
     bad_action = ActionBundle(deta, bad_acted, action.actions)
-    mu = deta.op("prec").add(deta.op("succ"))
+    mu = op_sum(deta.op("prec"), deta.op("succ"))
     associative = AlgebraBundle("associative", deta.dim, {"mu": mu}, deta.twist, deta.parameters)
     return rep, action, associative, bad_rep, bad_action
 
@@ -375,7 +376,7 @@ def test_constructions_on_a_twist_with_a_parameter_no_op_uses_are_byte_identical
     """The twist diag(q, 1, 1) declares q, which none of the ops reads."""
     twist = matrix("q 0 0", "0 1 0", "0 0 1")
     deta = corpus_algebra("sec2/dendriform_Deta.json")
-    mu = deta.op("prec").add(deta.op("succ"))
+    mu = op_sum(deta.op("prec"), deta.op("succ"))
     params = (*deta.parameters, "q")
     associative = AlgebraBundle("associative", 3, {"mu": mu}, twist, params)
     dias = corpus_algebra("sec2/diassociative_D.json")

@@ -548,12 +548,12 @@ def test_check_reads_its_context_file_once(monkeypatch, capsys):
 
 def construct_inputs():
     """{construct NAME: (context file data, the operator kind it expects)}."""
-    from helpers import deta
+    from helpers import deta, op_sum
     from homsplit.files import action_to_dict, algebra_to_dict, representation_to_dict
     from homsplit.model import ActionBundle, AlgebraBundle, RepresentationBundle
 
     algebra = deta()
-    mu = algebra.op("prec").add(algebra.op("succ"))
+    mu = op_sum(algebra.op("prec"), algebra.op("succ"))
     associative = AlgebraBundle("associative", 3, {"mu": mu}, algebra.twist, algebra.parameters)
     return {
         "avg-dias": (algebra_to_dict(associative), "averaging_assoc"),

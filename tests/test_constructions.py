@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bundle, dendriform_pool, deta, rich_dendriform, zero_bundle
+from helpers import bundle, dendriform_pool, deta, op_sum, rich_dendriform, zero_bundle
 from homsplit.axioms import (
     check_dendriform,
     check_diassociative,
@@ -100,7 +100,7 @@ def test_six_to_triassociative_degenerate_and_transfer():
         D.twist, (),
     )
     tri = six_to_triassociative(six)
-    summed = D.op("prec").add(D.op("succ"))
+    summed = op_sum(D.op("prec"), D.op("succ"))
     assert tri.op("perp") == summed and tri.op("vdash") == summed and tri.op("dashv") == summed
     assert check_triassociative(tri).ok
 
@@ -462,7 +462,7 @@ def test_quotient_map_is_homomorphism_of_summed_structures():
     result = quadri_embedding(q)
     summed = quadri_to_diassociative(q)
     quotient = result.quotient.bundle
-    quotient_sum = quotient.op("prec").add(quotient.op("succ"))
+    quotient_sum = op_sum(quotient.op("prec"), quotient.op("succ"))
     doubled = AlgebraBundle(
         "diassociative", quotient.dim,
         {"dashv": quotient_sum, "vdash": quotient_sum},

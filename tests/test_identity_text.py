@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
-from homsplit import axioms, operators
-from homsplit.model import KIND_OPS
+from helpers import adjoint, deta, zero_bundle
+from homsplit import axioms, cli, constructions, operators
+from homsplit.model import KIND_OPS, ActionBundle, LinearMap
+from homsplit.morphisms import push_forward
 
 # sha256 of repr() of each factory's output, recorded from the Python trees
 # the text replaced; a drift in an id, a witness order, an op or map name or
@@ -130,6 +132,52 @@ def test_the_parser_refuses_a_bad_line_naming_its_id(line, message):
     with pytest.raises(ValueError, match=rf"^identity {tid.replace('.', '[.]')}.*{message}"):
         axioms._parse(["assoc.1: a(x) mu (y mu z) = (x mu y) mu a(z)", line], "", axioms._ALIASES)
 
+
+@pytest.mark.parametrize("line, count", [
+    ("avg-dias.dashv: x mu H(y) = H(x) mu y", 1),
+    ("avg-dias.dashv: x mu H(y) = H(x) mu y = x", 2),
+])
+def test_a_construction_line_with_an_equals_is_refused(monkeypatch, line, count):
+    monkeypatch.setattr(axioms, "_CONSTRUCTIONS", f"avg-dias.vdash: H(x) mu y\n{line}\n")
+    with pytest.raises(
+        ValueError, match=rf"^identity avg-dias[.]dashv: {count} '=' in a construction line"
+    ):
+        axioms._identities.__wrapped__("avg-dias")
+
+
+def test_a_set_is_read_from_the_construction_block_only_without_identity_lines(monkeypatch):
+    monkeypatch.setattr(axioms, "_CONSTRUCTIONS", "dend.9: x p y\n")
+    assert [t.id for t in axioms._identities.__wrapped__("dend")][0] == "dend.1"
+    monkeypatch.setattr(axioms, "_IDENTITIES", "dend.9: x p y\n")
+    with pytest.raises(ValueError, match=r"^identity dend[.]9: 0 '=' where 1 or 2 are allowed"):
+        axioms._identities.__wrapped__("dend")
+
+
+def test_every_construction_set_is_read_by_a_construction(monkeypatch):
+    read = set()
+    real = constructions._identities
+    monkeypatch.setattr(
+        constructions, "_identities", lambda name, **kw: read.add(name) or real(name, **kw)
+    )
+    quadri = zero_bundle("quadri_dendriform", 2, KIND_OPS["quadri_dendriform"])
+    six = zero_bundle("six_dendriform", 2, KIND_OPS["six_dendriform"])
+    rep, action, H = adjoint(deta()), ActionBundle.adjoint(deta()), LinearMap.identity(3)
+    inputs = {
+        "sum-dias": (quadri,), "sum-tri": (six,), "dsum": (quadri, quadri), "hemi": (rep,),
+        "semidirect": (action,), "quotient": (quadri,),
+        "avg-dias": (zero_bundle("associative", 3, ["mu"]), H),
+        "rb-dias": (zero_bundle("diassociative", 3, ["dashv", "vdash"]), H),
+        "ravg-quadri": (rep, H), "havg-six": (action, H),
+    }
+    assert set(inputs) == set(cli.CONSTRUCTIONS)
+    for name, (construction, shapes) in cli.CONSTRUCTIONS.items():
+        construction(*inputs[name], **({"force": True} if set(shapes) != {"algebra"} else {}))
+    push_forward(quadri, LinearMap.identity(2))
+    constructions.ideal_ID(quadri)
+    assert constructions.quadri_embedding(quadri).ok and constructions.six_embedding(six).ok
+    lines = axioms._CONSTRUCTIONS.strip().splitlines()
+    sets = {line.partition(":")[0].rsplit(".", 1)[0] for line in lines}
+    assert sets | {"ideal"} <= read
 
 
 @pytest.mark.parametrize("name", ["qavg", "mult", "graph", "quotient.closure"])

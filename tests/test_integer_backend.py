@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import expression_values
 from oracle import (
     dendriform_violations,
     engine_residual_set,
@@ -40,7 +41,7 @@ from homsplit.axioms import (
     check_multiplicative,
     check_quadri,
 )
-from homsplit.constructions import induced_op, rota_baxter_induced
+from homsplit.constructions import rota_baxter_induced
 from homsplit.model import KIND_OPS, AlgebraBundle, BilinearOp, LinearMap
 from homsplit.operators import verify_operator
 from homsplit.poly import Polynomial
@@ -204,9 +205,10 @@ def test_tabulated_sum_with_mixed_scales(symbolic):
     conv, is_zero = scalar_tools(mode, D, H)
     x, y = Var("x"), Var("y")
     expr = S(Op("dashv", App("H", x), y), Op("vdash", x, y))
-    tensor = induced_op(expr, ("D", "D", "D"), D.parts_with(H=H))
+    values = expression_values(expr, (("x", "D"), ("y", "D")), D.dim, *D.parts_with(H=H))
+    tensor = BilinearOp.from_entries(3, 3, 3, [(*key, c) for key, c in values.items()])
     assert_same_tensor(tensor, twisted_sum_tensor(D, H, mode), conv, is_zero)
-    # the Rota-Baxter products Rx op y + x op Ry through induced_op
+    # the Rota-Baxter products Rx op y + x op Ry through the "rb-dias" lines
     R = LinearMap.from_strings([["1/2", "0", "0"], ["0", "1", "0"], ["1/5", "0", "0"]])
     induced = rota_baxter_induced(D, R, force=True)
     for name, expected in rota_baxter_tensors(D, R, mode).items():

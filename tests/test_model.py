@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bundle, deta, rand_fraction, vec_add, vec_scale, zero_bundle
+from helpers import bundle, deta, op_sum, rand_fraction, vec_add, vec_scale, zero_bundle
 from homsplit.files import (
     algebra_from_dict,
     algebra_to_dict,
@@ -252,8 +252,8 @@ def _one_fault_bundles() -> dict:
     without_succ_r = {name: op for name, op in rep.actions.items() if name != "succ_r"}
     # prec with an entry at k = 4; the acted algebra's faults are flagged under
     # the names of the action's parts()
-    outside = replace(base, ops={**base.ops, "prec": base.op("prec").add(
-        BilinearOp.square(3, [(1, 1, 4, P("1"))]))})
+    outside = replace(base, ops={**base.ops, "prec": op_sum(
+        base.op("prec"), BilinearOp.square(3, [(1, 1, 4, P("1"))]))})
     return {
         "missing-op": (AlgebraBundle("dendriform", 3, {"prec": base.op("prec")}, base.twist,
                                      base.parameters), ["structure.missing-op:succ"]),

@@ -17,6 +17,7 @@ from helpers import (
     VALUES,
     associative_pool,
     deta,
+    op_sum,
     rand_matrix,
     random_action,
     random_bundle,
@@ -165,7 +166,7 @@ def small_ideal_bundle(rng, dim, count):
     shift = random_op(rng, dim, dim, dim, 1)
     ops = {
         "prec_vdash": base.op("prec"),
-        "prec_dashv": base.op("prec").add(shift),
+        "prec_dashv": op_sum(base.op("prec"), shift),
         "succ_vdash": base.op("succ"),
         "succ_dashv": base.op("succ"),
     }

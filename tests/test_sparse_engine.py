@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_six, expression_values, random_bundle, random_op
+from helpers import dense_six, expression_values, op_sum, random_bundle, random_op
 from oracle import (
     closure_violations,
     dendriform_violations,
@@ -150,7 +150,7 @@ def test_quotient_closure_sides_have_different_placeholders():
         base = random_bundle(rng, "dendriform", 3, count=3)
         shift = random_op(rng, 3, 3, 3, 1)
         ops = {
-            "prec_vdash": base.op("prec"), "prec_dashv": base.op("prec").add(shift),
+            "prec_vdash": base.op("prec"), "prec_dashv": op_sum(base.op("prec"), shift),
             "succ_vdash": base.op("succ"), "succ_dashv": base.op("succ"),
         }
         bundle = AlgebraBundle("quadri_dendriform", 3, ops, base.twist, ())
