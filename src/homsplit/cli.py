@@ -155,6 +155,10 @@ def _cmd_check(args) -> int:
     context = _load_context(args.file)
     extra = {}
     if isinstance(context, AlgebraBundle):
+        if args.sq15 and context.kind != "six_dendriform":
+            raise corpus.CorpusError(
+                f"check --sq15 takes a six_dendriform file, not {args.file} of kind {context.kind}"
+            )
         report = check_kind(context, sq15=args.sq15 or SQ15_DEFAULT)
         if args.multiplicative:
             extra["multiplicative"] = check_multiplicative(context).payload()

@@ -521,6 +521,13 @@ MUTANTS = [
         "new": "sum-dias.dashv: x pv y + x sd y",
         "tests": ["tests/test_constructions.py"],
     },
+    {
+        "name": "check accepts --sq15 on a quadri file",
+        "file": "src/homsplit/cli.py",
+        "old": 'if args.sq15 and context.kind != "six_dendriform":',
+        "new": 'if args.sq15 and context.kind not in ("six_dendriform", "quadri_dendriform"):',
+        "tests": ["tests/test_cli.py"],
+    },
 ]
 
 # Edits that change the code but not what it computes, with the reason; they

@@ -8,7 +8,9 @@ import pytest
 from homsplit import cli
 from homsplit.cli import build_parser, main
 from homsplit.corpus import CORPUS_ROOT, load_algebra
-from homsplit.files import action_to_dict, read_json, representation_to_dict, write_json
+from homsplit.files import (
+    action_to_dict, algebra_to_dict, read_json, representation_to_dict, write_json,
+)
 from homsplit.model import ACTION_NAMES, ActionBundle, RepresentationBundle
 
 
@@ -46,10 +48,12 @@ def test_unknown_subcommand_exits_two():
 # -- subcommand behavior -----------------------------------------------------------
 
 def test_check_report_file_and_sq15_flag(tmp_path, capsys):
-    report_path = tmp_path / "report.json"
+    from helpers import deta, six_from_pair
+
+    six, report_path = tmp_path / "six.json", tmp_path / "report.json"
+    write_json(six, algebra_to_dict(six_from_pair(deta())))
     code = main(
-        ["check", corpus_path("dim2/D1.json"), "--multiplicative",
-         "--sq15", "literal", "--report", str(report_path)]
+        ["check", str(six), "--multiplicative", "--sq15", "literal", "--report", str(report_path)]
     )
     assert code == 0
     payload = json.loads(report_path.read_text())
@@ -492,6 +496,18 @@ def test_check_refuses_multiplicative_on_a_representation_or_action_file(tmp_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: check --multiplicative takes an algebra file, not {path}\n"
+
+
+@pytest.mark.parametrize("rel, kind", [
+    ("dim2/D1.json", "quadri_dendriform"), ("sec2/diassociative_D.json", "diassociative"),
+])
+def test_check_refuses_sq15_on_an_algebra_of_another_kind(capsys, rel, kind):
+    assert main(["check", corpus_path(rel), "--sq15", "symmetric"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: check --sq15 takes a six_dendriform file, not {corpus_path(rel)} of kind {kind}\n"
+    )
 
 
 @pytest.mark.parametrize("shape", list(ADJOINT))

@@ -1,5 +1,6 @@
-"""The identity sets are text that `axioms._parse` reads: pinned outputs of
-every template factory and operator set, and the lines the parser refuses."""
+"""The identity and construction sets are text that `axioms._parse` reads:
+pinned outputs of every template factory and operator set, the lines the
+parser refuses, and a construction reading every construction set."""
 
 import hashlib
 import subprocess
@@ -145,7 +146,7 @@ def test_a_construction_line_with_an_equals_is_refused(monkeypatch, line, count)
         axioms._identities.__wrapped__("avg-dias")
 
 
-def test_a_set_is_read_from_the_construction_block_only_without_identity_lines(monkeypatch):
+def test_a_set_name_is_looked_up_in_the_identities_first(monkeypatch):
     monkeypatch.setattr(axioms, "_CONSTRUCTIONS", "dend.9: x p y\n")
     assert [t.id for t in axioms._identities.__wrapped__("dend")][0] == "dend.1"
     monkeypatch.setattr(axioms, "_IDENTITIES", "dend.9: x p y\n")
