@@ -107,8 +107,6 @@ def sec2_diassociative() -> AlgebraBundle:
 
 def op_sum(a: BilinearOp, b: BilinearOp) -> BilinearOp:
     """The tensor a + b of two ops of one shape."""
-    if (a.dim_left, a.dim_right, a.dim_out) != (b.dim_left, b.dim_right, b.dim_out):
-        raise ValueError("tensor shape mismatch")
     entries = [(*key, c) for key, c in a.constants + b.constants]
     return BilinearOp.from_entries(a.dim_left, a.dim_right, a.dim_out, entries)
 
