@@ -806,6 +806,7 @@ embed.succ_l: C(x) sv y
 embed.prec_r: y pd C(x)
 embed.succ_r: y sd C(x)
 push.{op}: Sinv(S(x) op S(y))
+push.alpha: Sinv(a(S(x)))
 """
 # The op and map names of the text, by alias: an alias between two operands
 # is an op, one before a parenthesis a map.  "-|", "|-" and "_|_" stand for

@@ -169,12 +169,6 @@ class LinearMap:
     def to_fraction_rows(self):
         return [[cell.as_fraction() for cell in row] for row in self.entries]
 
-    def determinant(self) -> Polynomial:
-        """Exact symbolic determinant by cofactor expansion (small dims)."""
-        if self.dim_out != self.dim_in:
-            raise ValueError("determinant needs a square matrix")
-        return _poly_det([list(row) for row in self.entries])
-
     @staticmethod
     def block_diag(a: "LinearMap", b: "LinearMap") -> "LinearMap":
         rows = []
@@ -183,22 +177,6 @@ class LinearMap:
         for i in range(b.dim_out):
             rows.append([Polynomial.zero()] * a.dim_in + list(b.entries[i]))
         return LinearMap.from_rows(rows)
-
-
-def _poly_det(rows) -> Polynomial:
-    n = len(rows)
-    if n == 0:
-        return Polynomial.one()
-    if n == 1:
-        return rows[0][0]
-    acc = Polynomial.zero()
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        term = rows[0][j] * _poly_det(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
 
 
 def unknown_matrix(rows: int, cols: int, prefix: str = "t") -> tuple:

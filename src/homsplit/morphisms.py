@@ -95,28 +95,30 @@ def push_forward(bundle: AlgebraBundle, basis_change: LinearMap) -> AlgebraBundl
         raise ValueError("basis change matrix is singular")
     s_inv = LinearMap.from_fractions(inverse_rows)
     parts = bundle.parts_with(S=basis_change, Sinv=s_inv)
+    ops = build("push", parts, ("D", "D", "D"), tuple(sorted(bundle.ops)))
+    twist = ops.pop("alpha")
     return AlgebraBundle(
-        kind=bundle.kind,
-        dim=bundle.dim,
-        ops=build("push", parts, ("D", "D", "D"), tuple(sorted(bundle.ops))),
-        twist=s_inv.compose(bundle.twist).compose(basis_change),
-        parameters=bundle.parameters,
+        kind=bundle.kind, dim=bundle.dim, ops=ops, twist=twist, parameters=bundle.parameters
     )
 
 
 def verify_isomorphism(
     kind: str, linear: LinearMap, source: AlgebraBundle, target: AlgebraBundle
 ) -> Report:
-    """Homomorphism conditions plus exact invertibility.
-
-    Invertibility is a nonzero determinant as a polynomial (exact rational
-    inverse when parameter-free).  A singular matrix yields the violation
-    "iso.singular" with sentinel residual 1 (there is no nonzero residual
-    polynomial to attach to a vanished determinant).
+    """Homomorphism conditions plus exact invertibility, a nonzero rational
+    determinant (`linalg.determinant`).  A map with parameters is refused:
+    whether its determinant vanishes depends on their values.  A singular
+    matrix yields the violation "iso.singular" with sentinel residual 1
+    (there is no nonzero residual polynomial to attach to a vanished
+    determinant).
     """
+    if names := linear.parameters():
+        raise ValueError(
+            "verify_isomorphism needs a parameter-free map: its invertibility "
+            f"depends on the values of {', '.join(sorted(names))}"
+        )
     report = check_homomorphism(kind, linear, source, target)
-    det = linear.determinant()
-    if det.is_zero():
+    if linalg.determinant(linear.to_fraction_rows()) == 0:
         report = report.merged(
             Report([Violation("iso.singular", (), Polynomial.one())])
         )

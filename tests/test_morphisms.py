@@ -102,6 +102,15 @@ def test_singular_matrix_is_flagged():
     assert any(v.template == "iso.singular" for v in report.entries)
 
 
+def test_a_map_with_parameters_is_refused():
+    """Whether det T vanishes depends on the values of T's parameters, so
+    verify_isomorphism takes parameter-free maps only."""
+    D = dim2_D1_at(1)
+    scaled = LinearMap.from_strings([["t", "0"], ["0", "1"]])
+    with pytest.raises(ValueError, match="parameter-free map.* t$"):
+        verify_isomorphism("quadri_dendriform", scaled, D, D)
+
+
 def test_push_forward_yields_isomorphism_positive_control():
     rng = random.Random(43)
     D = dim2_D1_at(0)
