@@ -8,6 +8,7 @@ serialized once, by `files.json_text`, or in chunks by `files.json_stream`
 when it goes to a report file or stdout.
 
 Exit codes: 0 all pass; 1 violations or discrepancies found; 2 input error.
+`check` exits by its kind check, and prints its report if any of its checks fails.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def _cmd_check(args) -> int:
             )
         report = check_kind(context, sq15=args.sq15 or SQ15_DEFAULT)
         if args.multiplicative:
-            extra["multiplicative"] = check_multiplicative(context).payload()
+            extra["multiplicative"] = check_multiplicative(context)
     elif args.multiplicative or args.sq15:
         option = "--multiplicative" if args.multiplicative else "--sq15"
         raise corpus.CorpusError(f"check {option} takes an algebra file, not {args.file}")
@@ -169,9 +170,10 @@ def _cmd_check(args) -> int:
         report = check_action(context)
     else:
         report = check_representation(context)
-    payload = {"file": str(args.file), "check": report.payload(), **extra}
+    reports = {"check": report, **extra}
+    payload = {"file": str(args.file), **{key: r.payload() for key, r in reports.items()}}
     summary = f"{args.file}: {report.status} ({len(report.entries)} violation(s))"
-    _publish(args, payload, summary, show=not report.ok)
+    _publish(args, payload, summary, show=not all(r.ok for r in reports.values()))
     return 0 if report.ok else 1
 
 
@@ -327,6 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_report(p):
         p.add_argument("--report", help="write the JSON report to this path")
 
+    def add_grid(p):
+        p.add_argument("--grid", default="-2..2", help="integer range lo..hi (default -2..2)")
+        p.add_argument(
+            "--denominators", default="1", help="comma-separated denominators (default 1)"
+        )
+
     p = sub.add_parser("check", help="run the axiom checker matching a file's kind")
     p.add_argument("file")
     p.add_argument(
@@ -368,10 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-op", help="enumerate operator solutions over a rational grid")
     p.add_argument("context")
     p.add_argument("--kind", required=True, choices=sorted(operators.OPERATOR_KINDS))
-    p.add_argument("--grid", default="-2..2", help="integer range lo..hi (default -2..2)")
-    p.add_argument(
-        "--denominators", default="1", help="comma-separated denominators (default 1)"
-    )
+    add_grid(p)
     p.add_argument("--strict-twist", action="store_true")
     add_report(p)
     p.set_defaults(func=_cmd_solve_op)
@@ -396,8 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--grid", default="-2..2")
-    p.add_argument("--denominators", default="1")
+    add_grid(p)
     add_report(p)
     p.set_defaults(func=_cmd_iso)
 

@@ -61,6 +61,21 @@ def test_check_report_file_and_sq15_flag(tmp_path, capsys):
     assert "multiplicative" in payload
 
 
+def test_check_prints_a_failed_multiplicativity_report_and_exits_by_the_kind_check(capsys):
+    """dim2/D1 passes its kind check and fails multiplicativity: the summary
+    line and exit 0 are the kind check's, and the report goes to stdout."""
+    d1 = corpus_path("dim2/D1.json")
+    assert main(["check", d1, "--multiplicative"]) == 0
+    summary, _, rest = capsys.readouterr().out.partition("\n")
+    assert summary == f"{d1}: pass (0 violation(s))"
+    payload = json.loads(rest)
+    assert payload["check"]["status"] == "pass"
+    assert payload["multiplicative"]["status"] == "fail"
+    assert len(payload["multiplicative"]["entries"]) == 20
+    assert main(["check", d1]) == 0
+    assert capsys.readouterr().out == f"{d1}: pass (0 violation(s))\n"
+
+
 def test_construct_writes_provenance_header(tmp_path, capsys):
     out = tmp_path / "dias.json"
     code = main(["construct", "sum-dias", corpus_path("dim2/D1.json"), "-o", str(out)])
@@ -276,6 +291,14 @@ def test_help_documents_spec_flags():
     for sub in ("check", "construct", "verify-op", "solve-op", "emit-system",
                 "fingerprint", "iso", "corpus"):
         assert sub in helps[0]
+
+
+@pytest.mark.parametrize("sub", ["solve-op", "iso"])
+def test_grid_options_carry_their_help(sub):
+    sub_parser = build_parser()._subparsers._group_actions[0].choices[sub]
+    help_text = " ".join(sub_parser.format_help().split())
+    assert "integer range lo..hi (default -2..2)" in help_text
+    assert "comma-separated denominators (default 1)" in help_text
 
 
 def _readme_synopsis() -> dict:
