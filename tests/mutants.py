@@ -508,6 +508,33 @@ MUTANTS = [
         "tests": ["tests/test_byte_identity.py"],
     },
     {
+        "name": "push.alpha conjugates the twist the wrong way round",
+        "file": "src/homsplit/axioms.py",
+        "old": "push.alpha: Sinv(a(S(x)))\n",
+        "new": "push.alpha: S(a(Sinv(x)))\n",
+        "tests": ["tests/test_morphisms.py"],
+    },
+    {
+        "name": "verify_isomorphism flags the invertible maps as singular",
+        "file": "src/homsplit/morphisms.py",
+        "old": "if linalg.determinant(linear.to_fraction_rows()) == 0:",
+        "new": "if linalg.determinant(linear.to_fraction_rows()) != 0:",
+        "tests": ["tests/test_morphisms.py"],
+    },
+    {
+        "name": "verify_isomorphism takes a map with parameters",
+        "file": "src/homsplit/morphisms.py",
+        "old": (
+            "    if names := linear.parameters():\n"
+            "        raise ValueError(\n"
+            '            "verify_isomorphism needs a parameter-free map: its invertibility "\n'
+            '            f"depends on the values of {\', \'.join(sorted(names))}"\n'
+            "        )\n"
+        ),
+        "new": "",
+        "tests": ["tests/test_morphisms.py"],
+    },
+    {
         "name": "avg-dias.dashv applies H to the left operand",
         "file": "src/homsplit/axioms.py",
         "old": "avg-dias.dashv: x mu H(y)\n",
