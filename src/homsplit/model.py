@@ -13,6 +13,10 @@ succ_m, alpha and alpha_m.  `used_parameters` (the union over the parts),
 `parts_with` (the parts and a construction's own spaces and maps) and
 `specialize` (over the dataclass fields) are written once (`_Bundle`).
 
+Maps and ops do no ring arithmetic on the library's path: only the tests and
+the benchmark's tracer call `apply` and `compose`, and only
+`BilinearOp.from_entries` adds polynomials (the entries under one key).
+
 Nothing here checks axioms; `validate()` checks only structural invariants
 (op-name set vs kind, shapes, index ranges, parameter declarations), with one
 tensor check for the algebra's ops and the actions (`_check_tensor`); an

@@ -1,5 +1,10 @@
-"""Isomorphism-invariant fingerprints, morphism verification, and a bounded
-isomorphism search over a rational grid.
+"""Isomorphism-invariant fingerprints, morphism verification, transport of
+structure, and a bounded isomorphism search over a rational grid.
+
+`push_forward` reads the moved ops and twist, S^-1(Sx op Sy) and S^-1 alpha S,
+from the construction lines "push.*" (`constructions.build`).
+`verify_isomorphism` takes invertibility from `linalg.determinant`, so it
+refuses a map with parameters.
 
 Fingerprints are necessary conditions computed exactly over the rationals
 (ranks and characteristic polynomials by integer elimination, `linalg`):

@@ -88,8 +88,8 @@ def _corpus(rel: str) -> str:
 
 
 def _write_inputs(tmp_path) -> dict:
-    """{construct NAME: its input paths}, the files written before any ring
-    operation is counted, since the test helpers that make them add ops."""
+    """{construct NAME: its input paths}.  The test helpers that make the
+    files add polynomials, so they run before the count starts."""
     algebra = deta()
     mu = op_sum(algebra.op("prec"), algebra.op("succ"))
     associative = AlgebraBundle("associative", 3, {"mu": mu}, algebra.twist, algebra.parameters)
