@@ -8,7 +8,7 @@ from homsplit.operators import (
     emit_operator_system,
     family_membership,
     solve_operators_grid,
-    verify_rota_baxter,
+    verify_operator,
 )
 
 ## A printed Rota-Baxter family, verified symbolically
@@ -18,11 +18,11 @@ from homsplit.operators import (
 
 dias = load_algebra(CORPUS_ROOT / "sec2" / "diassociative_D.json")
 _, family = load_operator(CORPUS_ROOT / "operators" / "sec2_rb_family1.json")
-report = verify_rota_baxter(dias, family)
+report = verify_operator("rota_baxter", dias, family)
 print("family 1 on the worked diassociative example:", report.status)
 for violation in report.entries[:4]:
     print("   ", violation.template, list(violation.witness), "->", violation.residual)
-print("at a = 1:", verify_rota_baxter(dias.specialize({"a": 1}), family).status)
+print("at a = 1:", verify_operator("rota_baxter", dias.specialize({"a": 1}), family).status)
 
 ## Extracting the operator variety as a polynomial system
 # The unknowns t11..t22 are fresh parameters; the system's common zero set

@@ -155,10 +155,6 @@ class Sum:
     __hash__ = _hash_once
 
 
-def S(*terms) -> Sum:
-    return Sum(tuple(terms))
-
-
 @dataclass(frozen=True)
 class Template:
     id: str
@@ -977,14 +973,6 @@ def six_templates(sq15: str = SQ15_DEFAULT) -> list:
     return list(_six(sq15))
 
 
-def representation_templates() -> list:
-    return list(_identities("rep"))
-
-
-def action_templates() -> list:
-    return list(_identities("act"))
-
-
 def twist_template(prefix: str, name: str, space: str = "D") -> Template:
     """Twist commutation X o inner = outer o X for the map X named `name`,
     with x over the rows of X (`space`): transposed, inner^T(X^T x) =
@@ -1006,18 +994,6 @@ def _homomorphism(names: tuple) -> tuple:
     """The "hom.<op>" lines per operation, and twist commutation with x over
     the target ("D'")."""
     return (*_identities("hom", ops=names), twist_template("hom", "T", "D'"))
-
-
-def homomorphism_templates(names) -> list:
-    return list(_homomorphism(tuple(names)))
-
-
-def multiplicative_templates(names) -> list:
-    return list(_identities("mult", ops=tuple(names)))
-
-
-def quotient_closure_templates(names) -> list:
-    return list(_identities("quotient.closure", ops=tuple(names)))
 
 
 # ---------------------------------------------------------------------------

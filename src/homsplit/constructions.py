@@ -315,7 +315,7 @@ def averaging_induced_diassociative(
     algebra: AlgebraBundle, avg: LinearMap, force: bool = False
 ) -> AlgebraBundle:
     """a dashv b = mu(a, Hb), a vdash b = mu(Ha, b)."""
-    precondition = _operators.verify_averaging_assoc(algebra, avg)
+    precondition = _operators.verify_operator("averaging_assoc", algebra, avg)
     _refuse_unless(precondition, force, "averaging operator does not verify")
     return AlgebraBundle(
         kind="diassociative",
@@ -330,7 +330,7 @@ def rota_baxter_induced(
     algebra: AlgebraBundle, rb: LinearMap, force: bool = False
 ) -> AlgebraBundle:
     """x new-dashv y = Rx dashv y + x dashv Ry, and the vdash analogue."""
-    precondition = _operators.verify_rota_baxter(algebra, rb)
+    precondition = _operators.verify_operator("rota_baxter", algebra, rb)
     _refuse_unless(precondition, force, "Rota-Baxter operator does not verify")
     return AlgebraBundle(
         kind="diassociative",
@@ -351,7 +351,7 @@ def relative_averaging_induced_quadri(
     rep: RepresentationBundle, avg: LinearMap, force: bool = False
 ) -> AlgebraBundle:
     """Quadri structure on the module: u prec_vdash v = T(u) prec_l v, etc."""
-    precondition = _operators.verify_relative_averaging(rep, avg)
+    precondition = _operators.verify_operator("relative_averaging", rep, avg)
     _refuse_unless(precondition, force, "relative averaging operator does not verify")
     return AlgebraBundle(
         kind="quadri_dendriform",
@@ -367,7 +367,7 @@ def homomorphic_averaging_induced_six(
 ) -> AlgebraBundle:
     """Six-dendriform structure on the acted algebra: perp ops are its own
     pair, the four T-twisted ops come from the action."""
-    precondition = _operators.verify_homomorphic_relative_averaging(action, avg)
+    precondition = _operators.verify_operator("homomorphic_relative_averaging", action, avg)
     _refuse_unless(precondition, force, "homomorphic relative averaging operator does not verify")
     ops = _twisted_actions(action.representation(), avg)
     ops["prec_perp"] = action.acted.op("prec")

@@ -239,10 +239,6 @@ class BilinearOp:
     def square(dim: int, entries) -> "BilinearOp":
         return BilinearOp.from_entries(dim, dim, dim, entries)
 
-    @staticmethod
-    def zero_square(dim: int) -> "BilinearOp":
-        return BilinearOp(dim, dim, dim, ())
-
     def apply(self, x: Vector, y: Vector) -> Vector:
         if len(x) != self.dim_left or len(y) != self.dim_right:
             raise ValueError(

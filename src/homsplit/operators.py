@@ -131,30 +131,6 @@ def verify_operator(kind: str, context, matrix: LinearMap, strict_twist: bool = 
     return report
 
 
-def verify_averaging_assoc(
-    algebra: AlgebraBundle, avg: LinearMap, strict_twist: bool = False
-) -> Report:
-    return verify_operator("averaging_assoc", algebra, avg, strict_twist=strict_twist)
-
-
-def verify_rota_baxter(algebra: AlgebraBundle, rb: LinearMap) -> Report:
-    return verify_operator("rota_baxter", algebra, rb)
-
-
-def verify_relative_averaging(rep: RepresentationBundle, avg: LinearMap) -> Report:
-    return verify_operator("relative_averaging", rep, avg)
-
-
-def verify_homomorphic_relative_averaging(
-    action: ActionBundle, avg: LinearMap
-) -> Report:
-    return verify_operator("homomorphic_relative_averaging", action, avg)
-
-
-def verify_averaging_quadri(algebra: AlgebraBundle, avg: LinearMap) -> Report:
-    return verify_operator("averaging_quadri", algebra, avg)
-
-
 # ---------------------------------------------------------------------------
 # graphs as subalgebras
 

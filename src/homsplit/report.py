@@ -114,9 +114,6 @@ class Report:
     def merged(self, other: "Report") -> "Report":
         return Report(self.entries + other.entries)
 
-    def templates(self) -> set[str]:
-        return {v.template for v in self.entries}
-
     def to_dict(self) -> dict:
         """The status and the row of each violation; the text of a residual
         that several violations share (their `scaled` tuple) is made once."""

@@ -66,7 +66,7 @@ def zero_bundle(kind, dim, op_names, alpha=None) -> AlgebraBundle:
     return AlgebraBundle(
         kind=kind,
         dim=dim,
-        ops={name: BilinearOp.zero_square(dim) for name in op_names},
+        ops={name: BilinearOp.square(dim, ()) for name in op_names},
         twist=alpha if alpha is not None else LinearMap.identity(dim),
         parameters=(),
     )

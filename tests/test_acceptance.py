@@ -59,11 +59,7 @@ from homsplit.operators import (
     family_membership,
     graph_is_subalgebra,
     solve_operators_grid,
-    verify_averaging_assoc,
-    verify_averaging_quadri,
-    verify_homomorphic_relative_averaging,
-    verify_relative_averaging,
-    verify_rota_baxter,
+    verify_operator,
 )
 from homsplit import linalg
 
@@ -181,7 +177,7 @@ def test_acceptance_4_graph_biconditional():
         else:
             T = rand_matrix(rng, 2, 2, GRID3)
         graph_ok, _ = graph_is_subalgebra(container, T)
-        averaging_ok = verify_relative_averaging(rep, T).ok
+        averaging_ok = verify_operator("relative_averaging", rep, T).ok
         assert graph_ok == averaging_ok
         agreements += 1
         passes += averaging_ok
@@ -199,13 +195,13 @@ def test_acceptance_5a_averaging_induced_diassociative():
     confirmed = 0
     for A in pool:
         for H in (LinearMap.zero(2, 2), LinearMap.identity(2)):
-            assert verify_averaging_assoc(A, H).ok
+            assert verify_operator("averaging_assoc", A, H).ok
             assert check_diassociative(averaging_induced_diassociative(A, H)).ok
             confirmed += 1
     while confirmed < 100:
         A = rng.choice(pool)
         H = rand_matrix(rng, 2, 2, GRID3)
-        if verify_averaging_assoc(A, H).ok:
+        if verify_operator("averaging_assoc", A, H).ok:
             assert check_diassociative(averaging_induced_diassociative(A, H)).ok
             confirmed += 1
     _announce(5, f"(a) averaging-induced diassociative transfer on {confirmed} verified pairs")
@@ -220,16 +216,16 @@ def test_acceptance_5b_rota_baxter_induced():
     ]
     checked = 0
     for R in families:
-        assert verify_rota_baxter(D, R).ok
+        assert verify_operator("rota_baxter", D, R).ok
         induced = rota_baxter_induced(D, R)
         assert check_diassociative(induced).ok
-        assert verify_rota_baxter(induced, R).ok  # R stays Rota-Baxter
+        assert verify_operator("rota_baxter", induced, R).ok  # R stays Rota-Baxter
         checked += 1
     solutions = solve_operators_grid(D, "rota_baxter", [Fraction(0), Fraction(1)])
     for R in solutions:
         induced = rota_baxter_induced(D, R)
         assert check_diassociative(induced).ok
-        assert verify_rota_baxter(induced, R).ok
+        assert verify_operator("rota_baxter", induced, R).ok
         checked += 1
     assert checked >= 4
     _announce(5, f"(b) Rota-Baxter-induced structures and re-verification on {checked} operators")
@@ -247,7 +243,7 @@ def test_acceptance_5c_relative_averaging_induced_quadri():
         roll = rng.random()
         T = (LinearMap.zero(2, 2) if roll < 0.2 else
              LinearMap.identity(2) if roll < 0.4 else rand_matrix(rng, 2, 2, GRID3))
-        if not verify_relative_averaging(rep, T).ok:
+        if not verify_operator("relative_averaging", rep, T).ok:
             continue
         induced = relative_averaging_induced_quadri(rep, T)
         assert check_quadri(induced).ok
@@ -280,7 +276,7 @@ def test_acceptance_5d_homomorphic_averaging_induced_six():
         T = (LinearMap.zero(base.dim, base.dim) if roll < 0.25 else
              LinearMap.identity(base.dim) if roll < 0.5 else
              rand_matrix(rng, base.dim, base.dim, GRID3))
-        if not verify_homomorphic_relative_averaging(action, T).ok:
+        if not verify_operator("homomorphic_relative_averaging", action, T).ok:
             continue
         six = homomorphic_averaging_induced_six(action, T)
         # the induced-structure theorem is provable only under the symmetric
@@ -307,7 +303,7 @@ def test_acceptance_6_embedding_theorems():
                 blocked += 1
                 blocked_ids.append(f"{eid}@{bindings}")
                 continue
-            report = verify_relative_averaging(result.representation, result.averaging)
+            report = verify_operator("relative_averaging", result.representation, result.averaging)
             assert report.ok, f"{eid}{bindings}: quotient map failed to verify"
             verified += 1
     assert verified > 0 and blocked > 0
@@ -318,7 +314,7 @@ def test_acceptance_6_embedding_theorems():
     six_id = homomorphic_averaging_induced_six(action, LinearMap.identity(4))
     result = six_embedding(six_id)
     assert result.ok
-    assert verify_homomorphic_relative_averaging(result.action, result.averaging).ok
+    assert verify_operator("homomorphic_relative_averaging", result.action, result.averaging).ok
     six_zero = homomorphic_averaging_induced_six(action, LinearMap.zero(4, 4))
     result_zero = six_embedding(six_zero)
     assert not result_zero.ok and result_zero.report.entries
@@ -369,7 +365,7 @@ def test_acceptance_8_operator_propositions():
         kind, matrix = load_operator(CORPUS_ROOT / entry["path"])
         context = algebras[entry["algebra"]]
         unit = entry.get("imaginary_unit")
-        report = verify_averaging_quadri(context, matrix)
+        report = verify_operator("averaging_quadri", context, matrix)
         residuals = [v.residual for v in report.entries]
         if unit:
             residuals = [r.reduce_imaginary(unit) for r in residuals]

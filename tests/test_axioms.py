@@ -232,7 +232,7 @@ def test_degenerate_six_passes_symmetric_and_only_sq15_blocks_literal():
         six = six_from_pair(dend)
         assert check_six(six, sq15="symmetric").ok
         literal = check_six(six, sq15="literal")
-        assert literal.templates() <= {"six.sq15.a", "six.sq15.b"}
+        assert {v.template for v in literal.entries} <= {"six.sq15.a", "six.sq15.b"}
     # the rigid instance witnesses that the literal reading genuinely differs
     assert not check_six(six_from_pair(rich_dendriform()), sq15="literal").ok
 
@@ -240,7 +240,7 @@ def test_degenerate_six_passes_symmetric_and_only_sq15_blocks_literal():
 def test_six_pass_implies_projections_pass():
     # T = 0 induced six: perp pair is the acted algebra, T-ops vanish.
     D = deta().specialize({"eta": 1, "b": 1})
-    zero_ops = {name: BilinearOp.zero_square(3) for name in QUADRI_OPS}
+    zero_ops = {name: BilinearOp.square(3, ()) for name in QUADRI_OPS}
     six = AlgebraBundle(
         "six_dendriform", 3,
         {**zero_ops, "prec_perp": D.op("prec"), "succ_perp": D.op("succ")},

@@ -293,7 +293,7 @@ def embedding_record(result) -> dict:
 def six_variants(bundle):
     """Six-dendriform bundles over a quadri bundle whose perp pair is its
     vdash pair, its dashv pair, or zero."""
-    ops = dict(bundle.ops, zero=BilinearOp.zero_square(bundle.dim))
+    ops = dict(bundle.ops, zero=BilinearOp.square(bundle.dim, ()))
     for perp in (("prec_vdash", "succ_vdash"), ("prec_dashv", "succ_dashv"), ("zero", "zero")):
         six = dict(bundle.ops, prec_perp=ops[perp[0]], succ_perp=ops[perp[1]])
         yield "/".join(perp), AlgebraBundle(

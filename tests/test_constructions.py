@@ -36,11 +36,7 @@ from homsplit.model import (
     RepresentationBundle,
     basis_vector,
 )
-from homsplit.operators import (
-    verify_averaging_assoc,
-    verify_homomorphic_relative_averaging,
-    verify_relative_averaging,
-)
+from homsplit.operators import verify_operator
 from homsplit.poly import Polynomial
 from homsplit.report import PreconditionError
 
@@ -298,8 +294,8 @@ def test_quotient_blocks_on_alpha_instability():
         {
             "prec_vdash": BilinearOp.square(2, [(1, 1, 2, P("1"))]),
             "prec_dashv": BilinearOp.square(2, [(1, 1, 2, P("2"))]),
-            "succ_vdash": BilinearOp.zero_square(2),
-            "succ_dashv": BilinearOp.zero_square(2),
+            "succ_vdash": BilinearOp.square(2, ()),
+            "succ_dashv": BilinearOp.square(2, ()),
         },
         LinearMap.from_strings([["0", "1"], ["0", "0"]]), (),
     )
@@ -333,7 +329,7 @@ def test_averaging_scalar_operators_always_pass():
     A = bundle("associative", 1, [], [["1"]], mu=[(1, 1, 1, "1")])
     for c in (Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2)):
         H = LinearMap.from_fractions([[c]])
-        assert verify_averaging_assoc(A, H).ok
+        assert verify_operator("averaging_assoc", A, H).ok
         assert check_diassociative(averaging_induced_diassociative(A, H)).ok
 
 
@@ -349,7 +345,7 @@ def test_averaging_refusal_on_noncommutative_failure():
 
     assert check_associative(A).ok
     H = LinearMap.from_strings([["0", "1"], ["0", "0"]])
-    report = verify_averaging_assoc(A, H)
+    report = verify_operator("averaging_assoc", A, H)
     assert not report.ok
     assert ("avg.mu.a", (2, 2, 1)) in {(v.template, v.witness) for v in report.entries}
     with pytest.raises(PreconditionError):
@@ -373,7 +369,7 @@ def test_relative_averaging_induced_identity_collapse():
     D = rich_dendriform()
     rep = RepresentationBundle.adjoint(D)
     T = LinearMap.identity(4)
-    assert verify_relative_averaging(rep, T).ok
+    assert verify_operator("relative_averaging", rep, T).ok
     induced = relative_averaging_induced_quadri(rep, T)
     for flavor in ("prec", "succ"):
         assert induced.op(f"{flavor}_vdash") == D.op(flavor)
@@ -387,7 +383,7 @@ def test_homomorphic_averaging_induced_six():
     D = rich_dendriform()
     action = ActionBundle.adjoint(D)
     T = LinearMap.zero(4, 4)
-    assert verify_homomorphic_relative_averaging(action, T).ok
+    assert verify_operator("homomorphic_relative_averaging", action, T).ok
     six = homomorphic_averaging_induced_six(action, T)
     assert six.op("prec_perp") == D.op("prec")
     assert six.op("prec_vdash").is_zero()
@@ -431,7 +427,7 @@ def test_quadri_embedding_quotient_map_is_relative_averaging():
     for q in (d1_with_stable_twist(), trivial_ideal):
         result = quadri_embedding(q)
         assert result.ok
-        assert verify_relative_averaging(result.representation, result.averaging).ok
+        assert verify_operator("relative_averaging", result.representation, result.averaging).ok
 
 
 def test_quadri_embedding_blocked_inputs_are_reported():
@@ -478,7 +474,7 @@ def test_six_embedding_perp_compat_gate():
     six_id = homomorphic_averaging_induced_six(action, LinearMap.identity(4))
     result = six_embedding(six_id)
     assert result.ok
-    assert verify_homomorphic_relative_averaging(result.action, result.averaging).ok
+    assert verify_operator("homomorphic_relative_averaging", result.action, result.averaging).ok
     # T = 0: perp ops differ from the vanished vdash ops outside I_D = 0;
     # the perp-compat precondition reports and blocks, never silently skips
     six_zero = homomorphic_averaging_induced_six(action, LinearMap.zero(4, 4))

@@ -69,8 +69,7 @@ PINNED = {
         "353ea1b0f4edafff48d80b7d6a83e2a22c2e51d1ab4a34bab6a7b9105c1187c3",
 }
 
-FIXED = ("dendriform", "associative", "diassociative", "quadri", "triassociative",
-         "representation", "action")
+FIXED = ("dendriform", "associative", "diassociative", "quadri", "triassociative")
 # identity set -> (operator kind, the op names its context gives)
 OPERATOR_SETS = {
     "avg": ("averaging_assoc", ("mu",)),
@@ -82,14 +81,17 @@ OPERATOR_SETS = {
 
 def _outputs() -> dict:
     outputs = {name: getattr(axioms, f"{name}_templates")() for name in FIXED}
+    outputs["representation"] = list(axioms._identities("rep"))
+    outputs["action"] = list(axioms._identities("act"))
     for sq15 in axioms.SQ15_READINGS:
         outputs[f"six.{sq15}"] = axioms.six_templates(sq15)
     for kind, ops in KIND_OPS.items():
         names = tuple(sorted(ops))
-        outputs[f"mult.{kind}"] = axioms.multiplicative_templates(names)
-        outputs[f"hom.{kind}"] = axioms.homomorphism_templates(names)
+        outputs[f"mult.{kind}"] = list(axioms._identities("mult", ops=names))
+        outputs[f"hom.{kind}"] = list(axioms._homomorphism(names))
         outputs[f"graph.{kind}"] = list(axioms._identities("graph", ops=names))
-        outputs[f"quotient.closure.{kind}"] = axioms.quotient_closure_templates(names)
+        closure = axioms._identities("quotient.closure", ops=names)
+        outputs[f"quotient.closure.{kind}"] = list(closure)
     for name, (kind, names) in OPERATOR_SETS.items():
         outputs[name] = list(operators._operator_templates(kind, names, False))
         outputs[f"{name}.twist"] = list(operators._operator_templates(kind, names, True))

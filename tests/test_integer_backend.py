@@ -34,7 +34,7 @@ from oracle import (
 from homsplit.axioms import (
     App,
     Op,
-    S,
+    Sum,
     Var,
     check_dendriform,
     check_homomorphism,
@@ -204,7 +204,7 @@ def test_tabulated_sum_with_mixed_scales(symbolic):
     mode = mode_of(D, H)
     conv, is_zero = scalar_tools(mode, D, H)
     x, y = Var("x"), Var("y")
-    expr = S(Op("dashv", App("H", x), y), Op("vdash", x, y))
+    expr = Sum((Op("dashv", App("H", x), y), Op("vdash", x, y)))
     values = expression_values(expr, (("x", "D"), ("y", "D")), D.dim, *D.parts_with(H=H))
     tensor = BilinearOp.from_entries(3, 3, 3, [(*key, c) for key, c in values.items()])
     assert_same_tensor(tensor, twisted_sum_tensor(D, H, mode), conv, is_zero)

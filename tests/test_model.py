@@ -169,7 +169,7 @@ def test_validate_flags_unexpected_op():
     D = zero_bundle("dendriform", 2, ["prec", "succ"])
     bad = AlgebraBundle(
         "dendriform", 2,
-        {**D.ops, "perp": BilinearOp.zero_square(2)},
+        {**D.ops, "perp": BilinearOp.square(2, ())},
         D.twist, (),
     )
     report = bad.validate()
@@ -190,7 +190,7 @@ def test_validate_flags_index_out_of_range():
     op = BilinearOp.square(3, [(1, 1, 4, P("1"))])
     bad = AlgebraBundle(
         "dendriform", 3,
-        {"prec": op, "succ": BilinearOp.zero_square(3)},
+        {"prec": op, "succ": BilinearOp.square(3, ())},
         LinearMap.identity(3), (),
     )
     report = bad.validate()
@@ -246,7 +246,7 @@ def _one_fault_bundles() -> dict:
     list its `validate` gives."""
     base = deta()  # declares b and eta
     rep = RepresentationBundle.adjoint(base)
-    zero = BilinearOp.zero_square(3)
+    zero = BilinearOp.square(3, ())
     dias = zero_bundle("diassociative", 3, ["dashv", "vdash"])
     acted = AlgebraBundle("associative", 3, {"mu": zero}, base.twist, base.parameters)
     without_succ_r = {name: op for name, op in rep.actions.items() if name != "succ_r"}
@@ -259,7 +259,7 @@ def _one_fault_bundles() -> dict:
                                      base.parameters), ["structure.missing-op:succ"]),
         "twist-dim": (AlgebraBundle("dendriform", 3, base.ops, LinearMap.identity(2),
                                     base.parameters), ["structure.twist-dim"]),
-        "op-dim": (AlgebraBundle("dendriform", 3, {**base.ops, "succ": BilinearOp.zero_square(2)},
+        "op-dim": (AlgebraBundle("dendriform", 3, {**base.ops, "succ": BilinearOp.square(2, ())},
                                  base.twist, base.parameters), ["structure.op-dim:succ"]),
         "unknown-kind": (AlgebraBundle("dendri", 3, base.ops, base.twist, base.parameters),
                          ["structure.unknown-kind:dendri"]),

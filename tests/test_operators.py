@@ -31,11 +31,7 @@ from homsplit.operators import (
     family_membership,
     graph_is_subalgebra,
     solve_operators_grid,
-    verify_averaging_assoc,
-    verify_averaging_quadri,
-    verify_relative_averaging,
     verify_operator,
-    verify_rota_baxter,
 )
 from homsplit.poly import Polynomial
 
@@ -48,7 +44,7 @@ GRID3 = [Fraction(-1), Fraction(0), Fraction(1)]
 
 def test_rota_baxter_zero_operator_passes():
     D = sec2_diassociative()
-    assert verify_rota_baxter(D, LinearMap.zero(3, 3)).ok
+    assert verify_operator("rota_baxter", D, LinearMap.zero(3, 3)).ok
 
 
 def test_rota_baxter_table_family_verdict():
@@ -56,11 +52,11 @@ def test_rota_baxter_table_family_verdict():
     # residual (a-1)*r32 is a genuine finding recorded by the corpus
     D = sec2_diassociative()
     R = LinearMap.from_strings([["0", "0", "0"], ["0", "0", "0"], ["0", "r32", "r33"]])
-    report = verify_rota_baxter(D, R)
+    report = verify_operator("rota_baxter", D, R)
     assert {v.template for v in report.entries} == {"rb.twist"}
     assert str(report.entries[0].residual) == "a*r32 - r32"
     # at a = 1 the family verifies symbolically in r32, r33
-    assert verify_rota_baxter(D.specialize({"a": 1}), R).ok
+    assert verify_operator("rota_baxter", D.specialize({"a": 1}), R).ok
     # product identities hold symbolically even with a free
     assert not any(v.template.startswith("rb.dashv") for v in report.entries)
     assert not any(v.template.startswith("rb.vdash") for v in report.entries)
@@ -68,7 +64,7 @@ def test_rota_baxter_table_family_verdict():
 
 def test_rota_baxter_identity_fails_with_hand_computed_witness():
     D = sec2_diassociative().specialize({"a": 1})
-    report = verify_rota_baxter(D, LinearMap.identity(3))
+    report = verify_operator("rota_baxter", D, LinearMap.identity(3))
     assert not report.ok
     # e1 dashv e2 = -2 e3 but R(R e1 dashv e2 + e1 dashv R e2) = -4 e3
     witness = {(v.template, v.witness): str(v.residual) for v in report.entries}
@@ -78,8 +74,8 @@ def test_rota_baxter_identity_fails_with_hand_computed_witness():
 def test_relative_averaging_zero_and_identity():
     D = rich_dendriform()
     rep = RepresentationBundle.adjoint(D)
-    assert verify_relative_averaging(rep, LinearMap.zero(4, 4)).ok
-    assert verify_relative_averaging(rep, LinearMap.identity(4)).ok
+    assert verify_operator("relative_averaging", rep, LinearMap.zero(4, 4)).ok
+    assert verify_operator("relative_averaging", rep, LinearMap.identity(4)).ok
 
 
 def test_relative_averaging_quotient_map_of_embedding():
@@ -91,21 +87,20 @@ def test_relative_averaging_quotient_map_of_embedding():
     )
     result = quadri_embedding(stable)
     assert result.ok
-    assert verify_relative_averaging(result.representation, result.averaging).ok
+    assert verify_operator("relative_averaging", result.representation, result.averaging).ok
 
 
 def test_homomorphic_relative_averaging_projection_fails():
     # T = 0 always passes; a basis projection breaks the homomorphism half
     from homsplit.model import ActionBundle
-    from homsplit.operators import verify_homomorphic_relative_averaging
 
     action = ActionBundle.adjoint(rich_dendriform())
-    assert verify_homomorphic_relative_averaging(action, LinearMap.zero(4, 4)).ok
+    assert verify_operator("homomorphic_relative_averaging", action, LinearMap.zero(4, 4)).ok
     projection = LinearMap.from_strings(
         [["1", "0", "0", "0"], ["0", "0", "0", "0"],
          ["0", "0", "0", "0"], ["0", "0", "0", "0"]]
     )
-    report = verify_homomorphic_relative_averaging(action, projection)
+    report = verify_operator("homomorphic_relative_averaging", action, projection)
     assert not report.ok
     # T(e1 prec e1) = T(e2) = 0 but T(e1) prec T(e1) = e2
     assert ("hom.prec", (1, 1, 2)) in {(v.template, v.witness) for v in report.entries}
@@ -125,13 +120,13 @@ def test_operator_spec_shape_validation():
 
 def test_averaging_quadri_examples():
     D3 = load_algebra(CORPUS_ROOT / "dim2" / "D3_literal.json")
-    assert verify_averaging_quadri(D3, LinearMap.zero(2, 2)).ok
+    assert verify_operator("averaging_quadri", D3, LinearMap.zero(2, 2)).ok
     # the printed family theta * identity passes symbolically
     family = LinearMap.from_strings([["t22", "0"], ["0", "t22"]])
-    assert verify_averaging_quadri(D3, family).ok
+    assert verify_operator("averaging_quadri", D3, family).ok
     # identity on D1 sits in the printed family (theta11 = 1, theta21 = 0)
     D1 = load_algebra(CORPUS_ROOT / "dim2" / "D1.json")
-    assert verify_averaging_quadri(D1, LinearMap.identity(2)).ok
+    assert verify_operator("averaging_quadri", D1, LinearMap.identity(2)).ok
 
 
 # -- graph characterization -------------------------------------------------------
@@ -182,10 +177,10 @@ def test_graph_biconditional_examples():
     container = hemi_semidirect(rep)
     T = LinearMap.identity(4)
     ok, _ = graph_is_subalgebra(container, T)
-    assert ok == verify_relative_averaging(rep, T).ok
+    assert ok == verify_operator("relative_averaging", rep, T).ok
     # perturbed operator: one entry changed breaks the graph with a witness
     ok_graph, report = graph_is_subalgebra(container, T_BAD)
-    assert ok_graph == verify_relative_averaging(rep, T_BAD).ok
+    assert ok_graph == verify_operator("relative_averaging", rep, T_BAD).ok
     assert not ok_graph
     assert report.entries
 
@@ -195,7 +190,7 @@ def test_graph_biconditional_random_agreement():
     passes = 0
     for rep, T in cases:
         graph_ok, _ = graph_is_subalgebra(hemi_semidirect(rep), T)
-        direct_ok = verify_relative_averaging(rep, T).ok
+        direct_ok = verify_operator("relative_averaging", rep, T).ok
         assert graph_ok == direct_ok
         passes += 1 if direct_ok else 0
     assert len(cases) == 200
@@ -233,8 +228,8 @@ def test_emit_system_family_substitution_agreement():
     system = emit_operator_system(D3, "averaging_quadri", unknown_prefix="u")
     bindings = {"u11": P("t22"), "u12": P("0"), "u21": P("0"), "u22": P("t22")}
     substituted = [substitute(eq, bindings) for eq in system]
-    assert all(p.is_zero() for p in substituted) == verify_averaging_quadri(
-        D3, LinearMap.from_strings([["t22", "0"], ["0", "t22"]])
+    assert all(p.is_zero() for p in substituted) == verify_operator(
+        "averaging_quadri", D3, LinearMap.from_strings([["t22", "0"], ["0", "t22"]])
     ).ok
 
 
@@ -268,7 +263,7 @@ def test_solver_agrees_with_verifier():
     D1 = load_algebra(CORPUS_ROOT / "dim2" / "D1.json").specialize({"a": 0})
     sols = solve_operators_grid(D1, "averaging_quadri", GRID3)
     for sol in sols:
-        assert verify_averaging_quadri(D1, sol).ok
+        assert verify_operator("averaging_quadri", D1, sol).ok
     # deterministic output: sorted by row-major entries
     flat = [tuple(c.as_fraction() for row in m.entries for c in row) for m in sols]
     assert flat == sorted(flat)
@@ -297,7 +292,7 @@ def test_averaging_induced_transfer_random():
     count = 0
     for A in associative_pool(rng, 15, dim=2):
         for H in (LinearMap.zero(2, 2), LinearMap.identity(2), rand_matrix(rng, 2, 2, GRID3)):
-            if verify_averaging_assoc(A, H).ok:
+            if verify_operator("averaging_assoc", A, H).ok:
                 induced = averaging_induced_diassociative(A, H)
                 assert check_diassociative(induced).ok
                 count += 1
@@ -307,8 +302,8 @@ def test_averaging_induced_transfer_random():
 def test_rota_baxter_induced_transfer_and_reverification():
     D = sec2_diassociative().specialize({"a": 1})
     R = LinearMap.from_strings([["0", "0", "0"], ["0", "0", "0"], ["0", "r32", "r33"]])
-    assert verify_rota_baxter(D, R).ok
+    assert verify_operator("rota_baxter", D, R).ok
     induced = rota_baxter_induced(D, R)
     assert check_diassociative(induced).ok
     # R stays Rota-Baxter on the induced structure
-    assert verify_rota_baxter(induced, R).ok
+    assert verify_operator("rota_baxter", induced, R).ok

@@ -177,7 +177,7 @@ def test_the_plan_cache_is_bounded():
     for n in range(limit + 5):
         # mu(x, x) = n x fails at every n but 2
         template = Template(f"t{n}", (("x", "D"),), Op("mu", Var("x"), Var("x")),
-                            axioms.S(*[Var("x")] * n) if n else App("zero", Var("x")))
+                            axioms.Sum((Var("x"),) * n) if n else App("zero", Var("x")))
         maps = {"zero": LinearMap.from_fractions([[Fraction(0)]])}
         report = evaluate_templates([template], dims, ops, maps)
         assert report.ok == (n == 2)

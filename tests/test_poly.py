@@ -243,7 +243,7 @@ def test_compiled_system_over_a_report_vanishes_where_its_residuals_do():
     names, symbolic = unknown_matrix(3, 3)
     report = verify_operator("averaging_quadri", d4, symbolic)
     # every residual, twist commutation's too, is kept as engine integers
-    assert "qavg.twist" in report.templates()
+    assert "qavg.twist" in {v.template for v in report.entries}
     assert all(v.scaled is not None for v in report.entries)
     order = names[::-1]  # not the engine's sorted order
     compiled = CompiledSystem(report.entries, order)

@@ -38,7 +38,7 @@ from homsplit import axioms
 from homsplit.axioms import (
     App,
     Op,
-    S,
+    Sum,
     Template,
     Var,
     _children,
@@ -48,8 +48,6 @@ from homsplit.axioms import (
     check_multiplicative,
     check_quadri,
     evaluate_templates,
-    multiplicative_templates,
-    quotient_closure_templates,
     six_templates,
 )
 from homsplit.constructions import quotient_dendriform
@@ -167,9 +165,8 @@ def test_quotient_closure_sides_have_different_placeholders():
         "alpha": LinearMap.from_fractions([[0, 1, 0], [1, 0, 0], [0, 0, 2]]),
     }
     ops = {name: random_op(rng, dim, dim, dim, 3) for name in ("prec", "succ")}
-    report = evaluate_templates(
-        quotient_closure_templates(sorted(ops)), {"D": dim, "I": ideal}, ops, maps
-    )
+    templates = axioms._identities("quotient.closure", ops=tuple(sorted(ops)))
+    report = evaluate_templates(templates, {"D": dim, "I": ideal}, ops, maps)
     expected = closure_violations(ops, maps["R"], maps["W"], maps["Z"], maps["alpha"])
     assert engine_residual_set(report) == residuals(expected)
     assert any(witness[-1] == 3 and template.startswith("quotient.closure.left")
@@ -202,7 +199,7 @@ def test_expression_values_match_the_oracle_on_every_tuple():
     conv, is_zero = scalar_tools("sympy", f, G, K)
     cases = [
         (Op("f", Var("x"), Var("y")), lambda i, j: product(f, conv, i, j)),
-        (S(App("G", Var("x")), Op("f", Var("x"), Var("y"))),
+        (Sum((App("G", Var("x")), Op("f", Var("x"), Var("y")))),
          lambda i, j: [a + b for a, b in zip(column(G, conv, i), product(f, conv, i, j))]),
         (Op("f", Var("x"), App("K", Var("x"))),
          lambda i, j: [
@@ -355,7 +352,7 @@ def sparse_six(draw):
               for col in range(1, dim + 1)] for _ in range(dim)]
     twist[i - 1][min(set(range(1, dim + 1)) - zero) - 1] = "1"
     sq15 = draw(st.sampled_from(("literal", "symmetric")))
-    templates = six_templates(sq15) + multiplicative_templates(SIX_OPS)
+    templates = six_templates(sq15) + list(axioms._identities("mult", ops=SIX_OPS))
     return templates, {"D": dim}, ops, {"alpha": LinearMap.from_strings(twist)}
 
 
@@ -413,7 +410,7 @@ def test_tables_hold_only_nonzero_entries_coordinates_and_coefficients():
     xyz = (("x", "D"), ("y", "D"), ("z", "D"))
     templates = [
         Template("t", xyz, Op("B", x, Op("A", y, z)), App("alpha", Op("A", x, y))),
-        Template("u", xyz[:2], S(Op("A", x, y), Op("B", x, y)), App("alpha", x)),
+        Template("u", xyz[:2], Sum((Op("A", x, y), Op("B", x, y))), App("alpha", x)),
     ]
     tables = tables_of(templates, {"D": 2}, {"A": A, "B": B}, {"alpha": alpha})
     nested = tables[axioms._plan(tuple(templates))._slots[templates[0].lhs, xyz]][2]
@@ -455,7 +452,7 @@ def test_flipped_pairs_of_representations_and_actions_agree_with_the_oracle(
     ops = {name: tensor(rng, *shape, 2 * b * m) for name, shape in shapes.items()}
     maps = {"alpha": matrix(rng, b, b), "beta": matrix(rng, m, m), "alpha_m": matrix(rng, m, m)}
     dims = {"D": b, "M": m}
-    for templates in (axioms.representation_templates(), axioms.action_templates()):
+    for templates in (axioms._identities("rep"), axioms._identities("act")):
         flipped = {
             (code[1], code[-1]) for code in axioms._plan(tuple(templates)).code
             if code[0] == axioms._PAIR
