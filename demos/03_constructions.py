@@ -10,7 +10,14 @@ from homsplit.constructions import (
     quotient_dendriform,
 )
 from homsplit.corpus import CORPUS_ROOT, load_algebra
-from homsplit.model import AlgebraBundle, LinearMap, RepresentationBundle, basis_vector
+from homsplit.model import AlgebraBundle, LinearMap, RepresentationBundle
+
+
+def product(op, i, j):
+    """The coordinates of e_i op e_j: row (i, j) of the structure constants."""
+    constants = dict(op.constants)
+    return [str(constants.get((i, j, k), 0)) for k in range(1, op.dim_out + 1)]
+
 
 ## Hemi-semidirect product
 # Any representation of a dendriform algebra yields a quadri-dendriform
@@ -19,9 +26,8 @@ from homsplit.model import AlgebraBundle, LinearMap, RepresentationBundle, basis
 
 deta = load_algebra(CORPUS_ROOT / "sec2" / "dendriform_Deta.json")
 hemi = hemi_semidirect(RepresentationBundle.adjoint(deta))
-out = hemi.op("prec_vdash").apply(basis_vector(6, 1), basis_vector(6, 5))
 print("hemi dim:", hemi.dim)
-print("(e1,0) prec_vdash (0,e2) =", [str(c) for c in out])
+print("(e1,0) prec_vdash (0,e2) =", product(hemi.op("prec_vdash"), 1, 5))
 print("hemi passes quadri check:", check_quadri(hemi).status)
 
 ## Splitting back down
@@ -33,9 +39,8 @@ print("\nsplit to diassociative:", check_diassociative(dias).status)
 
 d1 = load_algebra(CORPUS_ROOT / "dim2" / "D1.json")
 dias1 = quadri_to_diassociative(d1)
-e1 = basis_vector(2, 1)
-print("dim2.D1: e1 vdash e1 =", [str(c) for c in dias1.op("vdash").apply(e1, e1)])
-print("dim2.D1: e1 dashv e1 =", [str(c) for c in dias1.op("dashv").apply(e1, e1)])
+print("dim2.D1: e1 vdash e1 =", product(dias1.op("vdash"), 1, 1))
+print("dim2.D1: e1 dashv e1 =", product(dias1.op("dashv"), 1, 1))
 
 ## The ideal I_D and the quotient
 # I_D is spanned by the dashv-minus-vdash differences; the quotient exists

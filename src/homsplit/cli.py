@@ -38,8 +38,7 @@ from .files import (
     read_json,
     write_json,
 )
-from .model import ActionBundle, AlgebraBundle, ModelError
-from .poly import ParseError
+from .model import ActionBundle, AlgebraBundle
 from .report import PreconditionError
 
 
@@ -430,7 +429,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (corpus.CorpusError, ModelError, ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

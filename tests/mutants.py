@@ -555,6 +555,13 @@ MUTANTS = [
         "new": 'if args.sq15 and context.kind not in ("six_dendriform", "quadri_dendriform"):',
         "tests": ["tests/test_cli.py"],
     },
+    {
+        "name": "operators gains a function that nothing calls",
+        "file": "src/homsplit/operators.py",
+        "old": "    return dict(zip(unknowns, solution))\n",
+        "new": "    return dict(zip(unknowns, solution))\n\n\ndef _unused():\n    return None\n",
+        "tests": ["tests/test_reachability.py"],
+    },
 ]
 
 # Edits that change the code but not what it computes, with the reason; they
